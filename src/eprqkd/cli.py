@@ -21,9 +21,9 @@ Exit codes: 0 success, 2 validation error, 3 runtime/convergence error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -116,9 +116,12 @@ def config_hash(cfg: dict[str, str]) -> str:
 
 def _as_float(cfg, key) -> float:
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"config key {key} must be a number, got {cfg[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be finite, got {cfg[key]!r}")
+    return value
 
 
 def _as_int(cfg, key) -> int:
@@ -139,30 +142,20 @@ def _as_bool(cfg, key) -> bool:
 
 def build_setup(cfg: dict[str, str]):
     """Source plus both stations from a parsed config."""
-    is_default_geometry = all(
-        cfg[key] == _CONFIG_DEFAULTS[key]
-        for key in cfg
-        if key.startswith(("source.", "station."))
-    )
-    if is_default_geometry:
-        return defaults.default_setup(equalize=_as_bool(cfg, "station.equalize"))
+    def slits(width_key):
+        width = _as_float(cfg, width_key)
+        return (
+            detection.SlitDetector(_as_float(cfg, "station.detector1_mm"), width, 0),
+            detection.SlitDetector(_as_float(cfg, "station.detector2_mm"), width, 1),
+        )
 
-    slit = lambda center, width, bit: detection.SlitDetector(center, width, bit)
-    x_pair = (
-        slit(_as_float(cfg, "station.detector1_mm"), _as_float(cfg, "station.x_slit_width_mm"), 0),
-        slit(_as_float(cfg, "station.detector2_mm"), _as_float(cfg, "station.x_slit_width_mm"), 1),
-    )
-    p_pair = (
-        slit(_as_float(cfg, "station.detector1_mm"), _as_float(cfg, "station.p_slit_width_mm"), 0),
-        slit(_as_float(cfg, "station.detector2_mm"), _as_float(cfg, "station.p_slit_width_mm"), 1),
-    )
     bob = detection.StationConfig(
         object_distance=_as_float(cfg, "station.object_distance_mm"),
         image_distance=_as_float(cfg, "station.image_distance_mm"),
         focal_length=_as_float(cfg, "station.focal_length_mm"),
         wavenumber=_as_float(cfg, "station.wavenumber_per_mm"),
-        x_detectors=x_pair,
-        p_detectors=p_pair,
+        x_detectors=slits("station.x_slit_width_mm"),
+        p_detectors=slits("station.p_slit_width_mm"),
         origin=_as_float(cfg, "station.origin_mm"),
     )
 
@@ -190,21 +183,7 @@ def build_setup(cfg: dict[str, str]):
             _as_float(cfg, "source.kappa_plus_per_mm"),
             pump,
         )
-
-    x_centers = detection.derive_partner_centers(src, bob, bob, "x")
-    p_centers = detection.derive_partner_centers(src, bob, bob, "p")
-    alice = dataclasses.replace(
-        bob,
-        x_detectors=tuple(
-            dataclasses.replace(det, center=c) for det, c in zip(bob.x_detectors, x_centers)
-        ),
-        p_detectors=tuple(
-            dataclasses.replace(det, center=c) for det, c in zip(bob.p_detectors, p_centers)
-        ),
-    )
-    if _as_bool(cfg, "station.equalize"):
-        alice, bob = detection.equalize_levels(src, alice, bob)
-    return src, alice, bob
+    return defaults.assemble_setup(src, bob, _as_bool(cfg, "station.equalize"))
 
 
 def build_attack(cfg: dict[str, str]) -> AttackConfig | None:

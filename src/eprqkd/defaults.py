@@ -82,42 +82,38 @@ def bob_station() -> StationConfig:
     )
 
 
+def assemble_setup(
+    source: SourceModel, bob: StationConfig, equalize: bool = True
+) -> tuple[SourceModel, StationConfig, StationConfig]:
+    """Source plus both stations (alice, bob order: A first) around B's station.
+
+    Party A starts as a copy of B's station.  Its slit centers are derived
+    from the source's correlations, then the level-equalizing attenuation
+    factors are optionally attached.  Slit centers do not enter the detected
+    variances, so a source calibrated on B's station stays calibrated.
+    """
+    centers = {basis: derive_partner_centers(source, bob, bob, basis) for basis in ("x", "p")}
+    alice = replace(
+        bob,
+        x_detectors=tuple(replace(d, center=c) for d, c in zip(bob.x_detectors, centers["x"])),
+        p_detectors=tuple(replace(d, center=c) for d, c in zip(bob.p_detectors, centers["p"])),
+    )
+    if equalize:
+        alice, bob = equalize_levels(source, alice, bob)
+    return source, alice, bob
+
+
 @lru_cache(maxsize=None)
 def default_setup(equalize: bool = True) -> tuple[SourceModel, StationConfig, StationConfig]:
-    """Calibrated source plus both stations (alice, bob order: A first).
-
-    Built in three steps: calibrate the source against the variance targets
-    using the slit widths (centers do not enter the detected variances),
-    derive party A's slit centers from the calibrated correlations, then
-    optionally attach the level-equalizing attenuation factors.
-    """
+    """Calibrated default source plus both stations (alice, bob order: A first)."""
     bob = bob_station()
-    alice_provisional = bob
-
     source = calibrate_source(
         TARGET_VAR_X_MM2,
         TARGET_VAR_P_HBAR2_MM2,
-        alice_provisional,
+        bob,
         bob,
         sigma_plus=SIGMA_PLUS_MM,
         kappa_plus=KAPPA_PLUS_PER_MM,
         pump=PumpProfile(PUMP_WAIST_MM),
     )
-
-    x_centers = derive_partner_centers(source, bob, alice_provisional, "x")
-    p_centers = derive_partner_centers(source, bob, alice_provisional, "p")
-    alice = replace(
-        alice_provisional,
-        x_detectors=tuple(
-            replace(det, center=c)
-            for det, c in zip(alice_provisional.x_detectors, x_centers)
-        ),
-        p_detectors=tuple(
-            replace(det, center=c)
-            for det, c in zip(alice_provisional.p_detectors, p_centers)
-        ),
-    )
-
-    if equalize:
-        alice, bob = equalize_levels(source, alice, bob)
-    return source, alice, bob
+    return assemble_setup(source, bob, equalize)

@@ -34,13 +34,9 @@ QUAD_ABS_TOL = 1e-8
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
-# 16-point Gauss-Legendre nodes/weights on [-1, 1], for the smooth inner
-# convolution integrals (exact to machine precision at this smoothness).
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to reach the requested absolute error."""
+    """The same-basis coincidence quadrature missed its absolute error bound."""
 
 
 class ClickOutcome(Enum):
@@ -69,8 +65,10 @@ class SlitDetector:
     attenuation: float = 1.0
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError(f"slit width must be positive, got {self.width}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"slit center must be finite, got {self.center}")
+        if not (self.width > 0 and math.isfinite(self.width)):
+            raise ValueError(f"slit width must be positive and finite, got {self.width}")
         if self.logical_bit not in (0, 1):
             raise ValueError(f"logical_bit must be 0 or 1, got {self.logical_bit}")
         if not 0.0 < self.attenuation <= 1.0:
@@ -103,8 +101,11 @@ class StationConfig:
 
     def __post_init__(self):
         for name in ("object_distance", "image_distance", "focal_length", "wavenumber"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin}")
         for pair in (self.x_detectors, self.p_detectors):
             first, second = pair
             if first.logical_bit != 0 or second.logical_bit != 1:
@@ -203,20 +204,9 @@ def _pair_covariance(source: SourceModel, basis: str) -> np.ndarray:
 
 
 def _window_mass(source: SourceModel, basis: str, lo: float, hi: float) -> float:
-    """Single-party latent probability mass in [lo, hi], by quadrature."""
+    """Single-party latent probability mass in [lo, hi]."""
     std = marginal_std(source, basis)
-    val, err = quad(
-        lambda u: _phi(u / std) / std, lo, hi, epsabs=QUAD_ABS_TOL * 1e-2, limit=200
-    )
-    _check_quad(err)
-    return val
-
-
-def _check_quad(err: float):
-    if err > QUAD_ABS_TOL:
-        raise QuadratureError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance {QUAD_ABS_TOL:.1e}"
-        )
+    return _cdf(hi / std) - _cdf(lo / std)
 
 
 def coincidence_probability(
@@ -256,7 +246,10 @@ def coincidence_probability(
             return inner * _phi(u / std_a) / std_a
 
         prob, err = quad(integrand, a_lo, a_hi, epsabs=QUAD_ABS_TOL * 1e-2, limit=200)
-        _check_quad(err)
+        if err > QUAD_ABS_TOL:
+            raise QuadratureError(
+                f"quadrature error estimate {err:.3e} exceeds tolerance {QUAD_ABS_TOL:.1e}"
+            )
     else:
         prob = _window_mass(source, basis_A, a_lo, a_hi) * _window_mass(
             source, basis_B, b_lo, b_hi
@@ -327,77 +320,24 @@ def _latent_collective_std(
     return math.sqrt(var_single * (ia * ia + ib * ib) - 2.0 * cov * ia * ib)
 
 
-def _boxcar_pair_segments(w1: float, w2: float):
-    """Breakpoints and density of the sum of two centered uniforms."""
-    if w2 < w1:
-        w1, w2 = w2, w1
-    half = (w1 + w2) / 2.0
-    flat = (w2 - w1) / 2.0
-
-    def density(t: np.ndarray) -> np.ndarray:
-        t = np.abs(t)
-        out = np.zeros_like(t)
-        out[t <= flat] = 1.0 / w2
-        ramp = (t > flat) & (t < half)
-        out[ramp] = (half - t[ramp]) / (w1 * w2)
-        return out
-
-    return [-half, -flat, flat, half], density
-
-
 def detected_variance(
     source: SourceModel,
     station_A: StationConfig,
     station_B: StationConfig,
     basis: str,
 ) -> float:
-    """Variance of the detected collective coordinate, by quadrature.
+    """Variance of the detected collective coordinate.
 
     A recorded coordinate is the slit position at the moment of the click,
-    i.e. the latent value smeared by a boxcar of one slit width.  For the
-    position basis this gives the recorded detection-plane difference
+    i.e. the latent value smeared by a uniform offset of one slit width.  For
+    the position basis this gives the recorded detection-plane difference
     rho_A - rho_B (mm^2); for the momentum basis the recorded momentum sum
-    p_A + p_B (1/mm^2), slit smears mapped through k/f.  The detected density
-    is the convolution of the latent Gaussian with both slit windows; its
-    second moment is integrated numerically.
+    p_A + p_B (1/mm^2), slit smears mapped through k/f.  The two smears are
+    independent of the latent Gaussian and of each other, so their variances
+    add: latent variance plus slit_smearing_variance.
     """
-    base_std = _latent_collective_std(source, station_A, station_B, basis)
-    if basis == "x":
-        w_A = station_A.detectors("x")[0].width
-        w_B = station_B.detectors("x")[0].width
-    else:
-        w_A = station_A.latent_slit_width("p")
-        w_B = station_B.latent_slit_width("p")
-
-    breakpoints, tri_density = _boxcar_pair_segments(w_A, w_B)
-
-    # Per-segment fixed Gauss-Legendre nodes for the (smooth) convolution.
-    seg_nodes, seg_weights = [], []
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if hi <= lo:
-            continue
-        mid, rad = (hi + lo) / 2.0, (hi - lo) / 2.0
-        seg_nodes.append(mid + rad * _GL_NODES)
-        seg_weights.append(rad * _GL_WEIGHTS)
-    nodes = np.concatenate(seg_nodes)
-    weights = np.concatenate(seg_weights) * tri_density(nodes)
-
-    def detected_density(d: float) -> float:
-        g = np.exp(-0.5 * ((d - nodes) / base_std) ** 2) / (base_std * _SQRT2PI)
-        return float(np.dot(weights, g))
-
-    half_support = (w_A + w_B) / 2.0
-    span = 8.0 * base_std + half_support
-    second, err = quad(
-        lambda d: d * d * detected_density(d),
-        -span,
-        span,
-        epsabs=QUAD_ABS_TOL * 1e-2,
-        limit=800,
-        points=[-half_support, 0.0, half_support],
-    )
-    _check_quad(err)
-    return second
+    latent = _latent_collective_std(source, station_A, station_B, basis)
+    return latent**2 + slit_smearing_variance(station_A, station_B, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -394,11 +394,15 @@ def run_session(
             )
 
         good = (det_A >= 0) & (det_B >= 0)
+        hits = np.flatnonzero(good)
+        if collected + hits.size >= n_target:
+            # Count emissions up to and including the N-th coincidence only.
+            emitted += int(hits[n_target - collected - 1]) + 1 - n
         basis_A_list.append(bas_A[good])
         basis_B_list.append(bas_B[good])
         det_A_list.append(det_A[good])
         det_B_list.append(det_B[good])
-        collected += int(good.sum())
+        collected += hits.size
 
     bas_A = np.concatenate(basis_A_list)[:n_target]
     bas_B = np.concatenate(basis_B_list)[:n_target]

@@ -228,24 +228,35 @@ def calibrate_source(
     kappa_plus: float,
     pump: PumpProfile,
 ) -> SourceModel:
-    """Solve for the latent correlation widths that reproduce detected targets.
+    """Invert the detected-variance targets for the latent correlation widths.
 
     target_var_x is the detected variance of the position difference in
     detection-plane mm^2; target_var_p the detected variance of the momentum
-    sum in 1/mm^2.  "Detected" includes the smearing of both parties' slit
-    acceptance windows, evaluated with the quadrature oracle in `detection`.
-    Each width is found by bracketed root finding; a target below the slit
-    smearing floor is infeasible and raises CalibrationError naming the
-    basis.
-    """
-    from scipy.optimize import brentq
+    sum in 1/mm^2.  "Detected" adds the slit smearing floor of both parties
+    (detection.slit_smearing_variance) to the latent variance, so each width
+    follows in closed form:
 
+        kappa_minus^2 = target_p - floor_p
+        sigma_minus^2 = (4 (target_x - floor_x) - sigma_plus^2 (1/a_A - 1/a_B)^2)
+                        / (1/a_A + 1/a_B)^2
+
+    with a_A, a_B the imaging scales of the two stations.  A target at or
+    below its floor, or an x target that sigma_plus alone already exceeds
+    through unequal imaging scales, is infeasible and raises CalibrationError
+    naming the basis.
+    """
     from . import detection
 
-    if target_var_x <= 0 or target_var_p <= 0:
-        raise ValueError("calibration targets must be positive")
+    for name, value in (
+        ("target_var_x", target_var_x),
+        ("target_var_p", target_var_p),
+        ("sigma_plus", sigma_plus),
+        ("kappa_plus", kappa_plus),
+    ):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"calibration {name} must be positive and finite, got {value}")
 
-    solved = {}
+    excess = {}
     for basis, target in (("x", target_var_x), ("p", target_var_p)):
         floor = detection.slit_smearing_variance(station_A, station_B, basis)
         if floor >= target:
@@ -253,34 +264,20 @@ def calibrate_source(
                 f"basis {basis}: slit smearing alone contributes {floor:.6g}, "
                 f"at or above the target detected variance {target:.6g}"
             )
-        latent_guess = math.sqrt(target - floor)
+        excess[basis] = target - floor
 
-        def detected(width: float, _basis=basis) -> float:
-            trial = SourceModel(
-                sigma_minus=width if _basis == "x" else 1.0,
-                sigma_plus=sigma_plus,
-                kappa_minus=width if _basis == "p" else 1.0,
-                kappa_plus=kappa_plus,
-                pump=pump,
-            )
-            return detection.detected_variance(trial, station_A, station_B, _basis)
-
-        lo, hi = latent_guess * 1e-6, latent_guess * 4.0 + 1e-6
-        try:
-            solved[basis] = brentq(
-                lambda s: detected(s) - target, lo, hi, xtol=1e-12, rtol=1e-12
-            )
-        except ValueError as exc:
-            raise CalibrationError(
-                f"basis {basis}: no latent width in [{lo:.3g}, {hi:.3g}] reaches "
-                f"the detected-variance target {target:.6g}"
-            ) from exc
-
-    model = build_source(
-        sigma_minus=solved["x"],
+    ia, ib = 1.0 / station_A.alpha, 1.0 / station_B.alpha
+    anti = sigma_plus**2 * (ia - ib) ** 2
+    if anti >= 4.0 * excess["x"]:
+        raise CalibrationError(
+            f"basis x: sigma_plus = {sigma_plus:.6g} through unequal imaging scales "
+            f"alone contributes {anti / 4.0:.6g}, at or above the {excess['x']:.6g} "
+            "left above the slit smearing floor"
+        )
+    return build_source(
+        sigma_minus=math.sqrt(4.0 * excess["x"] - anti) / (ia + ib),
         sigma_plus=sigma_plus,
-        kappa_minus=solved["p"],
+        kappa_minus=math.sqrt(excess["p"]),
         kappa_plus=kappa_plus,
         pump=pump,
     )
-    return model

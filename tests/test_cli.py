@@ -5,6 +5,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from eprqkd import cli
 
 
@@ -182,6 +184,20 @@ class TestSimulateCommand:
             ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
         )
         assert report["seed"] == 99
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("station.x_slit_width_mm", "nan"), ("station.object_distance_mm", "inf"),
+         ("source.target_var_x_mm2", "nan")],
+    )
+    def test_non_finite_config_value_rejected(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, _, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert key in err
 
     def test_emission_guard_is_runtime_error(self, capsys, tmp_path):
         # A guard far below the needed emissions trips mid-session, which is

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_normal
@@ -20,7 +21,7 @@ from eprqkd.detection import (
     readout_coordinate,
     slit_smearing_variance,
 )
-from eprqkd.source import PumpProfile, SourceModel, build_source
+from eprqkd.source import PumpProfile, SourceModel, build_source, sample_pairs
 
 from conftest import make_station
 
@@ -41,8 +42,25 @@ class TestStationValidation:
             )
 
     def test_positive_geometry_enforced(self):
-        with pytest.raises(ValueError):
-            make_station(O=-1.0)
+        for kwargs, field in (
+            ({"O": -1.0}, "object_distance"),
+            ({"O": math.nan}, "object_distance"),
+            ({"I": math.inf}, "image_distance"),
+            ({"f": math.nan}, "focal_length"),
+            ({"k": -math.inf}, "wavenumber"),
+            ({"origin": math.nan}, "origin"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                make_station(**kwargs)
+
+    @pytest.mark.parametrize(
+        "center,width,field",
+        [(math.inf, 0.2, "center"), (math.nan, 0.2, "center"), (1.0, math.nan, "width"),
+         (1.0, math.inf, "width"), (1.0, 0.0, "width")],
+    )
+    def test_finite_slit_enforced(self, center, width, field):
+        with pytest.raises(ValueError, match=field):
+            SlitDetector(center, width, 0)
 
     def test_attenuation_range(self):
         with pytest.raises(ValueError):
@@ -192,6 +210,34 @@ class TestDetectedVariance:
         expected = base + slit_smearing_variance(left, right, "x")
         measured = detected_variance(source, left, right, "x")
         assert abs(measured - expected) / expected < 1e-8
+
+    def test_matches_monte_carlo(self, rng):
+        """Sampled pairs plus independent uniform slit smears, 5 sigma, both bases.
+
+        The two stations differ in imaging scale and in every slit width, so the
+        position difference carries the sigma_plus cross term and both smears.
+        """
+        left = make_station(O=200.0, I=100.0, x_width=0.2, p_width=0.5)      # alpha = 1
+        right = make_station(O=200.0, I=50.0, f=120.0, x_width=0.3, p_width=0.4)  # alpha = 2
+        source = build_source(0.4, 2.0, 0.9, 4.0, PUMP)
+        n = 400_000
+        x_A, x_B, p_A, p_B = sample_pairs(source, n, rng)
+
+        def smear(width):
+            return rng.uniform(-width / 2.0, width / 2.0, n)
+
+        recorded = {
+            "x": (x_A / left.alpha + smear(left.x_detectors[0].width))
+            - (x_B / right.alpha + smear(right.x_detectors[0].width)),
+            "p": (p_A + smear(left.latent_slit_width("p")))
+            + (p_B + smear(right.latent_slit_width("p"))),
+        }
+        for basis, values in recorded.items():
+            centered = values - values.mean()
+            var = float(np.mean(centered**2))
+            std_err = math.sqrt((np.mean(centered**4) - var**2) / n)
+            expected = detected_variance(source, left, right, basis)
+            assert abs(var - expected) < 5.0 * std_err, (basis, var, expected, std_err)
 
 
 def test_monte_carlo_matches_oracle_small(default_experiment, rng):

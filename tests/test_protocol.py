@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eprqkd.adversary import AttackConfig
-from eprqkd.detection import ClickOutcome, SlitDetector
+from eprqkd.detection import ClickOutcome, SlitDetector, coincidence_probability
 from eprqkd.protocol import (
     CoincidenceTable,
     PairEvent,
@@ -237,6 +237,21 @@ class TestRunSession:
         assert a.sifted_bits_B == b.sifted_bits_B
         assert a.table == b.table
         assert a.emitted_pairs == b.emitted_pairs
+
+    @pytest.mark.parametrize("n", [2000, 20_000])
+    def test_emitted_pairs_match_coincidence_probability(self, default_experiment, n):
+        # Pairs up to the N-th coincidence are negative binomial: mean N/P,
+        # std sqrt(N (1 - P)) / P, with P the oracle's coincidence probability
+        # under fair basis coins.
+        source, alice, bob = default_experiment
+        p = sum(
+            coincidence_probability(source, alice, bob, b_A, b_B, d_A, d_B)
+            for b_A in "xp" for b_B in "xp" for d_A in (1, 2) for d_B in (1, 2)
+        ) / 4.0
+        cfg = SessionConfig(n_coincidences=n, m_estimation=n // 10, rng_seed=23)
+        emitted = run_session(source, alice, bob, cfg).emitted_pairs
+        sigma = math.sqrt(n * (1.0 - p)) / p
+        assert abs(emitted / n - 1.0 / p) < 4.0 * sigma / n, (emitted, n / p, sigma)
 
     def test_table_consistent_with_event_tallies(self, default_experiment):
         source, alice, bob = default_experiment

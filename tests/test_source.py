@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eprqkd import detection
+from eprqkd.defaults import assemble_setup
 from eprqkd.source import (
     CalibrationError,
     PumpProfile,
@@ -16,6 +17,8 @@ from eprqkd.source import (
     sample_pair,
     sample_pairs,
 )
+
+from conftest import make_station
 
 PUMP = PumpProfile(2.0)
 
@@ -256,8 +259,48 @@ class TestCalibration:
 
     def test_rejects_nonpositive_targets(self, raw_experiment):
         _, alice, bob = raw_experiment
-        with pytest.raises(ValueError):
-            calibrate_source(-1.0, 0.894, alice, bob, 1.8, 3.7, PUMP)
+        for (target_x, target_p, sigma_plus, kappa_plus), field in (
+            ((-1.0, 0.894, 1.8, 3.7), "target_var_x"),
+            ((math.nan, 0.894, 1.8, 3.7), "target_var_x"),
+            ((0.116, math.inf, 1.8, 3.7), "target_var_p"),
+            ((0.116, 0.894, math.nan, 3.7), "sigma_plus"),
+            ((0.116, 0.894, 1.8, math.inf), "kappa_plus"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                calibrate_source(target_x, target_p, alice, bob, sigma_plus, kappa_plus, PUMP)
+
+    def test_round_trip_with_unequal_imaging_scales(self):
+        # alpha_A = 1, alpha_B = 2: sigma_plus enters the detected x variance.
+        left = make_station(O=200.0, I=100.0)
+        right = make_station(O=200.0, I=50.0)
+        model = calibrate_source(0.3, 0.9, left, right, sigma_plus=1.8, kappa_plus=3.7, pump=PUMP)
+        for basis, target in (("x", 0.3), ("p", 0.9)):
+            measured = detection.detected_variance(model, left, right, basis)
+            assert abs(measured - target) / target < 1e-12
+
+    def test_sigma_plus_alone_above_x_target_is_infeasible(self):
+        left = make_station(O=200.0, I=100.0)
+        right = make_station(O=200.0, I=50.0)
+        floor_x = detection.slit_smearing_variance(left, right, "x")
+        anti = 1.8**2 * (1.0 / left.alpha - 1.0 / right.alpha) ** 2 / 4.0
+        target_x = floor_x + 0.9 * anti
+        with pytest.raises(CalibrationError, match="basis x"):
+            calibrate_source(target_x, 0.9, left, right, sigma_plus=1.8, kappa_plus=3.7, pump=PUMP)
+
+    def test_irregular_p_slit_geometry_calibrates(self):
+        # A geometry whose p-slit width once made the root finder's probe
+        # miss the quadrature tolerance; kept as literals.
+        width_x, width_p = 0.23959404775665646, 0.3201709872567525
+        d1, d2 = 0.9574357597445292, 1.9311084273158168
+        bob = make_station(
+            O=200.0, I=99.62577827047394, f=150.0, k=330.0, x_centers=(d1, d2),
+            p_centers=(d1, d2), x_width=width_x, p_width=width_p, origin=1.5,
+        )
+        model = calibrate_source(0.116, 0.894, bob, bob, sigma_plus=1.8, kappa_plus=3.7, pump=PUMP)
+        _, alice, bob = assemble_setup(model, bob)
+        for basis, target in (("x", 0.116), ("p", 0.894)):
+            measured = detection.detected_variance(model, alice, bob, basis)
+            assert abs(measured - target) / target < 1e-12
 
 
 def test_units_discipline_default_is_entangled(default_experiment):
