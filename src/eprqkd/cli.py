@@ -198,14 +198,22 @@ def build_attack(cfg: dict[str, str]) -> AttackConfig | None:
 
 
 def resolve_seed(cli_seed: int | None, cfg: dict[str, str] | None) -> int:
+    """Seed from --seed, else session.seed, else EPRQKD_SEED, else the default."""
     if cli_seed is not None:
-        return cli_seed
-    if cfg is not None and cfg.get("session.seed"):
-        return int(cfg["session.seed"])
-    env = os.environ.get(SEED_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_SEED
+        origin, raw = "--seed", cli_seed
+    elif cfg is not None and cfg.get("session.seed"):
+        origin, raw = "session.seed", cfg["session.seed"]
+    elif os.environ.get(SEED_ENV_VAR):
+        origin, raw = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
+    else:
+        return DEFAULT_SEED
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise ConfigError(f"{origin} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 # ---------------------------------------------------------------------------

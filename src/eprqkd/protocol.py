@@ -26,7 +26,7 @@ import numpy as np
 
 from .adversary import AttackConfig, resolve_attack
 from .detection import ClickOutcome, StationConfig
-from .source import SourceModel, sample_pairs
+from .source import SourceModel
 
 ALICE_LABELS = ("Ax1", "Ax2", "Ap1", "Ap2")
 BOB_LABELS = ("Bx1", "Bx2", "Bp1", "Bp2")
@@ -58,6 +58,8 @@ class SessionConfig:
             )
         if not 0.0 < self.qber_threshold < 1.0:
             raise ValueError("qber_threshold must lie strictly between 0 and 1")
+        if self.max_emitted is not None and self.max_emitted <= 0:
+            raise ValueError(f"max_emitted must be positive, got {self.max_emitted}")
 
     @property
     def emitted_guard(self) -> int:
@@ -294,49 +296,113 @@ def abort_decision(report: QberReport, threshold: float = DEFAULT_QBER_THRESHOLD
 # ---------------------------------------------------------------------------
 
 
-def _station_window_arrays(station: StationConfig, basis: str):
-    dets = station.detectors(basis)
-    lo = np.array([d.lo for d in dets])
-    hi = np.array([d.hi for d in dets])
-    attn = np.array([d.attenuation for d in dets])
-    return lo, hi, attn
+class _Readout:
+    """One station's readout as arrays indexed by basis (0 = x, 1 = p) and detector."""
+
+    def __init__(self, station: StationConfig):
+        pairs = [station.detectors(basis) for basis in ("x", "p")]
+        self.lo = np.array([[d.lo for d in pair] for pair in pairs])
+        self.hi = np.array([[d.hi for d in pair] for pair in pairs])
+        self.survival = np.array([[d.attenuation for d in pair] for pair in pairs])
+        # Latent coordinate -> detection-plane mm, per basis.
+        self.gain = np.array([1.0 / station.alpha, station.focal_length / station.wavenumber])
+        self.origin = station.origin
+
+    def clicks(
+        self, latent: np.ndarray, basis: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Detector index 0 / 1 for each latent coordinate, -1 for null.
+
+        Slit acceptance is the closed interval in the detection plane.  A
+        uniform is drawn only for a coordinate inside a slit, applying that
+        detector's attenuation as independent thinning.
+        """
+        coords = latent * self.gain[basis] + self.origin
+        det = np.full(latent.shape, -1, dtype=np.int8)
+        in_p = basis == 1
+        for b, chosen in ((0, ~in_p), (1, in_p)):
+            for d in (0, 1):
+                det[chosen & (coords >= self.lo[b, d]) & (coords <= self.hi[b, d])] = d
+        inside = np.flatnonzero(det >= 0)
+        dead = rng.random(inside.size) >= self.survival[basis[inside], det[inside]]
+        det[inside[dead]] = -1
+        return det
 
 
-def _click_indices(
-    coords: np.ndarray,
-    basis_choice: np.ndarray,
-    station: StationConfig,
-    survival_draws: np.ndarray,
-) -> np.ndarray:
-    """Vectorized click outcome: 0 / 1 detector index, -1 for null.
+def _channel_law(source: SourceModel):
+    """Per basis (x, p): std of A's latent, std of B's, and B's Gaussian law
+    given A's latent in the same basis (mean slope * u_A, std cond_std)."""
+    covs = (source.position_covariance(), source.momentum_covariance())
+    var_A = np.array([c[0, 0] for c in covs])
+    var_B = np.array([c[1, 1] for c in covs])
+    cov = np.array([c[0, 1] for c in covs])
+    slope = cov / var_A
+    cond_std = np.sqrt(np.maximum(var_B - cov**2 / var_A, 0.0))
+    return np.sqrt(var_A), np.sqrt(var_B), slope, cond_std
 
-    survival_draws are pre-drawn uniforms applying the per-detector
-    attenuation as independent thinning.
+
+def _coincidences(
+    source: SourceModel,
+    station_A: StationConfig,
+    station_B: StationConfig,
+    attack: AttackConfig | None,
+    rng: np.random.Generator,
+    n_pairs: int,
+    batch: int,
+):
+    """Emit n_pairs pairs in batches of at most `batch`, A's photon first.
+
+    Each pair draws both basis coins and A's latent coordinate in her basis.
+    Only the pairs on which A clicks draw the photon on B's channel, read in
+    B's basis or, under interception, in the interceptor's: from its
+    Gaussian law given A's latent when that basis is A's, from its marginal
+    otherwise (position and momentum are independent).  This is the law of
+    sample_pairs followed by both readouts, at one normal per emitted pair.
+
+    Yields (n, pos, bas_A, bas_B, det_A, det_B) per batch: the n pairs
+    emitted, the in-batch positions of its coincidences in increasing order,
+    and their basis choices (0 = x, 1 = p) and detector indices (0 / 1).
     """
-    out = np.full(coords.shape, -1, dtype=np.int8)
-    for b_idx, basis in enumerate(("x", "p")):
-        mask = basis_choice == b_idx
-        if not mask.any():
-            continue
-        lo, hi, attn = _station_window_arrays(station, basis)
-        c = coords[mask]
-        for det in (0, 1):
-            inside = (c >= lo[det]) & (c <= hi[det])
-            sub = np.where(mask)[0][inside]
-            survived = survival_draws[sub] < attn[det]
-            out[sub[survived]] = det
-    return out
+    if attack is not None:
+        attack = resolve_attack(attack, station_B)
+        if attack.basis_policy == "none":
+            attack = None
+    std_A, std_B, slope, cond_std = _channel_law(source)
+    readout_A, readout_B = _Readout(station_A), _Readout(station_B)
+    remaining = n_pairs
+    while remaining > 0:
+        n = int(min(batch, remaining))
+        remaining -= n
+        bas_A = rng.integers(0, 2, size=n, dtype=np.int8)
+        bas_B = rng.integers(0, 2, size=n, dtype=np.int8)
+        lat_A = rng.standard_normal(n) * std_A[bas_A]
+        det_A = readout_A.clicks(lat_A, bas_A, rng)
+
+        pos = np.flatnonzero(det_A >= 0)
+        bas_A, bas_B, lat_A, det_A = bas_A[pos], bas_B[pos], lat_A[pos], det_A[pos]
+        bas_ch = bas_B if attack is None else _eve_bases(attack, pos.size, rng)
+        same = bas_ch == bas_A
+        lat_ch = np.where(same, slope[bas_A] * lat_A, 0.0) + np.where(
+            same, cond_std[bas_A], std_B[bas_ch]
+        ) * rng.standard_normal(pos.size)
+        if attack is None:
+            det_B = readout_B.clicks(lat_ch, bas_B, rng)
+        else:
+            det_B = _intercepted_bob_clicks(lat_ch, bas_ch, bas_B, attack, rng)
+
+        hit = det_B >= 0
+        yield n, pos[hit], bas_A[hit], bas_B[hit], det_A[hit], det_B[hit]
 
 
-def _readout_coords(
-    x: np.ndarray, p: np.ndarray, basis_choice: np.ndarray, station: StationConfig
-) -> np.ndarray:
-    coords = np.where(
-        basis_choice == 0,
-        x / station.alpha + station.origin,
-        p * station.focal_length / station.wavenumber + station.origin,
-    )
-    return coords
+def _cell_counts(bas_A, bas_B, det_A, det_B) -> np.ndarray:
+    """4x4 tally of coincidences by (Ax1, Ax2, Ap1, Ap2) x (Bx1, Bx2, Bp1, Bp2)."""
+    idx_A = 2 * bas_A.astype(np.int64) + det_A
+    idx_B = 2 * bas_B.astype(np.int64) + det_B
+    return np.bincount(4 * idx_A + idx_B, minlength=16).reshape(4, 4)
+
+
+def _bit_string(bits: np.ndarray) -> str:
+    return (bits + 48).astype(np.uint8).tobytes().decode("ascii")
 
 
 def run_session(
@@ -357,63 +423,30 @@ def run_session(
     when the estimate exceeds the threshold.  Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(session.rng_seed)
-    resolved = resolve_attack(attack, station_B) if attack is not None else None
-    if resolved is not None and resolved.basis_policy == "none":
-        resolved = None
-
     n_target = session.n_coincidences
-    basis_A_list: list[np.ndarray] = []
-    basis_B_list: list[np.ndarray] = []
-    det_A_list: list[np.ndarray] = []
-    det_B_list: list[np.ndarray] = []
+    batch = max(4096, min(1_000_000, n_target * 8))
+    chunks = []
     collected = 0
     emitted = 0
-    batch = max(4096, min(1_000_000, n_target * 8))
-
-    while collected < n_target:
-        if emitted >= session.emitted_guard:
-            raise ProtocolError(
-                f"emitted {emitted} pairs but collected only {collected} of "
-                f"{n_target} coincidences; coincidence rate is pathologically low"
-            )
-        n = int(min(batch, session.emitted_guard - emitted))
-        emitted += n
-        x_A, x_B, p_A, p_B = sample_pairs(source, n, rng)
-        bas_A = rng.integers(0, 2, size=n).astype(np.int8)  # 0 = x, 1 = p
-        bas_B = rng.integers(0, 2, size=n).astype(np.int8)
-
-        coords_A = _readout_coords(x_A, p_A, bas_A, station_A)
-        det_A = _click_indices(coords_A, bas_A, station_A, rng.random(n))
-
-        if resolved is None:
-            coords_B = _readout_coords(x_B, p_B, bas_B, station_B)
-            det_B = _click_indices(coords_B, bas_B, station_B, rng.random(n))
-        else:
-            det_B = _intercepted_bob_clicks(
-                x_B, p_B, bas_B, resolved, rng
-            )
-
-        good = (det_A >= 0) & (det_B >= 0)
-        hits = np.flatnonzero(good)
-        if collected + hits.size >= n_target:
+    for n, pos, *cells in _coincidences(
+        source, station_A, station_B, attack, rng, session.emitted_guard, batch
+    ):
+        need = n_target - collected
+        if pos.size >= need:
             # Count emissions up to and including the N-th coincidence only.
-            emitted += int(hits[n_target - collected - 1]) + 1 - n
-        basis_A_list.append(bas_A[good])
-        basis_B_list.append(bas_B[good])
-        det_A_list.append(det_A[good])
-        det_B_list.append(det_B[good])
-        collected += hits.size
-
-    bas_A = np.concatenate(basis_A_list)[:n_target]
-    bas_B = np.concatenate(basis_B_list)[:n_target]
-    det_A = np.concatenate(det_A_list)[:n_target]
-    det_B = np.concatenate(det_B_list)[:n_target]
-
-    idx_A = 2 * bas_A.astype(np.int64) + det_A
-    idx_B = 2 * bas_B.astype(np.int64) + det_B
-    counts = np.zeros((4, 4), dtype=np.int64)
-    np.add.at(counts, (idx_A, idx_B), 1)
-    table = CoincidenceTable(counts)
+            emitted += int(pos[need - 1]) + 1
+            chunks.append([c[:need] for c in cells])
+            break
+        emitted += n
+        collected += pos.size
+        chunks.append(cells)
+    else:
+        raise ProtocolError(
+            f"emitted {emitted} pairs but collected only {collected} of "
+            f"{n_target} coincidences; coincidence rate is pathologically low"
+        )
+    bas_A, bas_B, det_A, det_B = (np.concatenate(c) for c in zip(*chunks))
+    table = CoincidenceTable(_cell_counts(bas_A, bas_B, det_A, det_B))
 
     same = bas_A == bas_B
     sift_bas = bas_A[same]
@@ -448,9 +481,6 @@ def run_session(
         uncertainty=_binomial_uncertainty(qber, m),
     )
 
-    key_A = sift_A[~est_mask]
-    key_B = sift_B[~est_mask]
-
     events = None
     if keep_events:
         outcome = (ClickOutcome.DETECTOR_1, ClickOutcome.DETECTOR_2)
@@ -461,8 +491,8 @@ def run_session(
         )
 
     return SessionResult(
-        sifted_bits_A="".join(chr(48 + b) for b in key_A),
-        sifted_bits_B="".join(chr(48 + b) for b in key_B),
+        sifted_bits_A=_bit_string(sift_A[~est_mask]),
+        sifted_bits_B=_bit_string(sift_B[~est_mask]),
         estimate=estimate,
         aborted=abort_decision(estimate, session.qber_threshold),
         table=table,
@@ -485,71 +515,47 @@ def tally_coincidences(
     This is the Monte Carlo side of the oracle-equivalence check: cell
     (i, j) accumulates with probability P(cell) / 4.
     """
-    resolved = resolve_attack(attack, station_B) if attack is not None else None
-    if resolved is not None and resolved.basis_policy == "none":
-        resolved = None
     counts = np.zeros((4, 4), dtype=np.int64)
-    remaining = n_pairs
-    while remaining > 0:
-        n = int(min(remaining, 1_000_000))
-        remaining -= n
-        x_A, x_B, p_A, p_B = sample_pairs(source, n, rng)
-        bas_A = rng.integers(0, 2, size=n).astype(np.int8)
-        bas_B = rng.integers(0, 2, size=n).astype(np.int8)
-        coords_A = _readout_coords(x_A, p_A, bas_A, station_A)
-        det_A = _click_indices(coords_A, bas_A, station_A, rng.random(n))
-        if resolved is None:
-            coords_B = _readout_coords(x_B, p_B, bas_B, station_B)
-            det_B = _click_indices(coords_B, bas_B, station_B, rng.random(n))
-        else:
-            det_B = _intercepted_bob_clicks(x_B, p_B, bas_B, resolved, rng)
-        good = (det_A >= 0) & (det_B >= 0)
-        idx_A = 2 * bas_A[good].astype(np.int64) + det_A[good]
-        idx_B = 2 * bas_B[good].astype(np.int64) + det_B[good]
-        np.add.at(counts, (idx_A, idx_B), 1)
+    for _, _, *cells in _coincidences(
+        source, station_A, station_B, attack, rng, n_pairs, 1_000_000
+    ):
+        counts += _cell_counts(*cells)
     return CoincidenceTable(counts)
 
 
+def _eve_bases(attack: AttackConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The interceptor's basis choice (0 = x, 1 = p) for n photons."""
+    if attack.basis_policy == "uniform_random":
+        return rng.integers(0, 2, size=n, dtype=np.int8)
+    if attack.basis_policy in ("always_x", "always_p"):
+        return np.full(n, attack.basis_policy == "always_p", dtype=np.int8)
+    raise ValueError(f"unsupported basis policy {attack.basis_policy!r}")
+
+
 def _intercepted_bob_clicks(
-    x_B: np.ndarray,
-    p_B: np.ndarray,
+    lat_E: np.ndarray,
+    bas_E: np.ndarray,
     bas_B: np.ndarray,
     attack: AttackConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Vectorized intercept-resend transform of B's channel.
 
-    The interceptor measures B's latent coordinates with her own station; a
-    null blocks the photon.  On a click she resends: if B later measures in
-    her basis he fires her detector with probability p_same (the other one
-    otherwise); in the conjugate basis his detector follows the p_cross
-    fractions, any remainder going to null.
+    The interceptor reads the photon's latent coordinate in her basis with
+    her own station; a null blocks the photon.  On a click she resends: if B
+    measures in her basis he fires her detector with probability p_same (the
+    other one otherwise); in the conjugate basis his detector follows the
+    p_cross fractions, any remainder going to null.
     """
-    n = x_B.shape[0]
-    station_E = attack.eve_stations
-    if attack.basis_policy == "always_x":
-        bas_E = np.zeros(n, dtype=np.int8)
-    elif attack.basis_policy == "always_p":
-        bas_E = np.ones(n, dtype=np.int8)
-    elif attack.basis_policy == "uniform_random":
-        bas_E = rng.integers(0, 2, size=n).astype(np.int8)
-    else:
-        raise ValueError(f"unsupported basis policy {attack.basis_policy!r}")
-
-    coords_E = _readout_coords(x_B, p_B, bas_E, station_E)
-    det_E = _click_indices(coords_E, bas_E, station_E, rng.random(n))
-
-    det_B = np.full(n, -1, dtype=np.int8)
-    passed = det_E >= 0
-
-    same = passed & (bas_B == bas_E)
-    keep = rng.random(n) < attack.p_same_basis_correct
-    det_B[same & keep] = det_E[same & keep]
-    det_B[same & ~keep] = 1 - det_E[same & ~keep]
-
-    diff = passed & (bas_B != bas_E)
-    draw = rng.random(n)
+    det_E = _Readout(attack.eve_stations).clicks(lat_E, bas_E, rng)
+    det_B = np.full(det_E.shape, -1, dtype=np.int8)
+    passed = np.flatnonzero(det_E >= 0)
+    relayed = det_E[passed]
+    draw = rng.random(passed.size)
     p1, p2 = attack.p_cross_basis
-    det_B[diff & (draw < p1)] = 0
-    det_B[diff & (draw >= p1) & (draw < p1 + p2)] = 1
+    det_B[passed] = np.where(
+        bas_B[passed] == bas_E[passed],
+        np.where(draw < attack.p_same_basis_correct, relayed, 1 - relayed),
+        np.where(draw < p1, 0, np.where(draw < p1 + p2, 1, -1)),
+    )
     return det_B

@@ -137,35 +137,21 @@ def test_null_rate_matches_acceptance_mass(default_experiment, rng):
 
 
 def test_matching_basis_transparency(default_experiment):
-    """All-basis-matched interception is statistically invisible (3 sigma)."""
+    """All-basis-matched interception is statistically invisible (3 sigma).
+
+    She always reads x with a copy of B's station and p_same = 1, so when B
+    also measures x the relayed outcome IS her own click: the xx block of
+    the attacked tally has the law of the plain one.
+    """
     source, alice, bob = default_experiment
-    n = 400_000
-    rng_plain = np.random.default_rng(101)
-    rng_eve = np.random.default_rng(202)
-
-    from eprqkd.protocol import _click_indices, _readout_coords
-
-    def forced_x_counts(rng, station_for_b_side):
-        """Both parties in the x basis; the B-side chain runs on the given
-        station.  With p_same = 1 and a station identical to B's, the
-        interceptor's relayed outcome IS her own click, so the attacked chain
-        is this same computation on her station."""
-        x_A, x_B, p_A, p_B = sample_pairs(source, n, rng)
-        bases = np.zeros(n, dtype=np.int8)
-        det_A = _click_indices(
-            _readout_coords(x_A, p_A, bases, alice), bases, alice, rng.random(n)
-        )
-        det_B = _click_indices(
-            _readout_coords(x_B, p_B, bases, station_for_b_side),
-            bases, station_for_b_side, rng.random(n),
-        )
-        counts = np.zeros((2, 2), dtype=int)
-        good = (det_A >= 0) & (det_B >= 0)
-        np.add.at(counts, (det_A[good], det_B[good]), 1)
-        return counts
-
-    plain = forced_x_counts(rng_plain, bob)
-    eve = forced_x_counts(rng_eve, resolve_attack(AttackConfig(), bob).eve_stations)
+    n = 1_600_000
+    attack = AttackConfig(basis_policy="always_x")
+    plain = tally_coincidences(
+        source, alice, bob, n, np.random.default_rng(101)
+    ).block("x", "x")
+    eve = tally_coincidences(
+        source, alice, bob, n, np.random.default_rng(202), attack=attack
+    ).block("x", "x")
 
     total_plain, total_eve = plain.sum(), eve.sum()
     for i in range(2):

@@ -186,6 +186,42 @@ class TestSimulateCommand:
         assert report["seed"] == 99
 
     @pytest.mark.parametrize(
+        "argv,config,env,origin",
+        [
+            (["--seed", "-3"], "", None, "--seed"),
+            ([], "session.seed = -3\n", None, "session.seed"),
+            ([], "session.seed = abc\n", None, "session.seed"),
+            ([], "", "-1", "EPRQKD_SEED"),
+            ([], "", "1.5", "EPRQKD_SEED"),
+        ],
+    )
+    def test_invalid_seed_names_its_source(
+        self, capsys, tmp_path, monkeypatch, argv, config, env, origin
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        if env is None:
+            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        code, _, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)] + argv,
+            capsys,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert origin in err and "non-negative integer" in err
+
+    @pytest.mark.parametrize("guard", ["0", "-5"])
+    def test_nonpositive_emission_guard_rejected(self, capsys, tmp_path, guard):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"session.max_emitted = {guard}\n")
+        code, _, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "max_emitted" in err
+
+    @pytest.mark.parametrize(
         "key,value",
         [("station.x_slit_width_mm", "nan"), ("station.object_distance_mm", "inf"),
          ("source.target_var_x_mm2", "nan")],

@@ -19,9 +19,10 @@ from eprqkd.protocol import (
     qber_with_eve_prediction,
     run_session,
     sift,
+    tally_coincidences,
     three_party_probability,
 )
-from eprqkd.source import PumpProfile, SourceModel
+from eprqkd.source import PumpProfile, SourceModel, sample_pairs
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +207,11 @@ class TestSessionConfigValidation:
         with pytest.raises(ValueError):
             SessionConfig(n_coincidences=100, m_estimation=10, qber_threshold=1.0)
 
+    @pytest.mark.parametrize("guard", [0, -5])
+    def test_nonpositive_emission_guard(self, guard):
+        with pytest.raises(ValueError, match="max_emitted"):
+            SessionConfig(n_coincidences=100, m_estimation=10, max_emitted=guard)
+
 
 class TestRunSession:
     def test_degenerate_source_gives_zero_x_errors(self):
@@ -324,6 +330,70 @@ class TestRunSession:
         )
         assert plain.table == none_attack.table
         assert plain.sifted_bits_A == none_attack.sifted_bits_A
+
+
+def _reference_table(source, alice, bob, n, rng, intercept):
+    """16-cell tally from the full pair sampler with this file's own readout.
+
+    Every pair draws all four latent coordinates; each side maps the one its
+    basis reads to the detection plane, tests the closed slit intervals and
+    thins by attenuation.  With intercept, a uniform-random interceptor
+    reads B's photon with a copy of B's station and relays p_same = 1,
+    p_cross = (0.5, 0.5).
+    """
+    x_A, x_B, p_A, p_B = sample_pairs(source, n, rng)
+    bas_A, bas_B, bas_E = (rng.integers(0, 2, size=n) for _ in range(3))
+
+    def readout(station, x, p, basis):
+        det = np.full(n, -1)
+        coords = (
+            x / station.alpha + station.origin,
+            p * station.focal_length / station.wavenumber + station.origin,
+        )
+        for b, name in enumerate("xp"):
+            for d, slit in enumerate(station.detectors(name)):
+                inside = (basis == b) & (coords[b] >= slit.lo) & (coords[b] <= slit.hi)
+                det[inside & (rng.random(n) < slit.attenuation)] = d
+        return det
+
+    det_A = readout(alice, x_A, p_A, bas_A)
+    if intercept:
+        det_E = readout(bob, x_B, p_B, bas_E)
+        resent = np.where(bas_B == bas_E, det_E, (rng.random(n) >= 0.5).astype(int))
+        det_B = np.where(det_E >= 0, resent, -1)
+    else:
+        det_B = readout(bob, x_B, p_B, bas_B)
+    good = (det_A >= 0) & (det_B >= 0)
+    cell = 4 * (2 * bas_A[good] + det_A[good]) + 2 * bas_B[good] + det_B[good]
+    return np.bincount(cell, minlength=16).reshape(4, 4)
+
+
+@pytest.mark.parametrize("intercept", [False, True], ids=["clean", "uniform_random"])
+def test_sampler_law_matches_full_pair_sampler(default_experiment, intercept):
+    """Two-sample chi-square between tally_coincidences and the reference.
+
+    Both tables come from the same number of emitted pairs, so under equal
+    laws each cell difference a - b has variance a + b and the sum of
+    (a - b)^2 / (a + b) over the occupied cells of three seeds is
+    chi-square with one degree of freedom per cell.
+    """
+    from scipy.stats import chi2
+
+    source, alice, bob = default_experiment
+    attack = AttackConfig(basis_policy="uniform_random") if intercept else None
+    n = 2_000_000
+    stat, dof = 0.0, 0
+    for seed in (61, 62, 63):
+        fast = tally_coincidences(
+            source, alice, bob, n, np.random.default_rng(seed), attack=attack
+        ).counts
+        ref = _reference_table(
+            source, alice, bob, n, np.random.default_rng(seed + 100), intercept
+        )
+        occupied = (fast + ref) > 0
+        stat += float(np.sum((fast - ref)[occupied] ** 2 / (fast + ref)[occupied]))
+        dof += int(occupied.sum())
+    assert stat < chi2.ppf(0.999, dof), (stat, dof)
 
 
 class TestTableCsv:
