@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .detection import StationConfig
-from .source import SourceModel
+from .source import SourceModel, channel_law
 
 FLAT_RATIO_BOUND = 1.3
 DUAN_BOUND = 0.25
@@ -132,6 +131,8 @@ def fit_gaussian(scan: ScanData) -> GaussianFit:
     spread at all) is degenerate: the result carries the mean as offset and
     no width.
     """
+    from scipy.optimize import least_squares
+
     x = np.asarray(scan.positions, dtype=float)
     y = np.asarray(scan.counts, dtype=float)
 
@@ -230,11 +231,21 @@ def duan_check(
     compared against 1/4 (hbar = 1) with strict inequality.  When
     uncertainties are supplied, first-order propagation yields the product
     uncertainty and the distance to the bound in standard deviations.
+    Variances must be positive and finite, uncertainties non-negative and
+    finite; the error names the offending field and entry.
     """
     if not var_x_list or not var_p_list:
         raise ValueError("need at least one variance per axis")
-    if any(v <= 0 for v in list(var_x_list) + list(var_p_list)):
-        raise ValueError("variances must be positive")
+    for name, values, positive in (
+        ("var_x", var_x_list, True),
+        ("var_p", var_p_list, True),
+        ("unc_x", unc_x_list or (), False),
+        ("unc_p", unc_p_list or (), False),
+    ):
+        for i, value in enumerate(values):
+            if not math.isfinite(value) or value < 0 or (positive and value == 0):
+                kind = "positive" if positive else "non-negative"
+                raise ValueError(f"{name}[{i}] must be {kind} and finite, got {value}")
 
     mean_x = sum(var_x_list) / len(var_x_list)
     mean_p = sum(var_p_list) / len(var_p_list)
@@ -277,9 +288,14 @@ def scan_simulation(
     fixed_detector names one of A's slits ("Ax1", "Ax2", "Ap1", "Ap2"); the
     basis pair fixes both parties' measurement configuration for the whole
     scan (calibration runs bypass the random basis choice).  At each grid
-    point B's slit is re-centered and fresh pairs are drawn; the count is the
-    number of double transmissions.  Attenuation filters are left out: scans
-    model the bare alignment measurements taken before filters are installed.
+    point B's slit is re-centered and pairs_per_point fresh pairs are
+    emitted; the count is the number of double transmissions through the
+    closed slit windows.  A's photon comes first: each pair draws A's latent
+    coordinate, and only the pairs inside A's window draw B's, from its
+    Gaussian law given A's (source.channel_law) when the bases match, from
+    its marginal otherwise.  This is the law of sample_pairs followed by both
+    window tests.  Attenuation filters are left out: scans model the bare
+    alignment measurements taken before filters are installed.
     """
     grid = list(grid)
     if len(grid) < _MIN_POINTS:
@@ -298,20 +314,21 @@ def scan_simulation(
     det_idx = int(fixed_detector[-1]) - 1
     slit_A = station_A.detectors(basis_A)[det_idx]
     a_lo, a_hi = station_A.latent_window(basis_A, slit_A)
-    width_B = station_B.detectors(basis_B)[0].width
-    scale_B = station_B.alpha if basis_B == "x" else station_B.momentum_scale
+    slit_B = station_B.detectors(basis_B)[0]
+    std_A, std_B, slope, cond_std = channel_law(source)
+    i_A, i_B = "xp".index(basis_A), "xp".index(basis_B)
 
     counts = []
     for center in grid:
-        lat_A, lat_B = _latent_pair(source, basis_A, basis_B, pairs_per_point, rng)
-        b_lo = (center - width_B / 2.0 - station_B.origin) * scale_B
-        b_hi = (center + width_B / 2.0 - station_B.origin) * scale_B
-        if b_lo > b_hi:
-            b_lo, b_hi = b_hi, b_lo
-        hits = (
-            (lat_A >= a_lo) & (lat_A <= a_hi) & (lat_B >= b_lo) & (lat_B <= b_hi)
-        )
-        counts.append(int(hits.sum()))
+        lat_A = rng.standard_normal(pairs_per_point) * std_A[i_A]
+        lat_A = lat_A[(lat_A >= a_lo) & (lat_A <= a_hi)]
+        noise = rng.standard_normal(lat_A.size)
+        if basis_A == basis_B:
+            lat_B = slope[i_A] * lat_A + cond_std[i_A] * noise
+        else:
+            lat_B = std_B[i_B] * noise
+        b_lo, b_hi = station_B.latent_window(basis_B, replace(slit_B, center=center))
+        counts.append(int(np.count_nonzero((lat_B >= b_lo) & (lat_B <= b_hi))))
 
     return ScanData(
         positions=tuple(float(g) for g in grid),
@@ -319,23 +336,3 @@ def scan_simulation(
         fixed_detector=fixed_detector,
         basis_pair=(basis_A, basis_B),
     )
-
-
-def _latent_pair(
-    source: SourceModel, basis_A: str, basis_B: str, n: int, rng: np.random.Generator
-):
-    """Draw only the two latent coordinates a forced-basis scan needs."""
-    if basis_A == "x" and basis_B == "x":
-        u = rng.standard_normal(n) * source.sigma_minus
-        v = rng.standard_normal(n) * source.sigma_plus
-        return (v + u) / 2.0, (v - u) / 2.0
-    if basis_A == "p" and basis_B == "p":
-        w = rng.standard_normal(n) * source.kappa_minus
-        z = rng.standard_normal(n) * source.kappa_plus
-        return (w + z) / 2.0, (w - z) / 2.0
-    # Mixed bases: the two coordinates are independent marginals.
-    from .source import marginal_std
-
-    lat_A = rng.standard_normal(n) * marginal_std(source, basis_A)
-    lat_B = rng.standard_normal(n) * marginal_std(source, basis_B)
-    return lat_A, lat_B

@@ -378,21 +378,29 @@ def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(part) for part in spec.split(":"))
     except ValueError as exc:
-        raise ConfigError(f"grid must be start:stop:step, got {spec!r}") from exc
+        raise ConfigError(f"--grid must be start:stop:step, got {spec!r}") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"--grid start, stop and step must be finite, got {spec!r}")
     if step <= 0 or stop <= start:
-        raise ConfigError(f"grid must be increasing with positive step, got {spec!r}")
+        raise ConfigError(f"--grid must be increasing with positive step, got {spec!r}")
     return np.arange(start, stop + step / 2.0, step)
+
+
+def _check_pairs(pairs: int) -> None:
+    if pairs <= 0:
+        raise ConfigError(f"--pairs must be positive, got {pairs}")
 
 
 def cmd_scan(args) -> tuple[int, dict]:
     started = time.perf_counter()
-    cfg = parse_config_file(args.config)
-    seed = resolve_seed(args.seed, cfg)
-    src, alice, bob = build_setup(cfg)
     if len(args.bases) != 2 or any(b not in "xp" for b in args.bases):
         raise ConfigError(f"--bases must be two of x/p (e.g. xx, xp), got {args.bases!r}")
     basis_pair = (args.bases[0], args.bases[1])
     grid = _parse_grid(args.grid)
+    _check_pairs(args.pairs)
+    cfg = parse_config_file(args.config)
+    seed = resolve_seed(args.seed, cfg)
+    src, alice, bob = build_setup(cfg)
     rng = np.random.default_rng(seed)
     scan = analysis.scan_simulation(
         src, alice, bob, args.fixed, basis_pair, grid, args.pairs, rng
@@ -485,6 +493,7 @@ def cmd_epr_check(args) -> tuple[int, dict]:
         var_x, var_p = _variances_from_fit_reports(args.fits, bob)
         unc_x = unc_p = None
     elif args.from_scans:
+        _check_pairs(args.pairs)
         cfg = parse_config_file(args.config)
         seed = resolve_seed(args.seed, cfg)
         src, alice, bob = build_setup(cfg)

@@ -24,8 +24,6 @@ from enum import Enum
 from typing import Iterable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .source import SourceModel, marginal_std
 
@@ -234,6 +232,8 @@ def coincidence_probability(
     b_lo, b_hi = station_B.latent_window(basis_B, slit_B)
 
     if basis_A == basis_B:
+        from scipy.integrate import quad
+
         cov = _pair_covariance(source, basis_A)
         var_a, var_b, cov_ab = cov[0, 0], cov[1, 1], cov[0, 1]
         std_a = math.sqrt(var_a)
@@ -361,6 +361,8 @@ def derive_partner_centers(
     separation below the slit separation.  With anticorrelated momenta the
     momentum-basis slits land on the mirrored side of the axis automatically.
     """
+    from scipy.optimize import minimize_scalar
+
     free_dets = station_free.detectors(basis)
     centers = []
     for idx, _fixed_det in enumerate(station_fixed.detectors(basis)):

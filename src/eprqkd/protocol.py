@@ -26,7 +26,7 @@ import numpy as np
 
 from .adversary import AttackConfig, resolve_attack
 from .detection import ClickOutcome, StationConfig
-from .source import SourceModel
+from .source import SourceModel, channel_law
 
 ALICE_LABELS = ("Ax1", "Ax2", "Ap1", "Ap2")
 BOB_LABELS = ("Bx1", "Bx2", "Bp1", "Bp2")
@@ -329,18 +329,6 @@ class _Readout:
         return det
 
 
-def _channel_law(source: SourceModel):
-    """Per basis (x, p): std of A's latent, std of B's, and B's Gaussian law
-    given A's latent in the same basis (mean slope * u_A, std cond_std)."""
-    covs = (source.position_covariance(), source.momentum_covariance())
-    var_A = np.array([c[0, 0] for c in covs])
-    var_B = np.array([c[1, 1] for c in covs])
-    cov = np.array([c[0, 1] for c in covs])
-    slope = cov / var_A
-    cond_std = np.sqrt(np.maximum(var_B - cov**2 / var_A, 0.0))
-    return np.sqrt(var_A), np.sqrt(var_B), slope, cond_std
-
-
 def _coincidences(
     source: SourceModel,
     station_A: StationConfig,
@@ -367,7 +355,7 @@ def _coincidences(
         attack = resolve_attack(attack, station_B)
         if attack.basis_policy == "none":
             attack = None
-    std_A, std_B, slope, cond_std = _channel_law(source)
+    std_A, std_B, slope, cond_std = channel_law(source)
     readout_A, readout_B = _Readout(station_A), _Readout(station_B)
     remaining = n_pairs
     while remaining > 0:

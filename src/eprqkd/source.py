@@ -214,6 +214,22 @@ def marginal_std(source: SourceModel, basis: str) -> float:
     return math.sqrt((source.kappa_minus**2 + source.kappa_plus**2) / 4.0)
 
 
+def channel_law(source: SourceModel):
+    """Per basis (x, p): std of A's latent, std of B's, and B's Gaussian law
+    given A's latent in the same basis (mean slope * u_A, std cond_std).
+
+    Position and momentum are independent, so in the other basis B's latent
+    follows its marginal whatever A read.
+    """
+    covs = (source.position_covariance(), source.momentum_covariance())
+    var_A = np.array([c[0, 0] for c in covs])
+    var_B = np.array([c[1, 1] for c in covs])
+    cov = np.array([c[0, 1] for c in covs])
+    slope = cov / var_A
+    cond_std = np.sqrt(np.maximum(var_B - cov**2 / var_A, 0.0))
+    return np.sqrt(var_A), np.sqrt(var_B), slope, cond_std
+
+
 def _check_basis(basis: str):
     if basis not in ("x", "p"):
         raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")

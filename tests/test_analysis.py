@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from eprqkd.analysis import (
     scan_simulation,
 )
 from eprqkd.detection import coincidence_probability
+from eprqkd.source import sample_pairs
 
 
 def synthetic_scan(amplitude, center, sigma, offset, n_points=21, span=3.0, rng=None):
@@ -151,6 +153,23 @@ class TestDuanCheck:
         with pytest.raises(ValueError):
             duan_check((0.0,), (1.0,))
 
+    @pytest.mark.parametrize("args, field", [
+        (((0.1, math.nan), (0.5,)), "var_x[1]"),
+        (((0.1,), (0.5, math.inf)), "var_p[1]"),
+        (((0.1,), (-math.inf,)), "var_p[0]"),
+        (((0.1,), (0.5,), (-0.01,), (0.1,)), "unc_x[0]"),
+        (((0.1,), (0.5,), (0.01,), (math.nan,)), "unc_p[0]"),
+        (((0.1,), (0.5,), (math.inf,), (0.1,)), "unc_x[0]"),
+    ])
+    def test_non_finite_or_negative_input_names_field(self, args, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            duan_check(*args)
+
+    def test_zero_uncertainty_allowed(self):
+        result = duan_check((0.2,), (0.5,), (0.0,), (0.0,))
+        assert result.product_uncertainty == 0.0
+        assert result.sigma_distance is None
+
     @settings(max_examples=50, deadline=None)
     @given(
         vx=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=4),
@@ -272,6 +291,67 @@ class TestScanSimulation:
                 source, alice, bob, "Ap1", ("x", "x"),
                 np.arange(0.0, 1.01, 0.2), 100, rng,
             )
+
+
+def _reference_scan(source, alice, bob, fixed, pair, grid, n, rng):
+    """Scan counts from the full pair sampler with this file's own windows.
+
+    At each grid point n fresh pairs draw all four latent coordinates; each
+    side maps the one its basis reads to the detection plane and tests a
+    closed interval: A's fixed slit, and a slit of B's width centered on the
+    grid point.
+    """
+    def plane(station, x, p, basis):
+        scaled = x / station.alpha if basis == "x" else p * station.focal_length / station.wavenumber
+        return scaled + station.origin
+
+    slit_A = alice.detectors(pair[0])[int(fixed[-1]) - 1]
+    half_B = bob.detectors(pair[1])[0].width / 2.0
+    counts = []
+    for center in grid:
+        x_A, x_B, p_A, p_B = sample_pairs(source, n, rng)
+        u_A = plane(alice, x_A, p_A, pair[0])
+        u_B = plane(bob, x_B, p_B, pair[1])
+        hits = (
+            (u_A >= slit_A.lo) & (u_A <= slit_A.hi)
+            & (u_B >= center - half_B) & (u_B <= center + half_B)
+        )
+        counts.append(int(hits.sum()))
+    return np.array(counts)
+
+
+@pytest.mark.parametrize(
+    "fixed, pair",
+    [("Ax1", ("x", "x")), ("Ap2", ("p", "p")), ("Ax2", ("x", "p")), ("Ap1", ("p", "x"))],
+    ids=["xx", "pp", "xp", "px"],
+)
+def test_scan_law_matches_full_pair_sampler(default_experiment, fixed, pair):
+    """Two-sample chi-square between scan_simulation and the reference.
+
+    Both scans emit the same number of pairs per point, so under equal laws
+    each count difference a - b has variance a + b and the sum of
+    (a - b)^2 / (a + b) over the occupied points of three seeds is
+    chi-square with one degree of freedom per point.
+    """
+    from scipy.stats import chi2
+
+    source, alice, bob = default_experiment
+    grid = np.arange(0.4, 2.6001, 0.2)
+    n = 100_000
+    stat, dof = 0.0, 0
+    for seed in (71, 72, 73):
+        fast = np.array(
+            scan_simulation(
+                source, alice, bob, fixed, pair, grid, n, np.random.default_rng(seed)
+            ).counts
+        )
+        ref = _reference_scan(
+            source, alice, bob, fixed, pair, grid, n, np.random.default_rng(seed + 100)
+        )
+        occupied = (fast + ref) > 0
+        stat += float(np.sum((fast - ref)[occupied] ** 2 / (fast + ref)[occupied]))
+        dof += int(occupied.sum())
+    assert stat < chi2.ppf(0.999, dof), (stat, dof)
 
 
 class TestScanCsv:

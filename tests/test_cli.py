@@ -269,7 +269,7 @@ class TestScanCommand:
     def test_mixed_scan_flagged_flat(self, capsys):
         code, report, _ = run_cli(
             ["scan", "--fixed", "Ax1", "--bases", "xp", "--grid", "1:2:0.05",
-             "--pairs", "60000", "--seed", "7"],
+             "--pairs", "300000", "--seed", "7"],
             capsys,
         )
         assert code == 0
@@ -286,6 +286,42 @@ class TestScanCommand:
             ["scan", "--fixed", "Ax1", "--bases", "xz", "--grid", "0:3:0.1"], capsys
         )
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("grid", ["0:nan:0.1", "0:inf:0.1", "nan:3:0.1", "0:3:inf"])
+    def test_non_finite_grid_names_grid(self, capsys, grid):
+        code, report, err = run_cli(
+            ["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", grid], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert "--grid" in err and "finite" in err
+
+    @pytest.mark.parametrize("command", [
+        ["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", "0:3:0.1"],
+        ["epr-check", "--from-scans"],
+    ])
+    def test_nonpositive_pairs_names_pairs(self, capsys, command):
+        code, report, err = run_cli(command + ["--pairs", "0"], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert "--pairs" in err
+
+    def test_same_seed_same_outputs(self, capsys, tmp_path):
+        outputs = []
+        for run in ("a", "b"):
+            csv_path, out_path = tmp_path / f"{run}.csv", tmp_path / f"{run}.json"
+            code, _, _ = run_cli(
+                ["scan", "--fixed", "Ap1", "--bases", "pp", "--grid", "0:3:0.1",
+                 "--pairs", "20000", "--seed", "3", "--out-csv", str(csv_path),
+                 "--out", str(out_path)],
+                capsys,
+            )
+            assert code == 0
+            report = json.loads(out_path.read_text())
+            report.pop("duration_s")
+            report["results"].pop("scan_csv")
+            outputs.append((csv_path.read_text(), report))
+        assert outputs[0] == outputs[1]
 
 
 class TestEprCheckCommand:
@@ -314,6 +350,18 @@ class TestEprCheckCommand:
         )
         assert code == 0
         assert report["results"]["sigma_distance"] > 3
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--var-x", "0.1", "nan", "--var-p", "0.5", "0.5"], "var_x[1]"),
+        (["--var-x", "0.1", "--var-p", "0.5", "inf"], "var_p[1]"),
+        (["--var-x", "0.1", "--var-p", "0.5", "--unc-x", "-0.01", "--unc-p", "0.1"], "unc_x[0]"),
+        (["--var-x", "0.1", "--var-p", "0.5", "--unc-x", "0.01", "--unc-p", "nan"], "unc_p[0]"),
+    ])
+    def test_non_finite_or_negative_input_rejected(self, capsys, argv, field):
+        code, report, err = run_cli(["epr-check", *argv], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert field in err
 
     def test_mismatched_uncertainties_rejected(self, capsys):
         code, _, err = run_cli(
@@ -356,6 +404,25 @@ def test_report_shape(capsys):
     code, report, _ = run_cli(["qber", "table1.csv"], capsys)
     assert set(report) == {"command", "args", "config_hash", "seed", "results", "duration_s"}
     assert report["command"] == "qber"
+
+
+def test_table_commands_do_not_load_scipy():
+    """qber, eve-predict and plain epr-check run without importing scipy.
+
+    A subprocess, because pytest's warning filters import scipy here.
+    """
+    code = (
+        "import contextlib, io, sys\n"
+        "from eprqkd import cli\n"
+        "for argv in (['qber', 'table1.csv'], ['eve-predict', 'table1.csv'], ['epr-check']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_smoke():
