@@ -7,6 +7,9 @@ triggers a replacement photon prepared on her outcome.  When B measures in
 her preparation basis he reproduces her detector with probability
 p_same_basis_correct; in the conjugate basis his click follows the
 p_cross_basis fractions, with any remaining probability mass going to null.
+This module holds the attack parameters and the closed-form prediction; the
+sessions apply the transform to whole batches in
+protocol._intercepted_bob_clicks.
 
 Substituting a whole fresh pair is a source swap, not a channel transform:
 run a session with a different SourceModel to represent it.
@@ -15,11 +18,9 @@ run a session with a different SourceModel to represent it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .detection import ClickOutcome, StationConfig, click, readout_coordinate
+from .detection import StationConfig
 
 if TYPE_CHECKING:
     from .protocol import CoincidenceTable, QberReport
@@ -56,77 +57,11 @@ class AttackConfig:
             )
 
 
-@dataclass(frozen=True)
-class EveRecord:
-    """Her measurement of one intercepted photon; null means blocked."""
-
-    basis_E: str
-    outcome_E: ClickOutcome
-
-
 def resolve_attack(attack: AttackConfig, station_B: StationConfig) -> AttackConfig:
     """Fill in the default interceptor station (a copy of B's)."""
     if attack.eve_stations is not None:
         return attack
     return replace(attack, eve_stations=station_B)
-
-
-def intercept(
-    sample,
-    attack: AttackConfig,
-    rng: np.random.Generator,
-) -> tuple[EveRecord, Callable[[str], ClickOutcome]]:
-    """Intercept one pair's B photon.
-
-    Returns the interceptor's record and a generator mapping B's basis choice
-    to his click outcome.  A blocked photon yields null for any basis.  The
-    attack must be resolved (eve_stations set) before use.
-    """
-    if attack.basis_policy == "none":
-        raise ValueError("intercept requires an active basis policy")
-    if attack.eve_stations is None:
-        raise ValueError("attack not resolved: eve_stations is unset")
-
-    station = attack.eve_stations
-    if attack.basis_policy == "always_x":
-        basis_E = "x"
-    elif attack.basis_policy == "always_p":
-        basis_E = "p"
-    else:
-        basis_E = "x" if rng.random() < 0.5 else "p"
-
-    coord = readout_coordinate(sample, station, basis_E, side="B")
-    outcome = click(coord, station.detectors(basis_E))
-    if outcome is not ClickOutcome.NULL:
-        detector = station.detectors(basis_E)[outcome.value - 1]
-        if rng.random() >= detector.attenuation:
-            outcome = ClickOutcome.NULL
-    record = EveRecord(basis_E=basis_E, outcome_E=outcome)
-
-    if outcome is ClickOutcome.NULL:
-        def blocked(_basis_B: str) -> ClickOutcome:
-            return ClickOutcome.NULL
-
-        return record, blocked
-
-    def bob_click(basis_B: str) -> ClickOutcome:
-        if basis_B == basis_E:
-            if rng.random() < attack.p_same_basis_correct:
-                return outcome
-            return (
-                ClickOutcome.DETECTOR_2
-                if outcome is ClickOutcome.DETECTOR_1
-                else ClickOutcome.DETECTOR_1
-            )
-        draw = rng.random()
-        p1, p2 = attack.p_cross_basis
-        if draw < p1:
-            return ClickOutcome.DETECTOR_1
-        if draw < p1 + p2:
-            return ClickOutcome.DETECTOR_2
-        return ClickOutcome.NULL
-
-    return record, bob_click
 
 
 def predicted_qber(attack: AttackConfig, table: "CoincidenceTable") -> "QberReport":

@@ -65,22 +65,6 @@ class ScanData:
             for pos, cnt in zip(self.positions, self.counts):
                 writer.writerow([f"{pos:.6g}", int(cnt)])
 
-    @classmethod
-    def load_csv(cls, path, fixed_detector="", basis_pair=("x", "x")) -> "ScanData":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or [c.strip() for c in rows[0]] != ["position_mm", "counts"]:
-            raise ValueError("scan CSV must start with header 'position_mm,counts'")
-        positions, counts = [], []
-        for i, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"line {i}: expected 2 fields, got {len(row)}")
-            positions.append(float(row[0]))
-            counts.append(int(row[1]))
-        return cls(tuple(positions), tuple(counts), fixed_detector, tuple(basis_pair))
-
 
 @dataclass(frozen=True)
 class GaussianFit:
@@ -303,10 +287,10 @@ def scan_simulation(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     basis_A, basis_B = basis_pair
-    expected_prefix = "A" + basis_A
-    if not fixed_detector.startswith(expected_prefix) or fixed_detector[-1] not in "12":
+    if fixed_detector not in (f"A{basis_A}1", f"A{basis_A}2"):
         raise ValueError(
-            f"fixed detector {fixed_detector!r} does not match basis {basis_A!r}"
+            f"fixed detector {fixed_detector!r} does not match basis {basis_A!r}: "
+            f"expected A{basis_A}1 or A{basis_A}2"
         )
     if pairs_per_point <= 0:
         raise ValueError("pairs_per_point must be positive")

@@ -396,6 +396,12 @@ def cmd_scan(args) -> tuple[int, dict]:
     if len(args.bases) != 2 or any(b not in "xp" for b in args.bases):
         raise ConfigError(f"--bases must be two of x/p (e.g. xx, xp), got {args.bases!r}")
     basis_pair = (args.bases[0], args.bases[1])
+    allowed = (f"A{basis_pair[0]}1", f"A{basis_pair[0]}2")
+    if args.fixed not in allowed:
+        raise ConfigError(
+            f"--fixed must be {allowed[0]} or {allowed[1]} for --bases {args.bases}, "
+            f"got {args.fixed!r}"
+        )
     grid = _parse_grid(args.grid)
     _check_pairs(args.pairs)
     cfg = parse_config_file(args.config)

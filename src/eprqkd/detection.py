@@ -8,8 +8,9 @@ lens and the coordinate is p * f / k.  An optional origin offset models where
 the translation stage's zero sits relative to the optical axis.
 
 A slit detector clicks when the detection-plane coordinate falls inside its
-aperture (closed interval).  Two detectors per basis encode one key bit:
-detector index 1 is logical 0, index 2 is logical 1.
+aperture (closed interval); protocol._Readout applies this to whole batches.
+Two detectors per basis encode one key bit: detector index 1 is logical 0,
+index 2 is logical 1.
 
 coincidence_probability integrates the latent joint density over both
 parties' acceptance windows with deterministic quadrature; it is the oracle
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -35,18 +34,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 class QuadratureError(RuntimeError):
     """The same-basis coincidence quadrature missed its absolute error bound."""
-
-
-class ClickOutcome(Enum):
-    DETECTOR_1 = 1
-    DETECTOR_2 = 2
-    NULL = 0
-
-    @property
-    def bit(self) -> int | None:
-        if self is ClickOutcome.NULL:
-            return None
-        return 0 if self is ClickOutcome.DETECTOR_1 else 1
 
 
 @dataclass(frozen=True)
@@ -148,42 +135,6 @@ class StationConfig:
         return det.width * scale
 
 
-def readout_coordinate(sample, station: StationConfig, basis: str, side: str) -> float:
-    """Detection-plane coordinate produced by one latent pair sample."""
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    if basis == "x":
-        value = sample.x_A if side == "A" else sample.x_B
-        return value / station.alpha + station.origin
-    if basis == "p":
-        value = sample.p_A if side == "A" else sample.p_B
-        return value * station.focal_length / station.wavenumber + station.origin
-    raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
-
-
-def latent_from_coordinate(coordinate: float, station: StationConfig, basis: str) -> float:
-    """Inverse of readout_coordinate (both maps are affine and bijective)."""
-    if basis == "x":
-        return (coordinate - station.origin) * station.alpha
-    if basis == "p":
-        return (coordinate - station.origin) * station.momentum_scale
-    raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
-
-
-def click(coordinate: float, detectors: Iterable[SlitDetector]) -> ClickOutcome:
-    """Map a detection-plane coordinate to a click outcome.
-
-    Slit acceptance is a closed interval; disjointness is enforced at
-    configuration time so ties cannot happen.
-    """
-    first, second = detectors
-    if first.lo <= coordinate <= first.hi:
-        return ClickOutcome.DETECTOR_1
-    if second.lo <= coordinate <= second.hi:
-        return ClickOutcome.DETECTOR_2
-    return ClickOutcome.NULL
-
-
 # ---------------------------------------------------------------------------
 # Quadrature oracle
 # ---------------------------------------------------------------------------
@@ -258,28 +209,6 @@ def coincidence_probability(
     if include_attenuation:
         prob *= slit_A.attenuation * slit_B.attenuation
     return prob
-
-
-def acceptance_mass(
-    source: SourceModel,
-    station: StationConfig,
-    basis: str,
-    side: str = "B",
-    include_attenuation: bool = True,
-) -> float:
-    """Probability that a single photon lands in either slit of one basis.
-
-    The latent marginals of the two sides are identical, so `side` only
-    documents intent.
-    """
-    total = 0.0
-    for det in station.detectors(basis):
-        lo, hi = station.latent_window(basis, det)
-        mass = _window_mass(source, basis, lo, hi)
-        if include_attenuation:
-            mass *= det.attenuation
-        total += mass
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +332,6 @@ def _single_slit_station(station: StationConfig, basis: str, det: SlitDetector) 
 # ---------------------------------------------------------------------------
 # Level equalization (neutral filters)
 # ---------------------------------------------------------------------------
-
-
-def diagonal_attenuation(probabilities: Iterable[float]) -> list[float]:
-    """Per-cell factors that bring every value down to the minimum.
-
-    This is the neutral-filter arithmetic for a set of same-basis "right"
-    levels: the smallest level keeps factor 1, every other level is scaled by
-    min / value.
-    """
-    values = [float(p) for p in probabilities]
-    if any(v <= 0 for v in values):
-        raise ValueError("cannot equalize around a zero or negative level")
-    lowest = min(values)
-    return [lowest / v for v in values]
 
 
 def equalize_levels(

@@ -19,19 +19,17 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import AttackConfig, resolve_attack
-from .detection import ClickOutcome, StationConfig
+from .detection import StationConfig
 from .source import SourceModel, channel_law
 
 ALICE_LABELS = ("Ax1", "Ax2", "Ap1", "Ap2")
 BOB_LABELS = ("Bx1", "Bx2", "Bp1", "Bp2")
 DEFAULT_QBER_THRESHOLD = 0.15
-_BASIS_OF_INDEX = ("x", "x", "p", "p")
 
 
 class ProtocolError(RuntimeError):
@@ -66,20 +64,6 @@ class SessionConfig:
         return self.max_emitted if self.max_emitted is not None else 10_000 * self.n_coincidences
 
 
-@dataclass(frozen=True)
-class PairEvent:
-    """One stored coincidence: basis choices and click outcomes of both sides."""
-
-    basis_A: str
-    basis_B: str
-    outcome_A: ClickOutcome
-    outcome_B: ClickOutcome
-
-    def __post_init__(self):
-        if ClickOutcome.NULL in (self.outcome_A, self.outcome_B):
-            raise ValueError("coincidence events require both outcomes non-null")
-
-
 class CoincidenceTable:
     """4x4 counts indexed (Ax1, Ax2, Ap1, Ap2) x (Bx1, Bx2, Bp1, Bp2)."""
 
@@ -93,10 +77,6 @@ class CoincidenceTable:
             raise ValueError("counts must be integers")
         self.counts = arr.astype(np.int64)
 
-    def __getitem__(self, key: tuple[str, str]) -> int:
-        row, col = key
-        return int(self.counts[ALICE_LABELS.index(row), BOB_LABELS.index(col)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CoincidenceTable) and np.array_equal(self.counts, other.counts)
 
@@ -108,17 +88,6 @@ class CoincidenceTable:
         r = slice(0, 2) if basis_A == "x" else slice(2, 4)
         c = slice(0, 2) if basis_B == "x" else slice(2, 4)
         return self.counts[r, c]
-
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    def column_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-    def scaled(self, factor: int) -> "CoincidenceTable":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return CoincidenceTable(self.counts * factor)
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -182,12 +151,6 @@ class SessionResult:
     aborted: bool
     table: CoincidenceTable
     emitted_pairs: int
-    events: tuple[PairEvent, ...] | None = field(default=None, repr=False)
-
-
-def sift(events: Sequence[PairEvent]) -> list[PairEvent]:
-    """Keep the events where both parties measured in the same basis."""
-    return [e for e in events if e.basis_A == e.basis_B]
 
 
 def _binomial_uncertainty(q: float, total: float) -> float:
@@ -260,30 +223,6 @@ def qber_with_eve_prediction(
         chi=chi,
         uncertainty=_binomial_uncertainty(qber, grand),
     )
-
-
-def three_party_probability(
-    table: CoincidenceTable,
-    i: str,
-    j: str,
-    k: str,
-    p_resend_matrix,
-) -> float:
-    """Joint detection probability for sender basis i, receiver j, interceptor k.
-
-    The interceptor stands in for the receiver, so the sender-interceptor
-    probability is read from the normalized (i, k) block of the table; it is
-    multiplied by the probability p_resend_matrix[(j, k)] that the receiver
-    detects the replacement photon in basis j given preparation basis k.
-    """
-    for name, basis in (("i", i), ("j", j), ("k", k)):
-        if basis not in ("x", "p"):
-            raise ValueError(f"{name} must be 'x' or 'p', got {basis!r}")
-    grand = float(table.total())
-    if grand == 0:
-        raise ValueError("empty table cannot be normalized")
-    r_ik = float(table.block(i, k).sum()) / grand
-    return r_ik * float(p_resend_matrix[(j, k)])
 
 
 def abort_decision(report: QberReport, threshold: float = DEFAULT_QBER_THRESHOLD) -> bool:
@@ -399,7 +338,6 @@ def run_session(
     station_B: StationConfig,
     session: SessionConfig,
     attack: AttackConfig | None = None,
-    keep_events: bool = False,
 ) -> SessionResult:
     """Run one key-distribution session.
 
@@ -469,15 +407,6 @@ def run_session(
         uncertainty=_binomial_uncertainty(qber, m),
     )
 
-    events = None
-    if keep_events:
-        outcome = (ClickOutcome.DETECTOR_1, ClickOutcome.DETECTOR_2)
-        names = ("x", "p")
-        events = tuple(
-            PairEvent(names[a], names[b], outcome[da], outcome[db])
-            for a, b, da, db in zip(bas_A, bas_B, det_A, det_B)
-        )
-
     return SessionResult(
         sifted_bits_A=_bit_string(sift_A[~est_mask]),
         sifted_bits_B=_bit_string(sift_B[~est_mask]),
@@ -485,7 +414,6 @@ def run_session(
         aborted=abort_decision(estimate, session.qber_threshold),
         table=table,
         emitted_pairs=emitted,
-        events=events,
     )
 
 

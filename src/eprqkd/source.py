@@ -95,16 +95,6 @@ class SourceModel:
         )
 
 
-@dataclass(frozen=True)
-class PairSample:
-    """One emitted pair: crystal-plane positions (mm) and momenta (1/mm)."""
-
-    x_A: float
-    x_B: float
-    p_A: float
-    p_B: float
-
-
 def build_source(
     sigma_minus: float,
     sigma_plus: float,
@@ -142,12 +132,6 @@ def build_source(
     return SourceModel(sigma_minus, sigma_plus, kappa_minus, kappa_plus, pump)
 
 
-def sample_pair(source: SourceModel, rng: np.random.Generator) -> PairSample:
-    """Draw one pair from the latent Gaussian."""
-    x_A, x_B, p_A, p_B = (col[0] for col in sample_pairs(source, 1, rng))
-    return PairSample(float(x_A), float(x_B), float(p_A), float(p_B))
-
-
 def sample_pairs(
     source: SourceModel, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -168,50 +152,13 @@ def sample_pairs(
     return x_A, x_B, p_A, p_B
 
 
-def _gauss(value, std):
-    return np.exp(-0.5 * (value / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
-
-
-def joint_density(
-    source: SourceModel,
-    basis_A: str,
-    basis_B: str,
-    u_A,
-    u_B,
-):
-    """Probability density of the latent readout pair for one basis pairing.
-
-    Arguments are crystal-plane values (mm for basis "x", 1/mm for basis
-    "p").  Same-basis densities factor over the (sum, difference)
-    coordinates; mixed-basis densities are products of the two single-party
-    marginals because the position and momentum blocks are uncorrelated.
-    Accepts scalars or arrays.
-    """
-    _check_basis(basis_A)
-    _check_basis(basis_B)
-    u_A = np.asarray(u_A, dtype=float)
-    u_B = np.asarray(u_B, dtype=float)
-
-    if basis_A == "x" and basis_B == "x":
-        # Jacobian of (x_A, x_B) -> (sum, diff) is 2.
-        out = 2.0 * _gauss(u_A + u_B, source.sigma_plus) * _gauss(u_A - u_B, source.sigma_minus)
-    elif basis_A == "p" and basis_B == "p":
-        out = 2.0 * _gauss(u_A + u_B, source.kappa_minus) * _gauss(u_A - u_B, source.kappa_plus)
-    else:
-        std_A = marginal_std(source, basis_A)
-        std_B = marginal_std(source, basis_B)
-        out = _gauss(u_A, std_A) * _gauss(u_B, std_B)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def marginal_std(source: SourceModel, basis: str) -> float:
     """Single-party standard deviation of the latent readout coordinate."""
-    _check_basis(basis)
     if basis == "x":
         return math.sqrt((source.sigma_plus**2 + source.sigma_minus**2) / 4.0)
-    return math.sqrt((source.kappa_minus**2 + source.kappa_plus**2) / 4.0)
+    if basis == "p":
+        return math.sqrt((source.kappa_minus**2 + source.kappa_plus**2) / 4.0)
+    raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
 
 
 def channel_law(source: SourceModel):
@@ -228,11 +175,6 @@ def channel_law(source: SourceModel):
     slope = cov / var_A
     cond_std = np.sqrt(np.maximum(var_B - cov**2 / var_A, 0.0))
     return np.sqrt(var_A), np.sqrt(var_B), slope, cond_std
-
-
-def _check_basis(basis: str):
-    if basis not in ("x", "p"):
-        raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
 
 
 def calibrate_source(

@@ -6,22 +6,19 @@ from fractions import Fraction
 
 from conftest import make_station
 
-from eprqkd.adversary import (
-    AttackConfig,
-    EveRecord,
-    intercept,
-    predicted_qber,
-    resolve_attack,
-)
-from eprqkd.detection import ClickOutcome, acceptance_mass, coincidence_probability
+from eprqkd import protocol
+from eprqkd.adversary import AttackConfig, predicted_qber, resolve_attack
+from eprqkd.detection import _window_mass, coincidence_probability
 from eprqkd.protocol import (
     CoincidenceTable,
     SessionConfig,
+    _eve_bases,
+    _intercepted_bob_clicks,
     qber_from_counts,
     run_session,
     tally_coincidences,
 )
-from eprqkd.source import PairSample, sample_pairs
+from eprqkd.source import sample_pairs
 
 
 class TestAttackConfigValidation:
@@ -46,93 +43,92 @@ class TestAttackConfigValidation:
         assert attack.eve_stations == bob
 
 
+# alpha = 1 and k/f = 2 with the origin at 0: her x slits take latents in
+# [0.9, 1.1] and [1.9, 2.1], her p slits [1.5, 2.5] and [3.5, 4.5].
+EVE_STATION = make_station(O=200.0, I=100.0, k=300.0)
+
+
+def bases(label, n):
+    return np.full(n, "xp".index(label), dtype=np.int8)
+
+
+def bob_clicks(latents, basis_E, basis_B, rng, **attack):
+    """B's detector per photon after interception, -1 for null."""
+    latents = np.asarray(latents, dtype=float)
+    n = latents.size
+    config = AttackConfig(basis_policy=f"always_{basis_E}", eve_stations=EVE_STATION, **attack)
+    return _intercepted_bob_clicks(
+        latents, bases(basis_E, n), bases(basis_B, n), config, rng
+    )
+
+
 class TestInterceptSingle:
-    def station(self):
-        return make_station(O=200.0, I=100.0, k=300.0)  # alpha=1, k/f=2
+    """protocol._intercepted_bob_clicks on hand-built arrays."""
 
     def test_click_inside_slit_resends_same_basis(self, rng):
-        attack = AttackConfig(basis_policy="always_x", eve_stations=self.station())
-        sample = PairSample(x_A=1.0, x_B=1.05, p_A=0.0, p_B=0.0)
-        record, bob_click = intercept(sample, attack, rng)
-        assert record == EveRecord("x", ClickOutcome.DETECTOR_1)
-        for _ in range(20):
-            assert bob_click("x") is ClickOutcome.DETECTOR_1
+        assert np.all(bob_clicks([1.05] * 20, "x", "x", rng) == 0)
+        assert np.all(bob_clicks([2.05] * 20, "x", "x", rng) == 1)
+        assert np.all(bob_clicks([4.0] * 20, "p", "p", rng) == 1)
 
     def test_null_blocks_bob(self, rng):
-        attack = AttackConfig(basis_policy="always_x", eve_stations=self.station())
-        sample = PairSample(x_A=0.0, x_B=5.0, p_A=0.0, p_B=0.0)
-        record, bob_click = intercept(sample, attack, rng)
-        assert record.outcome_E is ClickOutcome.NULL
-        assert bob_click("x") is ClickOutcome.NULL
-        assert bob_click("p") is ClickOutcome.NULL
+        for basis_B in ("x", "p"):
+            assert np.all(bob_clicks([5.0, 0.0, 1.5], "x", basis_B, rng) == -1)
 
     def test_wrong_basis_resend_follows_cross_fractions(self, rng):
-        attack = AttackConfig(
-            basis_policy="always_x", p_cross_basis=(1.0, 0.0), eve_stations=self.station()
-        )
-        sample = PairSample(x_A=1.0, x_B=2.0, p_A=0.0, p_B=0.0)
-        _, bob_click = intercept(sample, attack, rng)
-        for _ in range(20):
-            assert bob_click("p") is ClickOutcome.DETECTOR_1
+        assert np.all(bob_clicks([2.0] * 20, "x", "p", rng, p_cross_basis=(1.0, 0.0)) == 0)
+        n = 100_000
+        det = bob_clicks([1.0] * n, "x", "p", rng, p_cross_basis=(0.3, 0.5))
+        for value, share in ((0, 0.3), (1, 0.5), (-1, 0.2)):
+            sigma = math.sqrt(n * share * (1 - share))
+            assert abs(np.count_nonzero(det == value) - n * share) <= 3 * sigma
 
     def test_wrong_basis_null_remainder(self, rng):
-        attack = AttackConfig(
-            basis_policy="always_x", p_cross_basis=(0.0, 0.0), eve_stations=self.station()
-        )
-        sample = PairSample(x_A=1.0, x_B=2.0, p_A=0.0, p_B=0.0)
-        _, bob_click = intercept(sample, attack, rng)
-        assert bob_click("p") is ClickOutcome.NULL
+        assert np.all(bob_clicks([1.0, 2.0], "x", "p", rng, p_cross_basis=(0.0, 0.0)) == -1)
 
     def test_imperfect_same_basis_flips(self, rng):
-        attack = AttackConfig(
-            basis_policy="always_x", p_same_basis_correct=0.0, eve_stations=self.station()
-        )
-        sample = PairSample(x_A=1.0, x_B=1.0, p_A=0.0, p_B=0.0)
-        _, bob_click = intercept(sample, attack, rng)
-        assert bob_click("x") is ClickOutcome.DETECTOR_2
+        det = bob_clicks([1.0, 2.0], "x", "x", rng, p_same_basis_correct=0.0)
+        assert list(det) == [1, 0]
 
     def test_uniform_policy_mixes_bases(self, rng):
-        attack = AttackConfig(basis_policy="uniform_random", eve_stations=self.station())
-        bases = set()
-        for _ in range(200):
-            record, _ = intercept(
-                PairSample(1.0, 1.5, 0.0, 0.0), attack, rng
-            )
-            bases.add(record.basis_E)
-        assert bases == {"x", "p"}
+        n = 100_000
+        mixed = _eve_bases(AttackConfig(basis_policy="uniform_random"), n, rng)
+        assert abs(np.count_nonzero(mixed) - n / 2) <= 3 * math.sqrt(n / 4)
+        assert np.all(_eve_bases(AttackConfig(basis_policy="always_x"), 10, rng) == 0)
+        assert np.all(_eve_bases(AttackConfig(basis_policy="always_p"), 10, rng) == 1)
 
-    def test_requires_resolution_and_policy(self, rng):
-        with pytest.raises(ValueError, match="resolved"):
-            intercept(PairSample(0, 0, 0, 0), AttackConfig(), rng)
+    def test_requires_resolution_and_policy(self, default_experiment):
         with pytest.raises(ValueError, match="policy"):
-            intercept(
-                PairSample(0, 0, 0, 0),
-                AttackConfig(basis_policy="none", eve_stations=self.station()),
-                rng,
-            )
+            _eve_bases(AttackConfig(basis_policy="none"), 10, np.random.default_rng(0))
+        # An unresolved attack is resolved to a copy of B's station on entry.
+        source, alice, bob = default_experiment
+        attack = AttackConfig()
+        unresolved, resolved = (
+            tally_coincidences(source, alice, bob, 20_000, np.random.default_rng(5), attack=a)
+            for a in (attack, resolve_attack(attack, bob))
+        )
+        assert unresolved == resolved
 
 
 def test_null_rate_matches_acceptance_mass(default_experiment, rng):
-    """Her blocking probability equals one minus the slit acceptance mass."""
+    """Her blocking probability equals one minus the slit acceptance mass.
+
+    With B in her basis and p_same = 1, B's result is null exactly when she
+    blocks, so the interceptor's own readout is what is measured here.
+    """
     source, _, bob = default_experiment
     n = 1_000_000
     _, x_B, _, p_B = sample_pairs(source, n, rng)
     for basis, latents in (("x", x_B), ("p", p_B)):
         attack = AttackConfig(basis_policy=f"always_{basis}", eve_stations=bob)
-        scale = bob.alpha if basis == "x" else bob.momentum_scale
-        coords = latents / scale + bob.origin
-        lows = np.array([d.lo for d in bob.detectors(basis)])
-        highs = np.array([d.hi for d in bob.detectors(basis)])
-        attns = np.array([d.attenuation for d in bob.detectors(basis)])
-        survive = rng.random(n)
-        clicked = np.zeros(n, dtype=bool)
-        for det in range(2):
-            inside = (coords >= lows[det]) & (coords <= highs[det])
-            clicked |= inside & (survive < attns[det])
-        mass = acceptance_mass(source, bob, basis)
+        det = _intercepted_bob_clicks(latents, bases(basis, n), bases(basis, n), attack, rng)
+        mass = sum(
+            _window_mass(source, basis, *bob.latent_window(basis, d)) * d.attenuation
+            for d in bob.detectors(basis)
+        )
+        blocked = np.count_nonzero(det == -1)
         sigma = math.sqrt(n * mass * (1 - mass))
-        assert abs(clicked.sum() - n * mass) <= 3 * sigma, (
-            f"{attack.basis_policy}: clicked {clicked.sum()} expected {n * mass:.0f}"
+        assert abs(blocked - n * (1 - mass)) <= 3 * sigma, (
+            f"{attack.basis_policy}: blocked {blocked} expected {n * (1 - mass):.0f}"
         )
 
 

@@ -287,6 +287,21 @@ class TestScanCommand:
         )
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("fixed, bases", [
+        ("Axbogus2", "xx"), ("Ap1", "xx"), ("Ax1", "px"), ("Ax3", "xp"), ("ax1", "xx"),
+    ])
+    def test_malformed_fixed_names_fixed(self, capsys, monkeypatch, fixed, bases):
+        def no_setup(cfg):
+            raise AssertionError("--fixed must be checked before setup")
+
+        monkeypatch.setattr(cli, "build_setup", no_setup)
+        code, report, err = run_cli(
+            ["scan", "--fixed", fixed, "--bases", bases, "--grid", "0:3:0.1"], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert "--fixed" in err and repr(fixed) in err
+
     @pytest.mark.parametrize("grid", ["0:nan:0.1", "0:inf:0.1", "nan:3:0.1", "0:3:inf"])
     def test_non_finite_grid_names_grid(self, capsys, grid):
         code, report, err = run_cli(
@@ -386,8 +401,8 @@ class TestEprCheckCommand:
         assert code == 0
         assert report["results"]["satisfied"] is True
 
-    def test_flat_fit_file_rejected(self, capsys, tmp_path):
-        out = tmp_path / "flat.json"
+    def test_mixed_basis_fit_file_rejected(self, capsys, tmp_path):
+        out = tmp_path / "xp.json"
         code, _, _ = run_cli(
             ["scan", "--fixed", "Ax1", "--bases", "xp", "--grid", "1:2:0.05",
              "--pairs", "60000", "--seed", "7", "--out", str(out)],
@@ -398,6 +413,20 @@ class TestEprCheckCommand:
             ["epr-check", "--fits", str(out), str(out), str(out), str(out)], capsys
         )
         assert code == cli.EXIT_VALIDATION
+        assert "need a same-basis scan report, got 'xp'" in err
+
+    def test_flat_fit_file_rejected(self, capsys, tmp_path):
+        out = tmp_path / "flat_xx.json"
+        out.write_text(json.dumps(
+            {"command": "scan", "results": {"basis_pair": "xx", "flat": True,
+                                            "fit": {"sigma_mm": None, "flat": True}}}
+        ))
+        code, report, err = run_cli(
+            ["epr-check", "--fits", str(out), str(out), str(out), str(out)], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert "scan is flat; no width to convert" in err
 
 
 def test_report_shape(capsys):

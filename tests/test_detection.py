@@ -8,20 +8,15 @@ from scipy.stats import multivariate_normal
 
 from eprqkd import protocol
 from eprqkd.detection import (
-    ClickOutcome,
     SlitDetector,
     StationConfig,
-    click,
+    _window_mass,
     coincidence_probability,
-    acceptance_mass,
     detected_variance,
-    diagonal_attenuation,
     equalize_levels,
-    latent_from_coordinate,
-    readout_coordinate,
     slit_smearing_variance,
 )
-from eprqkd.source import PumpProfile, SourceModel, build_source, sample_pairs
+from eprqkd.source import PumpProfile, SourceModel, build_source, marginal_std, sample_pairs
 
 from conftest import make_station
 
@@ -70,22 +65,23 @@ class TestStationValidation:
 
 
 class TestReadout:
-    def test_imaging_scale_example(self):
-        from eprqkd.source import PairSample
+    """The imaging and Fourier maps, read through StationConfig.latent_window."""
 
+    def test_imaging_scale_example(self):
         station = make_station()  # alpha = 200/(2*600) = 1/6
         assert math.isclose(station.alpha, 1.0 / 6.0)
-        s = PairSample(x_A=0.2, x_B=0.0, p_A=0.0, p_B=0.0)
-        assert math.isclose(readout_coordinate(s, station, "x", "A"), 1.2)
+        # A slit at 1.2 mm in the detection plane sees x = 0.2 mm at the crystal.
+        lo, hi = station.latent_window("x", SlitDetector(1.2, 0.2, 0))
+        assert math.isclose((lo + hi) / 2.0, 0.2)
+        assert math.isclose(hi - lo, 0.2 / 6.0)
 
     def test_zero_momentum_maps_to_origin(self):
-        from eprqkd.source import PairSample
-
         station = make_station()
-        s = PairSample(0.0, 0.0, 0.0, 0.0)
-        assert readout_coordinate(s, station, "p", "B") == 0.0
+        lo, hi = station.latent_window("p", SlitDetector(0.0, 0.5, 0))
+        assert lo == -hi
         shifted = dataclasses.replace(station, origin=1.5)
-        assert readout_coordinate(s, shifted, "p", "B") == 1.5
+        lo, hi = shifted.latent_window("p", SlitDetector(1.5, 0.5, 0))
+        assert lo == -hi
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -94,39 +90,56 @@ class TestReadout:
         origin=st.floats(-2, 2, allow_nan=False),
     )
     def test_round_trip(self, value, basis, origin):
-        from eprqkd.source import PairSample
-
+        # latent_window (detection plane -> latent) and the session readout's
+        # map (latent -> detection plane) are inverse affine maps.
         station = make_station(origin=origin)
-        s = PairSample(x_A=value, x_B=value, p_A=value, p_B=value)
-        coord = readout_coordinate(s, station, basis, "A")
-        assert math.isclose(latent_from_coordinate(coord, station, basis), value,
-                            abs_tol=1e-12)
+        slit = SlitDetector(value, 0.2, 0)
+        readout = protocol._Readout(station)
+        b = "xp".index(basis)
+        for latent, edge in zip(station.latent_window(basis, slit), (slit.lo, slit.hi)):
+            assert math.isclose(latent * readout.gain[b] + readout.origin, edge,
+                                abs_tol=1e-12)
 
-    def test_rejects_bad_side(self):
-        from eprqkd.source import PairSample
 
-        with pytest.raises(ValueError):
-            readout_coordinate(PairSample(0, 0, 0, 0), make_station(), "x", "C")
+# Imaging scale 200 / (2 * 100) = 1 and Fourier gain f / k = 1 with the origin
+# at 0: latent coordinates equal detection-plane mm in both bases.
+UNIT_STATION = make_station(
+    O=200.0, I=100.0, f=150.0, k=150.0, p_centers=(3.0, 4.0), p_width=0.2
+)
+
+
+def unit_clicks(latents, basis):
+    latents = np.asarray(latents, dtype=float)
+    bases = np.full(latents.shape, "xp".index(basis), dtype=np.int8)
+    return protocol._Readout(UNIT_STATION).clicks(latents, bases, np.random.default_rng(0))
 
 
 class TestClick:
-    DETS = (SlitDetector(1.0, 0.2, 0), SlitDetector(2.0, 0.2, 1))
+    """protocol._Readout.clicks, the one click rule of sessions and tallies."""
 
     def test_inside_first_slit(self):
-        assert click(1.05, self.DETS) is ClickOutcome.DETECTOR_1
+        assert list(unit_clicks([1.05, 2.05], "x")) == [0, 1]
+        assert list(unit_clicks([3.05, 4.05], "p")) == [0, 1]
+        # The basis selects the slit pair: x slits do not fire in basis p.
+        assert list(unit_clicks([1.05], "p")) == [-1]
 
     def test_between_slits_is_null(self):
-        assert click(1.5, self.DETS) is ClickOutcome.NULL
+        assert list(unit_clicks([1.5, 0.0, 2.5], "x")) == [-1, -1, -1]
 
     def test_boundary_is_closed(self):
-        assert click(1.1, self.DETS) is ClickOutcome.DETECTOR_1
-        assert click(0.9, self.DETS) is ClickOutcome.DETECTOR_1
-        assert click(2.1, self.DETS) is ClickOutcome.DETECTOR_2
+        for basis in ("x", "p"):
+            for d, det in enumerate(UNIT_STATION.detectors(basis)):
+                lo, hi = UNIT_STATION.latent_window(basis, det)
+                assert (lo, hi) == (det.lo, det.hi)
+                assert list(unit_clicks([lo, hi], basis)) == [d, d]
+                outside = [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+                assert list(unit_clicks(outside, basis)) == [-1, -1]
 
     def test_bit_mapping(self):
-        assert ClickOutcome.DETECTOR_1.bit == 0
-        assert ClickOutcome.DETECTOR_2.bit == 1
-        assert ClickOutcome.NULL.bit is None
+        # Detector index d carries logical bit d, and the key writes it as is.
+        for basis in ("x", "p"):
+            assert [det.logical_bit for det in UNIT_STATION.detectors(basis)] == [0, 1]
+        assert protocol._bit_string(np.array([0, 1, 1, 0], dtype=np.int8)) == "0110"
 
 
 class TestCoincidenceOracle:
@@ -139,8 +152,6 @@ class TestCoincidenceOracle:
                 )
                 slit_A = alice.x_detectors[det_A - 1]
                 slit_B = bob.p_detectors[det_B - 1]
-                from eprqkd.detection import _window_mass
-
                 mass_A = _window_mass(source, "x", *alice.latent_window("x", slit_A))
                 mass_B = _window_mass(source, "p", *bob.latent_window("p", slit_B))
                 assert abs(joint - mass_A * mass_B) < 1e-8
@@ -151,8 +162,6 @@ class TestCoincidenceOracle:
         p_same = coincidence_probability(tight, station, station, "x", "x", 1, 1)
         p_cross = coincidence_probability(tight, station, station, "x", "x", 1, 2)
         lo, hi = station.latent_window("x", station.x_detectors[0])
-        from eprqkd.detection import _window_mass
-
         assert abs(p_same - _window_mass(tight, "x", lo, hi)) < 1e-8
         assert p_cross < 1e-12
 
@@ -257,14 +266,38 @@ def test_monte_carlo_matches_oracle_small(default_experiment, rng):
 
 class TestEqualization:
     def test_diagonal_attenuation_examples(self):
-        assert diagonal_attenuation([0.3, 0.6]) == [1.0, 0.5]
-        factors = diagonal_attenuation([943.0, 1079.0])
-        assert factors[0] == 1.0
-        assert abs(factors[1] - 0.874) < 5e-4
+        # Stage 1 is a no-op here (slits symmetric about the axis, A's p slits
+        # mirrored), so stage 2 alone brings every "right" level down to the
+        # lowest: that basis keeps factor 1, the other is thinned by min / level.
+        def station(p_centers):
+            return make_station(
+                O=200.0, I=100.0, k=300.0,
+                x_centers=(-0.5, 0.5), p_centers=p_centers, origin=0.0,
+            )
+
+        source = build_source(0.33, 1.4, 0.83, 3.7, PUMP)
+        alice, bob = station(p_centers=(0.5, -0.5)), station(p_centers=(-0.5, 0.5))
+        raw = {b: coincidence_probability(source, alice, bob, b, b, 1, 1) for b in "xp"}
+        lowest = min(raw.values())
+        out_a, out_b = equalize_levels(source, alice, bob)
+        for basis in ("x", "p"):
+            for i, (det_a, det_b) in enumerate(zip(out_a.detectors(basis),
+                                                   out_b.detectors(basis))):
+                assert math.isclose(det_a.attenuation * det_b.attenuation,
+                                    lowest / raw[basis], rel_tol=1e-9)
+                level = coincidence_probability(source, out_a, out_b, basis, basis, i + 1, i + 1)
+                assert math.isclose(level, lowest, rel_tol=1e-9)
 
     def test_diagonal_attenuation_rejects_zero(self):
-        with pytest.raises(ValueError):
-            diagonal_attenuation([0.0, 1.0])
+        # A's x slits sit 3 mm from B's partners, 60 sigma_minus away: the
+        # single-photon masses are fine but both x "right" levels are zero.
+        def station(x_centers):
+            return make_station(O=200.0, I=100.0, f=150.0, k=150.0,
+                                x_centers=x_centers, origin=0.0)
+
+        source = build_source(0.05, 3.0, 0.5, 25.0, PUMP)
+        with pytest.raises(ValueError, match="zero diagonal coincidence probability"):
+            equalize_levels(source, station((1.0, 2.0)), station((-2.0, -1.0)))
 
     def test_default_levels_equalized(self, default_experiment):
         source, alice, bob = default_experiment
@@ -377,14 +410,19 @@ class TestEqualization:
         assert abs(table.counts[0, 0] - n * p_cell) <= 3.0 * sigma
 
 
-def test_acceptance_mass_sums_slits(default_experiment):
-    source, alice, bob = default_experiment
-    from eprqkd.detection import _window_mass
-
+def test_acceptance_mass_sums_slits(default_experiment, rng):
+    # One photon clicks with probability sum over slits of window mass times
+    # attenuation; check the session readout against it on marginal draws.
+    source, _alice, bob = default_experiment
+    readout = protocol._Readout(bob)
+    n = 400_000
     for basis in ("x", "p"):
-        total = acceptance_mass(source, bob, basis, include_attenuation=False)
-        by_hand = sum(
-            _window_mass(source, basis, *bob.latent_window(basis, det))
+        expected = sum(
+            _window_mass(source, basis, *bob.latent_window(basis, det)) * det.attenuation
             for det in bob.detectors(basis)
         )
-        assert math.isclose(total, by_hand, rel_tol=1e-12)
+        latents = rng.standard_normal(n) * marginal_std(source, basis)
+        bases = np.full(n, "xp".index(basis), dtype=np.int8)
+        rate = float(np.mean(readout.clicks(latents, bases, rng) >= 0))
+        sigma = math.sqrt(expected * (1.0 - expected) / n)
+        assert abs(rate - expected) <= 3.0 * sigma, (basis, rate, expected)

@@ -7,22 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eprqkd import protocol
 from eprqkd.adversary import AttackConfig
-from eprqkd.detection import ClickOutcome, SlitDetector, coincidence_probability
+from eprqkd.detection import SlitDetector, coincidence_probability
 from eprqkd.protocol import (
     CoincidenceTable,
-    PairEvent,
     ProtocolError,
     SessionConfig,
     abort_decision,
     qber_from_counts,
     qber_with_eve_prediction,
     run_session,
-    sift,
     tally_coincidences,
-    three_party_probability,
 )
-from eprqkd.source import PumpProfile, SourceModel, sample_pairs
+from eprqkd.source import PumpProfile, SourceModel, build_source, sample_pairs
+
+from conftest import make_station
 
 
 @pytest.fixture(scope="module")
@@ -108,27 +108,10 @@ class TestQberEdgeCases:
             base = qber_from_counts(table)
         except ValueError:
             return
-        scaled = qber_from_counts(table.scaled(factor))
+        scaled = qber_from_counts(CoincidenceTable(counts * factor))
         assert math.isclose(base.qber, scaled.qber, rel_tol=1e-12)
         assert math.isclose(base.qber_xx, scaled.qber_xx, rel_tol=1e-12)
         assert math.isclose(base.qber_pp, scaled.qber_pp, rel_tol=1e-12)
-
-
-class TestThreePartyProbability:
-    def test_matching_bases_reduce_to_pair_probability(self, reference_table):
-        p_matrix = {("x", "x"): 1.0, ("p", "p"): 1.0, ("x", "p"): 0.5, ("p", "x"): 0.5}
-        expected = 2161 / 8994
-        value = three_party_probability(reference_table, "x", "x", "x", p_matrix)
-        assert math.isclose(value, expected, rel_tol=1e-12)
-
-    def test_wrong_basis_halves_cross_block(self, reference_table):
-        p_matrix = {("x", "p"): 0.5, ("p", "x"): 0.5, ("x", "x"): 1.0, ("p", "p"): 1.0}
-        value = three_party_probability(reference_table, "x", "x", "p", p_matrix)
-        assert math.isclose(value, 0.5 * 2159 / 8994, rel_tol=1e-12)
-
-    def test_zero_resend_probability(self, reference_table):
-        p_matrix = {(j, k): 0.0 for j in "xp" for k in "xp"}
-        assert three_party_probability(reference_table, "p", "x", "p", p_matrix) == 0.0
 
 
 class TestAbortDecision:
@@ -158,38 +141,73 @@ class TestAbortDecision:
         assert abort_decision(rep, 0.15) is False
 
 
+def sifted_count(result: protocol.SessionResult) -> int:
+    table = result.table
+    return int(table.block("x", "x").sum() + table.block("p", "p").sum())
+
+
 class TestSift:
-    @staticmethod
-    def event(basis_A, basis_B):
-        return PairEvent(basis_A, basis_B, ClickOutcome.DETECTOR_1, ClickOutcome.DETECTOR_1)
+    """Sifting inside run_session, read through the table it returns."""
 
     def test_same_basis_input_is_identity(self):
-        events = [self.event("x", "x")] * 5 + [self.event("p", "p")] * 5
-        assert sift(events) == events
+        # Both parties' momentum slits sit far outside the marginal, so every
+        # coincidence is xx and sifting keeps all N of them.
+        station = make_station(O=200.0, I=100.0, p_centers=(1000.0, 1002.0))
+        source = build_source(0.33, 1.8, 0.83, 3.7, PumpProfile(2.0))
+        cfg = SessionConfig(n_coincidences=2000, m_estimation=200, rng_seed=4)
+        result = run_session(source, station, station, cfg)
+        assert result.table.block("x", "x").sum() == cfg.n_coincidences
+        assert len(result.sifted_bits_A) + cfg.m_estimation == cfg.n_coincidences
 
     def test_alternating_bases_keep_half(self):
-        events = [self.event("x", "x"), self.event("x", "p")] * 50
-        kept = sift(events)
-        assert len(kept) == 50
-        assert all(e.basis_A == e.basis_B for e in kept)
+        # A's momentum slits are dead, so A clicks only in x while B's basis
+        # coin alternates at random; with uncorrelated pairs and equal x and p
+        # acceptance at B, sifting keeps the xx half and drops the xp half.
+        bob = make_station(O=200.0, I=100.0, f=150.0, k=150.0, p_width=0.2)
+        alice = dataclasses.replace(
+            bob, p_detectors=(SlitDetector(1000.0, 0.2, 0), SlitDetector(1002.0, 0.2, 1))
+        )
+        source = build_source(1.0, 1.0, 1.0, 1.0, PumpProfile(2.0))
+        n = 20_000
+        cfg = SessionConfig(n_coincidences=n, m_estimation=1000, rng_seed=6)
+        result = run_session(source, alice, bob, cfg)
+        xx, xp = result.table.block("x", "x").sum(), result.table.block("x", "p").sum()
+        assert xx + xp == n
+        assert len(result.sifted_bits_A) + cfg.m_estimation == xx
+        assert abs(xx - n / 2) <= 3 * math.sqrt(n * 0.25)
 
-    def test_random_run_keeps_half_binomially(self, rng):
-        n = 100_000
-        bases = ("x", "p")
-        events = [
-            self.event(bases[rng.integers(2)], bases[rng.integers(2)]) for _ in range(n)
-        ]
-        kept = len(sift(events))
-        sigma = math.sqrt(n * 0.25)
-        assert abs(kept - n / 2) <= 3 * sigma
+    def test_random_run_keeps_half_binomially(self):
+        # Uncorrelated pairs and identical x and p optics (unit imaging scale
+        # and Fourier gain): the four basis pairings are equally likely, so the
+        # sifted count of N coincidences is Binomial(N, 1/2).
+        station = make_station(O=200.0, I=100.0, f=150.0, k=150.0, p_width=0.2)
+        source = build_source(1.0, 1.0, 1.0, 1.0, PumpProfile(2.0))
+        n = 20_000
+        cfg = SessionConfig(n_coincidences=n, m_estimation=1000, rng_seed=8)
+        result = run_session(source, station, station, cfg)
+        assert abs(sifted_count(result) - n / 2) <= 3 * math.sqrt(n * 0.25)
 
     def test_order_preserved(self):
-        events = [self.event("x", "x"), self.event("p", "x"), self.event("p", "p")]
-        assert sift(events) == [events[0], events[2]]
+        # Sifting keeps both parties' bits in the same pair order: with
+        # x_A = x_B exactly and only the x slits live, the keys are identical.
+        station = make_station(O=200.0, I=100.0, origin=1.5, p_centers=(1000.0, 1002.0))
+        source = SourceModel(0.0, 1.8, 0.83, 3.7, PumpProfile(2.0))
+        cfg = SessionConfig(n_coincidences=2000, m_estimation=200, rng_seed=10)
+        result = run_session(source, station, station, cfg)
+        assert result.sifted_bits_A == result.sifted_bits_B
+        assert set(result.sifted_bits_A) == {"0", "1"}
 
-    def test_coincidence_requires_both_clicks(self):
-        with pytest.raises(ValueError):
-            PairEvent("x", "x", ClickOutcome.DETECTOR_1, ClickOutcome.NULL)
+    def test_coincidence_requires_both_clicks(self, default_experiment, rng):
+        source, alice, bob = default_experiment
+        for attack in (None, AttackConfig(basis_policy="uniform_random")):
+            emitted = 0
+            for n, pos, _, _, det_A, det_B in protocol._coincidences(
+                source, alice, bob, attack, rng, 50_000, 20_000
+            ):
+                emitted += n
+                assert np.all(det_A >= 0) and np.all(det_B >= 0)
+                assert np.all(np.diff(pos) > 0) and (pos.size == 0 or pos[-1] < n)
+            assert emitted == 50_000
 
 
 class TestSessionConfigValidation:
@@ -216,8 +234,6 @@ class TestSessionConfigValidation:
 class TestRunSession:
     def test_degenerate_source_gives_zero_x_errors(self):
         # Perfect position correlation and mirrored stations: x-sifted bits agree.
-        from conftest import make_station
-
         station = make_station(O=200.0, I=100.0, k=300.0, origin=1.5)
         source = SourceModel(0.0, 1.8, 0.83, 3.7, PumpProfile(2.0))
         cfg = SessionConfig(n_coincidences=4000, m_estimation=500, rng_seed=3)
@@ -228,7 +244,7 @@ class TestRunSession:
                 dataclasses.replace(station.p_detectors[1], center=1.0),
             ),
         )
-        result = run_session(source, mirrored_p, station, cfg, keep_events=True)
+        result = run_session(source, mirrored_p, station, cfg)
         assert result.estimate.qber_xx == 0.0
         xx = result.table.block("x", "x")
         assert xx[0, 1] == 0 and xx[1, 0] == 0
@@ -260,28 +276,26 @@ class TestRunSession:
         assert abs(emitted / n - 1.0 / p) < 4.0 * sigma / n, (emitted, n / p, sigma)
 
     def test_table_consistent_with_event_tallies(self, default_experiment):
+        # The table tallies every coincidence; each party's key holds the
+        # same-basis bit-1 clicks of its row (A) or column (B) sums, less at
+        # most m sacrificed to estimation.
         source, alice, bob = default_experiment
         cfg = SessionConfig(n_coincidences=3000, m_estimation=300, rng_seed=5)
-        result = run_session(source, alice, bob, cfg, keep_events=True)
+        result = run_session(source, alice, bob, cfg)
         assert result.table.total() == cfg.n_coincidences
-
-        def index(basis, outcome):
-            return (0 if basis == "x" else 2) + outcome.value - 1
-
-        rows = np.zeros(4, dtype=int)
-        cols = np.zeros(4, dtype=int)
-        for event in result.events:
-            rows[index(event.basis_A, event.outcome_A)] += 1
-            cols[index(event.basis_B, event.outcome_B)] += 1
-        assert np.array_equal(result.table.row_sums(), rows)
-        assert np.array_equal(result.table.column_sums(), cols)
+        xx, pp = result.table.block("x", "x"), result.table.block("p", "p")
+        for key, ones in (
+            (result.sifted_bits_A, xx[1, :].sum() + pp[1, :].sum()),
+            (result.sifted_bits_B, xx[:, 1].sum() + pp[:, 1].sum()),
+        ):
+            assert ones - cfg.m_estimation <= key.count("1") <= ones
 
     def test_session_sift_matches_sift_operation(self, default_experiment):
         source, alice, bob = default_experiment
         cfg = SessionConfig(n_coincidences=2000, m_estimation=200, rng_seed=9)
-        result = run_session(source, alice, bob, cfg, keep_events=True)
-        kept = sift(list(result.events))
-        assert len(kept) == len(result.sifted_bits_A) + cfg.m_estimation
+        result = run_session(source, alice, bob, cfg)
+        assert sifted_count(result) == len(result.sifted_bits_A) + cfg.m_estimation
+        assert len(result.sifted_bits_B) == len(result.sifted_bits_A)
 
     def test_key_disagreement_matches_estimate(self, default_experiment):
         source, alice, bob = default_experiment
@@ -296,11 +310,17 @@ class TestRunSession:
         assert abs(disagree - q) <= 3 * sigma
 
     def test_estimation_pairs_removed_from_key(self, default_experiment):
+        # The m estimation pairs leave the key: its length is the sifted count
+        # less m, and its disagreements are the table's same-basis wrong cells
+        # less the estimate's.
         source, alice, bob = default_experiment
         cfg = SessionConfig(n_coincidences=2000, m_estimation=400, rng_seed=2)
-        result = run_session(source, alice, bob, cfg, keep_events=True)
-        sifted_total = sum(1 for e in result.events if e.basis_A == e.basis_B)
-        assert len(result.sifted_bits_A) == sifted_total - cfg.m_estimation
+        result = run_session(source, alice, bob, cfg)
+        assert len(result.sifted_bits_A) == sifted_count(result) - cfg.m_estimation
+        xx, pp = result.table.block("x", "x"), result.table.block("p", "p")
+        wrong = xx[0, 1] + xx[1, 0] + pp[0, 1] + pp[1, 0]
+        disagree = sum(a != b for a, b in zip(result.sifted_bits_A, result.sifted_bits_B))
+        assert disagree == wrong - result.estimate.p_wrong
 
     def test_guard_trips_on_hopeless_geometry(self, default_experiment):
         source, alice, bob = default_experiment

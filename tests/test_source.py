@@ -12,9 +12,7 @@ from eprqkd.source import (
     UnphysicalSourceError,
     build_source,
     calibrate_source,
-    joint_density,
     marginal_std,
-    sample_pair,
     sample_pairs,
 )
 
@@ -60,9 +58,8 @@ class TestBuildSource:
 class TestSampling:
     def test_degenerate_width_gives_identical_positions(self, rng):
         model = degenerate_source(sigma_minus=0.0)
-        for _ in range(100):
-            s = sample_pair(model, rng)
-            assert s.x_A == s.x_B
+        x_A, x_B, _, _ = sample_pairs(model, 100, rng)
+        assert np.array_equal(x_A, x_B)
 
     def test_difference_variance_matches_configuration(self, rng):
         model = build_source(0.3, 2.0, 0.9, 4.0, PUMP)
@@ -86,6 +83,39 @@ class TestSampling:
         x_A, _, _, p_B = sample_pairs(model, 1_000_000, rng)
         corr = np.corrcoef(x_A, p_B)[0, 1]
         assert abs(corr) < 0.01
+
+
+def _gauss(value, std):
+    return np.exp(-0.5 * (value / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
+
+
+def joint_density(source, basis_A, basis_B, u_A, u_B):
+    """Reference density of the latent readout pair for one basis pairing.
+
+    Arguments are crystal-plane values (mm for basis "x", 1/mm for basis
+    "p").  Same-basis densities factor over the (sum, difference)
+    coordinates; mixed-basis densities are products of the two single-party
+    marginals because the position and momentum blocks are uncorrelated.
+    Accepts scalars or arrays.
+    """
+    for basis in (basis_A, basis_B):
+        if basis not in ("x", "p"):
+            raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
+    u_A = np.asarray(u_A, dtype=float)
+    u_B = np.asarray(u_B, dtype=float)
+
+    if basis_A == "x" and basis_B == "x":
+        # Jacobian of (x_A, x_B) -> (sum, diff) is 2.
+        out = 2.0 * _gauss(u_A + u_B, source.sigma_plus) * _gauss(u_A - u_B, source.sigma_minus)
+    elif basis_A == "p" and basis_B == "p":
+        out = 2.0 * _gauss(u_A + u_B, source.kappa_minus) * _gauss(u_A - u_B, source.kappa_plus)
+    else:
+        std_A = marginal_std(source, basis_A)
+        std_B = marginal_std(source, basis_B)
+        out = _gauss(u_A, std_A) * _gauss(u_B, std_B)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 class TestJointDensity:
