@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detection import StationConfig
+from .detection import StationConfig, basis_index
 from .source import SourceModel, channel_law
 
 FLAT_RATIO_BOUND = 1.3
@@ -186,21 +186,12 @@ def conditional_variance(fit: GaussianFit, conversion_scale: float) -> float:
     """Variance of the collective coordinate from a fitted scan width.
 
     conversion_scale maps the detection-plane width into the coordinate's
-    units: the imaging scale alpha for position scans, k/f for momentum
-    scans, or 1 to stay in detection-plane mm.
+    units: detection.conversion_for (alpha for position scans, k/f for
+    momentum scans), or 1 to stay in detection-plane mm.
     """
     if fit.degenerate:
         raise ValueError("conditional variance undefined for a degenerate flat fit")
     return (conversion_scale * fit.sigma) ** 2
-
-
-def conversion_for(station: StationConfig, basis: str) -> float:
-    """Default detection-plane-to-coordinate conversion for one basis."""
-    if basis == "x":
-        return station.alpha
-    if basis == "p":
-        return station.momentum_scale
-    raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
 
 
 def duan_check(
@@ -299,18 +290,18 @@ def scan_simulation(
     slit_A = station_A.detectors(basis_A)[det_idx]
     a_lo, a_hi = station_A.latent_window(basis_A, slit_A)
     slit_B = station_B.detectors(basis_B)[0]
-    std_A, std_B, slope, cond_std = channel_law(source)
-    i_A, i_B = "xp".index(basis_A), "xp".index(basis_B)
+    std, slope, cond_std = channel_law(source)
+    i_A, i_B = basis_index(basis_A), basis_index(basis_B)
 
     counts = []
     for center in grid:
-        lat_A = rng.standard_normal(pairs_per_point) * std_A[i_A]
+        lat_A = rng.standard_normal(pairs_per_point) * std[i_A]
         lat_A = lat_A[(lat_A >= a_lo) & (lat_A <= a_hi)]
         noise = rng.standard_normal(lat_A.size)
         if basis_A == basis_B:
             lat_B = slope[i_A] * lat_A + cond_std[i_A] * noise
         else:
-            lat_B = std_B[i_B] * noise
+            lat_B = std[i_B] * noise
         b_lo, b_hi = station_B.latent_window(basis_B, replace(slit_B, center=center))
         counts.append(int(np.count_nonzero((lat_B >= b_lo) & (lat_B <= b_hi))))
 

@@ -470,16 +470,24 @@ def _variances_from_fit_reports(paths, station) -> tuple[list, list]:
     """Pull conditional variances out of saved scan reports (2 xx + 2 pp)."""
     var_x, var_p = [], []
     for path in paths:
-        data = json.loads(Path(path).read_text())
-        results = data.get("results", data)
+        try:
+            data = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not a JSON scan report: {exc}") from exc
+        results = data.get("results", data) if isinstance(data, dict) else None
+        fit = results.get("fit") if isinstance(results, dict) else None
+        if not isinstance(fit, dict):
+            raise ConfigError(f"{path}: not a scan report: need an object with a 'fit' object")
         pair = results.get("basis_pair")
-        sigma = results.get("fit", {}).get("sigma_mm")
+        sigma = fit.get("sigma_mm")
         if pair not in ("xx", "pp"):
             raise ConfigError(f"{path}: need a same-basis scan report, got {pair!r}")
         if sigma is None:
             raise ConfigError(f"{path}: scan is flat; no width to convert")
+        if not isinstance(sigma, (int, float)):
+            raise ConfigError(f"{path}: fit.sigma_mm must be a number, got {sigma!r}")
         basis = pair[0]
-        variance = (analysis.conversion_for(station, basis) * sigma) ** 2
+        variance = (detection.conversion_for(station, basis) * sigma) ** 2
         (var_x if basis == "x" else var_p).append(variance)
     if len(var_x) != 2 or len(var_p) != 2:
         raise ConfigError(
@@ -488,8 +496,23 @@ def _variances_from_fit_reports(paths, station) -> tuple[list, list]:
     return var_x, var_p
 
 
+def _check_epr_flags(args) -> None:
+    """Reject the epr-check flags that the chosen route would ignore."""
+    names = ("var_x", "var_p", "unc_x", "unc_p")
+    given = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is not None]
+    routes = [flag for flag, on in (("--fits", args.fits), ("--from-scans", args.from_scans)) if on]
+    if len(routes) == 2:
+        raise ConfigError("--fits and --from-scans cannot be combined")
+    if routes and given:
+        raise ConfigError(f"{given[0]} cannot be combined with {routes[0]}")
+    if given and given[:2] != ["--var-x", "--var-p"]:
+        missing = " and ".join(f for f in ("--var-x", "--var-p") if f not in given)
+        raise ConfigError(f"{given[0]} requires {missing}")
+
+
 def cmd_epr_check(args) -> tuple[int, dict]:
     started = time.perf_counter()
+    _check_epr_flags(args)
     note = None
     labeled = False
     if args.fits:
@@ -513,12 +536,12 @@ def cmd_epr_check(args) -> tuple[int, dict]:
                 )
                 fit = analysis.fit_gaussian(scan)
                 var_list.append(
-                    analysis.conditional_variance(fit, analysis.conversion_for(bob, basis))
+                    analysis.conditional_variance(fit, detection.conversion_for(bob, basis))
                 )
         unc_x = unc_p = None
     else:
         cfg, seed = None, None
-        if args.var_x and args.var_p:
+        if args.var_x is not None:
             var_x, var_p = args.var_x, args.var_p
             unc_x, unc_p = args.unc_x, args.unc_p
         else:

@@ -7,8 +7,8 @@ momentum basis the crystal and detection planes sit in the focal planes of a
 lens and the coordinate is p * f / k.  An optional origin offset models where
 the translation stage's zero sits relative to the optical axis.
 
-A slit detector clicks when the detection-plane coordinate falls inside its
-aperture (closed interval); protocol._Readout applies this to whole batches.
+A slit detector accepts the closed latent window StationConfig.latent_window
+maps its aperture to; protocol._Readout, the scans and the oracle all read it.
 Two detectors per basis encode one key bit: detector index 1 is logical 0,
 index 2 is logical 1.
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .source import SourceModel, marginal_std
+from .source import SourceModel, channel_law, marginal_std
 
 QUAD_ABS_TOL = 1e-8
 
@@ -34,6 +34,13 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 class QuadratureError(RuntimeError):
     """The same-basis coincidence quadrature missed its absolute error bound."""
+
+
+def basis_index(basis: str) -> int:
+    """0 for the position basis x, 1 for the momentum basis p."""
+    if basis not in ("x", "p"):
+        raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
+    return "xp".index(basis)
 
 
 @dataclass(frozen=True)
@@ -112,27 +119,17 @@ class StationConfig:
         return self.wavenumber / self.focal_length
 
     def detectors(self, basis: str) -> tuple[SlitDetector, SlitDetector]:
-        if basis == "x":
-            return self.x_detectors
-        if basis == "p":
-            return self.p_detectors
-        raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
+        return (self.x_detectors, self.p_detectors)[basis_index(basis)]
 
     def latent_window(self, basis: str, detector: SlitDetector) -> tuple[float, float]:
-        """Slit aperture mapped to crystal-plane (latent) coordinates."""
-        if basis == "x":
-            a = self.alpha * (detector.lo - self.origin)
-            b = self.alpha * (detector.hi - self.origin)
-        else:
-            a = self.momentum_scale * (detector.lo - self.origin)
-            b = self.momentum_scale * (detector.hi - self.origin)
-        return (a, b) if a <= b else (b, a)
+        """The closed crystal-plane (latent) window a slit accepts."""
+        scale = conversion_for(self, basis)
+        return scale * (detector.lo - self.origin), scale * (detector.hi - self.origin)
 
-    def latent_slit_width(self, basis: str) -> float:
-        """Slit width in latent units (equal for the two slits of a basis)."""
-        det = self.detectors(basis)[0]
-        scale = self.alpha if basis == "x" else self.momentum_scale
-        return det.width * scale
+
+def conversion_for(station: StationConfig, basis: str) -> float:
+    """Detection-plane-to-latent scale of one basis: alpha for x, k/f for p."""
+    return (station.alpha, station.momentum_scale)[basis_index(basis)]
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +145,40 @@ def _cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / _SQRT2))
 
 
-def _pair_covariance(source: SourceModel, basis: str) -> np.ndarray:
-    return source.position_covariance() if basis == "x" else source.momentum_covariance()
-
-
 def _window_mass(source: SourceModel, basis: str, lo: float, hi: float) -> float:
     """Single-party latent probability mass in [lo, hi]."""
     std = marginal_std(source, basis)
     return _cdf(hi / std) - _cdf(lo / std)
+
+
+def _cell_probability(source, basis_A, basis_B, window_A, window_B) -> float:
+    """Latent probability that A lands in window_A and B in window_B.
+
+    Same-basis cells integrate B's law given A's latent (source.channel_law)
+    over A's window by adaptive quadrature, absolute error below 1e-8, with
+    the conditional CDF inside; mixed-basis cells factor into two masses.
+    """
+    if basis_A != basis_B:
+        mass_B = _window_mass(source, basis_B, *window_B)
+        return _window_mass(source, basis_A, *window_A) * mass_B
+
+    from scipy.integrate import quad
+
+    b_lo, b_hi = window_B
+    std, slope, cond_std = (float(law[basis_index(basis_A)]) for law in channel_law(source))
+    cond_std = max(cond_std, 1e-150)  # exactly 0 for a perfect correlation
+
+    def integrand(u: float) -> float:
+        mu = slope * u
+        inner = _cdf((b_hi - mu) / cond_std) - _cdf((b_lo - mu) / cond_std)
+        return inner * _phi(u / std) / std
+
+    prob, err = quad(integrand, *window_A, epsabs=QUAD_ABS_TOL * 1e-2, limit=200)
+    if err > QUAD_ABS_TOL:
+        raise QuadratureError(
+            f"quadrature error estimate {err:.3e} exceeds tolerance {QUAD_ABS_TOL:.1e}"
+        )
+    return prob
 
 
 def coincidence_probability(
@@ -170,42 +193,17 @@ def coincidence_probability(
 ) -> float:
     """Joint click probability for one detector pair, by deterministic quadrature.
 
-    det_A / det_B are detector indices (1 or 2).  Same-basis probabilities
-    integrate the correlated bivariate density over both latent windows
-    (outer adaptive quadrature over A's window, analytic conditional CDF
-    inside); mixed-basis probabilities factor into two single-party window
-    masses.  Absolute error is held below 1e-8; attenuation factors thin the
-    result unless include_attenuation is False.
+    det_A / det_B are detector indices (1 or 2).  The probability is the
+    latent mass of the two slits' closed latent windows (_cell_probability);
+    attenuation factors thin it unless include_attenuation is False.
     """
     slit_A = station_A.detectors(basis_A)[det_A - 1]
     slit_B = station_B.detectors(basis_B)[det_B - 1]
-    a_lo, a_hi = station_A.latent_window(basis_A, slit_A)
-    b_lo, b_hi = station_B.latent_window(basis_B, slit_B)
-
-    if basis_A == basis_B:
-        from scipy.integrate import quad
-
-        cov = _pair_covariance(source, basis_A)
-        var_a, var_b, cov_ab = cov[0, 0], cov[1, 1], cov[0, 1]
-        std_a = math.sqrt(var_a)
-        cond_std = math.sqrt(max(var_b - cov_ab**2 / var_a, 1e-300))
-        slope = cov_ab / var_a
-
-        def integrand(u: float) -> float:
-            mu = slope * u
-            inner = _cdf((b_hi - mu) / cond_std) - _cdf((b_lo - mu) / cond_std)
-            return inner * _phi(u / std_a) / std_a
-
-        prob, err = quad(integrand, a_lo, a_hi, epsabs=QUAD_ABS_TOL * 1e-2, limit=200)
-        if err > QUAD_ABS_TOL:
-            raise QuadratureError(
-                f"quadrature error estimate {err:.3e} exceeds tolerance {QUAD_ABS_TOL:.1e}"
-            )
-    else:
-        prob = _window_mass(source, basis_A, a_lo, a_hi) * _window_mass(
-            source, basis_B, b_lo, b_hi
-        )
-
+    prob = _cell_probability(
+        source, basis_A, basis_B,
+        station_A.latent_window(basis_A, slit_A),
+        station_B.latent_window(basis_B, slit_B),
+    )
     if include_attenuation:
         prob *= slit_A.attenuation * slit_B.attenuation
     return prob
@@ -224,12 +222,9 @@ def slit_smearing_variance(
     In the position basis the smear is the detection-plane slit width; in the
     momentum basis it is the slit width mapped through k/f.
     """
-    if basis == "x":
-        w_A = station_A.detectors("x")[0].width
-        w_B = station_B.detectors("x")[0].width
-    else:
-        w_A = station_A.latent_slit_width("p")
-        w_B = station_B.latent_slit_width("p")
+    w_A, w_B = (station.detectors(basis)[0].width for station in (station_A, station_B))
+    if basis == "p":
+        w_A, w_B = w_A * station_A.momentum_scale, w_B * station_B.momentum_scale
     return (w_A**2 + w_B**2) / 12.0
 
 
@@ -292,41 +287,23 @@ def derive_partner_centers(
     """
     from scipy.optimize import minimize_scalar
 
-    free_dets = station_free.detectors(basis)
+    span = 6.0 * marginal_std(source, basis) / conversion_for(station_free, basis)
+    bounds = (station_free.origin - span, station_free.origin + span)
+    fixed = [station_fixed.latent_window(basis, d) for d in station_fixed.detectors(basis)]
     centers = []
-    for idx, _fixed_det in enumerate(station_fixed.detectors(basis)):
-        width = free_dets[idx].width
+    for free_det, fixed_window in zip(station_free.detectors(basis), fixed):
 
-        def neg_conditional(center: float, _w=width, _i=idx) -> float:
-            trial_det = SlitDetector(center=center, width=_w, logical_bit=0)
-            probe = _single_slit_station(station_free, basis, trial_det)
-            joint = coincidence_probability(
-                source, probe, station_fixed, basis, basis, 1, _i + 1,
-                include_attenuation=False,
-            )
-            lo, hi = probe.latent_window(basis, trial_det)
-            mass = _window_mass(source, basis, lo, hi)
+        def neg_conditional(center: float, _det=free_det, _fixed=fixed_window) -> float:
+            window = station_free.latent_window(basis, replace(_det, center=center))
+            joint = _cell_probability(source, basis, basis, window, _fixed)
+            mass = _window_mass(source, basis, *window)
             return -joint / mass if mass > 0 else 0.0
 
-        span = 6.0 * marginal_std(source, basis)
-        scale = station_free.alpha if basis == "x" else station_free.momentum_scale
-        lo = station_free.origin - span / scale
-        hi = station_free.origin + span / scale
         res = minimize_scalar(
-            neg_conditional, bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
+            neg_conditional, bounds=bounds, method="bounded", options={"xatol": 1e-9}
         )
         centers.append(float(res.x))
     return tuple(centers)
-
-
-def _single_slit_station(station: StationConfig, basis: str, det: SlitDetector) -> StationConfig:
-    """Station clone whose first detector of `basis` is `det` (probe helper)."""
-    second = SlitDetector(
-        center=det.center + 1000.0 * det.width, width=det.width, logical_bit=1
-    )
-    if basis == "x":
-        return replace(station, x_detectors=(det, second))
-    return replace(station, p_detectors=(det, second))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import AttackConfig, resolve_attack
-from .detection import StationConfig
+from .detection import StationConfig, basis_index
 from .source import SourceModel, channel_law
 
 ALICE_LABELS = ("Ax1", "Ax2", "Ap1", "Ap2")
@@ -85,9 +85,8 @@ class CoincidenceTable:
 
     def block(self, basis_A: str, basis_B: str) -> np.ndarray:
         """2x2 sub-block for one basis pairing."""
-        r = slice(0, 2) if basis_A == "x" else slice(2, 4)
-        c = slice(0, 2) if basis_B == "x" else slice(2, 4)
-        return self.counts[r, c]
+        r, c = (2 * basis_index(basis) for basis in (basis_A, basis_B))
+        return self.counts[r:r + 2, c:c + 2]
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -239,29 +238,25 @@ class _Readout:
     """One station's readout as arrays indexed by basis (0 = x, 1 = p) and detector."""
 
     def __init__(self, station: StationConfig):
-        pairs = [station.detectors(basis) for basis in ("x", "p")]
-        self.lo = np.array([[d.lo for d in pair] for pair in pairs])
-        self.hi = np.array([[d.hi for d in pair] for pair in pairs])
-        self.survival = np.array([[d.attenuation for d in pair] for pair in pairs])
-        # Latent coordinate -> detection-plane mm, per basis.
-        self.gain = np.array([1.0 / station.alpha, station.focal_length / station.wavenumber])
-        self.origin = station.origin
+        bases = ("x", "p")
+        windows = [[station.latent_window(b, d) for d in station.detectors(b)] for b in bases]
+        self.lo, self.hi = np.moveaxis(np.array(windows), -1, 0)
+        self.survival = np.array([[d.attenuation for d in station.detectors(b)] for b in bases])
 
     def clicks(
         self, latent: np.ndarray, basis: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Detector index 0 / 1 for each latent coordinate, -1 for null.
 
-        Slit acceptance is the closed interval in the detection plane.  A
-        uniform is drawn only for a coordinate inside a slit, applying that
+        A slit accepts its closed latent window (StationConfig.latent_window).
+        A uniform is drawn only for a coordinate inside a slit, applying that
         detector's attenuation as independent thinning.
         """
-        coords = latent * self.gain[basis] + self.origin
         det = np.full(latent.shape, -1, dtype=np.int8)
         in_p = basis == 1
         for b, chosen in ((0, ~in_p), (1, in_p)):
             for d in (0, 1):
-                det[chosen & (coords >= self.lo[b, d]) & (coords <= self.hi[b, d])] = d
+                det[chosen & (latent >= self.lo[b, d]) & (latent <= self.hi[b, d])] = d
         inside = np.flatnonzero(det >= 0)
         dead = rng.random(inside.size) >= self.survival[basis[inside], det[inside]]
         det[inside[dead]] = -1
@@ -294,7 +289,7 @@ def _coincidences(
         attack = resolve_attack(attack, station_B)
         if attack.basis_policy == "none":
             attack = None
-    std_A, std_B, slope, cond_std = channel_law(source)
+    std, slope, cond_std = channel_law(source)
     readout_A, readout_B = _Readout(station_A), _Readout(station_B)
     remaining = n_pairs
     while remaining > 0:
@@ -302,7 +297,7 @@ def _coincidences(
         remaining -= n
         bas_A = rng.integers(0, 2, size=n, dtype=np.int8)
         bas_B = rng.integers(0, 2, size=n, dtype=np.int8)
-        lat_A = rng.standard_normal(n) * std_A[bas_A]
+        lat_A = rng.standard_normal(n) * std[bas_A]
         det_A = readout_A.clicks(lat_A, bas_A, rng)
 
         pos = np.flatnonzero(det_A >= 0)
@@ -310,7 +305,7 @@ def _coincidences(
         bas_ch = bas_B if attack is None else _eve_bases(attack, pos.size, rng)
         same = bas_ch == bas_A
         lat_ch = np.where(same, slope[bas_A] * lat_A, 0.0) + np.where(
-            same, cond_std[bas_A], std_B[bas_ch]
+            same, cond_std[bas_A], std[bas_ch]
         ) * rng.standard_normal(pos.size)
         if attack is None:
             det_B = readout_B.clicks(lat_ch, bas_B, rng)

@@ -162,19 +162,18 @@ def marginal_std(source: SourceModel, basis: str) -> float:
 
 
 def channel_law(source: SourceModel):
-    """Per basis (x, p): std of A's latent, std of B's, and B's Gaussian law
-    given A's latent in the same basis (mean slope * u_A, std cond_std).
-
+    """Per basis (x, p): (std, slope, cond_std).  std is either party's latent
+    std (the state is symmetric); given A's latent u_A in the same basis, B's
+    is Gaussian with mean slope * u_A and std cond_std (floored at 0).
     Position and momentum are independent, so in the other basis B's latent
     follows its marginal whatever A read.
     """
     covs = (source.position_covariance(), source.momentum_covariance())
-    var_A = np.array([c[0, 0] for c in covs])
-    var_B = np.array([c[1, 1] for c in covs])
+    var = np.array([c[0, 0] for c in covs])
     cov = np.array([c[0, 1] for c in covs])
-    slope = cov / var_A
-    cond_std = np.sqrt(np.maximum(var_B - cov**2 / var_A, 0.0))
-    return np.sqrt(var_A), np.sqrt(var_B), slope, cond_std
+    slope = cov / var
+    cond_std = np.sqrt(np.maximum(var - cov**2 / var, 0.0))
+    return np.sqrt(var), slope, cond_std
 
 
 def calibrate_source(

@@ -11,13 +11,12 @@ from eprqkd.analysis import (
     GaussianFit,
     ScanData,
     conditional_variance,
-    conversion_for,
     duan_check,
     fit_gaussian,
     poisson_errors,
     scan_simulation,
 )
-from eprqkd.detection import coincidence_probability
+from eprqkd.detection import coincidence_probability, conversion_for
 from eprqkd.source import sample_pairs
 
 

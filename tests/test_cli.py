@@ -428,6 +428,44 @@ class TestEprCheckCommand:
         assert report is None
         assert "scan is flat; no width to convert" in err
 
+    @pytest.mark.parametrize("text", [
+        "[]",
+        json.dumps({"results": {"basis_pair": "xx", "fit": None}}),
+        json.dumps({"results": ["basis_pair", "xx"]}),
+        json.dumps({"results": {"basis_pair": "xx", "fit": {"sigma_mm": "wide"}}}),
+        "not json at all",
+    ], ids=["list", "null-fit", "list-results", "string-sigma", "not-json"])
+    def test_malformed_fit_file_names_file(self, capsys, tmp_path, text):
+        out = tmp_path / "malformed_report.json"
+        out.write_text(text)
+        code, report, err = run_cli(
+            ["epr-check", "--fits", str(out), str(out), str(out), str(out)], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert str(out) in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--var-x", "0.5", "0.6"], ["--var-x", "--var-p"]),
+        (["--var-p", "0.9"], ["--var-p", "--var-x"]),
+        (["--var-x", "0.1", "--unc-x", "0.01"], ["--var-x", "--var-p"]),
+        (["--unc-x", "0.01", "--unc-p", "0.02"], ["--unc-x", "--var-x", "--var-p"]),
+        (["--unc-p", "0.02"], ["--unc-p", "--var-x", "--var-p"]),
+        (["--from-scans", "--var-x", "0.1", "--var-p", "0.9"], ["--var-x", "--from-scans"]),
+        (["--from-scans", "--unc-p", "0.02"], ["--unc-p", "--from-scans"]),
+        (["--fits", "a", "b", "c", "d", "--var-p", "0.9"], ["--var-p", "--fits"]),
+        (["--fits", "a", "b", "c", "d", "--from-scans"], ["--fits", "--from-scans"]),
+    ])
+    def test_ignored_flags_rejected(self, capsys, monkeypatch, argv, named):
+        def no_setup(cfg):
+            raise AssertionError("flags must be checked before setup")
+
+        monkeypatch.setattr(cli, "build_setup", no_setup)
+        code, report, err = run_cli(["epr-check", *argv], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert all(flag in err for flag in named), err
+
 
 def test_report_shape(capsys):
     code, report, _ = run_cli(["qber", "table1.csv"], capsys)

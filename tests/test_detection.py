@@ -64,6 +64,26 @@ class TestStationValidation:
             SlitDetector(1.0, 0.2, 0, attenuation=1.2)
 
 
+def slit_pair(center, width_1, gap, width_2):
+    second = center + width_1 / 2.0 + gap + width_2 / 2.0
+    return SlitDetector(center, width_1, 0), SlitDetector(second, width_2, 1)
+
+
+@st.composite
+def stations(draw):
+    """Stations with every length drawn, origin included; no filters."""
+    length = st.floats(10.0, 1000.0)
+    slits = st.builds(
+        slit_pair, st.floats(-5.0, 5.0), st.floats(0.01, 2.0), st.floats(0.01, 2.0),
+        st.floats(0.01, 2.0),
+    )
+    return StationConfig(
+        object_distance=draw(length), image_distance=draw(length),
+        focal_length=draw(length), wavenumber=draw(st.floats(10.0, 5000.0)),
+        x_detectors=draw(slits), p_detectors=draw(slits), origin=draw(st.floats(-3.0, 3.0)),
+    )
+
+
 class TestReadout:
     """The imaging and Fourier maps, read through StationConfig.latent_window."""
 
@@ -83,22 +103,24 @@ class TestReadout:
         lo, hi = shifted.latent_window("p", SlitDetector(1.5, 0.5, 0))
         assert lo == -hi
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        value=st.floats(-5, 5, allow_nan=False),
-        basis=st.sampled_from(["x", "p"]),
-        origin=st.floats(-2, 2, allow_nan=False),
-    )
-    def test_round_trip(self, value, basis, origin):
-        # latent_window (detection plane -> latent) and the session readout's
-        # map (latent -> detection plane) are inverse affine maps.
-        station = make_station(origin=origin)
-        slit = SlitDetector(value, 0.2, 0)
+    @settings(max_examples=200, deadline=None)
+    @given(station=stations())
+    def test_latent_window_edges_click(self, station):
+        # The session readout accepts exactly the closed window the oracle and
+        # the scans integrate: each end clicks, one ulp outside does not.
         readout = protocol._Readout(station)
-        b = "xp".index(basis)
-        for latent, edge in zip(station.latent_window(basis, slit), (slit.lo, slit.hi)):
-            assert math.isclose(latent * readout.gain[b] + readout.origin, edge,
-                                abs_tol=1e-12)
+        rng = np.random.default_rng(0)
+        for b, basis in enumerate("xp"):
+            for d, det in enumerate(station.detectors(basis)):
+                lo, hi = station.latent_window(basis, det)
+                edges = np.array([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
+                clicks = readout.clicks(edges, np.full(4, b, dtype=np.int8), rng)
+                assert list(clicks) == [d, d, -1, -1], (basis, d, lo, hi)
+
+    def test_unknown_basis_rejected(self):
+        station = make_station()
+        with pytest.raises(ValueError, match="'z'"):
+            station.latent_window("z", station.x_detectors[0])
 
 
 # Imaging scale 200 / (2 * 100) = 1 and Fourier gain f / k = 1 with the origin
@@ -238,8 +260,8 @@ class TestDetectedVariance:
         recorded = {
             "x": (x_A / left.alpha + smear(left.x_detectors[0].width))
             - (x_B / right.alpha + smear(right.x_detectors[0].width)),
-            "p": (p_A + smear(left.latent_slit_width("p")))
-            + (p_B + smear(right.latent_slit_width("p"))),
+            "p": (p_A + smear(left.p_detectors[0].width * left.momentum_scale))
+            + (p_B + smear(right.p_detectors[0].width * right.momentum_scale)),
         }
         for basis, values in recorded.items():
             centered = values - values.mean()

@@ -452,6 +452,12 @@ class TestTableCsv:
         with pytest.raises(ValueError, match="header"):
             CoincidenceTable.load_csv(path)
 
+    def test_unknown_basis_rejected(self, reference_table):
+        with pytest.raises(ValueError, match="'z'"):
+            reference_table.block("z", "x")
+        with pytest.raises(ValueError, match="'q'"):
+            reference_table.block("x", "q")
+
     def test_negative_count_rejected(self):
         counts = np.zeros((4, 4), dtype=int)
         counts[0, 0] = -1
