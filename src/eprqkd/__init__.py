@@ -13,7 +13,6 @@ from .source import (
 from .detection import (
     SlitDetector,
     StationConfig,
-    QuadratureError,
     coincidence_probability,
     conversion_for,
     detected_variance,
@@ -61,7 +60,6 @@ __all__ = [
     "CalibrationError",
     "SlitDetector",
     "StationConfig",
-    "QuadratureError",
     "coincidence_probability",
     "conversion_for",
     "detected_variance",

@@ -29,6 +29,7 @@ from .source import SourceModel, channel_law
 FLAT_RATIO_BOUND = 1.3
 DUAN_BOUND = 0.25
 _MIN_POINTS = 5
+FIT_MAX_STEPS = 200
 
 
 class FitError(RuntimeError):
@@ -99,9 +100,52 @@ def poisson_errors(counts: Sequence[float]) -> list[float]:
     return [math.sqrt(c) if c >= 1 else 1.0 for c in counts]
 
 
-def _model(params: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _model(params: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The peak model at x and its Jacobian in (amplitude, center, sigma, offset)."""
     amp, center, sigma, offset = params
-    return amp * np.exp(-0.5 * ((x - center) / sigma) ** 2) + offset
+    z = (x - center) / sigma
+    bump = np.exp(-0.5 * z * z)
+    jac = np.column_stack([bump, amp * bump * z / sigma, amp * bump * z * z / sigma, np.ones_like(x)])
+    return amp * bump + offset, jac
+
+
+def _levenberg_marquardt(residuals, params: np.ndarray):
+    """Minimize |r|^2 from params; residuals(params) returns (r, dr/dparams).
+
+    Each step solves (J^T J + lam D) step = -J^T r, D the diagonal of J^T J,
+    and is taken if it lowers |r|^2.  lam follows Nielsen's rule: after a
+    taken step it scales by max(1/3, 1 - (2 gain - 1)^3), gain being the
+    actual over the predicted reduction, so a poorly predicted step shrinks
+    the next; after a refused one it doubles its last rise.  Converged once
+    a step, taken or refused, is below 1e-8 of the parameters in the norm
+    scaled by J's column norms.  Returns the last parameters, residuals and
+    Jacobian, and whether that happened within FIT_MAX_STEPS steps.
+    """
+    lam, rise = 1e-3, 2.0
+    resid, jac = residuals(params)
+    chi_square = resid @ resid
+    for _ in range(FIT_MAX_STEPS):
+        grad, jtj = jac.T @ resid, jac.T @ jac
+        diag = np.diag(jtj).copy()
+        diag[diag == 0.0] = 1.0
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+        except np.linalg.LinAlgError as exc:
+            raise FitError(f"peak fit failed: {exc}") from exc
+        trial_resid, trial_jac = residuals(params + step)
+        trial_chi = trial_resid @ trial_resid
+        gain = (chi_square - trial_chi) / (step @ (lam * diag * step - grad))
+        if gain > 0.0:
+            params, resid, jac, chi_square = params + step, trial_resid, trial_jac, trial_chi
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            rise = 2.0
+        else:
+            lam *= rise
+            rise *= 2.0
+        scale = np.sqrt(diag)
+        if np.linalg.norm(scale * step) <= 1e-8 * np.linalg.norm(scale * params):
+            return params, resid, jac, True
+    return params, resid, jac, False
 
 
 def fit_gaussian(scan: ScanData) -> GaussianFit:
@@ -110,19 +154,21 @@ def fit_gaussian(scan: ScanData) -> GaussianFit:
     Residuals are weighted by Poissonian counting errors (variance
     max(count, 1)).  Start values: offset at the minimum count, amplitude the
     count span, center the excess-weighted centroid, width from the second
-    moment.  Convergence requires relative parameter change below 1e-8 within
-    200 iterations.  A scan with max/min count ratio under 1.3 (or no count
-    spread at all) is degenerate: the result carries the mean as offset and
-    no width.
+    moment.  A Levenberg-Marquardt search (_levenberg_marquardt) must reach
+    a relative parameter change below 1e-8 within 200 steps, or FitError is
+    raised.  A scan with max/min count ratio under 1.3 (or no count spread at
+    all) is degenerate: the result carries the mean as offset and no width.
+    So is a scan whose search does not settle with the width grown past the
+    grid span: chi-square then falls toward a parabola across the grid as
+    the width grows without bound, and the scan resolves no peak.
     """
-    from scipy.optimize import least_squares
-
     x = np.asarray(scan.positions, dtype=float)
     y = np.asarray(scan.counts, dtype=float)
+    weights = 1.0 / np.sqrt(np.maximum(y, 1.0))
 
-    if y.max() == y.min() or scan.is_flat():
+    def degenerate() -> GaussianFit:
         mean = float(y.mean())
-        resid = (y - mean) / np.sqrt(np.maximum(y, 1.0))
+        resid = (y - mean) * weights
         return GaussianFit(
             amplitude=None,
             center=None,
@@ -133,6 +179,9 @@ def fit_gaussian(scan: ScanData) -> GaussianFit:
             flat=True,
         )
 
+    if y.max() == y.min() or scan.is_flat():
+        return degenerate()
+
     offset0 = float(y.min())
     amp0 = float(y.max() - y.min())
     excess = np.maximum(y - offset0, 0.0)
@@ -140,31 +189,28 @@ def fit_gaussian(scan: ScanData) -> GaussianFit:
     var0 = float(((x - center0) ** 2 * excess).sum() / excess.sum())
     sigma0 = math.sqrt(var0) if var0 > 0 else (x.max() - x.min()) / 6.0
 
-    weights = 1.0 / np.sqrt(np.maximum(y, 1.0))
+    def residuals(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        model, jac = _model(params, x)
+        return (model - y) * weights, jac * weights[:, None]
 
-    def residuals(params: np.ndarray) -> np.ndarray:
-        return (_model(params, x) - y) * weights
+    # A refused trial step may overflow; its chi-square is then not below
+    # the current one and the step is dropped.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        params, resid, jac, converged = _levenberg_marquardt(
+            residuals, np.array([amp0, center0, sigma0, offset0])
+        )
+    if not converged:
+        if abs(params[2]) > x.max() - x.min():
+            return degenerate()
+        raise FitError(f"peak fit did not converge in {FIT_MAX_STEPS} steps")
 
-    result = least_squares(
-        residuals,
-        x0=np.array([amp0, center0, sigma0, offset0]),
-        xtol=1e-8,
-        ftol=1e-14,
-        gtol=1e-14,
-        max_nfev=200 * 4,
-        method="lm",
-    )
-    if not result.success:
-        raise FitError(f"peak fit did not converge: {result.message}")
-
-    amp, center, sigma, offset = result.x
+    amp, center, sigma, offset = params
     sigma = abs(float(sigma))
-    chi_square = float(result.fun @ result.fun)
+    chi_square = float(resid @ resid)
 
     # Covariance from the weighted Jacobian; guard the near-singular case.
-    jtj = result.jac.T @ result.jac
     try:
-        cov = np.linalg.inv(jtj)
+        cov = np.linalg.inv(jac.T @ jac)
         dof = max(len(x) - 4, 1)
         cov = cov * chi_square / dof
         covariance = tuple(map(tuple, cov))

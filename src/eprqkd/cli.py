@@ -42,6 +42,7 @@ EXIT_ABORTED = 4
 
 SEED_ENV_VAR = "EPRQKD_SEED"
 DEFAULT_SEED = 42
+FROM_SCANS_PAIRS = 200_000
 
 
 class ConfigError(ValueError):
@@ -508,6 +509,11 @@ def _check_epr_flags(args) -> None:
     if given and given[:2] != ["--var-x", "--var-p"]:
         missing = " and ".join(f for f in ("--var-x", "--var-p") if f not in given)
         raise ConfigError(f"{given[0]} requires {missing}")
+    route = routes[0] if routes else "the variance route (no --fits or --from-scans)"
+    unused = {"--from-scans": (), "--fits": ("seed", "pairs")}.get(route, ("config", "seed", "pairs"))
+    for name in unused:
+        if getattr(args, name) is not None:
+            raise ConfigError(f"--{name} is not used by {route}")
 
 
 def cmd_epr_check(args) -> tuple[int, dict]:
@@ -522,7 +528,8 @@ def cmd_epr_check(args) -> tuple[int, dict]:
         var_x, var_p = _variances_from_fit_reports(args.fits, bob)
         unc_x = unc_p = None
     elif args.from_scans:
-        _check_pairs(args.pairs)
+        pairs = FROM_SCANS_PAIRS if args.pairs is None else args.pairs
+        _check_pairs(pairs)
         cfg = parse_config_file(args.config)
         seed = resolve_seed(args.seed, cfg)
         src, alice, bob = build_setup(cfg)
@@ -532,7 +539,7 @@ def cmd_epr_check(args) -> tuple[int, dict]:
         for basis, var_list in (("x", var_x), ("p", var_p)):
             for det in (1, 2):
                 scan = analysis.scan_simulation(
-                    src, alice, bob, f"A{basis}{det}", (basis, basis), grid, args.pairs, rng
+                    src, alice, bob, f"A{basis}{det}", (basis, basis), grid, pairs, rng
                 )
                 fit = analysis.fit_gaussian(scan)
                 var_list.append(
@@ -615,7 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="four saved scan reports (two xx, two pp)")
     p.add_argument("--from-scans", action="store_true",
                    help="derive the four variances from simulated scans")
-    p.add_argument("--pairs", type=int, default=200_000)
+    p.add_argument("--pairs", type=int, default=None,
+                   help=f"pairs per scan point with --from-scans (default {FROM_SCANS_PAIRS})")
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")
@@ -633,7 +641,7 @@ def main(argv=None) -> int:
     except (ConfigError, FixtureError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (protocol.ProtocolError, detection.QuadratureError, analysis.FitError) as exc:
+    except (protocol.ProtocolError, analysis.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,4 +1,4 @@
-"""Station optics, slit detectors, and the quadrature coincidence oracle.
+"""Station optics, slit detectors, and the closed-form coincidence oracle.
 
 Each station measures one transverse coordinate of its photon.  In the
 position basis a lens images the crystal onto the detection plane, so the
@@ -12,9 +12,11 @@ maps its aperture to; protocol._Readout, the scans and the oracle all read it.
 Two detectors per basis encode one key bit: detector index 1 is logical 0,
 index 2 is logical 1.
 
-coincidence_probability integrates the latent joint density over both
-parties' acceptance windows with deterministic quadrature; it is the oracle
-that every Monte Carlo estimate in the package is checked against.
+coincidence_probability is the latent joint mass of both parties' acceptance
+windows in closed form: a product of two normal masses across bases and a
+bivariate-normal rectangle (four upper-orthant probabilities, Genz's method)
+within one.  It is the oracle that every Monte Carlo estimate in the package
+is checked against, and it needs nothing beyond the math module.
 """
 
 from __future__ import annotations
@@ -22,18 +24,36 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .source import SourceModel, channel_law, marginal_std
 
-QUAD_ABS_TOL = 1e-8
-
 _SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
+_TWOPI = 2.0 * math.pi
+_SQRT2PI = math.sqrt(_TWOPI)
 
+_CENTER_TOL_MM = 1e-12
+_NEWTON_MAX_STEPS = 100
 
-class QuadratureError(RuntimeError):
-    """The same-basis coincidence quadrature missed its absolute error bound."""
+# Gauss-Legendre rules on [-1, 1] by their positive nodes and weights (the
+# rules are symmetric): 6, 12 and 20 points for |r| below 0.3, 0.75 and 1.
+_GAUSS_LEGENDRE = (
+    (0.3,
+     (0.2386191860831969, 0.6612093864662645, 0.9324695142031519),
+     (0.46791393457269104, 0.3607615730481387, 0.17132449237917027)),
+    (0.75,
+     (0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+      0.7699026741943047, 0.9041172563704748, 0.9815606342467192),
+     (0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+      0.16007832854334642, 0.10693932599531907, 0.04717533638651141)),
+    (math.inf,
+     (0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+      0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+      0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+      0.993128599185095),
+     (0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+      0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+      0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+      0.017614007139150893)),
+)
 
 
 def basis_index(basis: str) -> int:
@@ -133,7 +153,7 @@ def conversion_for(station: StationConfig, basis: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature oracle
+# Closed-form oracle
 # ---------------------------------------------------------------------------
 
 
@@ -142,43 +162,103 @@ def _phi(z: float) -> float:
 
 
 def _cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / _SQRT2))
+    return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def _normal_mass(lo: float, hi: float) -> float:
+    """Standard normal mass of [lo, hi], taken on the side where it does not cancel."""
+    return _cdf(hi) - _cdf(lo) if lo + hi < 0.0 else _cdf(-lo) - _cdf(-hi)
 
 
 def _window_mass(source: SourceModel, basis: str, lo: float, hi: float) -> float:
     """Single-party latent probability mass in [lo, hi]."""
     std = marginal_std(source, basis)
-    return _cdf(hi / std) - _cdf(lo / std)
+    return _normal_mass(lo / std, hi / std)
+
+
+def _upper_orthant(h: float, k: float, r: float) -> float:
+    """P(X > h, Y > k) for standard normals X, Y with correlation r.
+
+    Genz, Stat. Comput. 14:251 (2004), after Drezner & Wesolowsky, J. Stat.
+    Comput. Simul. 35:101 (1990).  For |r| < 0.925 a Gauss-Legendre rule
+    integrates Plackett's dP/dr over asin(r); nearer 1 the integrand in
+    sqrt(1 - r^2) has its singular part taken out in closed form first.
+    The absolute error is about 1e-16.
+    """
+    nodes, weights = next((x, w) for bound, x, w in _GAUSS_LEGENDRE if abs(r) < bound)
+    hk = h * k
+    if abs(r) < 0.925:
+        hs = (h * h + k * k) / 2.0
+        asr = math.asin(r)
+        total = 0.0
+        for x, w in zip(nodes, weights):
+            for t in (1.0 - x, 1.0 + x):
+                sn = math.sin(asr * t / 2.0)
+                total += w * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+        return total * asr / (2.0 * _TWOPI) + _cdf(-h) * _cdf(-k)
+    if r < 0:
+        k, hk = -k, -hk
+    bvn = 0.0
+    if abs(r) < 1.0:
+        aa = (1.0 - r) * (1.0 + r)
+        a = math.sqrt(aa)
+        bs = (h - k) ** 2
+        c = (4.0 - hk) / 8.0
+        d = (12.0 - hk) / 80.0
+        bvn = a * math.exp(-(bs / aa + hk) / 2.0) * (
+            1.0 - c * (bs - aa) * (1.0 - d * bs) / 3.0 + c * d * aa * aa
+        )
+        if hk > -100.0:
+            b = math.sqrt(bs)
+            bvn -= (math.exp(-hk / 2.0) * _SQRT2PI * _cdf(-b / a) * b
+                    * (1.0 - c * bs * (1.0 - d * bs) / 3.0))
+        a /= 2.0
+        total = 0.0
+        for x, w in zip(nodes, weights):
+            for t in (1.0 - x, 1.0 + x):
+                xs = (a * t) ** 2
+                rs = math.sqrt(1.0 - xs)
+                asr = -(bs / xs + hk) / 2.0
+                total += w * (
+                    math.exp(asr) * (1.0 + c * xs * (1.0 + 5.0 * d * xs))
+                    - math.exp(asr - hk * xs / (2.0 * (1.0 + rs) ** 2)) / rs
+                )
+        bvn = (a * total - bvn) / _TWOPI
+    if r > 0:
+        return bvn + _cdf(-max(h, k))
+    if h >= k:
+        return -bvn
+    return (_cdf(k) - _cdf(h) if h < 0 else _cdf(-h) - _cdf(-k)) - bvn
+
+
+def _rectangle(h0: float, h1: float, k0: float, k1: float, r: float) -> float:
+    """P(h0 <= X <= h1, k0 <= Y <= k1) for the standard pair of _upper_orthant.
+
+    The pair is symmetric under (X, Y) -> (-X, -Y), so a window on X's
+    negative side is reflected to keep the four orthants small.
+    """
+    if h0 + h1 < 0.0:
+        h0, h1, k0, k1 = -h1, -h0, -k1, -k0
+    rect = (_upper_orthant(h0, k0, r) - _upper_orthant(h0, k1, r)) - (
+        _upper_orthant(h1, k0, r) - _upper_orthant(h1, k1, r)
+    )
+    return max(rect, 0.0)
 
 
 def _cell_probability(source, basis_A, basis_B, window_A, window_B) -> float:
     """Latent probability that A lands in window_A and B in window_B.
 
-    Same-basis cells integrate B's law given A's latent (source.channel_law)
-    over A's window by adaptive quadrature, absolute error below 1e-8, with
-    the conditional CDF inside; mixed-basis cells factor into two masses.
+    Same-basis cells are a bivariate-normal rectangle with both parties'
+    std and correlation slope from source.channel_law; mixed-basis cells
+    factor into two masses.
     """
     if basis_A != basis_B:
         mass_B = _window_mass(source, basis_B, *window_B)
         return _window_mass(source, basis_A, *window_A) * mass_B
-
-    from scipy.integrate import quad
-
-    b_lo, b_hi = window_B
-    std, slope, cond_std = (float(law[basis_index(basis_A)]) for law in channel_law(source))
-    cond_std = max(cond_std, 1e-150)  # exactly 0 for a perfect correlation
-
-    def integrand(u: float) -> float:
-        mu = slope * u
-        inner = _cdf((b_hi - mu) / cond_std) - _cdf((b_lo - mu) / cond_std)
-        return inner * _phi(u / std) / std
-
-    prob, err = quad(integrand, *window_A, epsabs=QUAD_ABS_TOL * 1e-2, limit=200)
-    if err > QUAD_ABS_TOL:
-        raise QuadratureError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance {QUAD_ABS_TOL:.1e}"
-        )
-    return prob
+    i = basis_index(basis_A)
+    std, rho = (law[i] for law in channel_law(source)[:2])
+    (a_lo, a_hi), (b_lo, b_hi) = window_A, window_B
+    return _rectangle(a_lo / std, a_hi / std, b_lo / std, b_hi / std, rho)
 
 
 def coincidence_probability(
@@ -191,7 +271,7 @@ def coincidence_probability(
     det_B: int,
     include_attenuation: bool = True,
 ) -> float:
-    """Joint click probability for one detector pair, by deterministic quadrature.
+    """Joint click probability for one detector pair, in closed form.
 
     det_A / det_B are detector indices (1 or 2).  The probability is the
     latent mass of the two slits' closed latent windows (_cell_probability);
@@ -269,6 +349,26 @@ def detected_variance(
 # ---------------------------------------------------------------------------
 
 
+def _ratio_slopes(h0, h1, k0, k1, rho, s) -> tuple[float, float]:
+    """g = J'M - JM' and its derivative g' = J''M - JM'' for a sliding window.
+
+    J is the standard pair's mass in [h0, h1] x [k0, k1] (_rectangle), M the
+    mass of [h0, h1], and primes differentiate in a shift of [h0, h1]; s is
+    sqrt(1 - rho^2).  With e(h) = phi(h) P(k0 <= Y <= k1 | X = h),
+    J' = e(h1) - e(h0) and M' = phi(h1) - phi(h0), and so on down.
+    """
+
+    def edge(h: float) -> tuple[float, float]:
+        z0, z1 = (k0 - rho * h) / s, (k1 - rho * h) / s
+        cond, d_cond = _normal_mass(z0, z1), rho / s * (_phi(z0) - _phi(z1))
+        return _phi(h) * cond, _phi(h) * (d_cond - h * cond)
+
+    (e0, de0), (e1, de1) = edge(h0), edge(h1)
+    joint, mass = _rectangle(h0, h1, k0, k1, rho), _normal_mass(h0, h1)
+    d_mass, dd_mass = _phi(h1) - _phi(h0), h0 * _phi(h0) - h1 * _phi(h1)
+    return (e1 - e0) * mass - joint * d_mass, (de1 - de0) * mass - joint * dd_mass
+
+
 def derive_partner_centers(
     source: SourceModel,
     station_fixed: StationConfig,
@@ -284,25 +384,39 @@ def derive_partner_centers(
     rate would drag both slits toward the marginal's peak and shrink the peak
     separation below the slit separation.  With anticorrelated momenta the
     momentum-basis slits land on the mirrored side of the axis automatically.
+
+    With J the joint cell mass and M the free window's mass, the center is
+    the root of g = J'M - JM' (derivatives in the center), found by Newton
+    from the conditional peak, where B's conditional mean meets the fixed
+    slit's midpoint.  J', J'', M' and M'' are closed forms in phi and Phi at
+    the free window's edges.  Each step narrows a bracket of origin +- 6
+    marginal stds, and a step that would leave it bisects it instead.
     """
-    from scipy.optimize import minimize_scalar
-
-    span = 6.0 * marginal_std(source, basis) / conversion_for(station_free, basis)
-    bounds = (station_free.origin - span, station_free.origin + span)
-    fixed = [station_fixed.latent_window(basis, d) for d in station_fixed.detectors(basis)]
+    i = basis_index(basis)
+    std, rho, cond_std = (law[i] for law in channel_law(source))
+    s = max(cond_std / std, 1e-150)  # exactly 0 for a perfect correlation
+    gain = conversion_for(station_free, basis) / std  # standardized units per mm
+    span = 6.0 / gain
     centers = []
-    for free_det, fixed_window in zip(station_free.detectors(basis), fixed):
-
-        def neg_conditional(center: float, _det=free_det, _fixed=fixed_window) -> float:
-            window = station_free.latent_window(basis, replace(_det, center=center))
-            joint = _cell_probability(source, basis, basis, window, _fixed)
-            mass = _window_mass(source, basis, *window)
-            return -joint / mass if mass > 0 else 0.0
-
-        res = minimize_scalar(
-            neg_conditional, bounds=bounds, method="bounded", options={"xatol": 1e-9}
-        )
-        centers.append(float(res.x))
+    for free_det, fixed_det in zip(station_free.detectors(basis), station_fixed.detectors(basis)):
+        k0, k1 = (b / std for b in station_fixed.latent_window(basis, fixed_det))
+        lo, hi = station_free.origin - span, station_free.origin + span
+        peak = 0.5 * (k0 + k1) / (rho * gain) if rho != 0.0 else 0.0
+        center = min(max(station_free.origin + peak, lo), hi)
+        for _ in range(_NEWTON_MAX_STEPS):
+            window = station_free.latent_window(basis, replace(free_det, center=center))
+            g, dg = _ratio_slopes(window[0] / std, window[1] / std, k0, k1, rho, s)
+            if g == 0.0:
+                break
+            lo, hi = (center, hi) if g > 0.0 else (lo, center)
+            if hi - lo <= _CENTER_TOL_MM:
+                break
+            step = g / (dg * gain) if dg < 0.0 else math.inf
+            if abs(step) <= _CENTER_TOL_MM:
+                center -= step
+                break
+            center = center - step if lo < center - step < hi else 0.5 * (lo + hi)
+        centers.append(center)
     return tuple(centers)
 
 
@@ -318,7 +432,7 @@ def equalize_levels(
 ) -> tuple[StationConfig, StationConfig]:
     """Attach per-detector attenuation factors balancing the coincidence levels.
 
-    Two multiplicative stages, both computed from the quadrature oracle:
+    Two multiplicative stages, both computed from the coincidence oracle:
 
     1. Within each station and basis, thin the stronger slit so both slits
        pass equal single-photon mass, then thin one of party A's basis pairs

@@ -289,7 +289,7 @@ def _coincidences(
         attack = resolve_attack(attack, station_B)
         if attack.basis_policy == "none":
             attack = None
-    std, slope, cond_std = channel_law(source)
+    std, slope, cond_std = map(np.array, channel_law(source))
     readout_A, readout_B = _Readout(station_A), _Readout(station_B)
     remaining = n_pairs
     while remaining > 0:

@@ -154,26 +154,26 @@ def sample_pairs(
 
 def marginal_std(source: SourceModel, basis: str) -> float:
     """Single-party standard deviation of the latent readout coordinate."""
-    if basis == "x":
-        return math.sqrt((source.sigma_plus**2 + source.sigma_minus**2) / 4.0)
-    if basis == "p":
-        return math.sqrt((source.kappa_minus**2 + source.kappa_plus**2) / 4.0)
-    raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
+    if basis not in ("x", "p"):
+        raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
+    return channel_law(source)[0]["xp".index(basis)]
 
 
 def channel_law(source: SourceModel):
-    """Per basis (x, p): (std, slope, cond_std).  std is either party's latent
-    std (the state is symmetric); given A's latent u_A in the same basis, B's
-    is Gaussian with mean slope * u_A and std cond_std (floored at 0).
-    Position and momentum are independent, so in the other basis B's latent
-    follows its marginal whatever A read.
+    """Per basis (x, p): (std, slope, cond_std), each a pair of floats.
+
+    std is either party's latent std (the state is symmetric); given A's
+    latent u_A in the same basis, B's is Gaussian with mean slope * u_A and
+    std cond_std.  With s and d the widths of the sum and difference
+    coordinates, var = (s^2 + d^2) / 4, cov = (s^2 - d^2) / 4 and
+    cond_std = s d / sqrt(s^2 + d^2).  Position and momentum are independent,
+    so in the other basis B's latent follows its marginal whatever A read.
     """
-    covs = (source.position_covariance(), source.momentum_covariance())
-    var = np.array([c[0, 0] for c in covs])
-    cov = np.array([c[0, 1] for c in covs])
-    slope = cov / var
-    cond_std = np.sqrt(np.maximum(var - cov**2 / var, 0.0))
-    return np.sqrt(var), slope, cond_std
+    laws = []
+    for s, d in ((source.sigma_plus, source.sigma_minus), (source.kappa_minus, source.kappa_plus)):
+        var, cov = (s**2 + d**2) / 4.0, (s**2 - d**2) / 4.0
+        laws.append((math.sqrt(var), cov / var, s * d / math.sqrt(s**2 + d**2)))
+    return tuple(zip(*laws))
 
 
 def calibrate_source(

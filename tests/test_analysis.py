@@ -4,10 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import least_squares
 
+from eprqkd import analysis
 from eprqkd.analysis import (
     FLAT_RATIO_BOUND,
+    FitError,
     GaussianFit,
     ScanData,
     conditional_variance,
@@ -94,6 +97,83 @@ class TestFitGaussian:
         cov = np.asarray(fit.covariance)
         assert cov.shape == (4, 4)
         assert np.all(np.diag(cov) >= 0)
+
+
+def reference_fit(scan):
+    """least_squares(method="lm") on the same weighted residuals and start values.
+
+    The analytic Jacobian keeps the reference itself at the minimum: with
+    finite differences it stops a few 1e-6 standard errors short.
+    """
+    x = np.asarray(scan.positions, dtype=float)
+    y = np.asarray(scan.counts, dtype=float)
+    weights = 1.0 / np.sqrt(np.maximum(y, 1.0))
+    excess = y - y.min()
+    center = (x * excess).sum() / excess.sum()
+    start = [y.max() - y.min(), center, math.sqrt(((x - center) ** 2 * excess).sum() / excess.sum()),
+             y.min()]
+
+    def bump(p):
+        return np.exp(-0.5 * ((x - p[1]) / p[2]) ** 2)
+
+    def residuals(p):
+        return (p[0] * bump(p) + p[3] - y) * weights
+
+    def jacobian(p):
+        z = (x - p[1]) / p[2]
+        cols = [bump(p), p[0] * bump(p) * z / p[2], p[0] * bump(p) * z * z / p[2], np.ones_like(x)]
+        return np.column_stack(cols) * weights[:, None]
+
+    return least_squares(
+        residuals, start, jac=jacobian, method="lm", xtol=1e-12, ftol=1e-12, gtol=1e-12
+    )
+
+
+class TestLevenbergMarquardt:
+    """fit_gaussian's numpy search against scipy, used only as a reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fixed=st.sampled_from(["Ax1", "Ax2", "Ap1", "Ap2"]),
+        half_width=st.floats(0.6, 1.5),
+        step=st.floats(0.03, 0.2),
+        pairs=st.integers(5_000, 200_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_least_squares(self, default_experiment, fixed, half_width, step, pairs, seed):
+        source, alice, bob = default_experiment
+        peak = float(fixed[-1])  # the default partner peaks sit near 1 and 2 mm
+        grid = np.arange(peak - half_width, peak + half_width, step)
+        scan = scan_simulation(
+            source, alice, bob, fixed, (fixed[1],) * 2, grid, pairs, np.random.default_rng(seed)
+        )
+        assume(not scan.is_flat())
+        fit = fit_gaussian(scan)
+        ref = reference_fit(scan)
+        assert ref.success
+        params = np.array([fit.amplitude, fit.center, fit.sigma, fit.offset])
+        # The offset may sit near zero: each parameter is held to 1e-6 of its
+        # magnitude plus its standard error.
+        scale = np.abs(ref.x) + np.sqrt(np.diag(fit.covariance))
+        assert np.all(np.abs(params - ref.x) <= 1e-6 * scale), (params, ref.x)
+        assert abs(fit.chi_square - ref.fun @ ref.fun) <= 1e-6 * fit.chi_square
+
+    def test_step_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis, "FIT_MAX_STEPS", 2)
+        scan = synthetic_scan(1000.0, 1.0, 0.3, 10.0, rng=np.random.default_rng(4))
+        with pytest.raises(FitError, match="did not converge in 2 steps"):
+            fit_gaussian(scan)
+
+    def test_unbounded_width_is_degenerate(self):
+        # A parabola across the grid, spread 1.4 (not flat): chi-square keeps
+        # falling as the width grows, so there is no peak to report.
+        x = np.linspace(0.0, 1.0, 21)
+        counts = np.round(1000.0 + 400.0 * (1.0 - 4.0 * (x - 0.5) ** 2))
+        scan = ScanData(tuple(x), tuple(int(c) for c in counts), "Ax1", ("x", "x"))
+        assert not scan.is_flat()
+        fit = fit_gaussian(scan)
+        assert fit.degenerate and fit.flat
+        assert fit.offset == counts.mean()
 
 
 class TestConditionalVariance:

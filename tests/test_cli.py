@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from eprqkd import cli
+from eprqkd import analysis, cli
 
 
 def run_cli(argv, capsys):
@@ -275,6 +275,18 @@ class TestScanCommand:
         assert code == 0
         assert report["results"]["flat"] is True
 
+    def test_unconverged_fit_is_runtime_error(self, capsys, monkeypatch):
+        # A peak fit that runs out of steps is a runtime error (exit 3).
+        monkeypatch.setattr(analysis, "FIT_MAX_STEPS", 2)
+        code, report, err = run_cli(
+            ["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", "0:3:0.1",
+             "--pairs", "60000", "--seed", "7"],
+            capsys,
+        )
+        assert code == cli.EXIT_RUNTIME
+        assert report is None
+        assert "did not converge" in err
+
     def test_bad_grid_step(self, capsys):
         code, _, err = run_cli(
             ["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", "0:3:-0.1"], capsys
@@ -466,6 +478,28 @@ class TestEprCheckCommand:
         assert report is None
         assert all(flag in err for flag in named), err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--config", "/nonexistent.cfg"], "--config"),
+        (["--seed", "3"], "--seed"),
+        (["--pairs", "1000"], "--pairs"),
+        (["--var-x", "1", "--var-p", "1", "--config", "/nonexistent.cfg"], "--config"),
+        (["--var-x", "1", "--var-p", "1", "--seed", "3"], "--seed"),
+        (["--var-x", "1", "--var-p", "1", "--pairs", "-5"], "--pairs"),
+        (["--var-x", "1", "--var-p", "1", "--config", "/nonexistent.cfg", "--seed", "3",
+          "--pairs", "-5"], "--config"),
+        (["--fits", "a", "b", "c", "d", "--seed", "3"], "--seed"),
+        (["--fits", "a", "b", "c", "d", "--pairs", "1000"], "--pairs"),
+    ])
+    def test_unused_flags_rejected(self, capsys, monkeypatch, argv, named):
+        def no_setup(cfg):
+            raise AssertionError("flags must be checked before setup")
+
+        monkeypatch.setattr(cli, "build_setup", no_setup)
+        code, report, err = run_cli(["epr-check", *argv], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert named in err, err
+
 
 def test_report_shape(capsys):
     code, report, _ = run_cli(["qber", "table1.csv"], capsys)
@@ -473,21 +507,41 @@ def test_report_shape(capsys):
     assert report["command"] == "qber"
 
 
-def test_table_commands_do_not_load_scipy():
-    """qber, eve-predict and plain epr-check run without importing scipy.
+def test_table_commands_do_not_load_scipy(tmp_path):
+    """No command, and no default setup, imports scipy.
 
-    A subprocess, because pytest's warning filters import scipy here.
+    A subprocess, because pytest's warning filters import scipy here.  The
+    four same-basis scans save the reports that epr-check --fits reads.
     """
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("session.coincidences = 2000\nsession.estimation_pairs = 200\n")
+    scan = ["scan", "--grid", "0:3:0.1", "--pairs", "20000", "--seed", "5"]
+    fits = {f"A{b}{d}": str(tmp_path / f"A{b}{d}.json") for b in "xp" for d in (1, 2)}
+    commands = [
+        ["qber", "table1.csv"],
+        ["eve-predict", "table1.csv"],
+        ["epr-check"],
+        ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)],
+        [*scan, "--fixed", "Ax1", "--bases", "xp"],
+        *([*scan, "--fixed", fixed, "--bases", fixed[1] * 2, "--out", path]
+          for fixed, path in fits.items()),
+        ["epr-check", "--from-scans", "--pairs", "20000"],
+        ["epr-check", "--fits", *fits.values(), "--config", str(cfg)],
+    ]
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
+        "import eprqkd\n"
+        "eprqkd.default_setup()\n"
+        "assert 'scipy' not in sys.modules, 'default_setup'\n"
         "from eprqkd import cli\n"
-        "for argv in (['qber', 'table1.csv'], ['eve-predict', 'table1.csv'], ['epr-check']):\n"
+        "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "assert 'scipy' not in sys.modules\n"
+        "    assert 'scipy' not in sys.modules, argv\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, json.dumps(commands)],
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -3,20 +3,35 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.stats import multivariate_normal
 
-from eprqkd import protocol
+from eprqkd import detection, protocol
 from eprqkd.detection import (
     SlitDetector,
     StationConfig,
+    _cell_probability,
+    _rectangle,
+    _upper_orthant,
     _window_mass,
     coincidence_probability,
+    conversion_for,
+    derive_partner_centers,
     detected_variance,
     equalize_levels,
     slit_smearing_variance,
 )
-from eprqkd.source import PumpProfile, SourceModel, build_source, marginal_std, sample_pairs
+from eprqkd.source import (
+    PumpProfile,
+    SourceModel,
+    build_source,
+    calibrate_source,
+    channel_law,
+    marginal_std,
+    sample_pairs,
+)
 
 from conftest import make_station
 
@@ -216,6 +231,177 @@ class TestCoincidenceOracle:
                     include_attenuation=False,
                 )
                 assert abs(oracle - rect) < 5e-7
+
+
+def _norm_cdf(z):
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def quad_cell(source, basis, window_A, window_B):
+    """The adaptive-quadrature same-basis cell the closed form replaced.
+
+    B's conditional window mass given A's latent u, integrated over A's
+    window against A's marginal density.
+    """
+    b_lo, b_hi = window_B
+    std, slope, cond_std = (law["xp".index(basis)] for law in channel_law(source))
+
+    def integrand(u):
+        mu = slope * u
+        inner = _norm_cdf((b_hi - mu) / cond_std) - _norm_cdf((b_lo - mu) / cond_std)
+        return inner * math.exp(-0.5 * (u / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
+
+    value, err = quad(integrand, *window_A, epsabs=1e-13, epsrel=1e-12, limit=200)
+    assert err < 1e-11
+    return value
+
+
+def mvn_rectangle(h0, h1, k0, k1, rho):
+    mvn = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
+    return mvn.cdf([h1, k1]) - mvn.cdf([h0, k1]) - mvn.cdf([h1, k0]) + mvn.cdf([h0, k0])
+
+
+def ordered_pair(lo, hi):
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(sorted)
+
+
+class TestClosedFormOracle:
+    """Genz's bivariate-normal rectangle against scipy, used only as a reference."""
+
+    def test_default_cells_match_quadrature(self, raw_experiment):
+        source, alice, bob = raw_experiment
+        for basis in ("x", "p"):
+            for det_A in alice.detectors(basis):
+                for det_B in bob.detectors(basis):
+                    window_A = alice.latent_window(basis, det_A)
+                    window_B = bob.latent_window(basis, det_B)
+                    closed = _cell_probability(source, basis, basis, window_A, window_B)
+                    assert abs(closed - quad_cell(source, basis, window_A, window_B)) < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        widths=st.tuples(*(st.floats(0.05, 3.0) for _ in range(4))),
+        window_A=ordered_pair(-4.0, 4.0),
+        window_B=ordered_pair(-4.0, 4.0),
+        basis=st.sampled_from("xp"),
+    )
+    def test_drawn_cells_match_quadrature(self, widths, window_A, window_B, basis):
+        source = SourceModel(*widths, PUMP)
+        closed = _cell_probability(source, basis, basis, window_A, window_B)
+        assert abs(closed - quad_cell(source, basis, window_A, window_B)) < 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        h=ordered_pair(-6.0, 6.0),
+        k=ordered_pair(-6.0, 6.0),
+        rho=st.floats(-0.9999, 0.9999),
+    )
+    def test_rectangle_matches_bivariate_normal_cdf(self, h, k, rho):
+        assert abs(_rectangle(*h, *k, rho) - mvn_rectangle(*h, *k, rho)) < 1e-12
+
+    @pytest.mark.parametrize("h, k", [(-1.3, 0.4), (0.7, 0.2), (2.0, -2.5), (-0.5, -0.5)])
+    def test_orthant_limits(self, h, k):
+        # Independent and perfectly (anti)correlated pairs in closed form.
+        upper = _norm_cdf(-h) * _norm_cdf(-k)
+        assert abs(_upper_orthant(h, k, 0.0) - upper) < 1e-15
+        assert abs(_upper_orthant(h, k, 1.0) - _norm_cdf(-max(h, k))) < 1e-15
+        assert abs(_upper_orthant(h, k, -1.0) - max(_norm_cdf(-h) - _norm_cdf(k), 0.0)) < 1e-15
+
+
+def reference_centers(source, fixed, free, basis):
+    """minimize_scalar(xatol=1e-12) on -J/M, the objective the centers maximize.
+
+    A 201-point scan of the search range origin +- 6 marginal stds brackets
+    the peak first; the bounded search alone misses a peak much narrower
+    than that range.  The search variable is the offset from the best scan
+    point, so its tolerance does not grow with the center's magnitude.
+    """
+    span = 6.0 * marginal_std(source, basis) / conversion_for(free, basis)
+    grid = np.linspace(free.origin - span, free.origin + span, 201)
+    centers = []
+    for free_det, fixed_det in zip(free.detectors(basis), fixed.detectors(basis)):
+        fixed_window = fixed.latent_window(basis, fixed_det)
+
+        def neg_ratio(center, _det=free_det, _fixed=fixed_window):
+            window = free.latent_window(basis, dataclasses.replace(_det, center=center))
+            mass = _window_mass(source, basis, *window)
+            return -_cell_probability(source, basis, basis, window, _fixed) / mass
+
+        j = int(np.argmin([neg_ratio(c) for c in grid]))
+        best = grid[j]
+        bounds = (grid[max(j - 1, 0)] - best, grid[min(j + 1, grid.size - 1)] - best)
+        res = minimize_scalar(
+            lambda t: neg_ratio(best + t), bounds=bounds, method="bounded",
+            options={"xatol": 1e-12},
+        )
+        centers.append(best + res.x)
+    return centers
+
+
+@st.composite
+def partner_geometries(draw, first=(0.9, 1.1), origin=(1.5, 1.5)):
+    """B's station over the benchmark's ranges, and the default source calibrated on it."""
+    d1, sep = draw(st.floats(*first)), draw(st.floats(0.8, 1.2))
+    station = make_station(
+        O=200.0, I=draw(st.floats(70.0, 100.0)), f=150.0, k=330.0,
+        x_centers=(d1, d1 + sep), p_centers=(d1, d1 + sep),
+        x_width=draw(st.floats(0.1, 0.4)), p_width=draw(st.floats(0.2, 0.6)),
+        origin=draw(st.floats(*origin)),
+    )
+    source = calibrate_source(0.116, 0.894, station, station, 1.8, 3.7, PUMP)
+    return source, station
+
+
+class TestPartnerCenters:
+    @settings(max_examples=25, deadline=None)
+    @given(geometry=partner_geometries(), basis=st.sampled_from("xp"))
+    def test_match_bounded_search(self, geometry, basis):
+        source, station = geometry
+        centers = derive_partner_centers(source, station, station, basis)
+        reference = reference_centers(source, station, station, basis)
+        assert max(abs(c - r) for c, r in zip(centers, reference)) < 1e-7
+
+    def test_newton_steps_from_conditional_peak(self, raw_experiment, monkeypatch):
+        # Started at the conditional peak, Newton needs four joint masses per
+        # slit on the default geometry; a wrong derivative would leave the
+        # root to the bisection safeguard, dozens of steps.
+        source, _alice, bob = raw_experiment
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _rectangle(*args)
+
+        monkeypatch.setattr(detection, "_rectangle", counted)
+        for basis in ("x", "p"):
+            calls.clear()
+            derive_partner_centers(source, bob, bob, basis)
+            assert len(calls) <= 2 * 5, (basis, len(calls))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        geometry=partner_geometries(origin=(-0.5, 0.5)),
+        inside=st.floats(0.001, 0.05),
+    )
+    def test_peak_beyond_search_range(self, geometry, inside):
+        # B's second momentum slit is moved out until its partner's Newton
+        # start (the conditional peak) sits a drawn fraction of the span
+        # inside the low end of the search range.  Where the ratio still
+        # rises past that end, Newton steps out of the bracket, the
+        # bisection safeguard walks the center onto the end, and the bounded
+        # search agrees.
+        source, station = geometry
+        std, rho = (law[1] for law in channel_law(source)[:2])
+        span = 6.0 * std / conversion_for(station, "p")
+        slit = dataclasses.replace(
+            station.p_detectors[1], center=station.origin - rho * span * (1.0 - inside)
+        )
+        station = dataclasses.replace(station, p_detectors=(station.p_detectors[0], slit))
+        low_end = station.origin - span
+        reference = reference_centers(source, station, station, "p")
+        assume(abs(reference[1] - low_end) < 1e-9)
+        center = derive_partner_centers(source, station, station, "p")[1]
+        assert abs(center - low_end) < 1e-9
 
 
 class TestDetectedVariance:
