@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -30,6 +32,7 @@ FLAT_RATIO_BOUND = 1.3
 DUAN_BOUND = 0.25
 _MIN_POINTS = 5
 FIT_MAX_STEPS = 200
+_SCAN_CHUNK = 1 << 18
 
 
 class FitError(RuntimeError):
@@ -294,6 +297,14 @@ def duan_check(
     )
 
 
+def _scan_workers() -> int:
+    """Threads a scan may use: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def scan_simulation(
     source: SourceModel,
     station_A: StationConfig,
@@ -317,10 +328,21 @@ def scan_simulation(
     its marginal otherwise.  This is the law of sample_pairs followed by both
     window tests.  Attenuation filters are left out: scans model the bare
     alignment measurements taken before filters are installed.
+
+    Each grid point draws from its own child of rng (rng.spawn), in chunks
+    of _SCAN_CHUNK pairs, and the points run on a pool of threads (numpy's
+    generators and array operations release the interpreter lock, so the
+    threads share the cores).  The counts depend only on rng's seed and on
+    how many children it has spawned, not on the number of threads or the
+    order in which the points finish; each scan spawns fresh children, so
+    back-to-back scans on one rng draw distinct streams.
     """
     grid = list(grid)
     if len(grid) < _MIN_POINTS:
         raise ValueError(f"need at least {_MIN_POINTS} grid points")
+    for k, center in enumerate(grid):
+        if not math.isfinite(center):
+            raise ValueError(f"grid[{k}] must be finite, got {center}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     basis_A, basis_B = basis_pair
@@ -329,27 +351,42 @@ def scan_simulation(
             f"fixed detector {fixed_detector!r} does not match basis {basis_A!r}: "
             f"expected A{basis_A}1 or A{basis_A}2"
         )
+    if isinstance(pairs_per_point, bool) or not isinstance(pairs_per_point, numbers.Integral):
+        raise ValueError(f"pairs_per_point must be an integer, got {pairs_per_point!r}")
     if pairs_per_point <= 0:
         raise ValueError("pairs_per_point must be positive")
+    from concurrent.futures import ThreadPoolExecutor
 
     det_idx = int(fixed_detector[-1]) - 1
     slit_A = station_A.detectors(basis_A)[det_idx]
     a_lo, a_hi = station_A.latent_window(basis_A, slit_A)
     slit_B = station_B.detectors(basis_B)[0]
+    windows_B = [
+        station_B.latent_window(basis_B, replace(slit_B, center=center)) for center in grid
+    ]
     std, slope, cond_std = channel_law(source)
     i_A, i_B = basis_index(basis_A), basis_index(basis_B)
+    pairs, chunk = int(pairs_per_point), _SCAN_CHUNK
 
-    counts = []
-    for center in grid:
-        lat_A = rng.standard_normal(pairs_per_point) * std[i_A]
-        lat_A = lat_A[(lat_A >= a_lo) & (lat_A <= a_hi)]
-        noise = rng.standard_normal(lat_A.size)
-        if basis_A == basis_B:
-            lat_B = slope[i_A] * lat_A + cond_std[i_A] * noise
-        else:
-            lat_B = std[i_B] * noise
-        b_lo, b_hi = station_B.latent_window(basis_B, replace(slit_B, center=center))
-        counts.append(int(np.count_nonzero((lat_B >= b_lo) & (lat_B <= b_hi))))
+    def count(window_B: tuple[float, float], stream: np.random.Generator) -> int:
+        b_lo, b_hi = window_B
+        buffer = np.empty(min(chunk, pairs))
+        hits = 0
+        for start in range(0, pairs, chunk):
+            drawn = buffer[: min(chunk, pairs - start)]
+            stream.standard_normal(out=drawn)
+            drawn *= std[i_A]
+            lat_A = drawn[(drawn >= a_lo) & (drawn <= a_hi)]
+            noise = stream.standard_normal(lat_A.size)
+            if basis_A == basis_B:
+                lat_B = slope[i_A] * lat_A + cond_std[i_A] * noise
+            else:
+                lat_B = std[i_B] * noise
+            hits += int(np.count_nonzero((lat_B >= b_lo) & (lat_B <= b_hi)))
+        return hits
+
+    with ThreadPoolExecutor(max_workers=min(_scan_workers(), len(grid))) as pool:
+        counts = list(pool.map(count, windows_B, rng.spawn(len(grid))))
 
     return ScanData(
         positions=tuple(float(g) for g in grid),

@@ -392,6 +392,17 @@ def _check_pairs(pairs: int) -> None:
         raise ConfigError(f"--pairs must be positive, got {pairs}")
 
 
+def _check_out_path(flag: str, path: str | None) -> None:
+    """Reject an output path in a missing directory or naming a directory, before setup."""
+    if path is None:
+        return
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise ConfigError(f"{flag}: directory {str(target.parent)!r} does not exist")
+    if target.is_dir():
+        raise ConfigError(f"{flag}: {path!r} is a directory")
+
+
 def cmd_scan(args) -> tuple[int, dict]:
     started = time.perf_counter()
     if len(args.bases) != 2 or any(b not in "xp" for b in args.bases):
@@ -405,6 +416,8 @@ def cmd_scan(args) -> tuple[int, dict]:
         )
     grid = _parse_grid(args.grid)
     _check_pairs(args.pairs)
+    _check_out_path("--out-csv", args.out_csv)
+    _check_out_path("--out", args.out)
     cfg = parse_config_file(args.config)
     seed = resolve_seed(args.seed, cfg)
     src, alice, bob = build_setup(cfg)
@@ -519,6 +532,7 @@ def _check_epr_flags(args) -> None:
 def cmd_epr_check(args) -> tuple[int, dict]:
     started = time.perf_counter()
     _check_epr_flags(args)
+    _check_out_path("--out", args.out)
     note = None
     labeled = False
     if args.fits:

@@ -22,6 +22,8 @@ from eprqkd.analysis import (
 from eprqkd.detection import coincidence_probability, conversion_for
 from eprqkd.source import sample_pairs
 
+from conftest import make_station
+
 
 def synthetic_scan(amplitude, center, sigma, offset, n_points=21, span=3.0, rng=None):
     x = np.linspace(center - span * sigma, center + span * sigma, n_points)
@@ -373,6 +375,66 @@ class TestScanSimulation:
                     np.arange(0.0, 1.01, 0.2), 100, rng,
                 )
 
+    @pytest.mark.parametrize("pairs", [1.5, 100.0, True, "100", None])
+    def test_pairs_per_point_must_be_integer(self, default_experiment, pairs):
+        source, alice, bob = default_experiment
+        with pytest.raises(ValueError, match="pairs_per_point must be an integer"):
+            scan_simulation(
+                source, alice, bob, "Ax1", ("x", "x"), np.arange(0.0, 1.01, 0.2), pairs,
+                _NoDraws(),
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_named_before_any_draw(self, default_experiment, bad):
+        source, alice, bob = default_experiment
+        grid = [0.0, 0.2, 0.4, bad, 0.8, 1.0]
+        with pytest.raises(ValueError, match=re.escape(f"grid[3] must be finite, got {bad}")):
+            scan_simulation(source, alice, bob, "Ax1", ("x", "x"), grid, 100, _NoDraws())
+
+    @pytest.mark.parametrize("fixed, pair", [("Ax1", ("x", "x")), ("Ax2", ("x", "p"))])
+    def test_counts_do_not_depend_on_worker_count(self, default_experiment, monkeypatch, fixed, pair):
+        source, alice, bob = default_experiment
+        grid = np.arange(0.5, 2.5001, 0.25)
+        scans = []
+        for workers in (1, 3):
+            monkeypatch.setattr(analysis, "_scan_workers", lambda: workers)
+            scans.append(scan_simulation(
+                source, alice, bob, fixed, pair, grid, 50_000, np.random.default_rng(5)
+            ))
+        assert scans[0] == scans[1]
+
+    def test_back_to_back_scans_draw_distinct_streams(self, default_experiment):
+        source, alice, bob = default_experiment
+        rng = np.random.default_rng(5)
+        grid = np.arange(0.5, 2.5001, 0.25)
+        first, second = (
+            scan_simulation(source, alice, bob, "Ax1", ("x", "x"), grid, 50_000, rng)
+            for _ in range(2)
+        )
+        assert first.counts != second.counts
+
+    @pytest.mark.parametrize("pairs", [999, 1000, 1001, 2007])
+    def test_every_pair_drawn_once_across_chunks(self, default_experiment, monkeypatch, pairs):
+        """Windows that accept every pair count pairs_per_point exactly."""
+        monkeypatch.setattr(analysis, "_SCAN_CHUNK", 1000)
+        source = default_experiment[0]
+        wide = make_station(
+            x_centers=(0.0, 1e7), p_centers=(0.0, 1e7), x_width=1e6, p_width=1e6
+        )
+        for fixed, pair in (("Ax1", ("x", "x")), ("Ap1", ("p", "x"))):
+            scan = scan_simulation(
+                source, wide, wide, fixed, pair, np.arange(0.0, 1.01, 0.2), pairs,
+                np.random.default_rng(9),
+            )
+            assert scan.counts == (pairs,) * 6
+
+
+class _NoDraws:
+    """A generator stand-in that fails on any use: input checks come first."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"scan_simulation used rng.{name} before rejecting its input")
+
 
 def _reference_scan(source, alice, bob, fixed, pair, grid, n, rng):
     """Scan counts from the full pair sampler with this file's own windows.
@@ -433,6 +495,12 @@ def test_scan_law_matches_full_pair_sampler(default_experiment, fixed, pair):
         stat += float(np.sum((fast - ref)[occupied] ** 2 / (fast + ref)[occupied]))
         dof += int(occupied.sum())
     assert stat < chi2.ppf(0.999, dof), (stat, dof)
+
+
+def test_scan_law_holds_across_chunks(default_experiment, monkeypatch):
+    """The xx law test with 1000-pair chunks: 100 chunks per grid point."""
+    monkeypatch.setattr(analysis, "_SCAN_CHUNK", 1000)
+    test_scan_law_matches_full_pair_sampler(default_experiment, "Ax1", ("x", "x"))
 
 
 class TestScanCsv:

@@ -333,6 +333,25 @@ class TestScanCommand:
         assert report is None
         assert "--pairs" in err
 
+    @pytest.mark.parametrize("command, flag", [
+        (["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", "0:3:0.1"], "--out-csv"),
+        (["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", "0:3:0.1"], "--out"),
+        (["epr-check", "--from-scans"], "--out"),
+    ])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_rejected_before_setup(
+        self, capsys, monkeypatch, tmp_path, command, flag, where
+    ):
+        def no_setup(cfg):
+            raise AssertionError(f"{flag} must be checked before setup")
+
+        monkeypatch.setattr(cli, "build_setup", no_setup)
+        path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        code, report, err = run_cli(command + [flag, str(path)], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err.startswith(f"error: {flag}:")
+
     def test_same_seed_same_outputs(self, capsys, tmp_path):
         outputs = []
         for run in ("a", "b"):
