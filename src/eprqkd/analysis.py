@@ -19,14 +19,13 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .detection import StationConfig, basis_index
-from .source import SourceModel, channel_law
+from .source import SourceModel, channel_law, worker_threads
 
 FLAT_RATIO_BOUND = 1.3
 DUAN_BOUND = 0.25
@@ -297,14 +296,6 @@ def duan_check(
     )
 
 
-def _scan_workers() -> int:
-    """Threads a scan may use: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def scan_simulation(
     source: SourceModel,
     station_A: StationConfig,
@@ -385,7 +376,7 @@ def scan_simulation(
             hits += int(np.count_nonzero((lat_B >= b_lo) & (lat_B <= b_hi)))
         return hits
 
-    with ThreadPoolExecutor(max_workers=min(_scan_workers(), len(grid))) as pool:
+    with ThreadPoolExecutor(max_workers=min(worker_threads(), len(grid))) as pool:
         counts = list(pool.map(count, windows_B, rng.spawn(len(grid))))
 
     return ScanData(

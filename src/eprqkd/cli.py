@@ -254,6 +254,17 @@ def atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _check_out_path(flag: str, path: str | None) -> None:
+    """Reject an output path in a missing directory or naming a directory, before setup."""
+    if not path:
+        return
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise ConfigError(f"{flag}: directory {str(target.parent)!r} does not exist")
+    if target.is_dir():
+        raise ConfigError(f"{flag}: {path!r} is a directory")
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -300,6 +311,7 @@ def _qber_results(report: protocol.QberReport) -> dict:
 
 def cmd_qber(args) -> tuple[int, dict]:
     started = time.perf_counter()
+    _check_out_path("--out", args.out)
     path = resolve_table_path(args.table)
     verify_checksum(path, args.no_verify)
     table = protocol.CoincidenceTable.load_csv(path)
@@ -313,6 +325,7 @@ def cmd_qber(args) -> tuple[int, dict]:
 
 def cmd_eve_predict(args) -> tuple[int, dict]:
     started = time.perf_counter()
+    _check_out_path("--out", args.out)
     path = resolve_table_path(args.table)
     verify_checksum(path, args.no_verify)
     table = protocol.CoincidenceTable.load_csv(path)
@@ -331,9 +344,9 @@ def cmd_eve_predict(args) -> tuple[int, dict]:
 
 def cmd_simulate(args) -> tuple[int, dict]:
     started = time.perf_counter()
+    _check_out_path("--out", args.out)
     cfg = parse_config_file(args.config)
     seed = resolve_seed(args.seed, cfg)
-    src, alice, bob = build_setup(cfg)
     attack = build_attack(cfg)
     session = protocol.SessionConfig(
         n_coincidences=_as_int(cfg, "session.coincidences"),
@@ -343,6 +356,7 @@ def cmd_simulate(args) -> tuple[int, dict]:
         max_emitted=_as_int(cfg, "session.max_emitted")
         if cfg["session.max_emitted"] else None,
     )
+    src, alice, bob = build_setup(cfg)
     result = protocol.run_session(src, alice, bob, session, attack=attack)
 
     out_dir = Path(args.out_dir)
@@ -390,17 +404,6 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _check_pairs(pairs: int) -> None:
     if pairs <= 0:
         raise ConfigError(f"--pairs must be positive, got {pairs}")
-
-
-def _check_out_path(flag: str, path: str | None) -> None:
-    """Reject an output path in a missing directory or naming a directory, before setup."""
-    if path is None:
-        return
-    target = Path(path)
-    if not target.parent.is_dir():
-        raise ConfigError(f"{flag}: directory {str(target.parent)!r} does not exist")
-    if target.is_dir():
-        raise ConfigError(f"{flag}: {path!r} is a directory")
 
 
 def cmd_scan(args) -> tuple[int, dict]:

@@ -19,17 +19,21 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import AttackConfig, resolve_attack
 from .detection import StationConfig, basis_index
-from .source import SourceModel, channel_law
+from .source import SourceModel, channel_law, worker_threads
 
 ALICE_LABELS = ("Ax1", "Ax2", "Ap1", "Ap2")
 BOB_LABELS = ("Bx1", "Bx2", "Bp1", "Bp2")
 DEFAULT_QBER_THRESHOLD = 0.15
+_BATCH = 1 << 18  # pairs per emission batch
 
 
 class ProtocolError(RuntimeError):
@@ -47,6 +51,14 @@ class SessionConfig:
     max_emitted: int | None = None  # default guard: 10^4 * N emitted pairs
 
     def __post_init__(self):
+        for name in ("n_coincidences", "m_estimation", "rng_seed", "max_emitted"):
+            value = getattr(self, name)
+            if name == "max_emitted" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.n_coincidences <= 0:
             raise ValueError("n_coincidences must be positive")
         if not 0 < self.m_estimation < self.n_coincidences / 2:
@@ -272,48 +284,73 @@ def _coincidences(
     n_pairs: int,
     batch: int,
 ):
-    """Emit n_pairs pairs in batches of at most `batch`, A's photon first.
+    """Emit n_pairs pairs in batches of `batch` (the last one shorter), A's photon first.
 
-    Each pair draws both basis coins and A's latent coordinate in her basis.
-    Only the pairs on which A clicks draw the photon on B's channel, read in
-    B's basis or, under interception, in the interceptor's: from its
-    Gaussian law given A's latent when that basis is A's, from its marginal
-    otherwise (position and momentum are independent).  This is the law of
-    sample_pairs followed by both readouts, at one normal per emitted pair.
+    Each pair draws A's basis coin and her latent coordinate in that basis.
+    Only the pairs on which A clicks draw B's basis coin and the photon on
+    B's channel, read in B's basis or, under interception, in the
+    interceptor's: from its Gaussian law given A's latent when that basis is
+    A's, from its marginal otherwise (position and momentum are
+    independent).  B's coin is independent of everything else, so drawing it
+    only where it is read leaves the law of sample_pairs followed by both
+    readouts unchanged.
+
+    Each batch draws from its own child of rng (rng.spawn), taken in batch
+    order on the calling thread, and up to source.worker_threads() batches
+    run at once on a pool of threads (numpy's generators and array
+    operations release the interpreter lock).  Batches are yielded in order,
+    so the output depends only on rng's seed and on how many children it has
+    spawned, not on the number of threads or on which batch finishes first.
+    Closing the generator cancels the batches not yet started and waits for
+    the running ones, so no pool thread outlives it.
 
     Yields (n, pos, bas_A, bas_B, det_A, det_B) per batch: the n pairs
     emitted, the in-batch positions of its coincidences in increasing order,
     and their basis choices (0 = x, 1 = p) and detector indices (0 / 1).
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if attack is not None:
         attack = resolve_attack(attack, station_B)
         if attack.basis_policy == "none":
             attack = None
     std, slope, cond_std = map(np.array, channel_law(source))
     readout_A, readout_B = _Readout(station_A), _Readout(station_B)
-    remaining = n_pairs
-    while remaining > 0:
-        n = int(min(batch, remaining))
-        remaining -= n
-        bas_A = rng.integers(0, 2, size=n, dtype=np.int8)
-        bas_B = rng.integers(0, 2, size=n, dtype=np.int8)
-        lat_A = rng.standard_normal(n) * std[bas_A]
-        det_A = readout_A.clicks(lat_A, bas_A, rng)
+
+    def emit(n: int, stream: np.random.Generator):
+        bas_A = stream.integers(0, 2, size=n, dtype=np.int8)
+        lat_A = stream.standard_normal(n)
+        lat_A *= std[bas_A]
+        det_A = readout_A.clicks(lat_A, bas_A, stream)
 
         pos = np.flatnonzero(det_A >= 0)
-        bas_A, bas_B, lat_A, det_A = bas_A[pos], bas_B[pos], lat_A[pos], det_A[pos]
-        bas_ch = bas_B if attack is None else _eve_bases(attack, pos.size, rng)
+        bas_A, lat_A, det_A = bas_A[pos], lat_A[pos], det_A[pos]
+        bas_B = stream.integers(0, 2, size=pos.size, dtype=np.int8)
+        bas_ch = bas_B if attack is None else _eve_bases(attack, pos.size, stream)
         same = bas_ch == bas_A
         lat_ch = np.where(same, slope[bas_A] * lat_A, 0.0) + np.where(
             same, cond_std[bas_A], std[bas_ch]
-        ) * rng.standard_normal(pos.size)
+        ) * stream.standard_normal(pos.size)
         if attack is None:
-            det_B = readout_B.clicks(lat_ch, bas_B, rng)
+            det_B = readout_B.clicks(lat_ch, bas_B, stream)
         else:
-            det_B = _intercepted_bob_clicks(lat_ch, bas_ch, bas_B, attack, rng)
+            det_B = _intercepted_bob_clicks(lat_ch, bas_ch, bas_B, attack, stream)
 
         hit = det_B >= 0
-        yield n, pos[hit], bas_A[hit], bas_B[hit], det_A[hit], det_B[hit]
+        return n, pos[hit], bas_A[hit], bas_B[hit], det_A[hit], det_B[hit]
+
+    workers = worker_threads()
+    pool = ThreadPoolExecutor(max_workers=workers)
+    running = deque()
+    try:
+        for start in range(0, n_pairs, batch):
+            running.append(pool.submit(emit, min(batch, n_pairs - start), rng.spawn(1)[0]))
+            if len(running) == workers:
+                yield running.popleft().result()
+        while running:
+            yield running.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _cell_counts(bas_A, bas_B, det_A, det_B) -> np.ndarray:
@@ -341,31 +378,39 @@ def run_session(
     intercept-resend attack transforms B's photon before detection.  The
     same-basis events are sifted, m of them are sampled without replacement
     for error estimation and removed from the key, and the abort flag is set
-    when the estimate exceeds the threshold.  Deterministic for a fixed seed.
+    when the estimate exceeds the threshold.
+
+    Emission runs in fixed-size batches of 2^18 pairs (at most 8 N, at least
+    4096), each on its own child stream, on a pool of threads
+    (_coincidences); batches are consumed in order up to the N-th
+    coincidence and any batch run ahead past it is discarded, so
+    emitted_pairs counts the pairs up to and including that coincidence.
+    The result depends only on the seed, not on the number of threads.
     """
     rng = np.random.default_rng(session.rng_seed)
     n_target = session.n_coincidences
-    batch = max(4096, min(1_000_000, n_target * 8))
+    batch = max(4096, min(_BATCH, n_target * 8))
     chunks = []
     collected = 0
     emitted = 0
-    for n, pos, *cells in _coincidences(
+    with closing(_coincidences(
         source, station_A, station_B, attack, rng, session.emitted_guard, batch
-    ):
-        need = n_target - collected
-        if pos.size >= need:
-            # Count emissions up to and including the N-th coincidence only.
-            emitted += int(pos[need - 1]) + 1
-            chunks.append([c[:need] for c in cells])
-            break
-        emitted += n
-        collected += pos.size
-        chunks.append(cells)
-    else:
-        raise ProtocolError(
-            f"emitted {emitted} pairs but collected only {collected} of "
-            f"{n_target} coincidences; coincidence rate is pathologically low"
-        )
+    )) as batches:
+        for n, pos, *cells in batches:
+            need = n_target - collected
+            if pos.size >= need:
+                # Count emissions up to and including the N-th coincidence only.
+                emitted += int(pos[need - 1]) + 1
+                chunks.append([c[:need] for c in cells])
+                break
+            emitted += n
+            collected += pos.size
+            chunks.append(cells)
+        else:
+            raise ProtocolError(
+                f"emitted {emitted} pairs but collected only {collected} of "
+                f"{n_target} coincidences; coincidence rate is pathologically low"
+            )
     bas_A, bas_B, det_A, det_B = (np.concatenate(c) for c in zip(*chunks))
     table = CoincidenceTable(_cell_counts(bas_A, bas_B, det_A, det_B))
 
@@ -424,13 +469,18 @@ def tally_coincidences(
 
     Both sides choose bases with fair coins; non-coincidences are dropped.
     This is the Monte Carlo side of the oracle-equivalence check: cell
-    (i, j) accumulates with probability P(cell) / 4.
+    (i, j) accumulates with probability P(cell) / 4.  Batches of 2^18 pairs
+    run on threads, each on its own child of rng (_coincidences), so the
+    table depends only on rng's seed and how many children it has spawned.
     """
+    if isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Integral) or n_pairs < 0:
+        raise ValueError(f"n_pairs must be a non-negative integer, got {n_pairs!r}")
     counts = np.zeros((4, 4), dtype=np.int64)
-    for _, _, *cells in _coincidences(
-        source, station_A, station_B, attack, rng, n_pairs, 1_000_000
-    ):
-        counts += _cell_counts(*cells)
+    with closing(_coincidences(
+        source, station_A, station_B, attack, rng, n_pairs, _BATCH
+    )) as batches:
+        for _, _, *cells in batches:
+            counts += _cell_counts(*cells)
     return CoincidenceTable(counts)
 
 

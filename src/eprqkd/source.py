@@ -25,6 +25,7 @@ pair reproduces the detection statistics of all four basis pairings at once.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -238,3 +239,11 @@ def calibrate_source(
         kappa_plus=kappa_plus,
         pump=pump,
     )
+
+
+def worker_threads() -> int:
+    """Threads a Monte Carlo loop may use: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1

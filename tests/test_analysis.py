@@ -397,7 +397,7 @@ class TestScanSimulation:
         grid = np.arange(0.5, 2.5001, 0.25)
         scans = []
         for workers in (1, 3):
-            monkeypatch.setattr(analysis, "_scan_workers", lambda: workers)
+            monkeypatch.setattr(analysis, "worker_threads", lambda: workers)
             scans.append(scan_simulation(
                 source, alice, bob, fixed, pair, grid, 50_000, np.random.default_rng(5)
             ))

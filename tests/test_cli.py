@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from eprqkd import analysis, cli
+from eprqkd import analysis, cli, protocol
 
 
 def run_cli(argv, capsys):
@@ -101,6 +101,20 @@ class TestEvePredictCommand:
         assert code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", [["qber", "table1.csv"], ["eve-predict", "table1.csv"]])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_table_command_rejects_unwritable_out(capsys, tmp_path, command, where):
+    target = tmp_path / "out"
+    target.mkdir()
+    path = target / "missing" / "r.json" if where == "missing-dir" else target
+    code, report, err = run_cli(command + ["--out", str(path)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert report is None
+    assert err.startswith("error: --out:")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list(target.iterdir()) == []
+
+
 class TestSimulateCommand:
     def test_default_session_continues(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -163,6 +177,28 @@ class TestSimulateCommand:
             )
             results.append(report["results"])
         assert results[0] == results[1]
+
+    def test_outputs_do_not_depend_on_worker_count(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("session.coincidences = 5000\nsession.estimation_pairs = 500\n")
+        outputs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(protocol, "worker_threads", lambda: workers)
+            out_dir = tmp_path / f"w{workers}"
+            code, _, _ = run_cli(
+                ["simulate", "--config", str(cfg), "--seed", "7",
+                 "--out-dir", str(out_dir), "--out", str(tmp_path / f"w{workers}.json")],
+                capsys,
+            )
+            assert code == 0
+            report = json.loads((tmp_path / f"w{workers}.json").read_text())
+            report.pop("duration_s")
+            files = {p.name: p.read_text() for p in sorted(out_dir.iterdir())}
+            for key in ("alice_key_path", "bob_key_path", "table_path"):
+                report["results"].pop(key)
+            outputs.append((report, files))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == 3
 
     def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -337,6 +373,7 @@ class TestScanCommand:
         (["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", "0:3:0.1"], "--out-csv"),
         (["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", "0:3:0.1"], "--out"),
         (["epr-check", "--from-scans"], "--out"),
+        (["simulate"], "--out"),
     ])
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_output_rejected_before_setup(

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 from fractions import Fraction
 from importlib import resources
 
@@ -230,6 +232,34 @@ class TestSessionConfigValidation:
         with pytest.raises(ValueError, match="max_emitted"):
             SessionConfig(n_coincidences=100, m_estimation=10, max_emitted=guard)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_coincidences", 1e5),
+        ("n_coincidences", True),
+        ("m_estimation", 10.0),
+        ("m_estimation", True),
+        ("max_emitted", 2.5),
+        ("max_emitted", True),
+        ("rng_seed", 1.5),
+        ("rng_seed", "3"),
+        ("rng_seed", False),
+    ])
+    def test_non_integer_field_named(self, field, value):
+        kwargs = dict(n_coincidences=100, m_estimation=10)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SessionConfig(**kwargs)
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="rng_seed must be non-negative"):
+            SessionConfig(n_coincidences=100, m_estimation=10, rng_seed=-1)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SessionConfig(
+            n_coincidences=np.int64(100), m_estimation=np.int32(10),
+            rng_seed=np.uint64(3), max_emitted=np.int64(10_000),
+        )
+        assert cfg.emitted_guard == 10_000
+
 
 class TestRunSession:
     def test_degenerate_source_gives_zero_x_errors(self):
@@ -350,6 +380,129 @@ class TestRunSession:
         )
         assert plain.table == none_attack.table
         assert plain.sifted_bits_A == none_attack.sifted_bits_A
+
+
+def _wide_station():
+    """A station whose detector-0 slits accept every latent coordinate."""
+    return make_station(x_centers=(0.0, 1e7), p_centers=(0.0, 1e7), x_width=1e6, p_width=1e6)
+
+
+_ATTACKS = pytest.mark.parametrize(
+    "attack", [None, AttackConfig(basis_policy="uniform_random")], ids=["clean", "attacked"]
+)
+
+
+class TestBatchedEmission:
+    """Batches run on threads, each on its own child stream, consumed in order."""
+
+    @_ATTACKS
+    def test_session_does_not_depend_on_worker_count(self, default_experiment, monkeypatch, attack):
+        # N = 5000 gives batches of 40,000 pairs and about five of them, so
+        # several are in flight and the session stops inside one.
+        source, alice, bob = default_experiment
+        cfg = SessionConfig(n_coincidences=5000, m_estimation=500, rng_seed=19)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(protocol, "worker_threads", lambda: workers)
+            results.append(run_session(source, alice, bob, cfg, attack=attack))
+        for result in results[1:]:
+            assert result.sifted_bits_A == results[0].sifted_bits_A
+            assert result.sifted_bits_B == results[0].sifted_bits_B
+            assert result.table == results[0].table
+            assert result.emitted_pairs == results[0].emitted_pairs
+            assert result == results[0]
+
+    @_ATTACKS
+    def test_tally_does_not_depend_on_worker_count(self, default_experiment, monkeypatch, attack):
+        # More threads than cores, switching every microsecond: a batch that
+        # read another's stream or landed out of order would change the table.
+        source, alice, bob = default_experiment
+        tables = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 3):
+                monkeypatch.setattr(protocol, "worker_threads", lambda: workers)
+                tables.append(tally_coincidences(
+                    source, alice, bob, 600_000, np.random.default_rng(7), attack=attack
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("n_pairs", [1e5, True, -1])
+    def test_tally_rejects_bad_pair_count(self, default_experiment, n_pairs):
+        source, alice, bob = default_experiment
+        with pytest.raises(ValueError, match="n_pairs must be a non-negative integer"):
+            tally_coincidences(source, alice, bob, n_pairs, np.random.default_rng(0))
+
+    def test_back_to_back_tallies_draw_distinct_streams(self, default_experiment):
+        source, alice, bob = default_experiment
+        rng = np.random.default_rng(5)
+        first, second = (tally_coincidences(source, alice, bob, 300_000, rng) for _ in range(2))
+        assert first != second
+
+    @pytest.mark.parametrize("n_pairs", [999, 1000, 1001, 2007])
+    def test_every_pair_emitted_once_across_batches(self, default_experiment, monkeypatch, n_pairs):
+        """Windows that accept every pair tally n_pairs coincidences exactly."""
+        monkeypatch.setattr(protocol, "_BATCH", 1000)
+        monkeypatch.setattr(protocol, "worker_threads", lambda: 3)
+        wide = _wide_station()
+        table = tally_coincidences(
+            default_experiment[0], wide, wide, n_pairs, np.random.default_rng(9)
+        )
+        assert table.total() == n_pairs
+
+    def test_session_counts_emissions_to_the_last_coincidence(self, default_experiment, monkeypatch):
+        # Every pair is a coincidence, so the session stops at pair N exactly
+        # although later batches were already running.
+        monkeypatch.setattr(protocol, "worker_threads", lambda: 3)
+        wide = _wide_station()
+        cfg = SessionConfig(n_coincidences=5001, m_estimation=500, rng_seed=4)
+        result = run_session(default_experiment[0], wide, wide, cfg)
+        assert result.emitted_pairs == cfg.n_coincidences
+        assert result.table.total() == cfg.n_coincidences
+
+    def test_guard_counts_every_emitted_pair(self, default_experiment, monkeypatch):
+        # The guard is not a multiple of the 8,000-pair batch: the batches
+        # still sum to it exactly before the session gives up.
+        monkeypatch.setattr(protocol, "worker_threads", lambda: 3)
+        source, alice, _ = default_experiment
+        far = make_station(x_centers=(1000.0, 1002.0), p_centers=(1000.0, 1002.0))
+        cfg = SessionConfig(
+            n_coincidences=1000, m_estimation=100, rng_seed=1, max_emitted=50_001
+        )
+        threads = threading.active_count()
+        with pytest.raises(ProtocolError, match="emitted 50001 pairs but collected only 0"):
+            run_session(source, alice, far, cfg)
+        assert threading.active_count() == threads
+
+    def test_no_pool_thread_outlives_an_early_stop(self, default_experiment, monkeypatch):
+        monkeypatch.setattr(protocol, "worker_threads", lambda: 3)
+        source, alice, bob = default_experiment
+        threads = threading.active_count()
+        cfg = SessionConfig(n_coincidences=2000, m_estimation=200, rng_seed=3)
+        result = run_session(source, alice, bob, cfg)
+        assert result.emitted_pairs < cfg.emitted_guard
+        assert threading.active_count() == threads
+        tally_coincidences(source, alice, bob, 100_000, np.random.default_rng(3))
+        assert threading.active_count() == threads
+
+    def test_no_pool_thread_outlives_a_failed_sift(self, monkeypatch):
+        # A reads only x and B only p, so every coincidence is sifted away and
+        # the session raises after stopping early.  `failure` holds the
+        # traceback and with it the session's frame, so only an explicit close
+        # ends the emission loop before the assertion.
+        monkeypatch.setattr(protocol, "worker_threads", lambda: 3)
+        alice = make_station(x_centers=(-0.2, 0.2), p_centers=(1000.0, 1002.0))
+        bob = make_station(x_centers=(1000.0, 1002.0), p_centers=(-0.3, 0.3))
+        source = build_source(1.0, 1.0, 1.0, 1.0, PumpProfile(2.0))
+        threads = threading.active_count()
+        cfg = SessionConfig(n_coincidences=2000, m_estimation=200, rng_seed=3)
+        with pytest.raises(ProtocolError, match="only 0 sifted pairs") as failure:
+            run_session(source, alice, bob, cfg)
+        assert "cannot sacrifice 200" in str(failure.value)
+        assert threading.active_count() == threads
 
 
 def _reference_table(source, alice, bob, n, rng, intercept):
