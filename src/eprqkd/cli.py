@@ -11,8 +11,9 @@ Subcommands:
 Every command prints a JSON report and is bit-reproducible for a fixed seed.
 Runs are configured by a flat key-value file with dotted section names
 (``source.sigma_plus_mm = 1.8``); any key omitted falls back to the bundled
-default experiment.  The environment variable EPRQKD_SEED overrides the
-default seed when neither the command line nor the config file set one.
+default experiment, the one config table in ``eprqkd.defaults``.  The
+environment variable EPRQKD_SEED overrides the default seed when neither the
+command line nor the config file set one.
 
 Exit codes: 0 success, 2 validation error, 3 runtime/convergence error,
 4 session aborted on an eavesdropping alarm (simulate only).
@@ -32,8 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, defaults, detection, protocol, source as source_mod
-from .adversary import AttackConfig
+from . import analysis, defaults, detection, protocol
+from .adversary import BASIS_POLICIES, AttackConfig
+from .defaults import ConfigError, _as_float, _as_int, build_setup, parse_config_file
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -45,10 +47,6 @@ DEFAULT_SEED = 42
 FROM_SCANS_PAIRS = 200_000
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class FixtureError(ValueError):
     pass
 
@@ -57,138 +55,16 @@ class FixtureError(ValueError):
 # Config handling
 # ---------------------------------------------------------------------------
 
-_CONFIG_DEFAULTS = {
-    "source.calibrate": "true",
-    "source.target_var_x_mm2": repr(defaults.TARGET_VAR_X_MM2),
-    "source.target_var_p_hbar2_mm2": repr(defaults.TARGET_VAR_P_HBAR2_MM2),
-    "source.sigma_minus_mm": "",  # used when calibrate = false
-    "source.kappa_minus_per_mm": "",
-    "source.sigma_plus_mm": repr(defaults.SIGMA_PLUS_MM),
-    "source.kappa_plus_per_mm": repr(defaults.KAPPA_PLUS_PER_MM),
-    "source.pump_waist_mm": repr(defaults.PUMP_WAIST_MM),
-    "station.object_distance_mm": repr(defaults.OBJECT_DISTANCE_MM),
-    "station.image_distance_mm": repr(defaults.IMAGE_DISTANCE_MM),
-    "station.focal_length_mm": repr(defaults.FOCAL_LENGTH_MM),
-    "station.wavenumber_per_mm": repr(defaults.WAVENUMBER_PER_MM),
-    "station.origin_mm": repr(defaults.STAGE_ORIGIN_MM),
-    "station.x_slit_width_mm": repr(defaults.X_SLIT_WIDTH_MM),
-    "station.p_slit_width_mm": repr(defaults.P_SLIT_WIDTH_MM),
-    "station.detector1_mm": repr(defaults.DETECTOR_1_MM),
-    "station.detector2_mm": repr(defaults.DETECTOR_2_MM),
-    "station.equalize": "true",
-    "session.coincidences": "100000",
-    "session.estimation_pairs": "10000",
-    "session.qber_threshold": repr(defaults.QBER_THRESHOLD),
-    "session.max_emitted": "",  # pair-emission guard; default 10^4 * N
-    "session.seed": "",
-    "attack.policy": "none",
-    "attack.p_same": "1.0",
-    "attack.p_cross_1": "0.5",
-    "attack.p_cross_2": "0.5",
-    "output.alice_key": "alice_key.txt",
-    "output.bob_key": "bob_key.txt",
-    "output.table": "session_table.csv",
-}
-
-
-def parse_config_file(path: str | None) -> dict[str, str]:
-    """Flat ``key = value`` lines with # comments; unknown keys are rejected."""
-    cfg = dict(_CONFIG_DEFAULTS)
-    if path is None:
-        return cfg
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in cfg:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        cfg[key] = value
-    return cfg
-
 
 def config_hash(cfg: dict[str, str]) -> str:
     canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _as_float(cfg, key) -> float:
-    try:
-        value = float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key} must be a number, got {cfg[key]!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"config key {key} must be finite, got {cfg[key]!r}")
-    return value
-
-
-def _as_int(cfg, key) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key} must be an integer, got {cfg[key]!r}") from exc
-
-
-def _as_bool(cfg, key) -> bool:
-    value = cfg[key].lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"config key {key} must be true/false, got {cfg[key]!r}")
-
-
-def build_setup(cfg: dict[str, str]):
-    """Source plus both stations from a parsed config."""
-    def slits(width_key):
-        width = _as_float(cfg, width_key)
-        return (
-            detection.SlitDetector(_as_float(cfg, "station.detector1_mm"), width, 0),
-            detection.SlitDetector(_as_float(cfg, "station.detector2_mm"), width, 1),
-        )
-
-    bob = detection.StationConfig(
-        object_distance=_as_float(cfg, "station.object_distance_mm"),
-        image_distance=_as_float(cfg, "station.image_distance_mm"),
-        focal_length=_as_float(cfg, "station.focal_length_mm"),
-        wavenumber=_as_float(cfg, "station.wavenumber_per_mm"),
-        x_detectors=slits("station.x_slit_width_mm"),
-        p_detectors=slits("station.p_slit_width_mm"),
-        origin=_as_float(cfg, "station.origin_mm"),
-    )
-
-    pump = source_mod.PumpProfile(_as_float(cfg, "source.pump_waist_mm"))
-    if _as_bool(cfg, "source.calibrate"):
-        src = source_mod.calibrate_source(
-            _as_float(cfg, "source.target_var_x_mm2"),
-            _as_float(cfg, "source.target_var_p_hbar2_mm2"),
-            bob,
-            bob,
-            sigma_plus=_as_float(cfg, "source.sigma_plus_mm"),
-            kappa_plus=_as_float(cfg, "source.kappa_plus_per_mm"),
-            pump=pump,
-        )
-    else:
-        if not cfg["source.sigma_minus_mm"] or not cfg["source.kappa_minus_per_mm"]:
-            raise ConfigError(
-                "source.calibrate = false requires source.sigma_minus_mm and "
-                "source.kappa_minus_per_mm"
-            )
-        src = source_mod.build_source(
-            _as_float(cfg, "source.sigma_minus_mm"),
-            _as_float(cfg, "source.sigma_plus_mm"),
-            _as_float(cfg, "source.kappa_minus_per_mm"),
-            _as_float(cfg, "source.kappa_plus_per_mm"),
-            pump,
-        )
-    return defaults.assemble_setup(src, bob, _as_bool(cfg, "station.equalize"))
-
-
 def build_attack(cfg: dict[str, str]) -> AttackConfig | None:
     policy = cfg["attack.policy"]
+    if policy not in BASIS_POLICIES:
+        raise ConfigError(f"attack.policy must be one of {BASIS_POLICIES}, got {policy!r}")
     if policy == "none":
         return None
     return AttackConfig(
@@ -240,52 +116,50 @@ def verify_checksum(path: Path, skip: bool) -> None:
     sidecar = Path(str(path) + ".sha256")
     if not sidecar.exists():
         return
-    expected = sidecar.read_text().strip().split()[0]
-    actual = hashlib.sha256(path.read_bytes()).hexdigest()
-    if actual != expected:
+    recorded = sidecar.read_text().split()
+    if not recorded:
+        raise FixtureError(f"{sidecar} is empty; pass --no-verify to force")
+    if hashlib.sha256(path.read_bytes()).hexdigest() != recorded[0]:
         raise FixtureError(
             f"{path} does not match its recorded checksum; pass --no-verify to force"
         )
 
 
-def atomic_write(path: Path, text: str) -> None:
+def _load_table(args) -> tuple[Path, protocol.CoincidenceTable]:
+    path = resolve_table_path(args.table)
+    verify_checksum(path, args.no_verify)
+    return path, protocol.CoincidenceTable.load_csv(path)
+
+
+def atomic_write(path: Path, save) -> None:
+    """Run save(tmp) on a sibling temporary path, then move it over path."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    save(tmp)
     os.replace(tmp, path)
 
 
-def _check_out_path(flag: str, path: str | None) -> None:
-    """Reject an output path in a missing directory or naming a directory, before setup."""
-    if not path:
-        return
-    target = Path(path)
-    if not target.parent.is_dir():
-        raise ConfigError(f"{flag}: directory {str(target.parent)!r} does not exist")
-    if target.is_dir():
-        raise ConfigError(f"{flag}: {path!r} is a directory")
+def _check_outputs(args) -> None:
+    """Reject every unwritable output flag of the command before any work."""
+    for flag, attr in (("--out-csv", "out_csv"), ("--out", "out")):
+        path = getattr(args, attr, None)
+        if not path:
+            continue
+        target = Path(path)
+        if not target.parent.is_dir():
+            raise ConfigError(f"{flag}: directory {str(target.parent)!r} does not exist")
+        if target.is_dir():
+            raise ConfigError(f"{flag}: {path!r} is a directory")
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir:
+        target = Path(out_dir)
+        nearest = next(p for p in (target, *target.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"--out-dir: {str(nearest)!r} is not a directory")
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Commands: each returns (exit code, report args, seed, config, results)
 # ---------------------------------------------------------------------------
-
-
-def make_report(command: str, args: dict, seed, cfg, results: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "args": args,
-        "config_hash": config_hash(cfg) if cfg is not None else None,
-        "seed": seed,
-        "results": results,
-        "duration_s": round(time.perf_counter() - started, 6),
-    }
-
-
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=False)
-    if out_path:
-        atomic_write(Path(out_path), text + "\n")
-    print(text)
 
 
 def _qber_results(report: protocol.QberReport) -> dict:
@@ -304,47 +178,26 @@ def _qber_results(report: protocol.QberReport) -> dict:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Commands
-# ---------------------------------------------------------------------------
-
-
-def cmd_qber(args) -> tuple[int, dict]:
-    started = time.perf_counter()
-    _check_out_path("--out", args.out)
-    path = resolve_table_path(args.table)
-    verify_checksum(path, args.no_verify)
-    table = protocol.CoincidenceTable.load_csv(path)
-    rep = protocol.qber_from_counts(table)
-    results = _qber_results(rep)
+def cmd_qber(args):
+    path, table = _load_table(args)
+    results = _qber_results(protocol.qber_from_counts(table))
     results["table_path"] = str(path)
-    report = make_report("qber", {"table": args.table}, None, None, results, started)
-    _emit(report, args.out)
-    return EXIT_OK, report
+    return EXIT_OK, {"table": args.table}, None, None, results
 
 
-def cmd_eve_predict(args) -> tuple[int, dict]:
-    started = time.perf_counter()
-    _check_out_path("--out", args.out)
-    path = resolve_table_path(args.table)
-    verify_checksum(path, args.no_verify)
-    table = protocol.CoincidenceTable.load_csv(path)
+def cmd_eve_predict(args):
+    for flag, value in (("--p", args.p), ("--p2", args.p2)):
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{flag} must lie in [0, 1], got {value}")
+    path, table = _load_table(args)
     p_resend = (args.p, args.p if args.p2 is None else args.p2)
-    rep = protocol.qber_with_eve_prediction(table, p_resend=p_resend)
-    results = _qber_results(rep)
+    results = _qber_results(protocol.qber_with_eve_prediction(table, p_resend=p_resend))
     results["p_resend"] = list(p_resend)
     results["table_path"] = str(path)
-    report = make_report(
-        "eve-predict", {"table": args.table, "p": args.p, "p2": args.p2},
-        None, None, results, started,
-    )
-    _emit(report, args.out)
-    return EXIT_OK, report
+    return EXIT_OK, {"table": args.table, "p": args.p, "p2": args.p2}, None, None, results
 
 
-def cmd_simulate(args) -> tuple[int, dict]:
-    started = time.perf_counter()
-    _check_out_path("--out", args.out)
+def cmd_simulate(args):
     cfg = parse_config_file(args.config)
     seed = resolve_seed(args.seed, cfg)
     attack = build_attack(cfg)
@@ -361,14 +214,12 @@ def cmd_simulate(args) -> tuple[int, dict]:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    key_a = out_dir / cfg["output.alice_key"]
-    key_b = out_dir / cfg["output.bob_key"]
-    table_path = out_dir / cfg["output.table"]
-    atomic_write(key_a, result.sifted_bits_A + "\n")
-    atomic_write(key_b, result.sifted_bits_B + "\n")
-    tmp_table = table_path.with_name(table_path.name + ".tmp")
-    result.table.save_csv(tmp_table)
-    os.replace(tmp_table, table_path)
+    key_a, key_b, table_path = (
+        out_dir / cfg[key] for key in ("output.alice_key", "output.bob_key", "output.table")
+    )
+    atomic_write(key_a, lambda tmp: tmp.write_text(result.sifted_bits_A + "\n"))
+    atomic_write(key_b, lambda tmp: tmp.write_text(result.sifted_bits_B + "\n"))
+    atomic_write(table_path, result.table.save_csv)
 
     results = {
         "qber_estimate": result.estimate.qber,
@@ -384,9 +235,8 @@ def cmd_simulate(args) -> tuple[int, dict]:
         "bob_key_path": str(key_b),
         "table_path": str(table_path),
     }
-    report = make_report("simulate", {"config": args.config}, seed, cfg, results, started)
-    _emit(report, args.out)
-    return (EXIT_ABORTED if result.aborted else EXIT_OK), report
+    code = EXIT_ABORTED if result.aborted else EXIT_OK
+    return code, {"config": args.config}, seed, cfg, results
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -406,8 +256,23 @@ def _check_pairs(pairs: int) -> None:
         raise ConfigError(f"--pairs must be positive, got {pairs}")
 
 
-def cmd_scan(args) -> tuple[int, dict]:
-    started = time.perf_counter()
+def _scan_and_fit(args, detectors, grid, pairs):
+    """Scan and peak-fit each (fixed detector, basis pair) in turn on one seeded generator.
+
+    Returns the config, the seed, B's station and the (scan, fit) pairs.
+    """
+    cfg = parse_config_file(args.config)
+    seed = resolve_seed(args.seed, cfg)
+    src, alice, bob = build_setup(cfg)
+    rng = np.random.default_rng(seed)
+    fitted = []
+    for fixed, basis_pair in detectors:
+        scan = analysis.scan_simulation(src, alice, bob, fixed, basis_pair, grid, pairs, rng)
+        fitted.append((scan, analysis.fit_gaussian(scan)))
+    return cfg, seed, bob, fitted
+
+
+def cmd_scan(args):
     if len(args.bases) != 2 or any(b not in "xp" for b in args.bases):
         raise ConfigError(f"--bases must be two of x/p (e.g. xx, xp), got {args.bases!r}")
     basis_pair = (args.bases[0], args.bases[1])
@@ -419,21 +284,11 @@ def cmd_scan(args) -> tuple[int, dict]:
         )
     grid = _parse_grid(args.grid)
     _check_pairs(args.pairs)
-    _check_out_path("--out-csv", args.out_csv)
-    _check_out_path("--out", args.out)
-    cfg = parse_config_file(args.config)
-    seed = resolve_seed(args.seed, cfg)
-    src, alice, bob = build_setup(cfg)
-    rng = np.random.default_rng(seed)
-    scan = analysis.scan_simulation(
-        src, alice, bob, args.fixed, basis_pair, grid, args.pairs, rng
+    cfg, seed, _, [(scan, fit)] = _scan_and_fit(
+        args, [(args.fixed, basis_pair)], grid, args.pairs
     )
-    fit = analysis.fit_gaussian(scan)
-
     if args.out_csv:
-        tmp = Path(args.out_csv + ".tmp")
-        scan.save_csv(tmp)
-        os.replace(tmp, Path(args.out_csv))
+        atomic_write(Path(args.out_csv), scan.save_csv)
 
     fit_fields = {
         "amplitude_counts": fit.amplitude,
@@ -454,18 +309,13 @@ def cmd_scan(args) -> tuple[int, dict]:
         "fit": fit_fields,
         "scan_csv": args.out_csv,
     }
-    report = make_report(
-        "scan",
-        {"config": args.config, "fixed": args.fixed, "bases": args.bases, "grid": args.grid},
-        seed, cfg, results, started,
-    )
-    _emit(report, args.out)
-    return EXIT_OK, report
+    report_args = {"config": args.config, "fixed": args.fixed, "bases": args.bases,
+                   "grid": args.grid}
+    return EXIT_OK, report_args, seed, cfg, results
 
 
-def _epr_results(
-    check: analysis.EprCheckResult, note: str | None = None, labeled: bool = False
-) -> dict:
+def _epr_results(check: analysis.EprCheckResult, note: str | None) -> dict:
+    """Witness fields; a note marks the bundled reference values, which are labeled."""
     out = {
         "var_x_mm2": list(check.var_x_list),
         "var_p_hbar2_per_mm2": list(check.var_p_list),
@@ -475,10 +325,9 @@ def _epr_results(
         "sigma_distance": check.sigma_distance,
         "product_uncertainty_hbar2": check.product_uncertainty,
     }
-    if labeled:
+    if note:
         out["var_x_labels"] = list(defaults.REFERENCE_VAR_X_LABELS)
         out["var_p_labels"] = list(defaults.REFERENCE_VAR_P_LABELS)
-    if note:
         out["uncertainty_note"] = note
     return out
 
@@ -532,58 +381,37 @@ def _check_epr_flags(args) -> None:
             raise ConfigError(f"--{name} is not used by {route}")
 
 
-def cmd_epr_check(args) -> tuple[int, dict]:
-    started = time.perf_counter()
+def cmd_epr_check(args):
     _check_epr_flags(args)
-    _check_out_path("--out", args.out)
-    note = None
-    labeled = False
+    cfg = seed = unc_x = unc_p = note = None
     if args.fits:
         cfg = parse_config_file(args.config)
-        seed = None
         _, _, bob = build_setup(cfg)
         var_x, var_p = _variances_from_fit_reports(args.fits, bob)
-        unc_x = unc_p = None
     elif args.from_scans:
         pairs = FROM_SCANS_PAIRS if args.pairs is None else args.pairs
         _check_pairs(pairs)
-        cfg = parse_config_file(args.config)
-        seed = resolve_seed(args.seed, cfg)
-        src, alice, bob = build_setup(cfg)
-        rng = np.random.default_rng(seed)
-        grid = np.arange(0.0, 3.0001, 0.1)
-        var_x, var_p = [], []
-        for basis, var_list in (("x", var_x), ("p", var_p)):
-            for det in (1, 2):
-                scan = analysis.scan_simulation(
-                    src, alice, bob, f"A{basis}{det}", (basis, basis), grid, pairs, rng
-                )
-                fit = analysis.fit_gaussian(scan)
-                var_list.append(
-                    analysis.conditional_variance(fit, detection.conversion_for(bob, basis))
-                )
-        unc_x = unc_p = None
-    else:
-        cfg, seed = None, None
-        if args.var_x is not None:
-            var_x, var_p = args.var_x, args.var_p
-            unc_x, unc_p = args.unc_x, args.unc_p
-        else:
-            var_x, var_p = list(defaults.REFERENCE_VAR_X), list(defaults.REFERENCE_VAR_P)
-            unc_x, unc_p = list(defaults.REFERENCE_UNC_X), list(defaults.REFERENCE_UNC_P)
-            note = defaults.UNCERTAINTY_NOTE
-            labeled = True
+        fixed = [f"A{basis}{det}" for basis in "xp" for det in (1, 2)]
+        cfg, seed, bob, fitted = _scan_and_fit(
+            args, [(f, (f[1], f[1])) for f in fixed], _parse_grid("0:3:0.1"), pairs
+        )
+        variances = [
+            analysis.conditional_variance(fit, detection.conversion_for(bob, f[1]))
+            for f, (_, fit) in zip(fixed, fitted)
+        ]
+        var_x, var_p = variances[:2], variances[2:]
+    elif args.var_x is not None:
+        var_x, var_p = args.var_x, args.var_p
+        unc_x, unc_p = args.unc_x, args.unc_p
         if (unc_x is None) != (unc_p is None):
             raise ConfigError("provide uncertainties for both axes or neither")
+    else:
+        var_x, var_p = list(defaults.REFERENCE_VAR_X), list(defaults.REFERENCE_VAR_P)
+        unc_x, unc_p = list(defaults.REFERENCE_UNC_X), list(defaults.REFERENCE_UNC_P)
+        note = defaults.UNCERTAINTY_NOTE
 
     check = analysis.duan_check(var_x, var_p, unc_x, unc_p)
-    report = make_report(
-        "epr-check",
-        {"from_scans": args.from_scans},
-        seed, cfg, _epr_results(check, note, labeled), started,
-    )
-    _emit(report, args.out)
-    return EXIT_OK, report
+    return EXIT_OK, {"from_scans": args.from_scans}, seed, cfg, _epr_results(check, note)
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +478,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Check the output flags, run the command, then print (and save) its report."""
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        code, _report = args.func(args)
+        _check_outputs(args)
+        code, report_args, seed, cfg, results = args.func(args)
+        report = {
+            "command": args.subcommand,
+            "args": report_args,
+            "config_hash": config_hash(cfg) if cfg is not None else None,
+            "seed": seed,
+            "results": results,
+            "duration_s": round(time.perf_counter() - started, 6),
+        }
+        text = json.dumps(report, indent=2)
+        if args.out:
+            atomic_write(Path(args.out), lambda tmp: tmp.write_text(text + "\n"))
+        print(text)
         return code
     except (ConfigError, FixtureError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Bundled default experiment: geometry, calibration targets, reference data.
+"""Bundled default experiment, run-file parsing and the one setup builder.
 
 The default setup reproduces the headline numbers of the bundled reference
 dataset (table1.csv): no-eavesdropper error rate near 0.05, intercept-resend
@@ -13,37 +13,61 @@ Party A's slit centers are derived by maximizing the same-basis coincidence
 probability against party B's slits, which places the momentum slits on the
 mirrored side of the axis (the momentum sum, not difference, is the narrow
 coordinate).
+
+The experiment is written down once, as the config table that run files
+override; ``default_setup`` is ``build_setup`` of that table unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
+from . import protocol
 from .detection import SlitDetector, StationConfig, derive_partner_centers, equalize_levels
-from .source import PumpProfile, SourceModel, calibrate_source
+from .source import PumpProfile, SourceModel, build_source, calibrate_source
 
-# Detected-variance calibration targets.
-TARGET_VAR_X_MM2 = 0.116
-TARGET_VAR_P_HBAR2_MM2 = 0.894
 
-# Free (anti-squeezed) widths and pump.
-SIGMA_PLUS_MM = 1.8
-KAPPA_PLUS_PER_MM = 3.7
-PUMP_WAIST_MM = 2.0
+class ConfigError(ValueError):
+    pass
 
-# Station geometry (mm; wavenumber 1/mm).
-OBJECT_DISTANCE_MM = 200.0
-IMAGE_DISTANCE_MM = 100.0
-FOCAL_LENGTH_MM = 150.0
-WAVENUMBER_PER_MM = 330.0
-STAGE_ORIGIN_MM = 1.5
-X_SLIT_WIDTH_MM = 0.2
-P_SLIT_WIDTH_MM = 0.5
-DETECTOR_1_MM = 1.0
-DETECTOR_2_MM = 2.0
 
-QBER_THRESHOLD = 0.15
+# The default experiment, as the config keys that a run file may override.
+# Values are the strings a run file would hold; the config hash reads them.
+_CONFIG_DEFAULTS = {
+    "source.calibrate": "true",
+    "source.target_var_x_mm2": "0.116",  # detected-variance calibration targets
+    "source.target_var_p_hbar2_mm2": "0.894",
+    "source.sigma_minus_mm": "",  # used when calibrate = false
+    "source.kappa_minus_per_mm": "",
+    "source.sigma_plus_mm": "1.8",  # free (anti-squeezed) widths and pump
+    "source.kappa_plus_per_mm": "3.7",
+    "source.pump_waist_mm": "2.0",
+    "station.object_distance_mm": "200.0",
+    "station.image_distance_mm": "100.0",
+    "station.focal_length_mm": "150.0",
+    "station.wavenumber_per_mm": "330.0",
+    "station.origin_mm": "1.5",
+    "station.x_slit_width_mm": "0.2",
+    "station.p_slit_width_mm": "0.5",
+    "station.detector1_mm": "1.0",
+    "station.detector2_mm": "2.0",
+    "station.equalize": "true",
+    "session.coincidences": "100000",
+    "session.estimation_pairs": "10000",
+    "session.qber_threshold": repr(protocol.DEFAULT_QBER_THRESHOLD),
+    "session.max_emitted": "",  # pair-emission guard; default 10^4 * N
+    "session.seed": "",
+    "attack.policy": "none",
+    "attack.p_same": "1.0",
+    "attack.p_cross_1": "0.5",
+    "attack.p_cross_2": "0.5",
+    "output.alice_key": "alice_key.txt",
+    "output.bob_key": "bob_key.txt",
+    "output.table": "session_table.csv",
+}
 
 # Reference conditional variances with their quoted uncertainties, used by the
 # EPR-inequality verification commands.  The fourth uncertainty is recorded as
@@ -63,23 +87,98 @@ REFERENCE_VAR_X_LABELS = ("x pair 1", "x pair 2")
 REFERENCE_VAR_P_LABELS = ("p pair 1", "p pair 1 (printed; presumed pair 2)")
 
 
-def _slit_pair(width: float) -> tuple[SlitDetector, SlitDetector]:
-    return (
-        SlitDetector(center=DETECTOR_1_MM, width=width, logical_bit=0),
-        SlitDetector(center=DETECTOR_2_MM, width=width, logical_bit=1),
-    )
+def parse_config_file(path: str | None) -> dict[str, str]:
+    """Flat ``key = value`` lines with # comments; unknown keys are rejected."""
+    cfg = dict(_CONFIG_DEFAULTS)
+    if path is None:
+        return cfg
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"config file {path!r}: {exc.strerror}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in cfg:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        cfg[key] = value
+    return cfg
 
 
-def bob_station() -> StationConfig:
-    return StationConfig(
-        object_distance=OBJECT_DISTANCE_MM,
-        image_distance=IMAGE_DISTANCE_MM,
-        focal_length=FOCAL_LENGTH_MM,
-        wavenumber=WAVENUMBER_PER_MM,
-        x_detectors=_slit_pair(X_SLIT_WIDTH_MM),
-        p_detectors=_slit_pair(P_SLIT_WIDTH_MM),
-        origin=STAGE_ORIGIN_MM,
+def _as_float(cfg, key) -> float:
+    try:
+        value = float(cfg[key])
+    except ValueError as exc:
+        raise ConfigError(f"config key {key} must be a number, got {cfg[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be finite, got {cfg[key]!r}")
+    return value
+
+
+def _as_int(cfg, key) -> int:
+    try:
+        return int(cfg[key])
+    except ValueError as exc:
+        raise ConfigError(f"config key {key} must be an integer, got {cfg[key]!r}") from exc
+
+
+def _as_bool(cfg, key) -> bool:
+    value = cfg[key].lower()
+    if value in ("true", "1", "yes"):
+        return True
+    if value in ("false", "0", "no"):
+        return False
+    raise ConfigError(f"config key {key} must be true/false, got {cfg[key]!r}")
+
+
+def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, StationConfig]:
+    """Source plus both stations (alice, bob order: A first) from a parsed config."""
+    def slits(width_key):
+        width = _as_float(cfg, width_key)
+        return (
+            SlitDetector(_as_float(cfg, "station.detector1_mm"), width, 0),
+            SlitDetector(_as_float(cfg, "station.detector2_mm"), width, 1),
+        )
+
+    bob = StationConfig(
+        object_distance=_as_float(cfg, "station.object_distance_mm"),
+        image_distance=_as_float(cfg, "station.image_distance_mm"),
+        focal_length=_as_float(cfg, "station.focal_length_mm"),
+        wavenumber=_as_float(cfg, "station.wavenumber_per_mm"),
+        x_detectors=slits("station.x_slit_width_mm"),
+        p_detectors=slits("station.p_slit_width_mm"),
+        origin=_as_float(cfg, "station.origin_mm"),
     )
+
+    pump = PumpProfile(_as_float(cfg, "source.pump_waist_mm"))
+    if _as_bool(cfg, "source.calibrate"):
+        src = calibrate_source(
+            _as_float(cfg, "source.target_var_x_mm2"),
+            _as_float(cfg, "source.target_var_p_hbar2_mm2"),
+            bob,
+            bob,
+            sigma_plus=_as_float(cfg, "source.sigma_plus_mm"),
+            kappa_plus=_as_float(cfg, "source.kappa_plus_per_mm"),
+            pump=pump,
+        )
+    else:
+        if not cfg["source.sigma_minus_mm"] or not cfg["source.kappa_minus_per_mm"]:
+            raise ConfigError(
+                "source.calibrate = false requires source.sigma_minus_mm and "
+                "source.kappa_minus_per_mm"
+            )
+        src = build_source(
+            _as_float(cfg, "source.sigma_minus_mm"),
+            _as_float(cfg, "source.sigma_plus_mm"),
+            _as_float(cfg, "source.kappa_minus_per_mm"),
+            _as_float(cfg, "source.kappa_plus_per_mm"),
+            pump,
+        )
+    return assemble_setup(src, bob, _as_bool(cfg, "station.equalize"))
 
 
 def assemble_setup(
@@ -106,14 +205,4 @@ def assemble_setup(
 @lru_cache(maxsize=None)
 def default_setup(equalize: bool = True) -> tuple[SourceModel, StationConfig, StationConfig]:
     """Calibrated default source plus both stations (alice, bob order: A first)."""
-    bob = bob_station()
-    source = calibrate_source(
-        TARGET_VAR_X_MM2,
-        TARGET_VAR_P_HBAR2_MM2,
-        bob,
-        bob,
-        sigma_plus=SIGMA_PLUS_MM,
-        kappa_plus=KAPPA_PLUS_PER_MM,
-        pump=PumpProfile(PUMP_WAIST_MM),
-    )
-    return assemble_setup(source, bob, equalize)
+    return build_setup({**_CONFIG_DEFAULTS, "station.equalize": str(equalize).lower()})

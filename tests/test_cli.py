@@ -78,6 +78,16 @@ class TestChecksum:
         code, _, _ = run_cli(["qber", BUNDLED], capsys)
         assert code == 0
 
+    def test_empty_sidecar_names_it(self, capsys, tmp_path):
+        target = tmp_path / "table1.csv"
+        shutil.copy(BUNDLED, target)
+        sidecar = tmp_path / "table1.csv.sha256"
+        sidecar.write_text("\n")
+        code, report, err = run_cli(["qber", str(target)], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert str(sidecar) in err
+
 
 class TestEvePredictCommand:
     def test_reference_prediction(self, capsys):
@@ -100,6 +110,18 @@ class TestEvePredictCommand:
         code, _, err = run_cli(["eve-predict", "table1.csv", "--p", "1.5"], capsys)
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--p", "1.5"], "--p"),
+        (["--p", "-0.1", "--p2", "0.5"], "--p"),
+        (["--p2", "1.5"], "--p2"),
+        (["--p", "0.5", "--p2", "nan"], "--p2"),
+    ])
+    def test_out_of_range_probability_names_flag(self, capsys, argv, flag):
+        code, report, err = run_cli(["eve-predict", "table1.csv", *argv], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err.startswith(f"error: {flag} must lie in [0, 1]"), err
+
 
 @pytest.mark.parametrize("command", [["qber", "table1.csv"], ["eve-predict", "table1.csv"]])
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
@@ -113,6 +135,24 @@ def test_table_command_rejects_unwritable_out(capsys, tmp_path, command, where):
     assert err.startswith("error: --out:")
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", "0:3:0.1"],
+    ["epr-check", "--from-scans"],
+])
+def test_config_directory_names_it(capsys, monkeypatch, tmp_path, command):
+    def no_setup(cfg):
+        raise AssertionError("--config must be read before setup")
+
+    monkeypatch.setattr(cli, "build_setup", no_setup)
+    cfg_dir = tmp_path / "run.cfg"
+    cfg_dir.mkdir()
+    code, report, err = run_cli(command + ["--config", str(cfg_dir)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert report is None
+    assert str(cfg_dir) in err
 
 
 class TestSimulateCommand:
@@ -164,6 +204,40 @@ class TestSimulateCommand:
         )
         assert code == cli.EXIT_VALIDATION
         assert "unknown config key" in err
+
+    def test_unknown_attack_policy_names_key(self, capsys, monkeypatch, tmp_path):
+        def no_setup(cfg):
+            raise AssertionError("attack.policy must be checked before setup")
+
+        monkeypatch.setattr(cli, "build_setup", no_setup)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("attack.policy = bogus\n")
+        code, report, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err.startswith("error: attack.policy ") and "'bogus'" in err
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_dir_naming_a_file_rejected_before_session(
+        self, capsys, monkeypatch, tmp_path, sub
+    ):
+        def no_session(*args, **kwargs):
+            raise AssertionError("--out-dir must be checked before the session")
+
+        monkeypatch.setattr(protocol, "run_session", no_session)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        code, report, err = run_cli(
+            ["simulate", "--out-dir", str(taken / sub), "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err.startswith("error: --out-dir:") and str(taken) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert taken.read_text() == "keep\n"
 
     def test_seed_reproducibility(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
