@@ -20,12 +20,13 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .detection import StationConfig, basis_index
 from .source import SourceModel, channel_law, worker_threads
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FLAT_RATIO_BOUND = 1.3
 DUAN_BOUND = 0.25
@@ -104,6 +105,8 @@ def poisson_errors(counts: Sequence[float]) -> list[float]:
 
 def _model(params: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The peak model at x and its Jacobian in (amplitude, center, sigma, offset)."""
+    import numpy as np
+
     amp, center, sigma, offset = params
     z = (x - center) / sigma
     bump = np.exp(-0.5 * z * z)
@@ -123,6 +126,8 @@ def _levenberg_marquardt(residuals, params: np.ndarray):
     scaled by J's column norms.  Returns the last parameters, residuals and
     Jacobian, and whether that happened within FIT_MAX_STEPS steps.
     """
+    import numpy as np
+
     lam, rise = 1e-3, 2.0
     resid, jac = residuals(params)
     chi_square = resid @ resid
@@ -164,6 +169,8 @@ def fit_gaussian(scan: ScanData) -> GaussianFit:
     grid span: chi-square then falls toward a parabola across the grid as
     the width grows without bound, and the scan resolves no peak.
     """
+    import numpy as np
+
     x = np.asarray(scan.positions, dtype=float)
     y = np.asarray(scan.counts, dtype=float)
     weights = 1.0 / np.sqrt(np.maximum(y, 1.0))
@@ -347,6 +354,8 @@ def scan_simulation(
     if pairs_per_point <= 0:
         raise ValueError("pairs_per_point must be positive")
     from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
 
     det_idx = int(fixed_detector[-1]) - 1
     slit_A = station_A.detectors(basis_A)[det_idx]

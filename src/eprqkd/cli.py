@@ -30,12 +30,14 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import analysis, defaults, detection, protocol
 from .adversary import BASIS_POLICIES, AttackConfig
 from .defaults import ConfigError, _as_float, _as_int, build_setup, parse_config_file
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -67,11 +69,17 @@ def build_attack(cfg: dict[str, str]) -> AttackConfig | None:
         raise ConfigError(f"attack.policy must be one of {BASIS_POLICIES}, got {policy!r}")
     if policy == "none":
         return None
-    return AttackConfig(
-        basis_policy=policy,
-        p_same_basis_correct=_as_float(cfg, "attack.p_same"),
-        p_cross_basis=(_as_float(cfg, "attack.p_cross_1"), _as_float(cfg, "attack.p_cross_2")),
-    )
+    keys = ("attack.p_same", "attack.p_cross_1", "attack.p_cross_2")
+    p_same, p1, p2 = values = [_as_float(cfg, key) for key in keys]
+    for key, value in zip(keys, values):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"config key {key} must lie in [0, 1], got {cfg[key]!r}")
+    if p1 + p2 > 1.0 + 1e-12:
+        raise ConfigError(
+            f"config keys attack.p_cross_1 + attack.p_cross_2 = {p1 + p2:.6g} exceed 1; "
+            "the remainder is the null mass"
+        )
+    return AttackConfig(basis_policy=policy, p_same_basis_correct=p_same, p_cross_basis=(p1, p2))
 
 
 def resolve_seed(cli_seed: int | None, cfg: dict[str, str] | None) -> int:
@@ -197,10 +205,29 @@ def cmd_eve_predict(args):
     return EXIT_OK, {"table": args.table, "p": args.p, "p2": args.p2}, None, None, results
 
 
+def _session_outputs(cfg: dict[str, str], out_dir: Path) -> list[Path]:
+    """The key and table paths under out_dir: distinct file names in existing directories."""
+    paths = []
+    for key in ("output.alice_key", "output.bob_key", "output.table"):
+        target = out_dir / cfg[key]
+        if target == out_dir or target.is_dir():
+            raise ConfigError(f"config key {key}: {str(target)!r} is a directory")
+        if target.parent != out_dir and not target.parent.is_dir():
+            raise ConfigError(
+                f"config key {key}: directory {str(target.parent)!r} does not exist"
+            )
+        if target in paths:
+            raise ConfigError(f"config key {key}: {str(target)!r} is already another output")
+        paths.append(target)
+    return paths
+
+
 def cmd_simulate(args):
     cfg = parse_config_file(args.config)
     seed = resolve_seed(args.seed, cfg)
     attack = build_attack(cfg)
+    out_dir = Path(args.out_dir)
+    key_a, key_b, table_path = _session_outputs(cfg, out_dir)
     session = protocol.SessionConfig(
         n_coincidences=_as_int(cfg, "session.coincidences"),
         m_estimation=_as_int(cfg, "session.estimation_pairs"),
@@ -212,11 +239,7 @@ def cmd_simulate(args):
     src, alice, bob = build_setup(cfg)
     result = protocol.run_session(src, alice, bob, session, attack=attack)
 
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    key_a, key_b, table_path = (
-        out_dir / cfg[key] for key in ("output.alice_key", "output.bob_key", "output.table")
-    )
     atomic_write(key_a, lambda tmp: tmp.write_text(result.sifted_bits_A + "\n"))
     atomic_write(key_b, lambda tmp: tmp.write_text(result.sifted_bits_B + "\n"))
     atomic_write(table_path, result.table.save_csv)
@@ -248,6 +271,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"--grid start, stop and step must be finite, got {spec!r}")
     if step <= 0 or stop <= start:
         raise ConfigError(f"--grid must be increasing with positive step, got {spec!r}")
+    import numpy as np
+
     return np.arange(start, stop + step / 2.0, step)
 
 
@@ -261,6 +286,8 @@ def _scan_and_fit(args, detectors, grid, pairs):
 
     Returns the config, the seed, B's station and the (scan, fit) pairs.
     """
+    import numpy as np
+
     cfg = parse_config_file(args.config)
     seed = resolve_seed(args.seed, cfg)
     src, alice, bob = build_setup(cfg)

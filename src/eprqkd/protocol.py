@@ -23,12 +23,14 @@ import numbers
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .adversary import AttackConfig, resolve_attack
 from .detection import StationConfig, basis_index
 from .source import SourceModel, channel_law, worker_threads
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ALICE_LABELS = ("Ax1", "Ax2", "Ap1", "Ap2")
 BOB_LABELS = ("Bx1", "Bx2", "Bp1", "Bp2")
@@ -77,35 +79,55 @@ class SessionConfig:
 
 
 class CoincidenceTable:
-    """4x4 counts indexed (Ax1, Ax2, Ap1, Ap2) x (Bx1, Bx2, Bp1, Bp2)."""
+    """4x4 counts indexed (Ax1, Ax2, Ap1, Ap2) x (Bx1, Bx2, Bp1, Bp2).
+
+    rows holds the counts as four tuples of four Python ints; any 4x4 nested
+    sequence of non-negative integer-valued numbers, numpy arrays included,
+    is accepted.
+    """
 
     def __init__(self, counts):
-        arr = np.asarray(counts)
-        if arr.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 count matrix, got shape {arr.shape}")
-        if np.any(arr < 0):
-            raise ValueError("counts must be non-negative")
-        if not np.all(arr == np.floor(arr)):
+        if hasattr(counts, "tolist"):
+            counts = counts.tolist()
+        try:
+            rows = tuple(tuple(row) for row in counts)
+        except TypeError:
+            rows = ()
+        if len(rows) != 4 or any(len(row) != 4 for row in rows):
+            raise ValueError("expected a 4x4 count matrix")
+        cells = [v for row in rows for v in row]
+        if not all(isinstance(v, numbers.Real) for v in cells):
             raise ValueError("counts must be integers")
-        self.counts = arr.astype(np.int64)
+        if any(v < 0 for v in cells):
+            raise ValueError("counts must be non-negative")
+        if not all(math.isfinite(v) and v == int(v) for v in cells):
+            raise ValueError("counts must be integers")
+        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The counts as a fresh int64 array."""
+        import numpy as np
+
+        return np.array(self.rows, dtype=np.int64)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CoincidenceTable) and np.array_equal(self.counts, other.counts)
+        return isinstance(other, CoincidenceTable) and self.rows == other.rows
 
     def total(self) -> int:
-        return int(self.counts.sum())
+        return sum(map(sum, self.rows))
 
-    def block(self, basis_A: str, basis_B: str) -> np.ndarray:
+    def block(self, basis_A: str, basis_B: str) -> tuple[tuple[int, int], tuple[int, int]]:
         """2x2 sub-block for one basis pairing."""
         r, c = (2 * basis_index(basis) for basis in (basis_A, basis_B))
-        return self.counts[r:r + 2, c:c + 2]
+        return tuple(row[c:c + 2] for row in self.rows[r:r + 2])
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([""] + list(BOB_LABELS))
-            for label, row in zip(ALICE_LABELS, self.counts):
-                writer.writerow([label] + [int(v) for v in row])
+            for label, row in zip(ALICE_LABELS, self.rows):
+                writer.writerow([label, *row])
 
     @classmethod
     def load_csv(cls, path) -> "CoincidenceTable":
@@ -119,7 +141,7 @@ class CoincidenceTable:
         header = [cell.strip() for cell in rows[0][1:]]
         if header != list(BOB_LABELS):
             raise ValueError(f"header columns must be {BOB_LABELS}, got {header}")
-        counts = np.zeros((4, 4), dtype=np.int64)
+        counts = []
         for i, row in enumerate(rows[1:]):
             if len(row) != 5:
                 raise ValueError(f"data row {i + 1} has {len(row)} fields, expected 5")
@@ -128,6 +150,7 @@ class CoincidenceTable:
                 raise ValueError(
                     f"row {i + 1} label must be {ALICE_LABELS[i]!r}, got {label!r}"
                 )
+            counts.append([])
             for j, cell in enumerate(row[1:]):
                 try:
                     value = int(cell)
@@ -137,7 +160,7 @@ class CoincidenceTable:
                     ) from exc
                 if value < 0:
                     raise ValueError(f"row {i + 1} column {j + 1}: negative count {value}")
-                counts[i, j] = value
+                counts[i].append(value)
         return cls(counts)
 
 
@@ -174,10 +197,10 @@ def qber_from_counts(table: CoincidenceTable) -> QberReport:
     """Error rate with no eavesdropper: same-basis cross cells over same-basis total."""
     xx = table.block("x", "x")
     pp = table.block("p", "p")
-    wrong_xx = float(xx[0, 1] + xx[1, 0])
-    wrong_pp = float(pp[0, 1] + pp[1, 0])
-    total_xx = float(xx.sum())
-    total_pp = float(pp.sum())
+    wrong_xx = float(xx[0][1] + xx[1][0])
+    wrong_pp = float(pp[0][1] + pp[1][0])
+    total_xx = float(sum(map(sum, xx)))
+    total_pp = float(sum(map(sum, pp)))
     total = total_xx + total_pp
     if total == 0:
         raise ValueError("no same-basis coincidences; QBER undefined")
@@ -219,12 +242,15 @@ def qber_with_eve_prediction(
 
     xx = table.block("x", "x")
     pp = table.block("p", "p")
-    wrong_same = float(xx[0, 1] + xx[1, 0] + pp[0, 1] + pp[1, 0])
+    wrong_same = float(xx[0][1] + xx[1][0] + pp[0][1] + pp[1][0])
 
     xp = table.block("x", "p")
     px = table.block("p", "x")
     # Column t of each cross block is Bob's detector t.
-    chi = sum(weights[t] * float(xp[:, t].sum() + px[:, t].sum()) for t in (0, 1))
+    chi = sum(
+        weights[t] * float(sum(row[t] for row in xp) + sum(row[t] for row in px))
+        for t in (0, 1)
+    )
 
     qber = (wrong_same + chi) / grand
     return QberReport(
@@ -250,6 +276,8 @@ class _Readout:
     """One station's readout as arrays indexed by basis (0 = x, 1 = p) and detector."""
 
     def __init__(self, station: StationConfig):
+        import numpy as np
+
         bases = ("x", "p")
         windows = [[station.latent_window(b, d) for d in station.detectors(b)] for b in bases]
         self.lo, self.hi = np.moveaxis(np.array(windows), -1, 0)
@@ -264,6 +292,8 @@ class _Readout:
         A uniform is drawn only for a coordinate inside a slit, applying that
         detector's attenuation as independent thinning.
         """
+        import numpy as np
+
         det = np.full(latent.shape, -1, dtype=np.int8)
         in_p = basis == 1
         for b, chosen in ((0, ~in_p), (1, in_p)):
@@ -310,6 +340,8 @@ def _coincidences(
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    import numpy as np
+
     if attack is not None:
         attack = resolve_attack(attack, station_B)
         if attack.basis_policy == "none":
@@ -355,12 +387,16 @@ def _coincidences(
 
 def _cell_counts(bas_A, bas_B, det_A, det_B) -> np.ndarray:
     """4x4 tally of coincidences by (Ax1, Ax2, Ap1, Ap2) x (Bx1, Bx2, Bp1, Bp2)."""
+    import numpy as np
+
     idx_A = 2 * bas_A.astype(np.int64) + det_A
     idx_B = 2 * bas_B.astype(np.int64) + det_B
     return np.bincount(4 * idx_A + idx_B, minlength=16).reshape(4, 4)
 
 
 def _bit_string(bits: np.ndarray) -> str:
+    import numpy as np
+
     return (bits + 48).astype(np.uint8).tobytes().decode("ascii")
 
 
@@ -387,6 +423,8 @@ def run_session(
     emitted_pairs counts the pairs up to and including that coincidence.
     The result depends only on the seed, not on the number of threads.
     """
+    import numpy as np
+
     rng = np.random.default_rng(session.rng_seed)
     n_target = session.n_coincidences
     batch = max(4096, min(_BATCH, n_target * 8))
@@ -412,7 +450,7 @@ def run_session(
                 f"{n_target} coincidences; coincidence rate is pathologically low"
             )
     bas_A, bas_B, det_A, det_B = (np.concatenate(c) for c in zip(*chunks))
-    table = CoincidenceTable(_cell_counts(bas_A, bas_B, det_A, det_B))
+    table = CoincidenceTable(_cell_counts(bas_A, bas_B, det_A, det_B).tolist())
 
     same = bas_A == bas_B
     sift_bas = bas_A[same]
@@ -475,6 +513,8 @@ def tally_coincidences(
     """
     if isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Integral) or n_pairs < 0:
         raise ValueError(f"n_pairs must be a non-negative integer, got {n_pairs!r}")
+    import numpy as np
+
     counts = np.zeros((4, 4), dtype=np.int64)
     with closing(_coincidences(
         source, station_A, station_B, attack, rng, n_pairs, _BATCH
@@ -486,6 +526,8 @@ def tally_coincidences(
 
 def _eve_bases(attack: AttackConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """The interceptor's basis choice (0 = x, 1 = p) for n photons."""
+    import numpy as np
+
     if attack.basis_policy == "uniform_random":
         return rng.integers(0, 2, size=n, dtype=np.int8)
     if attack.basis_policy in ("always_x", "always_p"):
@@ -508,6 +550,8 @@ def _intercepted_bob_clicks(
     other one otherwise); in the conjugate basis his detector follows the
     p_cross fractions, any remainder going to null.
     """
+    import numpy as np
+
     det_E = _Readout(attack.eve_stations).clicks(lat_E, bas_E, rng)
     det_B = np.full(det_E.shape, -1, dtype=np.int8)
     passed = np.flatnonzero(det_E >= 0)

@@ -15,8 +15,12 @@ uncertainty products
     sigma_minus^2 * kappa_plus^2 >= 1
     sigma_plus^2  * kappa_minus^2 >= 1
 
-or the Gaussian does not describe a physical state.  The source sits in the
-entanglement regime when sigma_minus^2 * kappa_minus^2 < 1/4.
+or the Gaussian does not describe a physical state.  Transposing B's
+momentum swaps kappa_minus and kappa_plus in these products; the state is
+entangled exactly when the transposed one is unphysical (the Peres-Horodecki
+test, exact for this family: Simon, PRL 84, 2726 (2000)), that is when
+
+    sigma_minus * kappa_minus < 1   or   sigma_plus * kappa_plus < 1.
 
 Position and momentum blocks are uncorrelated, so a single latent sample per
 pair reproduces the detection statistics of all four basis pairings at once.
@@ -29,12 +33,12 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .detection import StationConfig
 
-ENTANGLEMENT_BOUND = 0.25  # on sigma_minus^2 * kappa_minus^2, hbar = 1
+ENTANGLEMENT_BOUND = 1.0  # on sigma_minus * kappa_minus and sigma_plus * kappa_plus, hbar = 1
 
 
 class UnphysicalSourceError(ValueError):
@@ -76,23 +80,10 @@ class SourceModel:
 
     @property
     def entangled(self) -> bool:
-        """True when the correlated-quadrature product beats the 1/4 bound."""
-        return self.sigma_minus**2 * self.kappa_minus**2 < ENTANGLEMENT_BOUND
-
-    def position_covariance(self) -> np.ndarray:
-        """2x2 covariance of (x_A, x_B)."""
-        s2p, s2m = self.sigma_plus**2, self.sigma_minus**2
-        return np.array(
-            [[(s2p + s2m) / 4.0, (s2p - s2m) / 4.0],
-             [(s2p - s2m) / 4.0, (s2p + s2m) / 4.0]]
-        )
-
-    def momentum_covariance(self) -> np.ndarray:
-        """2x2 covariance of (p_A, p_B)."""
-        k2m, k2p = self.kappa_minus**2, self.kappa_plus**2
-        return np.array(
-            [[(k2m + k2p) / 4.0, (k2m - k2p) / 4.0],
-             [(k2m - k2p) / 4.0, (k2m + k2p) / 4.0]]
+        """True when the partial transpose is unphysical (exact PPT condition)."""
+        return (
+            self.sigma_minus * self.kappa_minus < ENTANGLEMENT_BOUND
+            or self.sigma_plus * self.kappa_plus < ENTANGLEMENT_BOUND
         )
 
 

@@ -239,6 +239,86 @@ class TestSimulateCommand:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert taken.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("key, value", [
+        ("attack.p_same", "1.5"),
+        ("attack.p_same", "-0.1"),
+        ("attack.p_cross_1", "-0.2"),
+        ("attack.p_cross_2", "1.2"),
+    ])
+    def test_attack_probability_out_of_range_names_key(
+        self, capsys, monkeypatch, tmp_path, key, value
+    ):
+        def no_setup(cfg):
+            raise AssertionError("attack keys must be checked before setup")
+
+        monkeypatch.setattr(cli, "build_setup", no_setup)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"attack.policy = uniform_random\n{key} = {value}\n")
+        code, report, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err.startswith(f"error: config key {key} must lie in [0, 1]"), err
+        assert repr(value) in err
+
+    def test_attack_cross_sum_above_one_names_keys(self, capsys, monkeypatch, tmp_path):
+        def no_setup(cfg):
+            raise AssertionError("attack keys must be checked before setup")
+
+        monkeypatch.setattr(cli, "build_setup", no_setup)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("attack.policy = always_x\nattack.p_cross_1 = 0.7\n")
+        code, report, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert "attack.p_cross_1 + attack.p_cross_2" in err and "exceed 1" in err, err
+
+    @pytest.mark.parametrize("key", ["output.alice_key", "output.bob_key", "output.table"])
+    @pytest.mark.parametrize("value, named", [
+        ("taken", "is a directory"),
+        ("missing/file.txt", "does not exist"),
+    ])
+    def test_unwritable_session_output_rejected_before_session(
+        self, capsys, monkeypatch, tmp_path, key, value, named
+    ):
+        def no_session(*args, **kwargs):
+            raise AssertionError("output.* keys must be checked before the session")
+
+        monkeypatch.setattr(protocol, "run_session", no_session)
+        out_dir = tmp_path / "out"
+        (out_dir / "taken").mkdir(parents=True)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, report, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(out_dir),
+             "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err.startswith(f"error: config key {key}:") and named in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.cfg"]
+        assert [p.name for p in out_dir.iterdir()] == ["taken"]
+        assert list((out_dir / "taken").iterdir()) == []
+
+    def test_session_outputs_sharing_a_file_rejected(self, capsys, monkeypatch, tmp_path):
+        def no_session(*args, **kwargs):
+            raise AssertionError("output.* keys must be checked before the session")
+
+        monkeypatch.setattr(protocol, "run_session", no_session)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("output.table = bob_key.txt\n")
+        code, report, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err.startswith("error: config key output.table:") and "already" in err, err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_seed_reproducibility(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("session.coincidences = 5000\nsession.estimation_pairs = 500\n")
@@ -672,6 +752,43 @@ def test_table_commands_do_not_load_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps(commands)],
         capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_table_commands_do_not_load_numpy(tmp_path):
+    """The package, the default setup and the table commands need no numpy.
+
+    A subprocess, because this test process has numpy loaded already.  The
+    four saved scan reports that epr-check --fits reads are written by hand.
+    """
+    fits = []
+    for basis, sigma in (("xx", 0.31), ("xx", 0.29), ("pp", 0.27), ("pp", 0.26)):
+        path = tmp_path / f"{basis}_{len(fits)}.json"
+        path.write_text(json.dumps({"results": {"basis_pair": basis, "fit": {"sigma_mm": sigma}}}))
+        fits.append(str(path))
+    commands = [
+        ["qber", "table1.csv"],
+        ["eve-predict", "table1.csv"],
+        ["epr-check"],
+        ["epr-check", "--var-x", "0.15", "0.08", "--var-p", "0.91", "0.88"],
+        ["epr-check", "--fits", *fits],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import eprqkd\n"
+        "assert 'numpy' not in sys.modules, 'import eprqkd'\n"
+        "eprqkd.default_setup()\n"
+        "assert 'numpy' not in sys.modules, 'default_setup'\n"
+        "from eprqkd import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -38,6 +38,24 @@ from conftest import make_station
 PUMP = PumpProfile(2.0)
 
 
+def position_covariance(source):
+    """Reference 2x2 covariance of (x_A, x_B) from the collective widths."""
+    s2p, s2m = source.sigma_plus**2, source.sigma_minus**2
+    return np.array(
+        [[(s2p + s2m) / 4.0, (s2p - s2m) / 4.0],
+         [(s2p - s2m) / 4.0, (s2p + s2m) / 4.0]]
+    )
+
+
+def momentum_covariance(source):
+    """Reference 2x2 covariance of (p_A, p_B) from the collective widths."""
+    k2m, k2p = source.kappa_minus**2, source.kappa_plus**2
+    return np.array(
+        [[(k2m + k2p) / 4.0, (k2m - k2p) / 4.0],
+         [(k2m - k2p) / 4.0, (k2m + k2p) / 4.0]]
+    )
+
+
 class TestStationValidation:
     def test_overlapping_slits_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -213,8 +231,8 @@ class TestCoincidenceOracle:
         source, alice, bob = default_experiment
         for basis in ("x", "p"):
             cov = (
-                source.position_covariance() if basis == "x"
-                else source.momentum_covariance()
+                position_covariance(source) if basis == "x"
+                else momentum_covariance(source)
             )
             mvn = multivariate_normal(mean=[0.0, 0.0], cov=cov)
             for det_A, det_B in ((1, 1), (1, 2), (2, 2)):

@@ -145,7 +145,7 @@ class TestAbortDecision:
 
 def sifted_count(result: protocol.SessionResult) -> int:
     table = result.table
-    return int(table.block("x", "x").sum() + table.block("p", "p").sum())
+    return sum(map(sum, table.block("x", "x") + table.block("p", "p")))
 
 
 class TestSift:
@@ -158,7 +158,7 @@ class TestSift:
         source = build_source(0.33, 1.8, 0.83, 3.7, PumpProfile(2.0))
         cfg = SessionConfig(n_coincidences=2000, m_estimation=200, rng_seed=4)
         result = run_session(source, station, station, cfg)
-        assert result.table.block("x", "x").sum() == cfg.n_coincidences
+        assert sum(map(sum, result.table.block("x", "x"))) == cfg.n_coincidences
         assert len(result.sifted_bits_A) + cfg.m_estimation == cfg.n_coincidences
 
     def test_alternating_bases_keep_half(self):
@@ -173,7 +173,7 @@ class TestSift:
         n = 20_000
         cfg = SessionConfig(n_coincidences=n, m_estimation=1000, rng_seed=6)
         result = run_session(source, alice, bob, cfg)
-        xx, xp = result.table.block("x", "x").sum(), result.table.block("x", "p").sum()
+        xx, xp = (sum(map(sum, result.table.block("x", b))) for b in "xp")
         assert xx + xp == n
         assert len(result.sifted_bits_A) + cfg.m_estimation == xx
         assert abs(xx - n / 2) <= 3 * math.sqrt(n * 0.25)
@@ -277,7 +277,7 @@ class TestRunSession:
         result = run_session(source, mirrored_p, station, cfg)
         assert result.estimate.qber_xx == 0.0
         xx = result.table.block("x", "x")
-        assert xx[0, 1] == 0 and xx[1, 0] == 0
+        assert xx[0][1] == 0 and xx[1][0] == 0
 
     def test_deterministic_for_fixed_seed(self, default_experiment):
         source, alice, bob = default_experiment
@@ -315,8 +315,8 @@ class TestRunSession:
         assert result.table.total() == cfg.n_coincidences
         xx, pp = result.table.block("x", "x"), result.table.block("p", "p")
         for key, ones in (
-            (result.sifted_bits_A, xx[1, :].sum() + pp[1, :].sum()),
-            (result.sifted_bits_B, xx[:, 1].sum() + pp[:, 1].sum()),
+            (result.sifted_bits_A, sum(xx[1]) + sum(pp[1])),
+            (result.sifted_bits_B, sum(row[1] for row in xx + pp)),
         ):
             assert ones - cfg.m_estimation <= key.count("1") <= ones
 
@@ -348,7 +348,7 @@ class TestRunSession:
         result = run_session(source, alice, bob, cfg)
         assert len(result.sifted_bits_A) == sifted_count(result) - cfg.m_estimation
         xx, pp = result.table.block("x", "x"), result.table.block("p", "p")
-        wrong = xx[0, 1] + xx[1, 0] + pp[0, 1] + pp[1, 0]
+        wrong = xx[0][1] + xx[1][0] + pp[0][1] + pp[1][0]
         disagree = sum(a != b for a, b in zip(result.sifted_bits_A, result.sifted_bits_B))
         assert disagree == wrong - result.estimate.p_wrong
 
@@ -615,4 +615,65 @@ class TestTableCsv:
         counts = np.zeros((4, 4), dtype=int)
         counts[0, 0] = -1
         with pytest.raises(ValueError):
+            CoincidenceTable(counts)
+
+
+class TestTableType:
+    """Plain-int rows; numpy arrays and nested lists are the same table."""
+
+    CELLS = [[953, 47, 12, 30], [41, 960, 25, 19], [17, 28, 948, 52], [33, 21, 44, 957]]
+
+    def test_array_and_lists_give_identical_reports(self):
+        from_lists = CoincidenceTable(self.CELLS)
+        from_array = CoincidenceTable(np.array(self.CELLS, dtype=np.int64))
+        assert from_lists == from_array
+        assert qber_from_counts(from_lists) == qber_from_counts(from_array)
+        for p in (0.5, (0.3, 0.6)):
+            assert qber_with_eve_prediction(from_lists, p) == qber_with_eve_prediction(
+                from_array, p
+            )
+
+    def test_rows_hold_python_ints(self):
+        table = CoincidenceTable(np.array(self.CELLS, dtype=np.int32))
+        assert table.rows == tuple(map(tuple, self.CELLS))
+        assert all(type(v) is int for row in table.rows for v in row)
+        assert table.block("p", "x") == ((17, 28), (33, 21))
+        assert table.total() == sum(map(sum, self.CELLS))
+
+    def test_counts_is_a_fresh_int64_array(self):
+        table = CoincidenceTable(self.CELLS)
+        counts = table.counts
+        assert counts.dtype == np.int64 and counts.shape == (4, 4)
+        assert counts.tolist() == [list(row) for row in table.rows]
+        counts[0, 0] = 0
+        assert table.counts[0, 0] == self.CELLS[0][0]
+
+    def test_integer_valued_floats_accepted(self):
+        assert CoincidenceTable(np.array(self.CELLS, dtype=float)).rows == CoincidenceTable(
+            self.CELLS
+        ).rows
+
+    @pytest.mark.parametrize("value", [0.5, 2.25, math.nan, math.inf, "7"])
+    def test_non_integer_rejected(self, value):
+        cells = [list(row) for row in self.CELLS]
+        cells[2][1] = value
+        with pytest.raises(ValueError, match="integers"):
+            CoincidenceTable(cells)
+
+    @pytest.mark.parametrize("value", [-1, -0.5])
+    def test_negative_rejected(self, value):
+        cells = [list(row) for row in self.CELLS]
+        cells[1][3] = value
+        with pytest.raises(ValueError, match="non-negative"):
+            CoincidenceTable(cells)
+
+    @pytest.mark.parametrize("counts", [
+        np.zeros((3, 4), dtype=int),
+        np.zeros((4, 5), dtype=int),
+        np.zeros(16, dtype=int),
+        [[0] * 4] * 3 + [[0] * 3],
+        5,
+    ])
+    def test_wrong_shape_rejected(self, counts):
+        with pytest.raises(ValueError, match="4x4"):
             CoincidenceTable(counts)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from eprqkd import detection
 from eprqkd.defaults import assemble_setup
@@ -26,6 +27,22 @@ def degenerate_source(sigma_minus=0.0, sigma_plus=2.0, kappa_minus=0.9, kappa_pl
     return SourceModel(sigma_minus, sigma_plus, kappa_minus, kappa_plus, PUMP)
 
 
+def _ppt_min_eigenvalue(model):
+    """Least eigenvalue of V^T_B + (i/2) Omega, V over (x_A, p_A, x_B, p_B).
+
+    Negative exactly when transposing B (p_B -> -p_B) leaves an unphysical
+    covariance, i.e. when the Gaussian state is entangled (hbar = 1).
+    """
+    s2p, s2m = model.sigma_plus**2, model.sigma_minus**2
+    k2m, k2p = model.kappa_minus**2, model.kappa_plus**2
+    cov = np.zeros((4, 4))
+    cov[np.ix_([0, 2], [0, 2])] = np.array([[s2p + s2m, s2p - s2m], [s2p - s2m, s2p + s2m]]) / 4
+    cov[np.ix_([1, 3], [1, 3])] = np.array([[k2m + k2p, k2m - k2p], [k2m - k2p, k2m + k2p]]) / 4
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    return np.linalg.eigvalsh(flip @ cov @ flip + 0.5j * omega).min()
+
+
 class TestBuildSource:
     def test_valid_and_entangled(self):
         model = build_source(0.3, 2.0, 0.9, 4.0, PUMP)
@@ -35,6 +52,26 @@ class TestBuildSource:
     def test_symmetric_saturated_not_entangled(self):
         model = build_source(1.0, 1.0, 1.0, 1.0, PUMP)
         assert not model.entangled
+
+    def test_entangled_through_the_correlated_pair_alone(self):
+        # sigma_minus^2 * kappa_minus^2 = 0.49 is above 1/4, yet
+        # sigma_minus * kappa_minus = 0.7 < 1 fails the partial transpose.
+        assert build_source(0.7, 1.5, 1.0, 1.5, PUMP).entangled is True
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sigma_minus=st.floats(0.05, 5.0),
+        kappa_minus=st.floats(0.05, 5.0),
+        excess_mp=st.floats(1.0 + 1e-9, 20.0),
+        excess_pm=st.floats(1.0 + 1e-9, 20.0),
+    )
+    def test_entangled_matches_numeric_ppt(self, sigma_minus, kappa_minus, excess_mp, excess_pm):
+        """entangled agrees with the eigenvalues of the partially transposed state."""
+        kappa_plus, sigma_plus = excess_mp / sigma_minus, excess_pm / kappa_minus
+        for product in (sigma_minus * kappa_minus, sigma_plus * kappa_plus):
+            assume(abs(math.log(product)) > 1e-6)
+        model = build_source(sigma_minus, sigma_plus, kappa_minus, kappa_plus, PUMP)
+        assert model.entangled == (_ppt_min_eigenvalue(model) < 0.0)
 
     def test_rejects_uncertainty_violation(self):
         with pytest.raises(UnphysicalSourceError, match="sigma_minus"):
