@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import analysis, defaults, detection, protocol
-from .adversary import BASIS_POLICIES, AttackConfig
 from .defaults import ConfigError, _as_float, _as_int, build_setup, parse_config_file
 
 if TYPE_CHECKING:
@@ -63,12 +62,14 @@ def config_hash(cfg: dict[str, str]) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def build_attack(cfg: dict[str, str]) -> AttackConfig | None:
+def build_attack(cfg: dict[str, str]) -> protocol.AttackConfig | None:
+    """The configured attack; attack.policy = none is no attack (None)."""
     policy = cfg["attack.policy"]
-    if policy not in BASIS_POLICIES:
-        raise ConfigError(f"attack.policy must be one of {BASIS_POLICIES}, got {policy!r}")
     if policy == "none":
         return None
+    if policy not in protocol.BASIS_POLICIES:
+        policies = (*protocol.BASIS_POLICIES, "none")
+        raise ConfigError(f"attack.policy must be one of {policies}, got {policy!r}")
     keys = ("attack.p_same", "attack.p_cross_1", "attack.p_cross_2")
     p_same, p1, p2 = values = [_as_float(cfg, key) for key in keys]
     for key, value in zip(keys, values):
@@ -79,7 +80,7 @@ def build_attack(cfg: dict[str, str]) -> AttackConfig | None:
             f"config keys attack.p_cross_1 + attack.p_cross_2 = {p1 + p2:.6g} exceed 1; "
             "the remainder is the null mass"
         )
-    return AttackConfig(basis_policy=policy, p_same_basis_correct=p_same, p_cross_basis=(p1, p2))
+    return protocol.AttackConfig(basis_policy=policy, p_same_basis_correct=p_same, p_cross_basis=(p1, p2))
 
 
 def resolve_seed(cli_seed: int | None, cfg: dict[str, str] | None) -> int:
@@ -377,8 +378,9 @@ def _variances_from_fit_reports(paths, station) -> tuple[list, list]:
             raise ConfigError(f"{path}: need a same-basis scan report, got {pair!r}")
         if sigma is None:
             raise ConfigError(f"{path}: scan is flat; no width to convert")
-        if not isinstance(sigma, (int, float)):
-            raise ConfigError(f"{path}: fit.sigma_mm must be a number, got {sigma!r}")
+        # json.loads accepts NaN and Infinity, and a bool is an int.
+        if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not 0 < sigma < math.inf:
+            raise ConfigError(f"{path}: fit.sigma_mm must be a positive finite width, got {sigma!r}")
         basis = pair[0]
         variance = (detection.conversion_for(station, basis) * sigma) ** 2
         (var_x if basis == "x" else var_p).append(variance)

@@ -452,21 +452,25 @@ def equalize_levels(
     factors_B = dict(factors_A)
 
     # Stage 1a: balance the two slits of each station/basis on single mass.
-    for station, factors in ((station_A, factors_A), (station_B, factors_B)):
+    mass_A, mass_B = {}, {}
+    for station, factors, mass in ((station_A, factors_A, mass_A), (station_B, factors_B, mass_B)):
         for basis in ("x", "p"):
-            masses = []
-            for det in station.detectors(basis):
-                lo, hi = station.latent_window(basis, det)
-                masses.append(_window_mass(source, basis, lo, hi))
+            mass[basis] = masses = [
+                _window_mass(source, basis, *station.latent_window(basis, det))
+                for det in station.detectors(basis)
+            ]
             if min(masses) <= 0:
                 raise ValueError(f"zero single-photon mass in basis {basis}; cannot equalize")
             small = min(masses)
             factors[(basis, 0)] *= small / masses[0]
             factors[(basis, 1)] *= small / masses[1]
 
-    # Stage 1b: balance the xp block against the px block via party A.
-    xp = _cross_level(source, station_A, station_B, "x", "p", factors_A, factors_B)
-    px = _cross_level(source, station_A, station_B, "p", "x", factors_A, factors_B)
+    # Stage 1b: balance the xp block against the px block via party A.  A
+    # mixed-basis cell is the product of the two single-slit masses.
+    xp, px = (
+        mass_A[a][0] * mass_B[b][0] * factors_A[(a, 0)] * factors_B[(b, 0)]
+        for a, b in ("xp", "px")
+    )
     if xp > px > 0:
         for i in (0, 1):
             factors_A[("x", i)] *= px / xp
@@ -501,13 +505,6 @@ def equalize_levels(
         _with_attenuation(station_A, factors_A),
         _with_attenuation(station_B, factors_B),
     )
-
-
-def _cross_level(source, station_A, station_B, basis_A, basis_B, fA, fB) -> float:
-    prob = coincidence_probability(
-        source, station_A, station_B, basis_A, basis_B, 1, 1, include_attenuation=False
-    )
-    return prob * fA[(basis_A, 0)] * fB[(basis_B, 0)]
 
 
 def _with_attenuation(station: StationConfig, factors) -> StationConfig:

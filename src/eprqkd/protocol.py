@@ -13,6 +13,13 @@ table (rows Ax1, Ax2, Ap1, Ap2; columns Bx1, Bx2, Bp1, Bp2):
     with eve  = (same-basis cross cells + chi) / all four blocks,
                 chi weighting the different-basis blocks by the chance that
                 the replacement photon lands in each of Bob's detectors.
+
+The intercept-resend attack (AttackConfig) acts on B's channel inside the
+session: the interceptor reads each photon with her own station, a null
+blocks it (the pair is later discarded as a non-coincidence), and a click
+triggers a replacement photon that B reads as set out in
+_intercepted_bob_clicks.  Substituting a whole fresh pair is a source swap,
+not a channel transform: run a session with a different SourceModel.
 """
 
 from __future__ import annotations
@@ -22,10 +29,9 @@ import math
 import numbers
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .adversary import AttackConfig, resolve_attack
 from .detection import StationConfig, basis_index
 from .source import SourceModel, channel_law, worker_threads
 
@@ -342,10 +348,8 @@ def _coincidences(
 
     import numpy as np
 
-    if attack is not None:
-        attack = resolve_attack(attack, station_B)
-        if attack.basis_policy == "none":
-            attack = None
+    if attack is not None and attack.eve_stations is None:
+        attack = replace(attack, eve_stations=station_B)
     std, slope, cond_std = map(np.array, channel_law(source))
     readout_A, readout_B = _Readout(station_A), _Readout(station_B)
 
@@ -524,15 +528,49 @@ def tally_coincidences(
     return CoincidenceTable(counts)
 
 
+# ---------------------------------------------------------------------------
+# Intercept-resend attack on B's channel
+# ---------------------------------------------------------------------------
+
+BASIS_POLICIES = ("always_x", "always_p", "uniform_random")
+
+
+@dataclass(frozen=True)
+class AttackConfig:
+    """Intercept-resend strategy parameters; no attack is attack=None.
+
+    eve_stations None means "copy of B's station", filled in when a session
+    binds the attack to B's channel.
+    """
+
+    basis_policy: str = "uniform_random"
+    p_same_basis_correct: float = 1.0
+    p_cross_basis: tuple[float, float] = (0.5, 0.5)
+    eve_stations: StationConfig | None = None
+
+    def __post_init__(self):
+        if self.basis_policy not in BASIS_POLICIES:
+            raise ValueError(
+                f"basis_policy must be one of {BASIS_POLICIES}, got {self.basis_policy!r}"
+            )
+        if not 0.0 <= self.p_same_basis_correct <= 1.0:
+            raise ValueError("p_same_basis_correct must lie in [0, 1]")
+        p1, p2 = self.p_cross_basis
+        if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
+            raise ValueError("cross-basis fractions must lie in [0, 1]")
+        if p1 + p2 > 1.0 + 1e-12:
+            raise ValueError(
+                "cross-basis fractions sum above 1; the remainder is the null mass"
+            )
+
+
 def _eve_bases(attack: AttackConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """The interceptor's basis choice (0 = x, 1 = p) for n photons."""
     import numpy as np
 
     if attack.basis_policy == "uniform_random":
         return rng.integers(0, 2, size=n, dtype=np.int8)
-    if attack.basis_policy in ("always_x", "always_p"):
-        return np.full(n, attack.basis_policy == "always_p", dtype=np.int8)
-    raise ValueError(f"unsupported basis policy {attack.basis_policy!r}")
+    return np.full(n, attack.basis_policy == "always_p", dtype=np.int8)
 
 
 def _intercepted_bob_clicks(

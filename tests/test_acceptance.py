@@ -13,7 +13,6 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from eprqkd.adversary import AttackConfig
 from eprqkd.analysis import (
     FLAT_RATIO_BOUND,
     ScanData,
@@ -31,6 +30,7 @@ from eprqkd.defaults import (
 )
 from eprqkd.detection import coincidence_probability, detected_variance
 from eprqkd.protocol import (
+    AttackConfig,
     CoincidenceTable,
     SessionConfig,
     qber_from_counts,

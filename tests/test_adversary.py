@@ -7,14 +7,14 @@ from fractions import Fraction
 from conftest import make_station
 
 from eprqkd import protocol
-from eprqkd.adversary import AttackConfig, predicted_qber, resolve_attack
 from eprqkd.detection import _window_mass, coincidence_probability
 from eprqkd.protocol import (
+    AttackConfig,
     CoincidenceTable,
     SessionConfig,
     _eve_bases,
     _intercepted_bob_clicks,
-    qber_from_counts,
+    qber_with_eve_prediction,
     run_session,
     tally_coincidences,
 )
@@ -36,11 +36,6 @@ class TestAttackConfigValidation:
     def test_p_same_bounded(self):
         with pytest.raises(ValueError):
             AttackConfig(p_same_basis_correct=1.5)
-
-    def test_resolve_fills_station_copy(self):
-        bob = make_station()
-        attack = resolve_attack(AttackConfig(), bob)
-        assert attack.eve_stations == bob
 
 
 # alpha = 1 and k/f = 2 with the origin at 0: her x slits take latents in
@@ -99,12 +94,11 @@ class TestInterceptSingle:
     def test_requires_resolution_and_policy(self, default_experiment):
         with pytest.raises(ValueError, match="policy"):
             _eve_bases(AttackConfig(basis_policy="none"), 10, np.random.default_rng(0))
-        # An unresolved attack is resolved to a copy of B's station on entry.
+        # An attack without a station reads with a copy of B's station.
         source, alice, bob = default_experiment
-        attack = AttackConfig()
         unresolved, resolved = (
             tally_coincidences(source, alice, bob, 20_000, np.random.default_rng(5), attack=a)
-            for a in (attack, resolve_attack(attack, bob))
+            for a in (AttackConfig(), AttackConfig(eve_stations=bob))
         )
         assert unresolved == resolved
 
@@ -245,22 +239,13 @@ class TestPredictedQber:
 
     def test_reference_prediction(self, reference_table):
         attack = AttackConfig(basis_policy="uniform_random")
-        rep = predicted_qber(attack, reference_table)
+        rep = qber_with_eve_prediction(reference_table, p_resend=attack.p_cross_basis)
         assert math.isclose(rep.qber, float(Fraction(2665, 8994)), rel_tol=1e-12)
 
     def test_detector_weighted_prediction(self, reference_table):
         attack = AttackConfig(basis_policy="uniform_random", p_cross_basis=(1.0, 0.0))
-        rep = predicted_qber(attack, reference_table)
+        rep = qber_with_eve_prediction(reference_table, p_resend=attack.p_cross_basis)
         assert rep.chi == 2309
-
-    def test_none_policy_reduces_to_plain_qber(self, reference_table):
-        attack = AttackConfig(basis_policy="none")
-        rep = predicted_qber(attack, reference_table)
-        assert rep == qber_from_counts(reference_table)
-
-    def test_fixed_policy_has_no_closed_form(self, reference_table):
-        with pytest.raises(ValueError, match="closed-form"):
-            predicted_qber(AttackConfig(basis_policy="always_x"), reference_table)
 
 
 def test_pair_substitution_is_a_source_swap(default_experiment):

@@ -667,6 +667,19 @@ class TestEprCheckCommand:
         assert report is None
         assert str(out) in err
 
+    @pytest.mark.parametrize("sigma", [
+        "true", "false", "NaN", "Infinity", "-Infinity", "0", "0.0", "-0.31",
+    ])
+    def test_invalid_fit_width_names_file_and_field(self, capsys, tmp_path, sigma):
+        out = tmp_path / "bad_width.json"
+        out.write_text(f'{{"results": {{"basis_pair": "xx", "fit": {{"sigma_mm": {sigma}}}}}}}')
+        code, report, err = run_cli(
+            ["epr-check", "--fits", str(out), str(out), str(out), str(out)], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert str(out) in err and "fit.sigma_mm" in err
+
     @pytest.mark.parametrize("argv, named", [
         (["--var-x", "0.5", "0.6"], ["--var-x", "--var-p"]),
         (["--var-p", "0.9"], ["--var-p", "--var-x"]),

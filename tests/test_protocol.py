@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eprqkd import protocol
-from eprqkd.adversary import AttackConfig
+from eprqkd import cli, protocol
 from eprqkd.detection import SlitDetector, coincidence_probability
 from eprqkd.protocol import (
+    AttackConfig,
     CoincidenceTable,
     ProtocolError,
     SessionConfig,
@@ -371,15 +371,13 @@ class TestRunSession:
         with pytest.raises(ProtocolError, match="pathologically low"):
             run_session(source, alice, far, cfg)
 
-    def test_attack_none_policy_equals_no_attack(self, default_experiment):
-        source, alice, bob = default_experiment
-        cfg = SessionConfig(n_coincidences=3000, m_estimation=300, rng_seed=13)
-        plain = run_session(source, alice, bob, cfg)
-        none_attack = run_session(
-            source, alice, bob, cfg, attack=AttackConfig(basis_policy="none")
-        )
-        assert plain.table == none_attack.table
-        assert plain.sifted_bits_A == none_attack.sifted_bits_A
+    def test_attack_has_no_none_policy(self):
+        # No attack is attack=None, never a policy.
+        with pytest.raises(ValueError, match="basis_policy"):
+            AttackConfig(basis_policy="none")
+
+    def test_config_policy_none_is_no_attack(self):
+        assert cli.build_attack({"attack.policy": "none"}) is None
 
 
 def _wide_station():
