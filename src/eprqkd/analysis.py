@@ -6,10 +6,17 @@ detection plane) are fit with a four-parameter Gaussian A exp(-(x-c)^2 /
 under FLAT_RATIO_BOUND is classified flat and gets an offset-only fit, which
 is what the conjugate-basis configurations produce.
 
-The fitted widths convert to conditional variances of the collective
-coordinates, and the entanglement witness is their product:
+The fitted widths convert to conditional (inferred) variances, and the
+witness is their product:
 
-    var(x_A - x_B) * var(p_A + p_B) < 1/4     (hbar = 1)
+    var(x_B | x_A) * var(p_B | p_A) < 1/4     (hbar = 1)
+
+This is Reid's EPR criterion on inferred variances (Reid, PRA 40, 913
+(1989)), a sufficient test for entanglement.  It is not Duan's criterion,
+which is a sum, nor Mancini's separability bound on the product of the
+collective variances var(x_A - x_B) * var(p_A + p_B), which is 1 in these
+units (Mancini et al., PRL 88, 120401 (2002)).  duan_check, DUAN_BOUND and
+the report key bound_hbar2 keep their names for existing callers.
 
 Counting errors are Poissonian, sqrt(N) with a floor of 1 for empty bins.
 """
@@ -255,10 +262,11 @@ def duan_check(
     unc_x_list: Sequence[float] | None = None,
     unc_p_list: Sequence[float] | None = None,
 ) -> EprCheckResult:
-    """Evaluate the variance-product entanglement witness.
+    """Evaluate Reid's EPR criterion on the product of inferred variances.
 
-    The product uses the arithmetic mean of each axis' variances and is
-    compared against 1/4 (hbar = 1) with strict inequality.  When
+    The product uses the arithmetic mean of each axis' conditional variances
+    and is compared against 1/4 (hbar = 1) with strict inequality (Reid, PRA
+    40, 913 (1989)); the name is historical, the test is not Duan's.  When
     uncertainties are supplied, first-order propagation yields the product
     uncertainty and the distance to the bound in standard deviations.
     Variances must be positive and finite, uncertainties non-negative and

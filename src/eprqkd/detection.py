@@ -16,11 +16,14 @@ coincidence_probability is the latent joint mass of both parties' acceptance
 windows in closed form: a product of two normal masses across bases and a
 bivariate-normal rectangle (four upper-orthant probabilities, Genz's method)
 within one.  It is the oracle that every Monte Carlo estimate in the package
-is checked against, and it needs nothing beyond the math module.
+is checked against, and it needs nothing beyond the math module.  Sessions,
+scans and oracle evaluations share one read-through cache of per-correlation
+quadrature constants (_orthant_rule), which does not change any result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -176,6 +179,31 @@ def _window_mass(source: SourceModel, basis: str, lo: float, hi: float) -> float
     return _normal_mass(lo / std, hi / std)
 
 
+@functools.lru_cache(maxsize=16)  # a setup reads two values of r, one per basis
+def _orthant_rule(r: float) -> tuple:
+    """The terms of _upper_orthant's rule that depend on r alone.
+
+    Each node x enters at t = 1 - x and 1 + x, in the order the sum runs.
+    Below |r| = 0.925 this is asin(r) and (w, sn, 1 - sn^2) per point; nearer
+    1 it is 1 - r^2, its root a and (w, xs, rs, 2 (1 + rs)^2) per point; at
+    |r| >= 1 it is empty.  r = -0.0 may be served r = 0.0's rule: the two
+    differ only in the sign of zero terms, which no orthant value keeps.
+    """
+    nodes, weights = next((x, w) for bound, x, w in _GAUSS_LEGENDRE if abs(r) < bound)
+    points = [(w, t) for x, w in zip(nodes, weights) for t in (1.0 - x, 1.0 + x)]
+    if abs(r) < 0.925:
+        asr = math.asin(r)
+        return asr, tuple((w, sn := math.sin(asr * t / 2.0), 1.0 - sn * sn) for w, t in points)
+    if abs(r) >= 1.0:
+        return ()
+    aa = (1.0 - r) * (1.0 + r)
+    a = math.sqrt(aa)
+    return aa, a, tuple(
+        (w, xs := (a / 2.0 * t) ** 2, rs := math.sqrt(1.0 - xs), 2.0 * (1.0 + rs) ** 2)
+        for w, t in points
+    )
+
+
 def _upper_orthant(h: float, k: float, r: float) -> float:
     """P(X > h, Y > k) for standard normals X, Y with correlation r.
 
@@ -183,25 +211,23 @@ def _upper_orthant(h: float, k: float, r: float) -> float:
     Comput. Simul. 35:101 (1990).  For |r| < 0.925 a Gauss-Legendre rule
     integrates Plackett's dP/dr over asin(r); nearer 1 the integrand in
     sqrt(1 - r^2) has its singular part taken out in closed form first.
-    The absolute error is about 1e-16.
+    The terms that depend on r alone come from _orthant_rule.  The absolute
+    error is about 1e-16.
     """
-    nodes, weights = next((x, w) for bound, x, w in _GAUSS_LEGENDRE if abs(r) < bound)
+    rule = _orthant_rule(r)
     hk = h * k
     if abs(r) < 0.925:
+        asr, points = rule
         hs = (h * h + k * k) / 2.0
-        asr = math.asin(r)
         total = 0.0
-        for x, w in zip(nodes, weights):
-            for t in (1.0 - x, 1.0 + x):
-                sn = math.sin(asr * t / 2.0)
-                total += w * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+        for w, sn, den in points:
+            total += w * math.exp((sn * hk - hs) / den)
         return total * asr / (2.0 * _TWOPI) + _cdf(-h) * _cdf(-k)
     if r < 0:
         k, hk = -k, -hk
     bvn = 0.0
     if abs(r) < 1.0:
-        aa = (1.0 - r) * (1.0 + r)
-        a = math.sqrt(aa)
+        aa, a, points = rule
         bs = (h - k) ** 2
         c = (4.0 - hk) / 8.0
         d = (12.0 - hk) / 80.0
@@ -212,18 +238,14 @@ def _upper_orthant(h: float, k: float, r: float) -> float:
             b = math.sqrt(bs)
             bvn -= (math.exp(-hk / 2.0) * _SQRT2PI * _cdf(-b / a) * b
                     * (1.0 - c * bs * (1.0 - d * bs) / 3.0))
-        a /= 2.0
         total = 0.0
-        for x, w in zip(nodes, weights):
-            for t in (1.0 - x, 1.0 + x):
-                xs = (a * t) ** 2
-                rs = math.sqrt(1.0 - xs)
-                asr = -(bs / xs + hk) / 2.0
-                total += w * (
-                    math.exp(asr) * (1.0 + c * xs * (1.0 + 5.0 * d * xs))
-                    - math.exp(asr - hk * xs / (2.0 * (1.0 + rs) ** 2)) / rs
-                )
-        bvn = (a * total - bvn) / _TWOPI
+        for w, xs, rs, den in points:
+            asr = -(bs / xs + hk) / 2.0
+            total += w * (
+                math.exp(asr) * (1.0 + c * xs * (1.0 + 5.0 * d * xs))
+                - math.exp(asr - hk * xs / den) / rs
+            )
+        bvn = (a / 2.0 * total - bvn) / _TWOPI
     if r > 0:
         return bvn + _cdf(-max(h, k))
     if h >= k:
@@ -273,10 +295,15 @@ def coincidence_probability(
 ) -> float:
     """Joint click probability for one detector pair, in closed form.
 
-    det_A / det_B are detector indices (1 or 2).  The probability is the
-    latent mass of the two slits' closed latent windows (_cell_probability);
-    attenuation factors thin it unless include_attenuation is False.
+    det_A / det_B are detector indices, the ints 1 or 2.  The probability is
+    the latent mass of the two slits' closed latent windows
+    (_cell_probability); attenuation factors thin it unless
+    include_attenuation is False.
     """
+    if type(det_A) is not int or not 0 < det_A < 3:  # a bool is not an index
+        raise ValueError(f"det_A must be 1 or 2, got {det_A!r}")
+    if type(det_B) is not int or not 0 < det_B < 3:
+        raise ValueError(f"det_B must be 1 or 2, got {det_B!r}")
     slit_A = station_A.detectors(basis_A)[det_A - 1]
     slit_B = station_B.detectors(basis_B)[det_B - 1]
     prob = _cell_probability(

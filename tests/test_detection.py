@@ -1,18 +1,23 @@
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.stats import multivariate_normal
 
 from eprqkd import detection, protocol
+from eprqkd.defaults import assemble_setup
 from eprqkd.detection import (
     SlitDetector,
     StationConfig,
+    _GAUSS_LEGENDRE,
+    _cdf,
     _cell_probability,
+    _orthant_rule,
     _rectangle,
     _upper_orthant,
     _window_mass,
@@ -220,6 +225,16 @@ class TestCoincidenceOracle:
         assert abs(p_same - _window_mass(tight, "x", lo, hi)) < 1e-8
         assert p_cross < 1e-12
 
+    @pytest.mark.parametrize("bad", [0, 3, -1, True])
+    @pytest.mark.parametrize("field", ["det_A", "det_B"])
+    def test_detector_index_must_be_one_or_two(self, default_experiment, field, bad):
+        # 0 and -1 would index from the end (detector 2's cell), 3 past it,
+        # and True is an int equal to 1.
+        source, alice, bob = default_experiment
+        dets = {"det_A": 1, "det_B": 1, field: bad}
+        with pytest.raises(ValueError, match=field):
+            coincidence_probability(source, alice, bob, "x", "x", **dets)
+
     def test_wrong_to_right_ratio_with_defaults(self, default_experiment):
         source, alice, bob = default_experiment
         right = coincidence_probability(source, alice, bob, "x", "x", 1, 1)
@@ -420,6 +435,145 @@ class TestPartnerCenters:
         assume(abs(reference[1] - low_end) < 1e-9)
         center = derive_partner_centers(source, station, station, "p")[1]
         assert abs(center - low_end) < 1e-9
+
+
+def frozen_upper_orthant(h, k, r):
+    """Genz's orthant with every term computed in place, in the same order.
+
+    The reference that _upper_orthant and its cached _orthant_rule must match
+    bit for bit; keep it unchanged.
+    """
+    nodes, weights = next((x, w) for bound, x, w in _GAUSS_LEGENDRE if abs(r) < bound)
+    two_pi, sqrt_two_pi = 2.0 * math.pi, math.sqrt(2.0 * math.pi)
+    hk = h * k
+    if abs(r) < 0.925:
+        hs = (h * h + k * k) / 2.0
+        asr = math.asin(r)
+        total = 0.0
+        for x, w in zip(nodes, weights):
+            for t in (1.0 - x, 1.0 + x):
+                sn = math.sin(asr * t / 2.0)
+                total += w * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+        return total * asr / (2.0 * two_pi) + _cdf(-h) * _cdf(-k)
+    if r < 0:
+        k, hk = -k, -hk
+    bvn = 0.0
+    if abs(r) < 1.0:
+        aa = (1.0 - r) * (1.0 + r)
+        a = math.sqrt(aa)
+        bs = (h - k) ** 2
+        c = (4.0 - hk) / 8.0
+        d = (12.0 - hk) / 80.0
+        bvn = a * math.exp(-(bs / aa + hk) / 2.0) * (
+            1.0 - c * (bs - aa) * (1.0 - d * bs) / 3.0 + c * d * aa * aa
+        )
+        if hk > -100.0:
+            b = math.sqrt(bs)
+            bvn -= (math.exp(-hk / 2.0) * sqrt_two_pi * _cdf(-b / a) * b
+                    * (1.0 - c * bs * (1.0 - d * bs) / 3.0))
+        a /= 2.0
+        total = 0.0
+        for x, w in zip(nodes, weights):
+            for t in (1.0 - x, 1.0 + x):
+                xs = (a * t) ** 2
+                rs = math.sqrt(1.0 - xs)
+                asr = -(bs / xs + hk) / 2.0
+                total += w * (
+                    math.exp(asr) * (1.0 + c * xs * (1.0 + 5.0 * d * xs))
+                    - math.exp(asr - hk * xs / (2.0 * (1.0 + rs) ** 2)) / rs
+                )
+        bvn = (a * total - bvn) / two_pi
+    if r > 0:
+        return bvn + _cdf(-max(h, k))
+    if h >= k:
+        return -bvn
+    return (_cdf(k) - _cdf(h) if h < 0 else _cdf(-h) - _cdf(-k)) - bvn
+
+
+_BAND_EDGES = [e for edge in (0.3, 0.75, 0.925) for e in (
+    edge, -edge, math.nextafter(edge, 0.0), -math.nextafter(edge, 0.0),
+)]
+_CORRELATIONS = st.one_of(
+    st.sampled_from([*_BAND_EDGES, 0.0, -0.0, 1.0, -1.0]),
+    st.floats(-0.3, 0.3),
+    st.floats(0.3, 0.75) | st.floats(-0.75, -0.3),
+    st.floats(0.75, 0.925) | st.floats(-0.925, -0.75),
+    st.floats(0.925, 1.0) | st.floats(-1.0, -0.925),
+)
+
+# The default setup as the oracle gave it before the rule was cached:
+# float.hex of the 16 cells (rows Ax1..Ap2, columns Bx1..Bp2), of A's slit
+# centers (x1, x2, p1, p2) and of the attenuation factors (A's, then B's).
+DEFAULT_CELLS_HEX = (
+    ("0x1.16cbad91deb08p-6", "0x1.99afc3d3ffe57p-13", "0x1.8ece55139fecdp-8", "0x1.8ece55139fecdp-8"),
+    ("0x1.99afc3d3ffe51p-13", "0x1.16cbad91deb0cp-6", "0x1.8ece55139feccp-8", "0x1.8ece55139feccp-8"),
+    ("0x1.8ece55139fecdp-8", "0x1.8ece55139fecdp-8", "0x1.16cbad91deb09p-6", "0x1.efded020a6659p-11"),
+    ("0x1.8ece55139fecdp-8", "0x1.8ece55139fecdp-8", "0x1.efded020a6659p-11", "0x1.16cbad91deb09p-6"),
+)
+DEFAULT_CENTERS_HEX = (
+    "0x1.ed01995d3de33p-1", "0x1.04bf99a8b0873p+1", "0x1.0901d8a4929c0p+1", "0x1.dbf89d6db5900p-1",
+)
+DEFAULT_ATTENUATION_HEX = (
+    "0x1.f2a7cf6cdee38p-1", "0x1.f2a7cf6cdee2ap-1", "0x1.c26d8207b783dp-2", "0x1.c26d8207b783dp-2",
+    "0x1.ffffffffffffep-1", "0x1.ffffffffffff7p-1", "0x1.c26d8207b783dp-2", "0x1.c26d8207b783dp-2",
+)
+LABELS = (("x", 1), ("x", 2), ("p", 1), ("p", 2))
+
+
+def oracle_hex(geometry):
+    """A's derived slits and filters on a drawn geometry, and its 16 cells, as float.hex."""
+    source, alice, bob = assemble_setup(*geometry)
+    slits = [d for station in (alice, bob) for d in station.x_detectors + station.p_detectors]
+    values = [d.center for d in slits] + [d.attenuation for d in slits] + [
+        coincidence_probability(source, alice, bob, ba, bb, da, db)
+        for ba, da in LABELS for bb, db in LABELS
+    ]
+    return [v.hex() for v in values]
+
+
+class TestOracleExactness:
+    """The cached quadrature rule changes no oracle value in its last bit."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(h=st.floats(-8.0, 8.0), k=st.floats(-8.0, 8.0), r=_CORRELATIONS)
+    @example(h=0.0, k=-0.0, r=-0.0)
+    @example(h=0.5, k=0.5, r=-1.0)
+    def test_orthant_equals_frozen_reference(self, h, k, r):
+        # Bit for bit, the sign of a zero included.
+        assert _upper_orthant(h, k, r).hex() == frozen_upper_orthant(h, k, r).hex()
+
+    def test_signed_zero_correlations_share_a_rule(self):
+        for first in (0.0, -0.0):
+            _orthant_rule.cache_clear()
+            _orthant_rule(first)
+            for h, k in ((0.0, -0.0), (-0.0, 0.0), (1.5, -2.0), (40.0, 40.0)):
+                for r in (0.0, -0.0):
+                    assert _upper_orthant(h, k, r).hex() == frozen_upper_orthant(h, k, r).hex()
+
+    def test_default_setup_pinned(self, default_experiment):
+        source, alice, bob = default_experiment
+        cells = tuple(
+            tuple(coincidence_probability(source, alice, bob, ba, bb, da, db).hex() for bb, db in LABELS)
+            for ba, da in LABELS
+        )
+        assert cells == DEFAULT_CELLS_HEX
+        slits = alice.x_detectors + alice.p_detectors
+        assert tuple(d.center.hex() for d in slits) == DEFAULT_CENTERS_HEX
+        factors = [d.attenuation for s in (alice, bob) for d in s.x_detectors + s.p_detectors]
+        assert tuple(f.hex() for f in factors) == DEFAULT_ATTENUATION_HEX
+
+    @settings(max_examples=3, deadline=None)
+    @given(geometries=st.lists(partner_geometries(), min_size=8, max_size=8))
+    def test_cache_holds_only_derived_constants(self, geometries):
+        # Serial, then two threads filling and reading the cache at once,
+        # then from an empty cache: every value agrees bit for bit.
+        serial = [oracle_hex(g) for g in geometries]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(oracle_hex, geometries))
+        _orthant_rule.cache_clear()
+        cleared = [oracle_hex(g) for g in geometries]
+        assert threaded == serial
+        assert cleared == serial
 
 
 class TestDetectedVariance:
