@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from .detection import StationConfig, basis_index
-from .source import SourceModel, channel_law, worker_threads
+from .source import DRAW_SIZE, SourceModel, channel_law, ordered_streams, partner_latent
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,7 +39,6 @@ FLAT_RATIO_BOUND = 1.3
 DUAN_BOUND = 0.25
 _MIN_POINTS = 5
 FIT_MAX_STEPS = 200
-_SCAN_CHUNK = 1 << 18
 
 
 class FitError(RuntimeError):
@@ -329,19 +328,11 @@ def scan_simulation(
     point B's slit is re-centered and pairs_per_point fresh pairs are
     emitted; the count is the number of double transmissions through the
     closed slit windows.  A's photon comes first: each pair draws A's latent
-    coordinate, and only the pairs inside A's window draw B's, from its
-    Gaussian law given A's (source.channel_law) when the bases match, from
-    its marginal otherwise.  This is the law of sample_pairs followed by both
-    window tests.  Attenuation filters are left out: scans model the bare
-    alignment measurements taken before filters are installed.
-
-    Each grid point draws from its own child of rng (rng.spawn), in chunks
-    of _SCAN_CHUNK pairs, and the points run on a pool of threads (numpy's
-    generators and array operations release the interpreter lock, so the
-    threads share the cores).  The counts depend only on rng's seed and on
-    how many children it has spawned, not on the number of threads or the
-    order in which the points finish; each scan spawns fresh children, so
-    back-to-back scans on one rng draw distinct streams.
+    coordinate, and only the pairs inside A's window draw B's
+    (source.partner_latent).  This is the law of sample_pairs followed by
+    both window tests.  Attenuation filters are left out: scans model the
+    bare alignment measurements taken before filters are installed.  Grid
+    points run through source.ordered_streams, DRAW_SIZE pairs at a time.
     """
     grid = list(grid)
     if len(grid) < _MIN_POINTS:
@@ -361,8 +352,6 @@ def scan_simulation(
         raise ValueError(f"pairs_per_point must be an integer, got {pairs_per_point!r}")
     if pairs_per_point <= 0:
         raise ValueError("pairs_per_point must be positive")
-    from concurrent.futures import ThreadPoolExecutor
-
     import numpy as np
 
     det_idx = int(fixed_detector[-1]) - 1
@@ -372,9 +361,9 @@ def scan_simulation(
     windows_B = [
         station_B.latent_window(basis_B, replace(slit_B, center=center)) for center in grid
     ]
-    std, slope, cond_std = channel_law(source)
+    law = channel_law(source)
     i_A, i_B = basis_index(basis_A), basis_index(basis_B)
-    pairs, chunk = int(pairs_per_point), _SCAN_CHUNK
+    pairs, chunk = int(pairs_per_point), DRAW_SIZE
 
     def count(window_B: tuple[float, float], stream: np.random.Generator) -> int:
         b_lo, b_hi = window_B
@@ -383,22 +372,15 @@ def scan_simulation(
         for start in range(0, pairs, chunk):
             drawn = buffer[: min(chunk, pairs - start)]
             stream.standard_normal(out=drawn)
-            drawn *= std[i_A]
+            drawn *= law[0][i_A]
             lat_A = drawn[(drawn >= a_lo) & (drawn <= a_hi)]
-            noise = stream.standard_normal(lat_A.size)
-            if basis_A == basis_B:
-                lat_B = slope[i_A] * lat_A + cond_std[i_A] * noise
-            else:
-                lat_B = std[i_B] * noise
+            lat_B = partner_latent(law, lat_A, i_A, i_B, stream.standard_normal(lat_A.size))
             hits += int(np.count_nonzero((lat_B >= b_lo) & (lat_B <= b_hi)))
         return hits
 
-    with ThreadPoolExecutor(max_workers=min(worker_threads(), len(grid))) as pool:
-        counts = list(pool.map(count, windows_B, rng.spawn(len(grid))))
-
     return ScanData(
         positions=tuple(float(g) for g in grid),
-        counts=tuple(counts),
+        counts=tuple(ordered_streams(count, windows_B, rng)),
         fixed_detector=fixed_detector,
         basis_pair=(basis_A, basis_B),
     )

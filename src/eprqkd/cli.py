@@ -424,11 +424,15 @@ def cmd_epr_check(args):
         cfg, seed, bob, fitted = _scan_and_fit(
             args, [(f, (f[1], f[1])) for f in fixed], _parse_grid("0:3:0.1"), pairs
         )
-        variances = [
-            analysis.conditional_variance(fit, detection.conversion_for(bob, f[1]))
-            for f, (_, fit) in zip(fixed, fitted)
-        ]
+        scaled = [(detection.conversion_for(bob, f[1]), fit) for f, (_, fit) in zip(fixed, fitted)]
+        variances = [analysis.conditional_variance(fit, scale) for scale, fit in scaled]
         var_x, var_p = variances[:2], variances[2:]
+        if all(fit.covariance is not None for _, fit in scaled):
+            # d(scale sigma)^2 = 2 scale^2 sigma d(sigma), sd(sigma) from the fit.
+            unc = [
+                2 * scale**2 * fit.sigma * math.sqrt(fit.covariance[2][2]) for scale, fit in scaled
+            ]
+            unc_x, unc_p = unc[:2], unc[2:]
     elif args.var_x is not None:
         var_x, var_p = args.var_x, args.var_p
         unc_x, unc_p = args.unc_x, args.unc_p

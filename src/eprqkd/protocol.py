@@ -27,13 +27,12 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from collections import deque
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .detection import StationConfig, basis_index
-from .source import SourceModel, channel_law, worker_threads
+from .source import DRAW_SIZE, SourceModel, channel_law, ordered_streams, partner_latent
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,7 +40,6 @@ if TYPE_CHECKING:
 ALICE_LABELS = ("Ax1", "Ax2", "Ap1", "Ap2")
 BOB_LABELS = ("Bx1", "Bx2", "Bp1", "Bp2")
 DEFAULT_QBER_THRESHOLD = 0.15
-_BATCH = 1 << 18  # pairs per emission batch
 
 
 class ProtocolError(RuntimeError):
@@ -324,34 +322,22 @@ def _coincidences(
 
     Each pair draws A's basis coin and her latent coordinate in that basis.
     Only the pairs on which A clicks draw B's basis coin and the photon on
-    B's channel, read in B's basis or, under interception, in the
-    interceptor's: from its Gaussian law given A's latent when that basis is
-    A's, from its marginal otherwise (position and momentum are
-    independent).  B's coin is independent of everything else, so drawing it
-    only where it is read leaves the law of sample_pairs followed by both
-    readouts unchanged.
-
-    Each batch draws from its own child of rng (rng.spawn), taken in batch
-    order on the calling thread, and up to source.worker_threads() batches
-    run at once on a pool of threads (numpy's generators and array
-    operations release the interpreter lock).  Batches are yielded in order,
-    so the output depends only on rng's seed and on how many children it has
-    spawned, not on the number of threads or on which batch finishes first.
-    Closing the generator cancels the batches not yet started and waits for
-    the running ones, so no pool thread outlives it.
+    B's channel (source.partner_latent), read in B's basis or, under
+    interception, in the interceptor's.  B's coin is independent of
+    everything else, so drawing it only where it is read leaves the law of
+    sample_pairs followed by both readouts unchanged.  Batches run through
+    source.ordered_streams.
 
     Yields (n, pos, bas_A, bas_B, det_A, det_B) per batch: the n pairs
     emitted, the in-batch positions of its coincidences in increasing order,
     and their basis choices (0 = x, 1 = p) and detector indices (0 / 1).
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     import numpy as np
 
-    if attack is not None and attack.eve_stations is None:
-        attack = replace(attack, eve_stations=station_B)
-    std, slope, cond_std = map(np.array, channel_law(source))
+    law = channel_law(source)
+    std = np.array(law[0])
     readout_A, readout_B = _Readout(station_A), _Readout(station_B)
+    readout_E = None if attack is None else _Readout(attack.eve_stations or station_B)
 
     def emit(n: int, stream: np.random.Generator):
         bas_A = stream.integers(0, 2, size=n, dtype=np.int8)
@@ -363,30 +349,17 @@ def _coincidences(
         bas_A, lat_A, det_A = bas_A[pos], lat_A[pos], det_A[pos]
         bas_B = stream.integers(0, 2, size=pos.size, dtype=np.int8)
         bas_ch = bas_B if attack is None else _eve_bases(attack, pos.size, stream)
-        same = bas_ch == bas_A
-        lat_ch = np.where(same, slope[bas_A] * lat_A, 0.0) + np.where(
-            same, cond_std[bas_A], std[bas_ch]
-        ) * stream.standard_normal(pos.size)
+        lat_ch = partner_latent(law, lat_A, bas_A, bas_ch, stream.standard_normal(pos.size))
         if attack is None:
             det_B = readout_B.clicks(lat_ch, bas_B, stream)
         else:
-            det_B = _intercepted_bob_clicks(lat_ch, bas_ch, bas_B, attack, stream)
+            det_B = _intercepted_bob_clicks(lat_ch, bas_ch, bas_B, attack, readout_E, stream)
 
         hit = det_B >= 0
         return n, pos[hit], bas_A[hit], bas_B[hit], det_A[hit], det_B[hit]
 
-    workers = worker_threads()
-    pool = ThreadPoolExecutor(max_workers=workers)
-    running = deque()
-    try:
-        for start in range(0, n_pairs, batch):
-            running.append(pool.submit(emit, min(batch, n_pairs - start), rng.spawn(1)[0]))
-            if len(running) == workers:
-                yield running.popleft().result()
-        while running:
-            yield running.popleft().result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    sizes = (min(batch, n_pairs - start) for start in range(0, n_pairs, batch))
+    return ordered_streams(emit, sizes, rng)
 
 
 def _cell_counts(bas_A, bas_B, det_A, det_B) -> np.ndarray:
@@ -420,18 +393,17 @@ def run_session(
     for error estimation and removed from the key, and the abort flag is set
     when the estimate exceeds the threshold.
 
-    Emission runs in fixed-size batches of 2^18 pairs (at most 8 N, at least
-    4096), each on its own child stream, on a pool of threads
-    (_coincidences); batches are consumed in order up to the N-th
-    coincidence and any batch run ahead past it is discarded, so
-    emitted_pairs counts the pairs up to and including that coincidence.
+    Emission runs in fixed-size batches of source.DRAW_SIZE pairs (at most
+    8 N, at least 4096) through _coincidences; batches are consumed in order
+    up to the N-th coincidence and any batch run ahead past it is discarded,
+    so emitted_pairs counts the pairs up to and including that coincidence.
     The result depends only on the seed, not on the number of threads.
     """
     import numpy as np
 
     rng = np.random.default_rng(session.rng_seed)
     n_target = session.n_coincidences
-    batch = max(4096, min(_BATCH, n_target * 8))
+    batch = max(4096, min(DRAW_SIZE, n_target * 8))
     chunks = []
     collected = 0
     emitted = 0
@@ -511,9 +483,9 @@ def tally_coincidences(
 
     Both sides choose bases with fair coins; non-coincidences are dropped.
     This is the Monte Carlo side of the oracle-equivalence check: cell
-    (i, j) accumulates with probability P(cell) / 4.  Batches of 2^18 pairs
-    run on threads, each on its own child of rng (_coincidences), so the
-    table depends only on rng's seed and how many children it has spawned.
+    (i, j) accumulates with probability P(cell) / 4.  Batches of
+    source.DRAW_SIZE pairs run through _coincidences, so the table depends
+    only on rng's seed and how many children it has spawned.
     """
     if isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Integral) or n_pairs < 0:
         raise ValueError(f"n_pairs must be a non-negative integer, got {n_pairs!r}")
@@ -521,7 +493,7 @@ def tally_coincidences(
 
     counts = np.zeros((4, 4), dtype=np.int64)
     with closing(_coincidences(
-        source, station_A, station_B, attack, rng, n_pairs, _BATCH
+        source, station_A, station_B, attack, rng, n_pairs, DRAW_SIZE
     )) as batches:
         for _, _, *cells in batches:
             counts += _cell_counts(*cells)
@@ -539,8 +511,7 @@ BASIS_POLICIES = ("always_x", "always_p", "uniform_random")
 class AttackConfig:
     """Intercept-resend strategy parameters; no attack is attack=None.
 
-    eve_stations None means "copy of B's station", filled in when a session
-    binds the attack to B's channel.
+    eve_stations None means the interceptor reads with B's station.
     """
 
     basis_policy: str = "uniform_random"
@@ -578,19 +549,20 @@ def _intercepted_bob_clicks(
     bas_E: np.ndarray,
     bas_B: np.ndarray,
     attack: AttackConfig,
+    readout_E: _Readout,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Vectorized intercept-resend transform of B's channel.
 
     The interceptor reads the photon's latent coordinate in her basis with
-    her own station; a null blocks the photon.  On a click she resends: if B
+    her own station's readout_E; a null blocks the photon.  On a click she resends: if B
     measures in her basis he fires her detector with probability p_same (the
     other one otherwise); in the conjugate basis his detector follows the
     p_cross fractions, any remainder going to null.
     """
     import numpy as np
 
-    det_E = _Readout(attack.eve_stations).clicks(lat_E, bas_E, rng)
+    det_E = readout_E.clicks(lat_E, bas_E, rng)
     det_B = np.full(det_E.shape, -1, dtype=np.int8)
     passed = np.flatnonzero(det_E >= 0)
     relayed = det_E[passed]

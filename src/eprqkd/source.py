@@ -24,6 +24,8 @@ test, exact for this family: Simon, PRL 84, 2726 (2000)), that is when
 
 Position and momentum blocks are uncorrelated, so a single latent sample per
 pair reproduces the detection statistics of all four basis pairings at once.
+Sessions and scans share one A-first emission kernel here: partner_latent
+and ordered_streams.
 """
 
 from __future__ import annotations
@@ -232,9 +234,53 @@ def calibrate_source(
     )
 
 
+DRAW_SIZE = 1 << 18  # pairs an emission loop draws at once
+
+
+def partner_latent(law, lat_A, bas_A, bas_ch, noise: np.ndarray) -> np.ndarray:
+    """B's latent from noise: its law given lat_A where bas_ch is A's basis, else its marginal.
+
+    law is channel_law(source); bases (0 = x, 1 = p) are arrays or scalars.
+    """
+    import numpy as np
+
+    std, slope, cond_std = map(np.asarray, law)
+    same = bas_ch == bas_A
+    return np.where(same, slope[bas_A] * lat_A, 0.0) + np.where(
+        same, cond_std[bas_A], std[bas_ch]
+    ) * noise
+
+
 def worker_threads() -> int:
     """Threads a Monte Carlo loop may use: the CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def ordered_streams(work, jobs, rng: np.random.Generator):
+    """Yield work(job, stream) for each job in job order, stream a fresh child of rng.
+
+    Children are spawned in job order on the calling thread (rng.spawn), and
+    up to worker_threads() jobs run at once on a pool of threads (numpy
+    releases the interpreter lock).  Results depend only on rng's seed and
+    how many children it had spawned, not on the thread count or on which
+    job finishes first.  Closing the generator, or a job raising, cancels
+    the jobs not yet started and joins the running ones.
+    """
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = worker_threads()
+    pool = ThreadPoolExecutor(max_workers=workers)
+    running = deque()
+    try:
+        for job in jobs:
+            running.append(pool.submit(work, job, rng.spawn(1)[0]))
+            if len(running) == workers:
+                yield running.popleft().result()
+        while running:
+            yield running.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

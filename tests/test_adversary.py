@@ -12,6 +12,7 @@ from eprqkd.protocol import (
     AttackConfig,
     CoincidenceTable,
     SessionConfig,
+    _Readout,
     _eve_bases,
     _intercepted_bob_clicks,
     qber_with_eve_prediction,
@@ -53,7 +54,7 @@ def bob_clicks(latents, basis_E, basis_B, rng, **attack):
     n = latents.size
     config = AttackConfig(basis_policy=f"always_{basis_E}", eve_stations=EVE_STATION, **attack)
     return _intercepted_bob_clicks(
-        latents, bases(basis_E, n), bases(basis_B, n), config, rng
+        latents, bases(basis_E, n), bases(basis_B, n), config, _Readout(EVE_STATION), rng
     )
 
 
@@ -94,7 +95,7 @@ class TestInterceptSingle:
     def test_requires_resolution_and_policy(self, default_experiment):
         with pytest.raises(ValueError, match="policy"):
             _eve_bases(AttackConfig(basis_policy="none"), 10, np.random.default_rng(0))
-        # An attack without a station reads with a copy of B's station.
+        # An attack without a station reads with B's station.
         source, alice, bob = default_experiment
         unresolved, resolved = (
             tally_coincidences(source, alice, bob, 20_000, np.random.default_rng(5), attack=a)
@@ -114,7 +115,9 @@ def test_null_rate_matches_acceptance_mass(default_experiment, rng):
     _, x_B, _, p_B = sample_pairs(source, n, rng)
     for basis, latents in (("x", x_B), ("p", p_B)):
         attack = AttackConfig(basis_policy=f"always_{basis}", eve_stations=bob)
-        det = _intercepted_bob_clicks(latents, bases(basis, n), bases(basis, n), attack, rng)
+        det = _intercepted_bob_clicks(
+            latents, bases(basis, n), bases(basis, n), attack, _Readout(bob), rng
+        )
         mass = sum(
             _window_mass(source, basis, *bob.latent_window(basis, d)) * d.attenuation
             for d in bob.detectors(basis)

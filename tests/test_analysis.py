@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import least_squares
 
 from eprqkd import analysis
+from eprqkd import source as source_module
 from eprqkd.analysis import (
     FLAT_RATIO_BOUND,
     FitError,
@@ -397,7 +398,7 @@ class TestScanSimulation:
         grid = np.arange(0.5, 2.5001, 0.25)
         scans = []
         for workers in (1, 3):
-            monkeypatch.setattr(analysis, "worker_threads", lambda: workers)
+            monkeypatch.setattr(source_module, "worker_threads", lambda: workers)
             scans.append(scan_simulation(
                 source, alice, bob, fixed, pair, grid, 50_000, np.random.default_rng(5)
             ))
@@ -416,7 +417,7 @@ class TestScanSimulation:
     @pytest.mark.parametrize("pairs", [999, 1000, 1001, 2007])
     def test_every_pair_drawn_once_across_chunks(self, default_experiment, monkeypatch, pairs):
         """Windows that accept every pair count pairs_per_point exactly."""
-        monkeypatch.setattr(analysis, "_SCAN_CHUNK", 1000)
+        monkeypatch.setattr(analysis, "DRAW_SIZE", 1000)
         source = default_experiment[0]
         wide = make_station(
             x_centers=(0.0, 1e7), p_centers=(0.0, 1e7), x_width=1e6, p_width=1e6
@@ -499,7 +500,7 @@ def test_scan_law_matches_full_pair_sampler(default_experiment, fixed, pair):
 
 def test_scan_law_holds_across_chunks(default_experiment, monkeypatch):
     """The xx law test with 1000-pair chunks: 100 chunks per grid point."""
-    monkeypatch.setattr(analysis, "_SCAN_CHUNK", 1000)
+    monkeypatch.setattr(analysis, "DRAW_SIZE", 1000)
     test_scan_law_matches_full_pair_sampler(default_experiment, "Ax1", ("x", "x"))
 
 

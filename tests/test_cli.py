@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from eprqkd import analysis, cli, protocol
+from eprqkd import source as source_module
 
 
 def run_cli(argv, capsys):
@@ -337,7 +340,7 @@ class TestSimulateCommand:
         cfg.write_text("session.coincidences = 5000\nsession.estimation_pairs = 500\n")
         outputs = []
         for workers in (1, 3):
-            monkeypatch.setattr(protocol, "worker_threads", lambda: workers)
+            monkeypatch.setattr(source_module, "worker_threads", lambda: workers)
             out_dir = tmp_path / f"w{workers}"
             code, _, _ = run_cli(
                 ["simulate", "--config", str(cfg), "--seed", "7",
@@ -570,6 +573,60 @@ class TestEprCheckCommand:
         assert res["satisfied"] is True
         assert res["sigma_distance"] > 3
         assert "uncertainty_note" in res
+
+    def test_from_scans_uncertainty_recomputed_from_the_fits(self, capsys):
+        """Each fit's sd(sigma) carried into its variance, then into the product."""
+        import numpy as np
+
+        from eprqkd.defaults import default_setup
+        from eprqkd.detection import conversion_for
+
+        code, report, _ = run_cli(
+            ["epr-check", "--from-scans", "--pairs", "100000", "--seed", "7"], capsys
+        )
+        assert code == 0
+        res = report["results"]
+        source, alice, bob = default_setup()
+        rng = np.random.default_rng(7)
+        var, unc = {"x": [], "p": []}, {"x": [], "p": []}
+        for basis in "xp":
+            scale = conversion_for(bob, basis)
+            for det in (1, 2):
+                scan = analysis.scan_simulation(
+                    source, alice, bob, f"A{basis}{det}", (basis, basis),
+                    np.arange(0.0, 3.05, 0.1), 100_000, rng,
+                )
+                fit = analysis.fit_gaussian(scan)
+                sd_sigma = math.sqrt(np.asarray(fit.covariance)[2, 2])
+                var[basis].append((scale * fit.sigma) ** 2)
+                unc[basis].append(2 * scale**2 * fit.sigma * sd_sigma)
+        assert res["var_x_mm2"] == var["x"] and res["var_p_hbar2_per_mm2"] == var["p"]
+        mean_x, mean_p = sum(var["x"]) / 2, sum(var["p"]) / 2
+        # Variance of each mean is the sum of squared uncertainties over 2^2.
+        product_unc = math.sqrt(
+            mean_p**2 * sum(u * u for u in unc["x"]) / 4
+            + mean_x**2 * sum(u * u for u in unc["p"]) / 4
+        )
+        assert math.isclose(res["product_uncertainty_hbar2"], product_unc, rel_tol=1e-12)
+        assert math.isclose(
+            res["sigma_distance"], (0.25 - mean_x * mean_p) / product_unc, rel_tol=1e-12
+        )
+        assert res["sigma_distance"] > 3
+
+    def test_from_scans_uncertainty_null_without_every_covariance(self, capsys, monkeypatch):
+        fit_gaussian, fits = analysis.fit_gaussian, []
+
+        def fit_without_first_covariance(scan):
+            fit = fit_gaussian(scan)
+            fits.append(fit)
+            return dataclasses.replace(fit, covariance=None) if len(fits) == 1 else fit
+
+        monkeypatch.setattr(analysis, "fit_gaussian", fit_without_first_covariance)
+        code, report, _ = run_cli(["epr-check", "--from-scans", "--pairs", "20000"], capsys)
+        assert code == 0
+        assert len(fits) == 4 and all(fit.covariance is not None for fit in fits)
+        assert report["results"]["product_uncertainty_hbar2"] is None
+        assert report["results"]["sigma_distance"] is None
 
     def test_explicit_variances(self, capsys):
         code, report, _ = run_cli(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eprqkd import cli, protocol
+from eprqkd import source as source_module
 from eprqkd.detection import SlitDetector, coincidence_probability
 from eprqkd.protocol import (
     AttackConfig,
@@ -401,7 +402,7 @@ class TestBatchedEmission:
         cfg = SessionConfig(n_coincidences=5000, m_estimation=500, rng_seed=19)
         results = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(protocol, "worker_threads", lambda: workers)
+            monkeypatch.setattr(source_module, "worker_threads", lambda: workers)
             results.append(run_session(source, alice, bob, cfg, attack=attack))
         for result in results[1:]:
             assert result.sifted_bits_A == results[0].sifted_bits_A
@@ -420,7 +421,7 @@ class TestBatchedEmission:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 3):
-                monkeypatch.setattr(protocol, "worker_threads", lambda: workers)
+                monkeypatch.setattr(source_module, "worker_threads", lambda: workers)
                 tables.append(tally_coincidences(
                     source, alice, bob, 600_000, np.random.default_rng(7), attack=attack
                 ))
@@ -443,8 +444,8 @@ class TestBatchedEmission:
     @pytest.mark.parametrize("n_pairs", [999, 1000, 1001, 2007])
     def test_every_pair_emitted_once_across_batches(self, default_experiment, monkeypatch, n_pairs):
         """Windows that accept every pair tally n_pairs coincidences exactly."""
-        monkeypatch.setattr(protocol, "_BATCH", 1000)
-        monkeypatch.setattr(protocol, "worker_threads", lambda: 3)
+        monkeypatch.setattr(protocol, "DRAW_SIZE", 1000)
+        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
         wide = _wide_station()
         table = tally_coincidences(
             default_experiment[0], wide, wide, n_pairs, np.random.default_rng(9)
@@ -454,7 +455,7 @@ class TestBatchedEmission:
     def test_session_counts_emissions_to_the_last_coincidence(self, default_experiment, monkeypatch):
         # Every pair is a coincidence, so the session stops at pair N exactly
         # although later batches were already running.
-        monkeypatch.setattr(protocol, "worker_threads", lambda: 3)
+        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
         wide = _wide_station()
         cfg = SessionConfig(n_coincidences=5001, m_estimation=500, rng_seed=4)
         result = run_session(default_experiment[0], wide, wide, cfg)
@@ -464,7 +465,7 @@ class TestBatchedEmission:
     def test_guard_counts_every_emitted_pair(self, default_experiment, monkeypatch):
         # The guard is not a multiple of the 8,000-pair batch: the batches
         # still sum to it exactly before the session gives up.
-        monkeypatch.setattr(protocol, "worker_threads", lambda: 3)
+        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
         source, alice, _ = default_experiment
         far = make_station(x_centers=(1000.0, 1002.0), p_centers=(1000.0, 1002.0))
         cfg = SessionConfig(
@@ -476,7 +477,7 @@ class TestBatchedEmission:
         assert threading.active_count() == threads
 
     def test_no_pool_thread_outlives_an_early_stop(self, default_experiment, monkeypatch):
-        monkeypatch.setattr(protocol, "worker_threads", lambda: 3)
+        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
         source, alice, bob = default_experiment
         threads = threading.active_count()
         cfg = SessionConfig(n_coincidences=2000, m_estimation=200, rng_seed=3)
@@ -491,7 +492,7 @@ class TestBatchedEmission:
         # the session raises after stopping early.  `failure` holds the
         # traceback and with it the session's frame, so only an explicit close
         # ends the emission loop before the assertion.
-        monkeypatch.setattr(protocol, "worker_threads", lambda: 3)
+        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
         alice = make_station(x_centers=(-0.2, 0.2), p_centers=(1000.0, 1002.0))
         bob = make_station(x_centers=(1000.0, 1002.0), p_centers=(-0.3, 0.3))
         source = build_source(1.0, 1.0, 1.0, 1.0, PumpProfile(2.0))

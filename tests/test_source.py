@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eprqkd import detection
+from eprqkd import source as source_module
 from eprqkd.defaults import assemble_setup
 from eprqkd.source import (
     CalibrationError,
@@ -13,7 +15,10 @@ from eprqkd.source import (
     UnphysicalSourceError,
     build_source,
     calibrate_source,
+    channel_law,
     marginal_std,
+    ordered_streams,
+    partner_latent,
     sample_pairs,
 )
 
@@ -378,3 +383,83 @@ def test_units_discipline_default_is_entangled(default_experiment):
     assert latent < 0.25
     assert detected < 0.25
     assert source.entangled
+
+
+class TestEmissionKernel:
+    """partner_latent and ordered_streams, shared by sessions and scans."""
+
+    def test_partner_latent_scalar_and_array_bases_agree(self, default_experiment, rng):
+        law = channel_law(default_experiment[0])
+        std, slope, cond_std = law
+        lat_A, noise = rng.standard_normal(2000), rng.standard_normal(2000)
+        for b in (0, 1):
+            same = partner_latent(law, lat_A, b, b, noise)
+            assert np.array_equal(same, slope[b] * lat_A + cond_std[b] * noise)
+            assert np.array_equal(partner_latent(law, lat_A, b, 1 - b, noise), std[1 - b] * noise)
+        bas_A, bas_ch = (rng.integers(0, 2, size=2000, dtype=np.int8) for _ in range(2))
+        mixed = partner_latent(law, lat_A, bas_A, bas_ch, noise)
+        for a in (0, 1):
+            for c in (0, 1):
+                sel = (bas_A == a) & (bas_ch == c)
+                assert np.array_equal(mixed[sel], partner_latent(law, lat_A[sel], a, c, noise[sel]))
+
+    def test_results_in_job_order_when_a_later_job_finishes_first(self, monkeypatch):
+        monkeypatch.setattr(source_module, "worker_threads", lambda: 2)
+        first_may_finish = threading.Event()
+        finished = []
+
+        def work(job, stream):
+            if job == 0:
+                assert first_may_finish.wait(timeout=30)
+            elif job == 1:
+                first_may_finish.set()
+            finished.append(job)
+            return job
+
+        results = list(ordered_streams(work, range(4), np.random.default_rng(0)))
+        assert finished[:2] == [1, 0]
+        assert results == [0, 1, 2, 3]
+
+    def test_streams_are_the_spawned_children_in_order(self, monkeypatch):
+        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
+        rng = np.random.default_rng(11)
+        drawn = list(ordered_streams(lambda job, stream: stream.random(4), range(7), rng))
+        children = np.random.default_rng(11).spawn(7)
+        assert len(drawn) == 7
+        for got, child in zip(drawn, children):
+            assert np.array_equal(got, child.random(4))
+        assert rng.bit_generator.seed_seq.n_children_spawned == 7
+
+    def test_close_after_first_result_stops_the_jobs(self, monkeypatch):
+        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
+        threads = threading.active_count()
+        pulled, started = [], []
+
+        def jobs():
+            for job in range(100):
+                pulled.append(job)
+                yield job
+
+        def work(job, stream):
+            started.append(job)
+            return job
+
+        stream = ordered_streams(work, jobs(), np.random.default_rng(0))
+        assert next(stream) == 0
+        stream.close()
+        assert pulled == [0, 1, 2]
+        assert set(started) <= {0, 1, 2}
+        assert threading.active_count() == threads
+
+    def test_failing_job_raises_and_leaves_no_pool_thread(self, monkeypatch):
+        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
+        threads = threading.active_count()
+
+        def work(job, stream):
+            if job == 2:
+                raise ValueError("job 2 failed")
+            return job
+
+        with pytest.raises(ValueError, match="job 2 failed"):
+            list(ordered_streams(work, range(10), np.random.default_rng(0)))
+        assert threading.active_count() == threads
