@@ -70,17 +70,7 @@ def build_attack(cfg: dict[str, str]) -> protocol.AttackConfig | None:
     if policy not in protocol.BASIS_POLICIES:
         policies = (*protocol.BASIS_POLICIES, "none")
         raise ConfigError(f"attack.policy must be one of {policies}, got {policy!r}")
-    keys = ("attack.p_same", "attack.p_cross_1", "attack.p_cross_2")
-    p_same, p1, p2 = values = [_as_float(cfg, key) for key in keys]
-    for key, value in zip(keys, values):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"config key {key} must lie in [0, 1], got {cfg[key]!r}")
-    if p1 + p2 > 1.0 + 1e-12:
-        raise ConfigError(
-            f"config keys attack.p_cross_1 + attack.p_cross_2 = {p1 + p2:.6g} exceed 1; "
-            "the remainder is the null mass"
-        )
-    return protocol.AttackConfig(basis_policy=policy, p_same_basis_correct=p_same, p_cross_basis=(p1, p2))
+    return protocol.AttackConfig(basis_policy=policy)
 
 
 def resolve_seed(cli_seed: int | None, cfg: dict[str, str] | None) -> int:
@@ -424,6 +414,11 @@ def cmd_epr_check(args):
         cfg, seed, bob, fitted = _scan_and_fit(
             args, [(f, (f[1], f[1])) for f in fixed], _parse_grid("0:3:0.1"), pairs
         )
+        flat = next((f for f, (_, fit) in zip(fixed, fitted) if fit.degenerate), None)
+        if flat:
+            raise ConfigError(
+                f"--from-scans: the {flat} scan is flat at --pairs {pairs}; no width to convert"
+            )
         scaled = [(detection.conversion_for(bob, f[1]), fit) for f, (_, fit) in zip(fixed, fitted)]
         variances = [analysis.conditional_variance(fit, scale) for scale, fit in scaled]
         var_x, var_p = variances[:2], variances[2:]

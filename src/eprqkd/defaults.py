@@ -61,9 +61,6 @@ _CONFIG_DEFAULTS = {
     "session.max_emitted": "",  # pair-emission guard; default 10^4 * N
     "session.seed": "",
     "attack.policy": "none",
-    "attack.p_same": "1.0",
-    "attack.p_cross_1": "0.5",
-    "attack.p_cross_2": "0.5",
     "output.alice_key": "alice_key.txt",
     "output.bob_key": "bob_key.txt",
     "output.table": "session_table.csv",

@@ -17,9 +17,11 @@ table (rows Ax1, Ax2, Ap1, Ap2; columns Bx1, Bx2, Bp1, Bp2):
 The intercept-resend attack (AttackConfig) acts on B's channel inside the
 session: the interceptor reads each photon with her own station, a null
 blocks it (the pair is later discarded as a non-coincidence), and a click
-triggers a replacement photon that B reads as set out in
-_intercepted_bob_clicks.  Substituting a whole fresh pair is a source swap,
-not a channel transform: run a session with a different SourceModel.
+triggers a replacement photon under one fixed rule: B in her basis fires
+her detector, B in the conjugate basis fires either detector with
+probability 1/2 (_intercepted_bob_clicks).  Substituting a whole fresh pair
+is a source swap, not a channel transform: run a session with a different
+SourceModel.
 """
 
 from __future__ import annotations
@@ -198,7 +200,10 @@ def _binomial_uncertainty(q: float, total: float) -> float:
 
 
 def qber_from_counts(table: CoincidenceTable) -> QberReport:
-    """Error rate with no eavesdropper: same-basis cross cells over same-basis total."""
+    """Error rate with no eavesdropper: same-basis cross cells over same-basis total.
+
+    The per-basis rate of an empty same-basis block is None.
+    """
     xx = table.block("x", "x")
     pp = table.block("p", "p")
     wrong_xx = float(xx[0][1] + xx[1][0])
@@ -208,16 +213,14 @@ def qber_from_counts(table: CoincidenceTable) -> QberReport:
     total = total_xx + total_pp
     if total == 0:
         raise ValueError("no same-basis coincidences; QBER undefined")
-    if total_xx == 0 or total_pp == 0:
-        raise ValueError("a same-basis block is empty; per-basis QBER undefined")
     wrong = wrong_xx + wrong_pp
     qber = wrong / total
     return QberReport(
         p_wrong=wrong,
         p_right=total - wrong,
         qber=qber,
-        qber_xx=wrong_xx / total_xx,
-        qber_pp=wrong_pp / total_pp,
+        qber_xx=wrong_xx / total_xx if total_xx else None,
+        qber_pp=wrong_pp / total_pp if total_pp else None,
         uncertainty=_binomial_uncertainty(qber, total),
     )
 
@@ -353,7 +356,7 @@ def _coincidences(
         if attack is None:
             det_B = readout_B.clicks(lat_ch, bas_B, stream)
         else:
-            det_B = _intercepted_bob_clicks(lat_ch, bas_ch, bas_B, attack, readout_E, stream)
+            det_B = _intercepted_bob_clicks(lat_ch, bas_ch, bas_B, readout_E, stream)
 
         hit = det_B >= 0
         return n, pos[hit], bas_A[hit], bas_B[hit], det_A[hit], det_B[hit]
@@ -442,24 +445,9 @@ def run_session(
     est_mask = np.zeros(n_sifted, dtype=bool)
     est_mask[est_idx] = True
 
-    est_A, est_B, est_bas = sift_A[est_mask], sift_B[est_mask], sift_bas[est_mask]
-    wrong = est_A != est_B
-    m = float(session.m_estimation)
-    qber = float(wrong.sum()) / m
-    per_basis = {}
-    for b_idx, name in ((0, "xx"), (1, "pp")):
-        sel = est_bas == b_idx
-        per_basis[name] = (
-            float(wrong[sel].sum()) / float(sel.sum()) if sel.any() else None
-        )
-    estimate = QberReport(
-        p_wrong=float(wrong.sum()),
-        p_right=m - float(wrong.sum()),
-        qber=qber,
-        qber_xx=per_basis["xx"],
-        qber_pp=per_basis["pp"],
-        uncertainty=_binomial_uncertainty(qber, m),
-    )
+    est_bas = sift_bas[est_mask]
+    est_table = _cell_counts(est_bas, est_bas, sift_A[est_mask], sift_B[est_mask])
+    estimate = qber_from_counts(CoincidenceTable(est_table.tolist()))
 
     return SessionResult(
         sifted_bits_A=_bit_string(sift_A[~est_mask]),
@@ -515,23 +503,12 @@ class AttackConfig:
     """
 
     basis_policy: str = "uniform_random"
-    p_same_basis_correct: float = 1.0
-    p_cross_basis: tuple[float, float] = (0.5, 0.5)
     eve_stations: StationConfig | None = None
 
     def __post_init__(self):
         if self.basis_policy not in BASIS_POLICIES:
             raise ValueError(
                 f"basis_policy must be one of {BASIS_POLICIES}, got {self.basis_policy!r}"
-            )
-        if not 0.0 <= self.p_same_basis_correct <= 1.0:
-            raise ValueError("p_same_basis_correct must lie in [0, 1]")
-        p1, p2 = self.p_cross_basis
-        if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-            raise ValueError("cross-basis fractions must lie in [0, 1]")
-        if p1 + p2 > 1.0 + 1e-12:
-            raise ValueError(
-                "cross-basis fractions sum above 1; the remainder is the null mass"
             )
 
 
@@ -548,29 +525,23 @@ def _intercepted_bob_clicks(
     lat_E: np.ndarray,
     bas_E: np.ndarray,
     bas_B: np.ndarray,
-    attack: AttackConfig,
     readout_E: _Readout,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Vectorized intercept-resend transform of B's channel.
 
     The interceptor reads the photon's latent coordinate in her basis with
-    her own station's readout_E; a null blocks the photon.  On a click she resends: if B
-    measures in her basis he fires her detector with probability p_same (the
-    other one otherwise); in the conjugate basis his detector follows the
-    p_cross fractions, any remainder going to null.
+    her own station's readout_E; a null blocks the photon.  On a click she
+    resends: if B measures in her basis he fires her detector; in the
+    conjugate basis either of his detectors fires with probability 1/2.
+    One uniform is drawn per relayed photon, same-basis ones included, and
+    the conjugate-basis photons fire detector 2 iff it is >= 1/2.
     """
     import numpy as np
 
     det_E = readout_E.clicks(lat_E, bas_E, rng)
     det_B = np.full(det_E.shape, -1, dtype=np.int8)
     passed = np.flatnonzero(det_E >= 0)
-    relayed = det_E[passed]
-    draw = rng.random(passed.size)
-    p1, p2 = attack.p_cross_basis
-    det_B[passed] = np.where(
-        bas_B[passed] == bas_E[passed],
-        np.where(draw < attack.p_same_basis_correct, relayed, 1 - relayed),
-        np.where(draw < p1, 0, np.where(draw < p1 + p2, 1, -1)),
-    )
+    coin = rng.random(passed.size) >= 0.5
+    det_B[passed] = np.where(bas_B[passed] == bas_E[passed], det_E[passed], coin)
     return det_B

@@ -230,9 +230,7 @@ def test_criterion_07_protocol_under_interception(experiment, capsys):
     crit = Criterion(7, 120.0, "random-basis interception: error rate in band, abort")
     source, alice, bob = experiment
     cfg = SessionConfig(n_coincidences=100_000, m_estimation=10_000, rng_seed=701)
-    attack = AttackConfig(
-        basis_policy="uniform_random", p_same_basis_correct=1.0, p_cross_basis=(0.5, 0.5)
-    )
+    attack = AttackConfig(basis_policy="uniform_random")
     result = run_session(source, alice, bob, cfg, attack=attack)
     q = result.estimate.qber
     crit.check(0.20 <= q <= 0.35, f"estimated error rate {q:.4f} in [0.20, 0.35]")

@@ -43,6 +43,18 @@ class TestQberCommand:
         assert code == 0
         assert report["results"]["qber"] == 0.0
 
+    def test_empty_same_basis_block_omits_its_rate(self, capsys, tmp_path):
+        path = tmp_path / "no_pp.csv"
+        path.write_text(
+            ",Bx1,Bx2,Bp1,Bp2\nAx1,90,10,5,5\nAx2,10,90,5,5\n"
+            "Ap1,5,5,0,0\nAp2,5,5,0,0\n"
+        )
+        code, report, _ = run_cli(["qber", str(path)], capsys)
+        assert code == 0
+        res = report["results"]
+        assert res["qber"] == res["qber_xx"] == 0.1
+        assert "qber_pp" not in res
+
     def test_malformed_table_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(",Bx1,Bx2,Bp1,Bp2\nAx1,1,2,3,4\nAx2,1,2,3,4\nAp1,1,2,3,4\n")
@@ -247,12 +259,17 @@ class TestSimulateCommand:
         ("attack.p_same", "-0.1"),
         ("attack.p_cross_1", "-0.2"),
         ("attack.p_cross_2", "1.2"),
+        ("attack.p_same", "1.0"),
+        ("attack.p_cross_1", "0.5"),
+        ("attack.p_cross_2", "0.5"),
     ])
     def test_attack_probability_out_of_range_names_key(
         self, capsys, monkeypatch, tmp_path, key, value
     ):
+        """The resend is one fixed rule: a run file that sets one of its old
+        probability keys, at any value, is rejected as an unknown key before setup."""
         def no_setup(cfg):
-            raise AssertionError("attack keys must be checked before setup")
+            raise AssertionError("config keys must be checked before setup")
 
         monkeypatch.setattr(cli, "build_setup", no_setup)
         cfg = tmp_path / "run.cfg"
@@ -262,22 +279,8 @@ class TestSimulateCommand:
         )
         assert code == cli.EXIT_VALIDATION
         assert report is None
-        assert err.startswith(f"error: config key {key} must lie in [0, 1]"), err
-        assert repr(value) in err
-
-    def test_attack_cross_sum_above_one_names_keys(self, capsys, monkeypatch, tmp_path):
-        def no_setup(cfg):
-            raise AssertionError("attack keys must be checked before setup")
-
-        monkeypatch.setattr(cli, "build_setup", no_setup)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("attack.policy = always_x\nattack.p_cross_1 = 0.7\n")
-        code, report, err = run_cli(
-            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
-        )
-        assert code == cli.EXIT_VALIDATION
-        assert report is None
-        assert "attack.p_cross_1 + attack.p_cross_2" in err and "exceed 1" in err, err
+        assert err.startswith(f"error: {cfg}:2: unknown config key {key!r}"), err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("key", ["output.alice_key", "output.bob_key", "output.table"])
     @pytest.mark.parametrize("value, named", [
@@ -627,6 +630,16 @@ class TestEprCheckCommand:
         assert len(fits) == 4 and all(fit.covariance is not None for fit in fits)
         assert report["results"]["product_uncertainty_hbar2"] is None
         assert report["results"]["sigma_distance"] is None
+
+    def test_from_scans_flat_scan_names_detector_and_pairs(self, capsys):
+        code, report, err = run_cli(
+            ["epr-check", "--from-scans", "--pairs", "50", "--seed", "1"], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err.strip() == (
+            "error: --from-scans: the Ax1 scan is flat at --pairs 50; no width to convert"
+        )
 
     def test_explicit_variances(self, capsys):
         code, report, _ = run_cli(

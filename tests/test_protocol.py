@@ -113,8 +113,16 @@ class TestQberEdgeCases:
             return
         scaled = qber_from_counts(CoincidenceTable(counts * factor))
         assert math.isclose(base.qber, scaled.qber, rel_tol=1e-12)
-        assert math.isclose(base.qber_xx, scaled.qber_xx, rel_tol=1e-12)
-        assert math.isclose(base.qber_pp, scaled.qber_pp, rel_tol=1e-12)
+        for a, b in ((base.qber_xx, scaled.qber_xx), (base.qber_pp, scaled.qber_pp)):
+            assert a is b is None or math.isclose(a, b, rel_tol=1e-12)
+
+    def test_empty_same_basis_block_has_no_rate(self):
+        counts = np.zeros((4, 4), dtype=int)
+        counts[:2, :2] = [[90, 10], [10, 90]]
+        counts[:2, 2:] = 7
+        rep = qber_from_counts(CoincidenceTable(counts))
+        assert rep.qber == rep.qber_xx == 20 / 200
+        assert rep.qber_pp is None
 
 
 class TestAbortDecision:
@@ -510,8 +518,8 @@ def _reference_table(source, alice, bob, n, rng, intercept):
     Every pair draws all four latent coordinates; each side maps the one its
     basis reads to the detection plane, tests the closed slit intervals and
     thins by attenuation.  With intercept, a uniform-random interceptor
-    reads B's photon with a copy of B's station and relays p_same = 1,
-    p_cross = (0.5, 0.5).
+    reads B's photon with a copy of B's station and resends: B in her basis
+    gets her result, B in the other basis either detector with probability 1/2.
     """
     x_A, x_B, p_A, p_B = sample_pairs(source, n, rng)
     bas_A, bas_B, bas_E = (rng.integers(0, 2, size=n) for _ in range(3))
