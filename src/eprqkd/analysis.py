@@ -88,10 +88,6 @@ class GaussianFit:
     chi_square: float
     flat: bool
 
-    @property
-    def degenerate(self) -> bool:
-        return self.sigma is None
-
 
 @dataclass(frozen=True)
 class EprCheckResult:
@@ -179,7 +175,7 @@ def fit_gaussian(scan: ScanData) -> GaussianFit:
 
     x = np.asarray(scan.positions, dtype=float)
     y = np.asarray(scan.counts, dtype=float)
-    weights = 1.0 / np.sqrt(np.maximum(y, 1.0))
+    weights = 1.0 / np.asarray(poisson_errors(scan.counts))
 
     def degenerate() -> GaussianFit:
         mean = float(y.mean())
@@ -250,7 +246,7 @@ def conditional_variance(fit: GaussianFit, conversion_scale: float) -> float:
     units: detection.conversion_for (alpha for position scans, k/f for
     momentum scans), or 1 to stay in detection-plane mm.
     """
-    if fit.degenerate:
+    if fit.flat:
         raise ValueError("conditional variance undefined for a degenerate flat fit")
     return (conversion_scale * fit.sigma) ** 2
 

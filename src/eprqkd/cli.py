@@ -414,7 +414,7 @@ def cmd_epr_check(args):
         cfg, seed, bob, fitted = _scan_and_fit(
             args, [(f, (f[1], f[1])) for f in fixed], _parse_grid("0:3:0.1"), pairs
         )
-        flat = next((f for f, (_, fit) in zip(fixed, fitted) if fit.degenerate), None)
+        flat = next((f for f, (_, fit) in zip(fixed, fitted) if fit.flat), None)
         if flat:
             raise ConfigError(
                 f"--from-scans: the {flat} scan is flat at --pairs {pairs}; no width to convert"

@@ -6,8 +6,10 @@ error rate near 0.3, coincidence peaks separated by 1 mm, and flat
 mixed-basis profiles.  Detector slits sit at 1 mm and 2 mm on each stage with
 the optical axis at 1.5 mm, 0.2 mm slits for position and 0.5 mm for
 momentum.  The source's correlation widths are calibrated against the
-detected variance targets (0.116 mm^2, 0.894 hbar^2/mm^2); the two
-anti-squeezed widths are fixed defaults chosen inside the physicality region.
+detected variance targets (0.116 mm^2, 0.894 hbar^2/mm^2) by
+detection.calibrate_source; the two anti-squeezed widths are fixed defaults
+chosen inside the physicality region.  A run file that sets both squeezed
+widths uses them instead, and then may not also change a target.
 
 Party A's slit centers are derived by maximizing the same-basis coincidence
 probability against party B's slits, which places the momentum slits on the
@@ -26,8 +28,10 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import protocol
-from .detection import SlitDetector, StationConfig, derive_partner_centers, equalize_levels
-from .source import PumpProfile, SourceModel, build_source, calibrate_source
+from .detection import (
+    SlitDetector, StationConfig, calibrate_source, derive_partner_centers, equalize_levels,
+)
+from .source import PumpProfile, SourceModel, build_source
 
 
 class ConfigError(ValueError):
@@ -37,10 +41,9 @@ class ConfigError(ValueError):
 # The default experiment, as the config keys that a run file may override.
 # Values are the strings a run file would hold; the config hash reads them.
 _CONFIG_DEFAULTS = {
-    "source.calibrate": "true",
     "source.target_var_x_mm2": "0.116",  # detected-variance calibration targets
     "source.target_var_p_hbar2_mm2": "0.894",
-    "source.sigma_minus_mm": "",  # used when calibrate = false
+    "source.sigma_minus_mm": "",  # squeezed widths; set both to skip calibration
     "source.kappa_minus_per_mm": "",
     "source.sigma_plus_mm": "1.8",  # free (anti-squeezed) widths and pump
     "source.kappa_plus_per_mm": "3.7",
@@ -66,6 +69,9 @@ _CONFIG_DEFAULTS = {
     "output.table": "session_table.csv",
 }
 
+_WIDTH_KEYS = ("source.sigma_minus_mm", "source.kappa_minus_per_mm")
+_TARGET_KEYS = ("source.target_var_x_mm2", "source.target_var_p_hbar2_mm2")
+
 # Reference conditional variances with their quoted uncertainties, used by the
 # EPR-inequality verification commands.  The fourth uncertainty is recorded as
 # 0.90 in the reference table; that value is three sigma wide of its own
@@ -74,7 +80,6 @@ REFERENCE_VAR_X = (0.152, 0.080)            # mm^2
 REFERENCE_UNC_X = (0.003, 0.002)
 REFERENCE_VAR_P = (0.912, 0.875)            # hbar^2 / mm^2
 REFERENCE_UNC_P = (0.017, 0.090)
-REFERENCE_UNC_P_AS_PRINTED = (0.017, 0.90)
 UNCERTAINTY_NOTE = (
     "fourth reference uncertainty printed as 0.90; using presumed 0.090"
 )
@@ -152,28 +157,25 @@ def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, Statio
     )
 
     pump = PumpProfile(_as_float(cfg, "source.pump_waist_mm"))
-    if _as_bool(cfg, "source.calibrate"):
-        src = calibrate_source(
-            _as_float(cfg, "source.target_var_x_mm2"),
-            _as_float(cfg, "source.target_var_p_hbar2_mm2"),
-            bob,
-            bob,
-            sigma_plus=_as_float(cfg, "source.sigma_plus_mm"),
-            kappa_plus=_as_float(cfg, "source.kappa_plus_per_mm"),
-            pump=pump,
-        )
+    sigma_plus = _as_float(cfg, "source.sigma_plus_mm")
+    kappa_plus = _as_float(cfg, "source.kappa_plus_per_mm")
+    widths = [key for key in _WIDTH_KEYS if cfg[key]]
+    if widths:
+        for target in _TARGET_KEYS:
+            if _as_float(cfg, target) != float(_CONFIG_DEFAULTS[target]):
+                raise ConfigError(
+                    f"{target} would go unused beside {' and '.join(widths)}; "
+                    "give the squeezed widths or the calibration targets, not both"
+                )
+        if len(widths) == 1:
+            missing = next(key for key in _WIDTH_KEYS if key not in widths)
+            raise ConfigError(f"{widths[0]} requires {missing}")
+        sigma_minus, kappa_minus = (_as_float(cfg, key) for key in _WIDTH_KEYS)
+        src = build_source(sigma_minus, sigma_plus, kappa_minus, kappa_plus, pump)
     else:
-        if not cfg["source.sigma_minus_mm"] or not cfg["source.kappa_minus_per_mm"]:
-            raise ConfigError(
-                "source.calibrate = false requires source.sigma_minus_mm and "
-                "source.kappa_minus_per_mm"
-            )
-        src = build_source(
-            _as_float(cfg, "source.sigma_minus_mm"),
-            _as_float(cfg, "source.sigma_plus_mm"),
-            _as_float(cfg, "source.kappa_minus_per_mm"),
-            _as_float(cfg, "source.kappa_plus_per_mm"),
-            pump,
+        src = calibrate_source(
+            *(_as_float(cfg, key) for key in _TARGET_KEYS), bob, bob,
+            sigma_plus=sigma_plus, kappa_plus=kappa_plus, pump=pump,
         )
     return assemble_setup(src, bob, _as_bool(cfg, "station.equalize"))
 

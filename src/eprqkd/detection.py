@@ -19,6 +19,11 @@ within one.  It is the oracle that every Monte Carlo estimate in the package
 is checked against, and it needs nothing beyond the math module.  Sessions,
 scans and oracle evaluations share one read-through cache of per-correlation
 quadrature constants (_orthant_rule), which does not change any result.
+
+The detected variance of the collective coordinate (detected_variance) and
+its closed-form inverse (calibrate_source, which solves the two squeezed
+widths from variance targets) read one per-basis statement of the model,
+_variance_terms.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .source import SourceModel, channel_law, marginal_std
+from .source import PumpProfile, SourceModel, build_source, channel_law, marginal_std
 
 _SQRT2 = math.sqrt(2.0)
 _TWOPI = 2.0 * math.pi
@@ -317,8 +322,12 @@ def coincidence_probability(
 
 
 # ---------------------------------------------------------------------------
-# Detected variance of the correlated coordinate (calibration oracle)
+# Detected variance of the correlated coordinate and its inverse (calibration)
 # ---------------------------------------------------------------------------
+
+
+class CalibrationError(ValueError):
+    """Raised when no latent width can reproduce a detected-variance target."""
 
 
 def slit_smearing_variance(
@@ -335,20 +344,22 @@ def slit_smearing_variance(
     return (w_A**2 + w_B**2) / 12.0
 
 
-def _latent_collective_std(
-    source: SourceModel, station_A: StationConfig, station_B: StationConfig, basis: str
-) -> float:
-    """Std of the un-smeared detected collective coordinate.
+def _variance_terms(
+    sigma_plus: float, station_A: StationConfig, station_B: StationConfig, basis: str
+) -> tuple[float, float, float]:
+    """(g, a, floor) with detected variance ((w g)^2 + a) / 4 + floor.
 
-    Position basis: rho_A - rho_B in detection-plane mm (alpha scaling per
-    station).  Momentum basis: p_A + p_B in 1/mm.
+    w is the squeezed width of the basis, sigma_minus for x and kappa_minus
+    for p.  The recorded position difference is x_A / alpha_A - x_B / alpha_B,
+    so for x g = 1/alpha_A + 1/alpha_B and a = sigma_plus^2 (1/alpha_A -
+    1/alpha_B)^2; the momentum sum p_A + p_B is the latent coordinate
+    itself, g = 2 and a = 0.  floor is slit_smearing_variance.
     """
+    floor = slit_smearing_variance(station_A, station_B, basis)
     if basis == "p":
-        return source.kappa_minus
+        return 2.0, 0.0, floor
     ia, ib = 1.0 / station_A.alpha, 1.0 / station_B.alpha
-    var_single = (source.sigma_plus**2 + source.sigma_minus**2) / 4.0
-    cov = (source.sigma_plus**2 - source.sigma_minus**2) / 4.0
-    return math.sqrt(var_single * (ia * ia + ib * ib) - 2.0 * cov * ia * ib)
+    return ia + ib, sigma_plus**2 * (ia - ib) ** 2, floor
 
 
 def detected_variance(
@@ -365,10 +376,59 @@ def detected_variance(
     rho_A - rho_B (mm^2); for the momentum basis the recorded momentum sum
     p_A + p_B (1/mm^2), slit smears mapped through k/f.  The two smears are
     independent of the latent Gaussian and of each other, so their variances
-    add: latent variance plus slit_smearing_variance.
+    add: the latent variance ((w g)^2 + a) / 4 plus slit_smearing_variance,
+    with the terms of _variance_terms.
     """
-    latent = _latent_collective_std(source, station_A, station_B, basis)
-    return latent**2 + slit_smearing_variance(station_A, station_B, basis)
+    width = (source.sigma_minus, source.kappa_minus)[basis_index(basis)]
+    g, a, floor = _variance_terms(source.sigma_plus, station_A, station_B, basis)
+    return ((width * g) ** 2 + a) / 4.0 + floor
+
+
+def calibrate_source(
+    target_var_x: float,
+    target_var_p: float,
+    station_A: StationConfig,
+    station_B: StationConfig,
+    sigma_plus: float,
+    kappa_plus: float,
+    pump: PumpProfile,
+) -> SourceModel:
+    """Invert detected_variance for the two squeezed widths.
+
+    target_var_x is the detected variance of the position difference in
+    detection-plane mm^2; target_var_p that of the momentum sum in 1/mm^2.
+    With _variance_terms' (g, a, floor) per basis each width follows in
+    closed form, w = sqrt(4 (target - floor) - a) / g.  A target at or below
+    its floor, or an x target that sigma_plus alone already exceeds through
+    unequal imaging scales, is infeasible and raises CalibrationError naming
+    the basis.
+    """
+    for name, value in (
+        ("target_var_x", target_var_x),
+        ("target_var_p", target_var_p),
+        ("sigma_plus", sigma_plus),
+        ("kappa_plus", kappa_plus),
+    ):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"calibration {name} must be positive and finite, got {value}")
+
+    widths = []
+    for basis, target in (("x", target_var_x), ("p", target_var_p)):
+        g, a, floor = _variance_terms(sigma_plus, station_A, station_B, basis)
+        if floor >= target:
+            raise CalibrationError(
+                f"basis {basis}: slit smearing alone contributes {floor:.6g}, "
+                f"at or above the target detected variance {target:.6g}"
+            )
+        excess = target - floor
+        if a >= 4.0 * excess:
+            raise CalibrationError(
+                f"basis {basis}: sigma_plus = {sigma_plus:.6g} through unequal imaging scales "
+                f"alone contributes {a / 4.0:.6g}, at or above the {excess:.6g} "
+                "left above the slit smearing floor"
+            )
+        widths.append(math.sqrt(4.0 * excess - a) / g)
+    return build_source(widths[0], sigma_plus, widths[1], kappa_plus, pump)
 
 
 # ---------------------------------------------------------------------------

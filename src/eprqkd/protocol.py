@@ -194,8 +194,6 @@ class SessionResult:
 
 
 def _binomial_uncertainty(q: float, total: float) -> float:
-    if total <= 0:
-        return float("nan")
     return math.sqrt(max(q * (1.0 - q), 0.0) / total)
 
 

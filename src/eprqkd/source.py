@@ -25,7 +25,8 @@ test, exact for this family: Simon, PRL 84, 2726 (2000)), that is when
 Position and momentum blocks are uncorrelated, so a single latent sample per
 pair reproduces the detection statistics of all four basis pairings at once.
 Sessions and scans share one A-first emission kernel here: partner_latent
-and ordered_streams.
+and ordered_streams.  This module imports nothing from the package: the
+widths a run uses come from a run file or from detection.calibrate_source.
 """
 
 from __future__ import annotations
@@ -38,17 +39,11 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-    from .detection import StationConfig
-
 ENTANGLEMENT_BOUND = 1.0  # on sigma_minus * kappa_minus and sigma_plus * kappa_plus, hbar = 1
 
 
 class UnphysicalSourceError(ValueError):
     """Raised when the requested widths violate an uncertainty product."""
-
-
-class CalibrationError(ValueError):
-    """Raised when no latent width can reproduce a detected-variance target."""
 
 
 @dataclass(frozen=True)
@@ -168,70 +163,6 @@ def channel_law(source: SourceModel):
         var, cov = (s**2 + d**2) / 4.0, (s**2 - d**2) / 4.0
         laws.append((math.sqrt(var), cov / var, s * d / math.sqrt(s**2 + d**2)))
     return tuple(zip(*laws))
-
-
-def calibrate_source(
-    target_var_x: float,
-    target_var_p: float,
-    station_A: "StationConfig",
-    station_B: "StationConfig",
-    sigma_plus: float,
-    kappa_plus: float,
-    pump: PumpProfile,
-) -> SourceModel:
-    """Invert the detected-variance targets for the latent correlation widths.
-
-    target_var_x is the detected variance of the position difference in
-    detection-plane mm^2; target_var_p the detected variance of the momentum
-    sum in 1/mm^2.  "Detected" adds the slit smearing floor of both parties
-    (detection.slit_smearing_variance) to the latent variance, so each width
-    follows in closed form:
-
-        kappa_minus^2 = target_p - floor_p
-        sigma_minus^2 = (4 (target_x - floor_x) - sigma_plus^2 (1/a_A - 1/a_B)^2)
-                        / (1/a_A + 1/a_B)^2
-
-    with a_A, a_B the imaging scales of the two stations.  A target at or
-    below its floor, or an x target that sigma_plus alone already exceeds
-    through unequal imaging scales, is infeasible and raises CalibrationError
-    naming the basis.
-    """
-    from . import detection
-
-    for name, value in (
-        ("target_var_x", target_var_x),
-        ("target_var_p", target_var_p),
-        ("sigma_plus", sigma_plus),
-        ("kappa_plus", kappa_plus),
-    ):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"calibration {name} must be positive and finite, got {value}")
-
-    excess = {}
-    for basis, target in (("x", target_var_x), ("p", target_var_p)):
-        floor = detection.slit_smearing_variance(station_A, station_B, basis)
-        if floor >= target:
-            raise CalibrationError(
-                f"basis {basis}: slit smearing alone contributes {floor:.6g}, "
-                f"at or above the target detected variance {target:.6g}"
-            )
-        excess[basis] = target - floor
-
-    ia, ib = 1.0 / station_A.alpha, 1.0 / station_B.alpha
-    anti = sigma_plus**2 * (ia - ib) ** 2
-    if anti >= 4.0 * excess["x"]:
-        raise CalibrationError(
-            f"basis x: sigma_plus = {sigma_plus:.6g} through unequal imaging scales "
-            f"alone contributes {anti / 4.0:.6g}, at or above the {excess['x']:.6g} "
-            "left above the slit smearing floor"
-        )
-    return build_source(
-        sigma_minus=math.sqrt(4.0 * excess["x"] - anti) / (ia + ib),
-        sigma_plus=sigma_plus,
-        kappa_minus=math.sqrt(excess["p"]),
-        kappa_plus=kappa_plus,
-        pump=pump,
-    )
 
 
 DRAW_SIZE = 1 << 18  # pairs an emission loop draws at once

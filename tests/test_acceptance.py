@@ -28,7 +28,7 @@ from eprqkd.defaults import (
     REFERENCE_VAR_X,
     default_setup,
 )
-from eprqkd.detection import coincidence_probability, detected_variance
+from eprqkd.detection import calibrate_source, coincidence_probability, detected_variance
 from eprqkd.protocol import (
     AttackConfig,
     CoincidenceTable,
@@ -38,7 +38,7 @@ from eprqkd.protocol import (
     run_session,
     tally_coincidences,
 )
-from eprqkd.source import PumpProfile, UnphysicalSourceError, build_source, calibrate_source
+from eprqkd.source import PumpProfile, UnphysicalSourceError, build_source
 
 # Reference coincidence counts (rows Ax1..Ap2, columns Bx1..Bp2), as carried
 # by the bundled table1.csv, and their error bars as quoted with the paper's

@@ -75,7 +75,7 @@ class TestFitGaussian:
         )
         assert scan.is_flat()
         fit = fit_gaussian(scan)
-        assert fit.flat and fit.degenerate
+        assert fit.flat
         assert fit.sigma is None
         assert abs(fit.offset - counts.mean()) < 1e-9
 
@@ -87,7 +87,7 @@ class TestFitGaussian:
             basis_pair=("x", "p"),
         )
         fit = fit_gaussian(scan)
-        assert fit.degenerate and fit.offset == 7.0
+        assert fit.flat and fit.sigma is None and fit.offset == 7.0
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +175,7 @@ class TestLevenbergMarquardt:
         scan = ScanData(tuple(x), tuple(int(c) for c in counts), "Ax1", ("x", "x"))
         assert not scan.is_flat()
         fit = fit_gaussian(scan)
-        assert fit.degenerate and fit.flat
+        assert fit.sigma is None and fit.flat
         assert fit.offset == counts.mean()
 
 

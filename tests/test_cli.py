@@ -282,6 +282,38 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {cfg}:2: unknown config key {key!r}"), err
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
+    @pytest.mark.parametrize("lines, named", [
+        # sigma_plus^2 kappa_minus^2 = 1.8^2 * 0.5^2 = 0.81 < 1
+        ("source.sigma_minus_mm = 0.3\nsource.kappa_minus_per_mm = 0.5\n",
+         ["sigma_plus^2 * kappa_minus^2 = 0.81 < 1", "uncertainty product"]),
+        ("source.sigma_minus_mm = 0.33\n", ["source.sigma_minus_mm requires source.kappa_minus_per_mm"]),
+        ("source.kappa_minus_per_mm = 0.83\n", ["source.kappa_minus_per_mm requires source.sigma_minus_mm"]),
+        ("source.sigma_minus_mm = 0.33\nsource.kappa_minus_per_mm = 0.83\n"
+         "source.target_var_p_hbar2_mm2 = 0.9\n",
+         ["source.target_var_p_hbar2_mm2", "source.sigma_minus_mm"]),
+        ("source.sigma_minus_mm = 0.33\nsource.target_var_x_mm2 = 0.2\n",
+         ["source.target_var_x_mm2", "source.sigma_minus_mm"]),
+        ("source.calibrate = false\n", ["unknown config key 'source.calibrate'"]),
+    ])
+    def test_source_width_route_rejections_name_keys(
+        self, capsys, monkeypatch, tmp_path, lines, named
+    ):
+        """Widths unphysical, one width alone, a width beside a changed target,
+        or the removed calibrate switch: exit 2 before the session, naming the keys."""
+        def no_session(*args, **kwargs):
+            raise AssertionError("the source must be checked before the session")
+
+        monkeypatch.setattr(protocol, "run_session", no_session)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        code, report, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        for text in named:
+            assert text in err, err
+
     @pytest.mark.parametrize("key", ["output.alice_key", "output.bob_key", "output.table"])
     @pytest.mark.parametrize("value, named", [
         ("taken", "is a directory"),

@@ -1,4 +1,4 @@
-"""The default experiment, pinned exactly, and the README's run file against the config table."""
+"""The default experiment, pinned exactly, the width route, and the README's run file against the config table."""
 
 import re
 from pathlib import Path
@@ -28,6 +28,18 @@ def test_default_experiment_is_pinned(equalize):
     assert tuple(d.center for d in slits[4:]) == (1.0, 2.0, 1.0, 2.0)
     expected = EQUALIZED_ATTENUATIONS if equalize else (1.0,) * 8
     assert tuple(d.attenuation for d in slits) == expected
+
+
+@pytest.mark.parametrize("target", ["", "source.target_var_x_mm2 = 0.1160\n"])
+def test_width_route_uses_the_given_widths(tmp_path, target):
+    """Both squeezed widths set: no calibration, the widths go in exactly.
+
+    A target restated at its default value is not a conflict.
+    """
+    path = tmp_path / "run.cfg"
+    path.write_text(f"source.sigma_minus_mm = 0.33\nsource.kappa_minus_per_mm = 0.83\n{target}")
+    src, _, _ = build_setup(parse_config_file(str(path)))
+    assert (src.sigma_minus, src.sigma_plus, src.kappa_minus, src.kappa_plus) == (0.33, 1.8, 0.83, 3.7)
 
 
 def test_readme_run_file_parses(tmp_path):

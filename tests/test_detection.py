@@ -21,6 +21,7 @@ from eprqkd.detection import (
     _rectangle,
     _upper_orthant,
     _window_mass,
+    calibrate_source,
     coincidence_probability,
     conversion_for,
     derive_partner_centers,
@@ -32,7 +33,6 @@ from eprqkd.source import (
     PumpProfile,
     SourceModel,
     build_source,
-    calibrate_source,
     channel_law,
     marginal_std,
     sample_pairs,

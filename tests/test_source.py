@@ -1,5 +1,7 @@
+import ast
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from eprqkd import detection
 from eprqkd import source as source_module
 from eprqkd.defaults import assemble_setup
+from eprqkd.detection import CalibrationError, calibrate_source
 from eprqkd.source import (
-    CalibrationError,
     PumpProfile,
     SourceModel,
     UnphysicalSourceError,
     build_source,
-    calibrate_source,
     channel_law,
     marginal_std,
     ordered_streams,
@@ -373,6 +374,17 @@ class TestCalibration:
         for basis, target in (("x", 0.116), ("p", 0.894)):
             measured = detection.detected_variance(model, alice, bob, basis)
             assert abs(measured - target) / target < 1e-12
+
+
+def test_source_imports_nothing_from_the_package():
+    """source is a leaf module: the pair state and the emission kernel only."""
+    tree = ast.parse(Path(source_module.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            assert not (node.module or "").startswith("eprqkd"), ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "eprqkd" for a in node.names), ast.unparse(node)
 
 
 def test_units_discipline_default_is_entangled(default_experiment):
