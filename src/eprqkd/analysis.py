@@ -263,12 +263,16 @@ def duan_check(
     and is compared against 1/4 (hbar = 1) with strict inequality (Reid, PRA
     40, 913 (1989)); the name is historical, the test is not Duan's.  When
     uncertainties are supplied, first-order propagation yields the product
-    uncertainty and the distance to the bound in standard deviations.
+    uncertainty and the distance to the bound in standard deviations; they
+    are given for both axes or neither.
     Variances must be positive and finite, uncertainties non-negative and
     finite; the error names the offending field and entry.
     """
     if not var_x_list or not var_p_list:
         raise ValueError("need at least one variance per axis")
+    if (unc_x_list is None) != (unc_p_list is None):
+        missing = "unc_x" if unc_x_list is None else "unc_p"
+        raise ValueError(f"{missing} is missing: give uncertainties for both axes or neither")
     for name, values, positive in (
         ("var_x", var_x_list, True),
         ("var_p", var_p_list, True),
@@ -286,7 +290,7 @@ def duan_check(
 
     sigma_distance = None
     product_unc = None
-    if unc_x_list is not None and unc_p_list is not None:
+    if unc_x_list is not None:
         if len(unc_x_list) != len(var_x_list) or len(unc_p_list) != len(var_p_list):
             raise ValueError("uncertainty lists must match variance lists")
         unc_mean_x = math.sqrt(sum(u * u for u in unc_x_list)) / len(unc_x_list)

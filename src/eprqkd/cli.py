@@ -11,9 +11,9 @@ Subcommands:
 Every command prints a JSON report and is bit-reproducible for a fixed seed.
 Runs are configured by a flat key-value file with dotted section names
 (``source.sigma_plus_mm = 1.8``); any key omitted falls back to the bundled
-default experiment, the one config table in ``eprqkd.defaults``.  The
-environment variable EPRQKD_SEED overrides the default seed when neither the
-command line nor the config file set one.
+default experiment, the one config table in ``eprqkd.defaults``.  The seed
+comes from --seed, else the config's session.seed, else 42; no environment
+variable enters a run.
 
 Exit codes: 0 success, 2 validation error, 3 runtime/convergence error,
 4 session aborted on an eavesdropping alarm (simulate only).
@@ -43,13 +43,8 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 EXIT_ABORTED = 4
 
-SEED_ENV_VAR = "EPRQKD_SEED"
 DEFAULT_SEED = 42
 FROM_SCANS_PAIRS = 200_000
-
-
-class FixtureError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +69,11 @@ def build_attack(cfg: dict[str, str]) -> protocol.AttackConfig | None:
 
 
 def resolve_seed(cli_seed: int | None, cfg: dict[str, str] | None) -> int:
-    """Seed from --seed, else session.seed, else EPRQKD_SEED, else the default."""
+    """Seed from --seed, else session.seed, else the default."""
     if cli_seed is not None:
         origin, raw = "--seed", cli_seed
     elif cfg is not None and cfg.get("session.seed"):
         origin, raw = "session.seed", cfg["session.seed"]
-    elif os.environ.get(SEED_ENV_VAR):
-        origin, raw = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
     else:
         return DEFAULT_SEED
     try:
@@ -117,9 +110,9 @@ def verify_checksum(path: Path, skip: bool) -> None:
         return
     recorded = sidecar.read_text().split()
     if not recorded:
-        raise FixtureError(f"{sidecar} is empty; pass --no-verify to force")
+        raise ConfigError(f"{sidecar} is empty; pass --no-verify to force")
     if hashlib.sha256(path.read_bytes()).hexdigest() != recorded[0]:
-        raise FixtureError(
+        raise ConfigError(
             f"{path} does not match its recorded checksum; pass --no-verify to force"
         )
 
@@ -431,8 +424,6 @@ def cmd_epr_check(args):
     elif args.var_x is not None:
         var_x, var_p = args.var_x, args.var_p
         unc_x, unc_p = args.unc_x, args.unc_p
-        if (unc_x is None) != (unc_p is None):
-            raise ConfigError("provide uncertainties for both axes or neither")
     else:
         var_x, var_p = list(defaults.REFERENCE_VAR_X), list(defaults.REFERENCE_VAR_P)
         unc_x, unc_p = list(defaults.REFERENCE_UNC_X), list(defaults.REFERENCE_UNC_P)
@@ -525,7 +516,7 @@ def main(argv=None) -> int:
             atomic_write(Path(args.out), lambda tmp: tmp.write_text(text + "\n"))
         print(text)
         return code
-    except (ConfigError, FixtureError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (protocol.ProtocolError, analysis.FitError) as exc:

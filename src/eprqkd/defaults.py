@@ -17,7 +17,9 @@ mirrored side of the axis (the momentum sum, not difference, is the narrow
 coordinate).
 
 The experiment is written down once, as the config table that run files
-override; ``default_setup`` is ``build_setup`` of that table unchanged.
+override; ``default_setup`` is ``build_setup`` of that table unchanged, and
+the setup without level-equalizing filters is ``build_setup`` of it with
+``station.equalize = false``, the key a run file sets.
 """
 
 from __future__ import annotations
@@ -202,6 +204,6 @@ def assemble_setup(
 
 
 @lru_cache(maxsize=None)
-def default_setup(equalize: bool = True) -> tuple[SourceModel, StationConfig, StationConfig]:
-    """Calibrated default source plus both stations (alice, bob order: A first)."""
-    return build_setup({**_CONFIG_DEFAULTS, "station.equalize": str(equalize).lower()})
+def default_setup() -> tuple[SourceModel, StationConfig, StationConfig]:
+    """Calibrated default source plus both equalized stations (alice, bob order: A first)."""
+    return build_setup(_CONFIG_DEFAULTS)

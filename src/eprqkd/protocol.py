@@ -15,13 +15,13 @@ table (rows Ax1, Ax2, Ap1, Ap2; columns Bx1, Bx2, Bp1, Bp2):
                 the replacement photon lands in each of Bob's detectors.
 
 The intercept-resend attack (AttackConfig) acts on B's channel inside the
-session: the interceptor reads each photon with her own station, a null
-blocks it (the pair is later discarded as a non-coincidence), and a click
-triggers a replacement photon under one fixed rule: B in her basis fires
-her detector, B in the conjugate basis fires either detector with
-probability 1/2 (_intercepted_bob_clicks).  Substituting a whole fresh pair
-is a source swap, not a channel transform: run a session with a different
-SourceModel.
+session: the interceptor reads each photon in her basis with B's own
+readout, a null blocks it (the pair is later discarded as a
+non-coincidence), and a click triggers a replacement photon under one fixed
+rule: B in her basis fires her detector, B in the conjugate basis fires
+either detector with probability 1/2 (_resend).  Substituting a whole fresh
+pair is a source swap, not a channel transform: run a session with a
+different SourceModel.
 """
 
 from __future__ import annotations
@@ -224,20 +224,17 @@ def qber_from_counts(table: CoincidenceTable) -> QberReport:
 
 
 def qber_with_eve_prediction(
-    table: CoincidenceTable, p_resend: float | tuple[float, float] = 0.5
+    table: CoincidenceTable, p_resend: tuple[float, float] = (0.5, 0.5)
 ) -> QberReport:
     """Predicted error rate if every photon on B's channel is intercepted.
 
-    p_resend gives the probability that the replacement photon fires Bob's
-    detector t when the interceptor measured in the other basis: a scalar
-    applies to both detectors, a pair weights (detector 1, detector 2)
-    columns separately.  chi sums both different-basis blocks with those
-    weights; the denominator is the grand total of all four blocks.
+    p_resend gives, for (detector 1, detector 2), the probability that the
+    replacement photon fires that detector of Bob's when the interceptor
+    measured in the other basis.  chi sums both different-basis blocks with
+    those weights per column; the denominator is the grand total of all
+    four blocks.
     """
-    if isinstance(p_resend, (int, float)):
-        weights = (float(p_resend), float(p_resend))
-    else:
-        weights = (float(p_resend[0]), float(p_resend[1]))
+    weights = (float(p_resend[0]), float(p_resend[1]))
     if not all(0.0 <= w <= 1.0 for w in weights):
         raise ValueError(f"resend probabilities must lie in [0, 1], got {weights}")
 
@@ -323,10 +320,11 @@ def _coincidences(
 
     Each pair draws A's basis coin and her latent coordinate in that basis.
     Only the pairs on which A clicks draw B's basis coin and the photon on
-    B's channel (source.partner_latent), read in B's basis or, under
-    interception, in the interceptor's.  B's coin is independent of
-    everything else, so drawing it only where it is read leaves the law of
-    sample_pairs followed by both readouts unchanged.  Batches run through
+    B's channel (source.partner_latent), read by B's readout in B's basis
+    or, under interception, in the interceptor's, whose clicks _resend
+    relays.  B's coin is independent of everything else, so drawing it only
+    where it is read leaves the law of sample_pairs followed by both
+    readouts unchanged.  Batches run through
     source.ordered_streams.
 
     Yields (n, pos, bas_A, bas_B, det_A, det_B) per batch: the n pairs
@@ -338,7 +336,6 @@ def _coincidences(
     law = channel_law(source)
     std = np.array(law[0])
     readout_A, readout_B = _Readout(station_A), _Readout(station_B)
-    readout_E = None if attack is None else _Readout(attack.eve_stations or station_B)
 
     def emit(n: int, stream: np.random.Generator):
         bas_A = stream.integers(0, 2, size=n, dtype=np.int8)
@@ -351,10 +348,9 @@ def _coincidences(
         bas_B = stream.integers(0, 2, size=pos.size, dtype=np.int8)
         bas_ch = bas_B if attack is None else _eve_bases(attack, pos.size, stream)
         lat_ch = partner_latent(law, lat_A, bas_A, bas_ch, stream.standard_normal(pos.size))
-        if attack is None:
-            det_B = readout_B.clicks(lat_ch, bas_B, stream)
-        else:
-            det_B = _intercepted_bob_clicks(lat_ch, bas_ch, bas_B, readout_E, stream)
+        det_B = readout_B.clicks(lat_ch, bas_ch, stream)
+        if attack is not None:
+            det_B = _resend(det_B, bas_ch, bas_B, stream)
 
         hit = det_B >= 0
         return n, pos[hit], bas_A[hit], bas_B[hit], det_A[hit], det_B[hit]
@@ -495,13 +491,9 @@ BASIS_POLICIES = ("always_x", "always_p", "uniform_random")
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Intercept-resend strategy parameters; no attack is attack=None.
-
-    eve_stations None means the interceptor reads with B's station.
-    """
+    """The interceptor's basis policy; no attack is attack=None."""
 
     basis_policy: str = "uniform_random"
-    eve_stations: StationConfig | None = None
 
     def __post_init__(self):
         if self.basis_policy not in BASIS_POLICIES:
@@ -519,25 +511,20 @@ def _eve_bases(attack: AttackConfig, n: int, rng: np.random.Generator) -> np.nda
     return np.full(n, attack.basis_policy == "always_p", dtype=np.int8)
 
 
-def _intercepted_bob_clicks(
-    lat_E: np.ndarray,
-    bas_E: np.ndarray,
-    bas_B: np.ndarray,
-    readout_E: _Readout,
-    rng: np.random.Generator,
+def _resend(
+    det_E: np.ndarray, bas_E: np.ndarray, bas_B: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized intercept-resend transform of B's channel.
+    """B's detector index (-1 for null) after the interceptor relays her clicks.
 
-    The interceptor reads the photon's latent coordinate in her basis with
-    her own station's readout_E; a null blocks the photon.  On a click she
-    resends: if B measures in her basis he fires her detector; in the
-    conjugate basis either of his detectors fires with probability 1/2.
-    One uniform is drawn per relayed photon, same-basis ones included, and
-    the conjugate-basis photons fire detector 2 iff it is >= 1/2.
+    det_E holds her readout of each photon in her basis bas_E; a null
+    blocks the photon.  On a click she resends: if B measures in her basis
+    he fires her detector; in the conjugate basis either of his detectors
+    fires with probability 1/2.  One uniform is drawn per relayed photon,
+    same-basis ones included, and the conjugate-basis photons fire
+    detector 2 iff it is >= 1/2.
     """
     import numpy as np
 
-    det_E = readout_E.clicks(lat_E, bas_E, rng)
     det_B = np.full(det_E.shape, -1, dtype=np.int8)
     passed = np.flatnonzero(det_E >= 0)
     coin = rng.random(passed.size) >= 0.5

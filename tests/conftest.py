@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eprqkd.defaults import default_setup
+from eprqkd.defaults import build_setup, default_setup, parse_config_file
 from eprqkd.detection import SlitDetector, StationConfig
 
 
@@ -29,13 +29,13 @@ def make_station(
 @pytest.fixture(scope="session")
 def default_experiment():
     """Calibrated default source and equalized stations (alice, bob)."""
-    return default_setup(equalize=True)
+    return default_setup()
 
 
 @pytest.fixture(scope="session")
 def raw_experiment():
     """Same geometry without the level-equalizing filters."""
-    return default_setup(equalize=False)
+    return build_setup({**parse_config_file(None), "station.equalize": "false"})
 
 
 @pytest.fixture()

@@ -93,7 +93,7 @@ class Criterion:
 
 @pytest.fixture(scope="module")
 def experiment():
-    return default_setup(equalize=True)
+    return default_setup()
 
 
 def test_criterion_01_reference_table_error_rates(capsys):
@@ -116,7 +116,7 @@ def test_criterion_02_intercept_resend_prediction(capsys):
     crit = Criterion(2, 1.0, "intercept-resend prediction 0.296 with chi = 2475")
     path = resources.files("eprqkd").joinpath("data", "table1.csv")
     table = CoincidenceTable.load_csv(str(path))
-    rep = qber_with_eve_prediction(table, p_resend=0.5)
+    rep = qber_with_eve_prediction(table, p_resend=(0.5, 0.5))
     crit.check(abs(rep.qber - 0.296) < 5e-4, f"qber {rep.qber:.6f} vs 0.296")
     crit.check(rep.chi == 2475, f"chi {rep.chi} vs 2475")
     crit.check(table.total() == 8994, f"denominator {table.total()} vs 8994")

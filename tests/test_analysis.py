@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import least_squares
 
 from eprqkd import analysis
@@ -143,6 +143,8 @@ class TestLevenbergMarquardt:
         pairs=st.integers(5_000, 200_000),
         seed=st.integers(0, 2**32 - 1),
     )
+    # Eight points over the top of the peak only: no width to resolve.
+    @example(fixed="Ax1", half_width=0.609375, step=0.15625, pairs=5000, seed=4777)
     def test_matches_least_squares(self, default_experiment, fixed, half_width, step, pairs, seed):
         source, alice, bob = default_experiment
         peak = float(fixed[-1])  # the default partner peaks sit near 1 and 2 mm
@@ -153,6 +155,11 @@ class TestLevenbergMarquardt:
         assume(not scan.is_flat())
         fit = fit_gaussian(scan)
         ref = reference_fit(scan)
+        if fit.flat:
+            # No resolved peak: the reference must not resolve one either.
+            span = max(scan.positions) - min(scan.positions)
+            assert not ref.success or abs(ref.x[2]) > span, ref
+            return
         assert ref.success
         params = np.array([fit.amplitude, fit.center, fit.sigma, fit.offset])
         # The offset may sit near zero: each parameter is held to 1e-6 of its
@@ -243,6 +250,9 @@ class TestDuanCheck:
         (((0.1,), (0.5,), (-0.01,), (0.1,)), "unc_x[0]"),
         (((0.1,), (0.5,), (0.01,), (math.nan,)), "unc_p[0]"),
         (((0.1,), (0.5,), (math.inf,), (0.1,)), "unc_x[0]"),
+        # One uncertainty list alone names the missing one.
+        (((0.152, 0.080), (0.912, 0.875), (0.003, 0.002), None), "unc_p is missing"),
+        (((0.152, 0.080), (0.912, 0.875), None, (0.017, 0.090)), "unc_x is missing"),
     ])
     def test_non_finite_or_negative_input_names_field(self, args, field):
         with pytest.raises(ValueError, match=re.escape(field)):

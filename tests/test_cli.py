@@ -111,6 +111,13 @@ class TestEvePredictCommand:
         assert abs(report["results"]["qber"] - 0.296) < 5e-4
         assert report["results"]["chi_counts"] == 2475.0
 
+    def test_detector_weighted_prediction(self, capsys):
+        # chi restricted to Bob's detector-1 columns: 462+492+700+655 = 2309.
+        code, report, _ = run_cli(["eve-predict", "table1.csv", "--p", "1", "--p2", "0"], capsys)
+        assert code == 0
+        assert report["results"]["p_resend"] == [1.0, 0.0]
+        assert report["results"]["chi_counts"] == 2309.0
+
     def test_zero_resend(self, capsys):
         code, report, _ = run_cli(["eve-predict", "table1.csv", "--p", "0"], capsys)
         assert code == 0
@@ -392,46 +399,28 @@ class TestSimulateCommand:
         assert outputs[0] == outputs[1]
         assert len(outputs[0][1]) == 3
 
-    def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("config,seed", [("", cli.DEFAULT_SEED), ("session.seed = 99\n", 99)])
+    def test_environment_does_not_set_the_seed(self, capsys, tmp_path, monkeypatch, config, seed):
+        """The seed comes from --seed, session.seed or the default, never the environment."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("session.coincidences = 5000\nsession.estimation_pairs = 500\n")
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "1234")
+        cfg.write_text("session.coincidences = 5000\nsession.estimation_pairs = 500\n" + config)
+        monkeypatch.setenv("EPRQKD_SEED", "1234")
         _, report, _ = run_cli(
             ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
         )
-        assert report["seed"] == 1234
-
-    def test_config_seed_beats_env(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "session.coincidences = 5000\nsession.estimation_pairs = 500\n"
-            "session.seed = 99\n"
-        )
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "1234")
-        _, report, _ = run_cli(
-            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
-        )
-        assert report["seed"] == 99
+        assert report["seed"] == seed
 
     @pytest.mark.parametrize(
-        "argv,config,env,origin",
+        "argv,config,origin",
         [
-            (["--seed", "-3"], "", None, "--seed"),
-            ([], "session.seed = -3\n", None, "session.seed"),
-            ([], "session.seed = abc\n", None, "session.seed"),
-            ([], "", "-1", "EPRQKD_SEED"),
-            ([], "", "1.5", "EPRQKD_SEED"),
+            (["--seed", "-3"], "", "--seed"),
+            ([], "session.seed = -3\n", "session.seed"),
+            ([], "session.seed = abc\n", "session.seed"),
         ],
     )
-    def test_invalid_seed_names_its_source(
-        self, capsys, tmp_path, monkeypatch, argv, config, env, origin
-    ):
+    def test_invalid_seed_names_its_source(self, capsys, tmp_path, argv, config, origin):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
-        if env is None:
-            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
         code, _, err = run_cli(
             ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)] + argv,
             capsys,

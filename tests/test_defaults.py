@@ -21,7 +21,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 @pytest.mark.parametrize("equalize", [True, False])
 def test_default_experiment_is_pinned(equalize):
-    src, alice, bob = default_setup(equalize)
+    raw = {**parse_config_file(None), "station.equalize": "false"}
+    src, alice, bob = default_setup() if equalize else build_setup(raw)
     slits = [d for station in (alice, bob) for d in station.x_detectors + station.p_detectors]
     assert (src.sigma_minus, src.sigma_plus, src.kappa_minus, src.kappa_plus) == SOURCE_WIDTHS
     assert tuple(d.center for d in slits[:4]) == ALICE_CENTERS

@@ -52,17 +52,17 @@ class TestReferenceTableArithmetic:
         assert abs(rep.qber_pp - 0.027) < 5e-4
 
     def test_eve_prediction_half(self, reference_table):
-        rep = qber_with_eve_prediction(reference_table, p_resend=0.5)
+        rep = qber_with_eve_prediction(reference_table, p_resend=(0.5, 0.5))
         assert rep.chi == 2475
         assert math.isclose(rep.qber, float(Fraction(2665, 8994)), rel_tol=1e-12)
         assert abs(rep.qber - 0.296) < 5e-4
 
     def test_eve_prediction_zero(self, reference_table):
-        rep = qber_with_eve_prediction(reference_table, p_resend=0.0)
+        rep = qber_with_eve_prediction(reference_table, p_resend=(0.0, 0.0))
         assert math.isclose(rep.qber, float(Fraction(190, 8994)), rel_tol=1e-12)
 
     def test_eve_prediction_one(self, reference_table):
-        rep = qber_with_eve_prediction(reference_table, p_resend=1.0)
+        rep = qber_with_eve_prediction(reference_table, p_resend=(1.0, 1.0))
         assert math.isclose(rep.qber, float(Fraction(5140, 8994)), rel_tol=1e-12)
 
     def test_eve_prediction_detector_weighted(self, reference_table):
@@ -95,7 +95,7 @@ class TestQberEdgeCases:
         counts = np.zeros((4, 4), dtype=int)
         counts[:2, :2] = [[90, 10], [10, 90]]
         counts[2:, 2:] = [[90, 10], [10, 90]]
-        rep = qber_with_eve_prediction(CoincidenceTable(counts), p_resend=0.5)
+        rep = qber_with_eve_prediction(CoincidenceTable(counts), p_resend=(0.5, 0.5))
         assert rep.chi == 0.0
         assert math.isclose(rep.qber, 40 / 400)
 
@@ -635,7 +635,7 @@ class TestTableType:
         from_array = CoincidenceTable(np.array(self.CELLS, dtype=np.int64))
         assert from_lists == from_array
         assert qber_from_counts(from_lists) == qber_from_counts(from_array)
-        for p in (0.5, (0.3, 0.6)):
+        for p in ((0.5, 0.5), (0.3, 0.6)):
             assert qber_with_eve_prediction(from_lists, p) == qber_with_eve_prediction(
                 from_array, p
             )
