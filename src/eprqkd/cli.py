@@ -101,25 +101,23 @@ def resolve_table_path(name: str) -> Path:
     raise FileNotFoundError(f"coincidence table {name!r} not found")
 
 
-def verify_checksum(path: Path, skip: bool) -> None:
+def verify_checksum(path: Path) -> None:
     """Refuse a fixture whose sibling .sha256 no longer matches."""
-    if skip:
-        return
     sidecar = Path(str(path) + ".sha256")
     if not sidecar.exists():
         return
     recorded = sidecar.read_text().split()
     if not recorded:
-        raise ConfigError(f"{sidecar} is empty; pass --no-verify to force")
+        raise ConfigError(f"{sidecar} is empty; remove it to use {path} unverified")
     if hashlib.sha256(path.read_bytes()).hexdigest() != recorded[0]:
         raise ConfigError(
-            f"{path} does not match its recorded checksum; pass --no-verify to force"
+            f"{path} does not match its recorded checksum; remove {sidecar} to use it as edited"
         )
 
 
 def _load_table(args) -> tuple[Path, protocol.CoincidenceTable]:
     path = resolve_table_path(args.table)
-    verify_checksum(path, args.no_verify)
+    verify_checksum(path)
     return path, protocol.CoincidenceTable.load_csv(path)
 
 
@@ -130,23 +128,35 @@ def atomic_write(path: Path, save) -> None:
     os.replace(tmp, path)
 
 
-def _check_outputs(args) -> None:
-    """Reject every unwritable output flag of the command before any work."""
-    for flag, attr in (("--out-csv", "out_csv"), ("--out", "out")):
-        path = getattr(args, attr, None)
-        if not path:
-            continue
-        target = Path(path)
-        if not target.parent.is_dir():
-            raise ConfigError(f"{flag}: directory {str(target.parent)!r} does not exist")
-        if target.is_dir():
-            raise ConfigError(f"{flag}: {path!r} is a directory")
+def _check_outputs(args, named: dict[str, Path] | None = None) -> None:
+    """Reject, before any work, an output file that cannot be written or that two outputs share.
+
+    The run writes the named files (simulate's output.* keys), then --out-csv
+    and --out.  The --out-dir that simulate creates counts as an existing
+    directory.  Each command calls this once, before setup or table load.
+    """
     out_dir = getattr(args, "out_dir", None)
+    created = None
     if out_dir:
         target = Path(out_dir)
         nearest = next(p for p in (target, *target.parents) if p.exists())
         if not nearest.is_dir():
             raise ConfigError(f"--out-dir: {str(nearest)!r} is not a directory")
+        created = target.resolve()
+    outputs = dict(named or {})
+    for flag, attr in (("--out-csv", "out_csv"), ("--out", "out")):
+        if getattr(args, attr, None):
+            outputs[flag] = Path(getattr(args, attr))
+    written = {}
+    for name, path in outputs.items():
+        resolved = path.resolve()
+        if path.is_dir() or resolved == created:
+            raise ConfigError(f"{name}: {str(path)!r} is a directory")
+        if not path.parent.is_dir() and path.parent.resolve() != created:
+            raise ConfigError(f"{name}: directory {str(path.parent)!r} does not exist")
+        if resolved in written:
+            raise ConfigError(f"{name}: {str(path)!r} is already the output of {written[resolved]}")
+        written[resolved] = name
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +181,7 @@ def _qber_results(report: protocol.QberReport) -> dict:
 
 
 def cmd_qber(args):
+    _check_outputs(args)
     path, table = _load_table(args)
     results = _qber_results(protocol.qber_from_counts(table))
     results["table_path"] = str(path)
@@ -178,6 +189,7 @@ def cmd_qber(args):
 
 
 def cmd_eve_predict(args):
+    _check_outputs(args)
     for flag, value in (("--p", args.p), ("--p2", args.p2)):
         if value is not None and not 0.0 <= value <= 1.0:
             raise ConfigError(f"{flag} must lie in [0, 1], got {value}")
@@ -189,36 +201,20 @@ def cmd_eve_predict(args):
     return EXIT_OK, {"table": args.table, "p": args.p, "p2": args.p2}, None, None, results
 
 
-def _session_outputs(cfg: dict[str, str], out_dir: Path) -> list[Path]:
-    """The key and table paths under out_dir: distinct file names in existing directories."""
-    paths = []
-    for key in ("output.alice_key", "output.bob_key", "output.table"):
-        target = out_dir / cfg[key]
-        if target == out_dir or target.is_dir():
-            raise ConfigError(f"config key {key}: {str(target)!r} is a directory")
-        if target.parent != out_dir and not target.parent.is_dir():
-            raise ConfigError(
-                f"config key {key}: directory {str(target.parent)!r} does not exist"
-            )
-        if target in paths:
-            raise ConfigError(f"config key {key}: {str(target)!r} is already another output")
-        paths.append(target)
-    return paths
-
-
 def cmd_simulate(args):
     cfg = parse_config_file(args.config)
     seed = resolve_seed(args.seed, cfg)
     attack = build_attack(cfg)
     out_dir = Path(args.out_dir)
-    key_a, key_b, table_path = _session_outputs(cfg, out_dir)
+    outputs = {f"config key {key}": out_dir / cfg[key]
+               for key in ("output.alice_key", "output.bob_key", "output.table")}
+    _check_outputs(args, outputs)
+    key_a, key_b, table_path = outputs.values()
     session = protocol.SessionConfig(
         n_coincidences=_as_int(cfg, "session.coincidences"),
         m_estimation=_as_int(cfg, "session.estimation_pairs"),
         qber_threshold=_as_float(cfg, "session.qber_threshold"),
         rng_seed=seed,
-        max_emitted=_as_int(cfg, "session.max_emitted")
-        if cfg["session.max_emitted"] else None,
     )
     src, alice, bob = build_setup(cfg)
     result = protocol.run_session(src, alice, bob, session, attack=attack)
@@ -265,6 +261,14 @@ def _check_pairs(pairs: int) -> None:
         raise ConfigError(f"--pairs must be positive, got {pairs}")
 
 
+def _scan_config(path: str | None) -> dict[str, str]:
+    """The run config of a scan route, which runs no attack."""
+    cfg = parse_config_file(path)
+    if cfg["attack.policy"] != "none":
+        raise ConfigError(f"attack.policy must be none for scans, got {cfg['attack.policy']!r}")
+    return cfg
+
+
 def _scan_and_fit(args, detectors, grid, pairs):
     """Scan and peak-fit each (fixed detector, basis pair) in turn on one seeded generator.
 
@@ -272,7 +276,7 @@ def _scan_and_fit(args, detectors, grid, pairs):
     """
     import numpy as np
 
-    cfg = parse_config_file(args.config)
+    cfg = _scan_config(args.config)
     seed = resolve_seed(args.seed, cfg)
     src, alice, bob = build_setup(cfg)
     rng = np.random.default_rng(seed)
@@ -284,6 +288,7 @@ def _scan_and_fit(args, detectors, grid, pairs):
 
 
 def cmd_scan(args):
+    _check_outputs(args)
     if len(args.bases) != 2 or any(b not in "xp" for b in args.bases):
         raise ConfigError(f"--bases must be two of x/p (e.g. xx, xp), got {args.bases!r}")
     basis_pair = (args.bases[0], args.bases[1])
@@ -394,10 +399,11 @@ def _check_epr_flags(args) -> None:
 
 
 def cmd_epr_check(args):
+    _check_outputs(args)
     _check_epr_flags(args)
     cfg = seed = unc_x = unc_p = note = None
     if args.fits:
-        cfg = parse_config_file(args.config)
+        cfg = _scan_config(args.config)
         _, _, bob = build_setup(cfg)
         var_x, var_p = _variances_from_fit_reports(args.fits, bob)
     elif args.from_scans:
@@ -447,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("qber", help="error rates of a coincidence table")
     q.add_argument("table", help="4x4 coincidence CSV (bundled table1.csv if not a file)")
-    q.add_argument("--no-verify", action="store_true", help="skip fixture checksum check")
     q.add_argument("--out", help="also write the JSON report to this path")
     q.set_defaults(func=cmd_qber)
 
@@ -455,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("table")
     e.add_argument("--p", type=float, default=0.5, help="resend probability per detector")
     e.add_argument("--p2", type=float, default=None, help="detector-2 resend probability")
-    e.add_argument("--no-verify", action="store_true")
     e.add_argument("--out")
     e.set_defaults(func=cmd_eve_predict)
 
@@ -497,11 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Check the output flags, run the command, then print (and save) its report."""
+    """Run the command, then print (and save) its report."""
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        _check_outputs(args)
         code, report_args, seed, cfg, results = args.func(args)
         report = {
             "command": args.subcommand,

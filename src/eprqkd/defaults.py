@@ -63,7 +63,6 @@ _CONFIG_DEFAULTS = {
     "session.coincidences": "100000",
     "session.estimation_pairs": "10000",
     "session.qber_threshold": repr(protocol.DEFAULT_QBER_THRESHOLD),
-    "session.max_emitted": "",  # pair-emission guard; default 10^4 * N
     "session.seed": "",
     "attack.policy": "none",
     "output.alice_key": "alice_key.txt",

@@ -42,6 +42,8 @@ if TYPE_CHECKING:
 ALICE_LABELS = ("Ax1", "Ax2", "Ap1", "Ap2")
 BOB_LABELS = ("Bx1", "Bx2", "Bp1", "Bp2")
 DEFAULT_QBER_THRESHOLD = 0.15
+# A session gives up after this many emitted pairs per coincidence asked for.
+EMITTED_PER_COINCIDENCE = 10_000
 
 
 class ProtocolError(RuntimeError):
@@ -56,13 +58,10 @@ class SessionConfig:
     m_estimation: int
     qber_threshold: float = DEFAULT_QBER_THRESHOLD
     rng_seed: int = 0
-    max_emitted: int | None = None  # default guard: 10^4 * N emitted pairs
 
     def __post_init__(self):
-        for name in ("n_coincidences", "m_estimation", "rng_seed", "max_emitted"):
+        for name in ("n_coincidences", "m_estimation", "rng_seed"):
             value = getattr(self, name)
-            if name == "max_emitted" and value is None:
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rng_seed < 0:
@@ -76,12 +75,6 @@ class SessionConfig:
             )
         if not 0.0 < self.qber_threshold < 1.0:
             raise ValueError("qber_threshold must lie strictly between 0 and 1")
-        if self.max_emitted is not None and self.max_emitted <= 0:
-            raise ValueError(f"max_emitted must be positive, got {self.max_emitted}")
-
-    @property
-    def emitted_guard(self) -> int:
-        return self.max_emitted if self.max_emitted is not None else 10_000 * self.n_coincidences
 
 
 class CoincidenceTable:
@@ -264,11 +257,6 @@ def qber_with_eve_prediction(
     )
 
 
-def abort_decision(report: QberReport, threshold: float = DEFAULT_QBER_THRESHOLD) -> bool:
-    """Abort iff the estimate strictly exceeds the threshold."""
-    return report.qber > threshold
-
-
 # ---------------------------------------------------------------------------
 # Session Monte Carlo
 # ---------------------------------------------------------------------------
@@ -383,12 +371,13 @@ def run_session(
 ) -> SessionResult:
     """Run one key-distribution session.
 
-    Pairs are emitted until N coincidences accumulate (or the emitted-pair
-    guard trips).  Each side selects its basis with a fair coin; an optional
-    intercept-resend attack transforms B's photon before detection.  The
-    same-basis events are sifted, m of them are sampled without replacement
-    for error estimation and removed from the key, and the abort flag is set
-    when the estimate exceeds the threshold.
+    Pairs are emitted until N coincidences accumulate; after
+    EMITTED_PER_COINCIDENCE * N emitted pairs (10^4 N) without them the
+    session raises ProtocolError.  Each side selects its basis with a fair
+    coin; an optional intercept-resend attack transforms B's photon before
+    detection.  The same-basis events are sifted, m of them are sampled
+    without replacement for error estimation and removed from the key, and
+    the session is aborted when the estimate strictly exceeds the threshold.
 
     Emission runs in fixed-size batches of source.DRAW_SIZE pairs (at most
     8 N, at least 4096) through _coincidences; batches are consumed in order
@@ -405,7 +394,7 @@ def run_session(
     collected = 0
     emitted = 0
     with closing(_coincidences(
-        source, station_A, station_B, attack, rng, session.emitted_guard, batch
+        source, station_A, station_B, attack, rng, EMITTED_PER_COINCIDENCE * n_target, batch
     )) as batches:
         for n, pos, *cells in batches:
             need = n_target - collected
@@ -447,7 +436,7 @@ def run_session(
         sifted_bits_A=_bit_string(sift_A[~est_mask]),
         sifted_bits_B=_bit_string(sift_B[~est_mask]),
         estimate=estimate,
-        aborted=abort_decision(estimate, session.qber_threshold),
+        aborted=estimate.qber > session.qber_threshold,
         table=table,
         emitted_pairs=emitted,
     )

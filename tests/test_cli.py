@@ -79,15 +79,12 @@ class TestChecksum:
         assert code == cli.EXIT_VALIDATION
         assert "checksum" in err
 
-    def test_no_verify_overrides(self, capsys, tmp_path):
-        target = tmp_path / "table1.csv"
-        shutil.copy(BUNDLED, target)
-        shutil.copy(BUNDLED + ".sha256", str(target) + ".sha256")
-        text = target.read_text().replace("943", "944")
-        target.write_text(text)
-        code, report, _ = run_cli(["qber", str(target), "--no-verify"], capsys)
-        assert code == 0
-        assert report["results"]["wrong_counts"] == 190.0
+    @pytest.mark.parametrize("command", ["qber", "eve-predict"])
+    def test_checksum_cannot_be_skipped(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "table1.csv", "--no-verify"])
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert "--no-verify" in capsys.readouterr().err
 
     def test_bundled_fixture_passes_checksum(self, capsys):
         code, _, _ = run_cli(["qber", BUNDLED], capsys)
@@ -364,6 +361,38 @@ class TestSimulateCommand:
         assert err.startswith("error: config key output.table:") and "already" in err, err
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
+    def test_report_over_a_key_rejected(self, capsys, monkeypatch, tmp_path):
+        """--out and the output.* files are one set of outputs: none may overwrite another."""
+        def no_setup(cfg):
+            raise AssertionError("outputs must be checked before setup")
+
+        monkeypatch.setattr(cli, "build_setup", no_setup)
+        out_dir = tmp_path / "d"
+        code, report, err = run_cli(
+            ["simulate", "--out-dir", str(out_dir), "--out", str(out_dir / "alice_key.txt")],
+            capsys,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err.startswith("error: --out:") and "config key output.alice_key" in err, err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_inside_a_new_out_dir(self, capsys, tmp_path):
+        """The --out-dir that simulate creates also holds --out."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("session.coincidences = 2000\nsession.estimation_pairs = 200\n")
+        out_dir = tmp_path / "new"
+        code, report, _ = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(out_dir),
+             "--out", str(out_dir / "report.json")],
+            capsys,
+        )
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "alice_key.txt", "bob_key.txt", "report.json", "session_table.csv",
+        ]
+        assert json.loads((out_dir / "report.json").read_text()) == report
+
     def test_seed_reproducibility(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("session.coincidences = 5000\nsession.estimation_pairs = 500\n")
@@ -430,13 +459,14 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("guard", ["0", "-5"])
     def test_nonpositive_emission_guard_rejected(self, capsys, tmp_path, guard):
+        """The emission guard is fixed: session.max_emitted is an unknown key."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"session.max_emitted = {guard}\n")
         code, _, err = run_cli(
             ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
         )
         assert code == cli.EXIT_VALIDATION
-        assert "max_emitted" in err
+        assert "unknown config key 'session.max_emitted'" in err
 
     @pytest.mark.parametrize(
         "key,value",
@@ -453,18 +483,24 @@ class TestSimulateCommand:
         assert key in err
 
     def test_emission_guard_is_runtime_error(self, capsys, tmp_path):
-        # A guard far below the needed emissions trips mid-session, which is
-        # a runtime condition (exit 3), not a config problem.
+        # Micron slits almost never click together, so the fixed guard of
+        # 10^4 N emitted pairs trips mid-session: a runtime condition (exit
+        # 3), not a config problem, and no file is written.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "session.coincidences = 1000\nsession.estimation_pairs = 100\n"
-            "session.max_emitted = 2000\n"
+            "station.x_slit_width_mm = 0.001\nstation.p_slit_width_mm = 0.001\n"
+            "session.coincidences = 10\nsession.estimation_pairs = 1\n"
         )
-        code, _, err = run_cli(
-            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
+        out_dir = tmp_path / "out"
+        code, report, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(out_dir),
+             "--out", str(tmp_path / "r.json")],
+            capsys,
         )
         assert code == cli.EXIT_RUNTIME
+        assert report is None
         assert "pathologically low" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 class TestScanCommand:
@@ -570,6 +606,24 @@ class TestScanCommand:
         assert report is None
         assert err.startswith(f"error: {flag}:")
 
+    @pytest.mark.parametrize("spelling", ["./c.json", "absolute"])
+    def test_report_over_the_csv_rejected(self, capsys, monkeypatch, tmp_path, spelling):
+        def no_setup(cfg):
+            raise AssertionError("outputs must be checked before setup")
+
+        monkeypatch.setattr(cli, "build_setup", no_setup)
+        monkeypatch.chdir(tmp_path)
+        out = str(tmp_path / "c.json") if spelling == "absolute" else spelling
+        code, report, err = run_cli(
+            ["scan", "--fixed", "Ax1", "--bases", "xp", "--grid", "1:2:0.1",
+             "--out-csv", "c.json", "--out", out],
+            capsys,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err.startswith("error: --out:") and "--out-csv" in err, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_same_seed_same_outputs(self, capsys, tmp_path):
         outputs = []
         for run in ("a", "b"):
@@ -586,6 +640,26 @@ class TestScanCommand:
             report["results"].pop("scan_csv")
             outputs.append((csv_path.read_text(), report))
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("policy", ["uniform_random", "always_x", "bogus"])
+@pytest.mark.parametrize("command", [
+    ["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", "0:3:0.1"],
+    ["epr-check", "--from-scans"],
+    ["epr-check", "--fits", "a", "b", "c", "d"],
+])
+def test_scans_reject_an_attack(capsys, monkeypatch, tmp_path, command, policy):
+    """Scans run no attack, so a run file that asks for one exits 2 before setup."""
+    def no_setup(cfg):
+        raise AssertionError("attack.policy must be checked before setup")
+
+    monkeypatch.setattr(cli, "build_setup", no_setup)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"attack.policy = {policy}\n")
+    code, report, err = run_cli(command + ["--config", str(cfg)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert report is None
+    assert err.startswith("error: attack.policy") and repr(policy) in err, err
 
 
 class TestEprCheckCommand:

@@ -17,7 +17,6 @@ from eprqkd.protocol import (
     CoincidenceTable,
     ProtocolError,
     SessionConfig,
-    abort_decision,
     qber_from_counts,
     qber_with_eve_prediction,
     run_session,
@@ -125,31 +124,40 @@ class TestQberEdgeCases:
         assert rep.qber_pp is None
 
 
-class TestAbortDecision:
-    def test_low_rate_continues(self):
+class TestAbortRule:
+    def test_low_rate(self):
         rep = qber_from_counts(
             CoincidenceTable(np.array([[953, 47, 0, 0], [47, 953, 0, 0],
                                        [0, 0, 953, 47], [47, 0, 0, 953]]))
         )
-        assert abort_decision(rep, 0.15) is False
+        assert rep.qber < 0.15
 
-    def test_high_rate_aborts(self):
-        report = dataclasses.replace(
-            qber_from_counts(
-                CoincidenceTable(np.array([[70, 30, 0, 0], [30, 70, 0, 0],
-                                           [0, 0, 70, 30], [30, 0, 0, 70]]))
-            )
+    def test_high_rate(self):
+        report = qber_from_counts(
+            CoincidenceTable(np.array([[70, 30, 0, 0], [30, 70, 0, 0],
+                                       [0, 0, 70, 30], [30, 0, 0, 70]]))
         )
         assert report.qber > 0.15
-        assert abort_decision(report, 0.15) is True
 
-    def test_threshold_boundary_continues(self):
+    def test_threshold_boundary_rate(self):
         counts = np.zeros((4, 4), dtype=int)
         counts[:2, :2] = [[85, 15], [0, 0]]
         counts[2:, 2:] = [[85, 15], [0, 0]]
         rep = qber_from_counts(CoincidenceTable(counts))
         assert rep.qber == 0.15
-        assert abort_decision(rep, 0.15) is False
+
+    def test_session_aborts_only_strictly_above_threshold(self, default_experiment):
+        source, alice, bob = default_experiment
+        cfg = SessionConfig(n_coincidences=2000, m_estimation=200, rng_seed=3)
+        q = run_session(source, alice, bob, cfg).estimate.qber
+        assert 0 < q < 1
+        at = run_session(source, alice, bob, dataclasses.replace(cfg, qber_threshold=q))
+        below = run_session(
+            source, alice, bob, dataclasses.replace(cfg, qber_threshold=math.nextafter(q, 0))
+        )
+        assert at.estimate.qber == below.estimate.qber == q
+        assert at.aborted is False
+        assert below.aborted is True
 
 
 def sifted_count(result: protocol.SessionResult) -> int:
@@ -236,18 +244,11 @@ class TestSessionConfigValidation:
         with pytest.raises(ValueError):
             SessionConfig(n_coincidences=100, m_estimation=10, qber_threshold=1.0)
 
-    @pytest.mark.parametrize("guard", [0, -5])
-    def test_nonpositive_emission_guard(self, guard):
-        with pytest.raises(ValueError, match="max_emitted"):
-            SessionConfig(n_coincidences=100, m_estimation=10, max_emitted=guard)
-
     @pytest.mark.parametrize("field, value", [
         ("n_coincidences", 1e5),
         ("n_coincidences", True),
         ("m_estimation", 10.0),
         ("m_estimation", True),
-        ("max_emitted", 2.5),
-        ("max_emitted", True),
         ("rng_seed", 1.5),
         ("rng_seed", "3"),
         ("rng_seed", False),
@@ -265,9 +266,9 @@ class TestSessionConfigValidation:
     def test_numpy_integers_accepted(self):
         cfg = SessionConfig(
             n_coincidences=np.int64(100), m_estimation=np.int32(10),
-            rng_seed=np.uint64(3), max_emitted=np.int64(10_000),
+            rng_seed=np.uint64(3),
         )
-        assert cfg.emitted_guard == 10_000
+        assert (cfg.n_coincidences, cfg.m_estimation, cfg.rng_seed) == (100, 10, 3)
 
 
 class TestRunSession:
@@ -374,9 +375,7 @@ class TestRunSession:
                 SlitDetector(1002.0, 0.5, 1),
             ),
         )
-        cfg = SessionConfig(
-            n_coincidences=1000, m_estimation=100, rng_seed=1, max_emitted=50_000
-        )
+        cfg = SessionConfig(n_coincidences=10, m_estimation=1, rng_seed=1)
         with pytest.raises(ProtocolError, match="pathologically low"):
             run_session(source, alice, far, cfg)
 
@@ -471,16 +470,15 @@ class TestBatchedEmission:
         assert result.table.total() == cfg.n_coincidences
 
     def test_guard_counts_every_emitted_pair(self, default_experiment, monkeypatch):
-        # The guard is not a multiple of the 8,000-pair batch: the batches
-        # still sum to it exactly before the session gives up.
+        # The guard of 10^4 N = 100,000 pairs is 24 batches of 4,096 plus
+        # 1,696, not a multiple of the batch: the batches still sum to it
+        # exactly before the session gives up.
         monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
         source, alice, _ = default_experiment
         far = make_station(x_centers=(1000.0, 1002.0), p_centers=(1000.0, 1002.0))
-        cfg = SessionConfig(
-            n_coincidences=1000, m_estimation=100, rng_seed=1, max_emitted=50_001
-        )
+        cfg = SessionConfig(n_coincidences=10, m_estimation=1, rng_seed=1)
         threads = threading.active_count()
-        with pytest.raises(ProtocolError, match="emitted 50001 pairs but collected only 0"):
+        with pytest.raises(ProtocolError, match="emitted 100000 pairs but collected only 0 of 10"):
             run_session(source, alice, far, cfg)
         assert threading.active_count() == threads
 
@@ -490,7 +488,7 @@ class TestBatchedEmission:
         threads = threading.active_count()
         cfg = SessionConfig(n_coincidences=2000, m_estimation=200, rng_seed=3)
         result = run_session(source, alice, bob, cfg)
-        assert result.emitted_pairs < cfg.emitted_guard
+        assert result.emitted_pairs < protocol.EMITTED_PER_COINCIDENCE * cfg.n_coincidences
         assert threading.active_count() == threads
         tally_coincidences(source, alice, bob, 100_000, np.random.default_rng(3))
         assert threading.active_count() == threads
