@@ -240,7 +240,7 @@ def fit_gaussian(scan: ScanData) -> GaussianFit:
 
 
 def conditional_variance(fit: GaussianFit, conversion_scale: float) -> float:
-    """Variance of the collective coordinate from a fitted scan width.
+    """Inferred variance of B's coordinate given A's slit, from a fitted scan width.
 
     conversion_scale maps the detection-plane width into the coordinate's
     units: detection.conversion_for (alpha for position scans, k/f for

@@ -30,6 +30,7 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import analysis, defaults, detection, protocol
@@ -44,7 +45,8 @@ EXIT_RUNTIME = 3
 EXIT_ABORTED = 4
 
 DEFAULT_SEED = 42
-FROM_SCANS_PAIRS = 200_000
+DEFAULT_PAIRS = 200_000
+FROM_SCANS_GRID = "0:3:0.1"
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +350,9 @@ def _epr_results(check: analysis.EprCheckResult, note: str | None) -> dict:
     return out
 
 
-def _variances_from_fit_reports(paths, station) -> tuple[list, list]:
-    """Pull conditional variances out of saved scan reports (2 xx + 2 pp)."""
-    var_x, var_p = [], []
+def _fits_from_reports(paths) -> list:
+    """(basis, flat label, fit) per saved scan report, the fit holding sigma and covariance."""
+    fits = []
     for path in paths:
         try:
             data = json.loads(Path(path).read_text())
@@ -360,23 +362,43 @@ def _variances_from_fit_reports(paths, station) -> tuple[list, list]:
         fit = results.get("fit") if isinstance(results, dict) else None
         if not isinstance(fit, dict):
             raise ConfigError(f"{path}: not a scan report: need an object with a 'fit' object")
-        pair = results.get("basis_pair")
-        sigma = fit.get("sigma_mm")
+        pair, sigma, cov = results.get("basis_pair"), fit.get("sigma_mm"), fit.get("covariance")
         if pair not in ("xx", "pp"):
             raise ConfigError(f"{path}: need a same-basis scan report, got {pair!r}")
-        if sigma is None:
-            raise ConfigError(f"{path}: scan is flat; no width to convert")
-        # json.loads accepts NaN and Infinity, and a bool is an int.
-        if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not 0 < sigma < math.inf:
+        # json.loads accepts NaN and Infinity; type() also turns away a bool.
+        if sigma is not None and not (type(sigma) in (int, float) and 0 < sigma < math.inf):
             raise ConfigError(f"{path}: fit.sigma_mm must be a positive finite width, got {sigma!r}")
-        basis = pair[0]
-        variance = (detection.conversion_for(station, basis) * sigma) ** 2
-        (var_x if basis == "x" else var_p).append(variance)
-    if len(var_x) != 2 or len(var_p) != 2:
+        try:
+            var_sigma = 0.0 if cov is None else cov[2][2]
+        except (IndexError, KeyError, TypeError):
+            raise ConfigError(f"{path}: fit.covariance has no entry [2][2]") from None
+        if not (type(var_sigma) in (int, float) and 0 <= var_sigma < math.inf):
+            raise ConfigError(f"{path}: fit.covariance[2][2] must be finite, >= 0, got {var_sigma!r}")
+        fit = SimpleNamespace(sigma=sigma, covariance=cov, flat=sigma is None)
+        fits.append((pair[0], f"{path}: scan is flat", fit))
+    return fits
+
+
+def _witness_variances(fits, station) -> tuple:
+    """var_x, var_p, unc_x, unc_p from (basis, flat label, fit), two xx and two pp fits.
+
+    A flat fit exits with its label; uncertainties are None unless every fit has a covariance.
+    """
+    with_unc = all(fit.covariance is not None for _, _, fit in fits)
+    var, unc = {"x": [], "p": []}, {"x": [], "p": []}
+    for basis, label, fit in fits:
+        if fit.flat:
+            raise ConfigError(f"{label}; no width to convert")
+        scale = detection.conversion_for(station, basis)
+        var[basis].append(analysis.conditional_variance(fit, scale))
+        if with_unc:  # d(scale sigma)^2 = 2 scale^2 sigma d(sigma)
+            unc[basis].append(2 * scale**2 * fit.sigma * math.sqrt(fit.covariance[2][2]))
+    if len(var["x"]) != 2 or len(var["p"]) != 2:
         raise ConfigError(
-            f"need two xx and two pp fit reports, got {len(var_x)} xx / {len(var_p)} pp"
+            f"need two xx and two pp fit reports, got {len(var['x'])} xx / {len(var['p'])} pp"
         )
-    return var_x, var_p
+    unc_x, unc_p = (unc["x"], unc["p"]) if with_unc else (None, None)
+    return var["x"], var["p"], unc_x, unc_p
 
 
 def _check_epr_flags(args) -> None:
@@ -405,28 +427,17 @@ def cmd_epr_check(args):
     if args.fits:
         cfg = _scan_config(args.config)
         _, _, bob = build_setup(cfg)
-        var_x, var_p = _variances_from_fit_reports(args.fits, bob)
+        var_x, var_p, unc_x, unc_p = _witness_variances(_fits_from_reports(args.fits), bob)
     elif args.from_scans:
-        pairs = FROM_SCANS_PAIRS if args.pairs is None else args.pairs
+        pairs = DEFAULT_PAIRS if args.pairs is None else args.pairs
         _check_pairs(pairs)
         fixed = [f"A{basis}{det}" for basis in "xp" for det in (1, 2)]
         cfg, seed, bob, fitted = _scan_and_fit(
-            args, [(f, (f[1], f[1])) for f in fixed], _parse_grid("0:3:0.1"), pairs
+            args, [(f, (f[1], f[1])) for f in fixed], _parse_grid(FROM_SCANS_GRID), pairs
         )
-        flat = next((f for f, (_, fit) in zip(fixed, fitted) if fit.flat), None)
-        if flat:
-            raise ConfigError(
-                f"--from-scans: the {flat} scan is flat at --pairs {pairs}; no width to convert"
-            )
-        scaled = [(detection.conversion_for(bob, f[1]), fit) for f, (_, fit) in zip(fixed, fitted)]
-        variances = [analysis.conditional_variance(fit, scale) for scale, fit in scaled]
-        var_x, var_p = variances[:2], variances[2:]
-        if all(fit.covariance is not None for _, fit in scaled):
-            # d(scale sigma)^2 = 2 scale^2 sigma d(sigma), sd(sigma) from the fit.
-            unc = [
-                2 * scale**2 * fit.sigma * math.sqrt(fit.covariance[2][2]) for scale, fit in scaled
-            ]
-            unc_x, unc_p = unc[:2], unc[2:]
+        fits = [(f[1], f"--from-scans: the {f} scan is flat at --pairs {pairs}", fit)
+                for f, (_, fit) in zip(fixed, fitted)]
+        var_x, var_p, unc_x, unc_p = _witness_variances(fits, bob)
     elif args.var_x is not None:
         var_x, var_p = args.var_x, args.var_p
         unc_x, unc_p = args.unc_x, args.unc_p
@@ -475,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--fixed", required=True, help="fixed detector of party A, e.g. Ax1")
     c.add_argument("--bases", required=True, help="basis pair, e.g. xx or xp")
     c.add_argument("--grid", required=True, help="start:stop:step in mm")
-    c.add_argument("--pairs", type=int, default=200_000, help="pairs emitted per grid point")
+    c.add_argument("--pairs", type=int, default=DEFAULT_PAIRS, help="pairs emitted per grid point")
     c.add_argument("--seed", type=int, default=None)
     c.add_argument("--out-csv", help="write the scan as position_mm,counts CSV")
     c.add_argument("--out")
@@ -489,9 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fits", nargs=4, default=None,
                    help="four saved scan reports (two xx, two pp)")
     p.add_argument("--from-scans", action="store_true",
-                   help="derive the four variances from simulated scans")
+                   help=f"derive the four variances from simulated scans over {FROM_SCANS_GRID}")
     p.add_argument("--pairs", type=int, default=None,
-                   help=f"pairs per scan point with --from-scans (default {FROM_SCANS_PAIRS})")
+                   help=f"pairs per scan point with --from-scans (default {DEFAULT_PAIRS})")
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")

@@ -788,6 +788,94 @@ class TestEprCheckCommand:
         assert code == 0
         assert report["results"]["satisfied"] is True
 
+    def test_fit_reports_match_from_scans(self, capsys, monkeypatch, tmp_path):
+        """--fits converts each scan-written width and sd(sigma) exactly as --from-scans does."""
+        from eprqkd.defaults import default_setup
+        from eprqkd.detection import conversion_for
+
+        duan_check, checked = analysis.duan_check, []
+
+        def recording_check(*lists):
+            checked.append(lists)
+            return duan_check(*lists)
+
+        monkeypatch.setattr(analysis, "duan_check", recording_check)
+        paths, var, unc = [], {"x": [], "p": []}, {"x": [], "p": []}
+        _, _, bob = default_setup()
+        for basis in "xp":
+            for det in (1, 2):
+                out = tmp_path / f"A{basis}{det}.json"
+                code, report, _ = run_cli(
+                    ["scan", "--fixed", f"A{basis}{det}", "--bases", basis * 2,
+                     "--grid", "0:3:0.1", "--pairs", "100000", "--seed", "7", "--out", str(out)],
+                    capsys,
+                )
+                assert code == 0
+                paths.append(str(out))
+                fit, scale = report["results"]["fit"], conversion_for(bob, basis)
+                var[basis].append((scale * fit["sigma_mm"]) ** 2)
+                unc[basis].append(
+                    2 * scale**2 * fit["sigma_mm"] * math.sqrt(fit["covariance"][2][2])
+                )
+        code, report, _ = run_cli(["epr-check", "--fits", *paths], capsys)
+        assert code == 0
+        assert checked[-1] == (var["x"], var["p"], unc["x"], unc["p"])
+        res, hand = report["results"], duan_check(var["x"], var["p"], unc["x"], unc["p"])
+        assert res["product_uncertainty_hbar2"] is not None
+        assert res["product_uncertainty_hbar2"] == hand.product_uncertainty
+        assert res["sigma_distance"] == hand.sigma_distance
+
+        # Ax1 is the first scan --from-scans draws from the same seed.
+        code, _, _ = run_cli(
+            ["epr-check", "--from-scans", "--pairs", "100000", "--seed", "7"], capsys
+        )
+        assert code == 0
+        var_x, _, unc_x, _ = checked[-1]
+        assert var_x[0] == var["x"][0] == 0.11204449192856429
+        assert unc_x[0] == unc["x"][0]
+
+    @pytest.mark.parametrize("covariance", ["absent", "null", "one-null"])
+    def test_fit_reports_without_covariance_give_no_uncertainty(
+        self, capsys, tmp_path, covariance
+    ):
+        paths = []
+        for i, (pair, sigma) in enumerate((("xx", 0.31), ("xx", 0.29), ("pp", 0.27), ("pp", 0.26))):
+            fit = {"sigma_mm": sigma}
+            if covariance == "null" or (covariance == "one-null" and i == 2):
+                fit["covariance"] = None
+            elif covariance == "one-null":
+                fit["covariance"] = [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 1e-6, 0.0], [0.0] * 4]
+            path = tmp_path / f"{pair}_{i}.json"
+            path.write_text(json.dumps({"results": {"basis_pair": pair, "fit": fit}}))
+            paths.append(str(path))
+        code, report, _ = run_cli(["epr-check", "--fits", *paths], capsys)
+        assert code == 0
+        res = report["results"]
+        assert res["product_uncertainty_hbar2"] is None and res["sigma_distance"] is None
+        alpha, k_over_f = 200.0 / (2 * 100.0), 330.0 / 150.0  # the default optics
+        assert res["var_x_mm2"] == [(alpha * 0.31) ** 2, (alpha * 0.29) ** 2]
+        assert res["var_p_hbar2_per_mm2"] == [(k_over_f * 0.27) ** 2, (k_over_f * 0.26) ** 2]
+
+    @pytest.mark.parametrize("covariance", [
+        "[[1.0]]", "[[0, 0, 0], [0, 0, 0], [0, 0]]", "[[0, 0, 0], [0, 0, 0], [0, 0, null]]",
+        "3.0", '"wide"', '{"2": {"2": 1e-6}}',
+        "[[0, 0, 0], [0, 0, 0], [0, 0, true]]", '[[0, 0, 0], [0, 0, 0], [0, 0, "1e-6"]]',
+        "[[0, 0, 0], [0, 0, 0], [0, 0, NaN]]", "[[0, 0, 0], [0, 0, 0], [0, 0, Infinity]]",
+        "[[0, 0, 0], [0, 0, 0], [0, 0, -1e-6]]",
+    ], ids=["short", "short-row", "null-entry", "number", "string", "object",
+            "bool", "string-entry", "nan", "infinite", "negative"])
+    def test_invalid_fit_covariance_names_file_and_field(self, capsys, tmp_path, covariance):
+        out = tmp_path / "bad_covariance.json"
+        out.write_text(
+            f'{{"results": {{"basis_pair": "xx", "fit": {{"sigma_mm": 0.3, "covariance": {covariance}}}}}}}'
+        )
+        code, report, err = run_cli(
+            ["epr-check", "--fits", str(out), str(out), str(out), str(out)], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert str(out) in err and "fit.covariance" in err, err
+
     def test_mixed_basis_fit_file_rejected(self, capsys, tmp_path):
         out = tmp_path / "xp.json"
         code, _, _ = run_cli(
@@ -938,12 +1026,15 @@ def test_table_commands_do_not_load_numpy(tmp_path):
     """The package, the default setup and the table commands need no numpy.
 
     A subprocess, because this test process has numpy loaded already.  The
-    four saved scan reports that epr-check --fits reads are written by hand.
+    four saved scan reports that epr-check --fits reads are written by hand,
+    with a covariance so that the sd(sigma) conversion runs too.
     """
     fits = []
     for basis, sigma in (("xx", 0.31), ("xx", 0.29), ("pp", 0.27), ("pp", 0.26)):
         path = tmp_path / f"{basis}_{len(fits)}.json"
-        path.write_text(json.dumps({"results": {"basis_pair": basis, "fit": {"sigma_mm": sigma}}}))
+        covariance = [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 4e-6, 0.0], [0.0] * 4]
+        fit = {"sigma_mm": sigma, "covariance": covariance}
+        path.write_text(json.dumps({"results": {"basis_pair": basis, "fit": fit}}))
         fits.append(str(path))
     commands = [
         ["qber", "table1.csv"],
@@ -960,9 +1051,11 @@ def test_table_commands_do_not_load_numpy(tmp_path):
         "assert 'numpy' not in sys.modules, 'default_setup'\n"
         "from eprqkd import cli\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        assert cli.main(argv) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n"
+        "# The last command is epr-check --fits.\n"
+        "assert json.loads(out.getvalue())['results']['product_uncertainty_hbar2'] > 0\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps(commands)],
