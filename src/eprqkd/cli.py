@@ -11,9 +11,9 @@ Subcommands:
 Every command prints a JSON report and is bit-reproducible for a fixed seed.
 Runs are configured by a flat key-value file with dotted section names
 (``source.sigma_plus_mm = 1.8``); any key omitted falls back to the bundled
-default experiment, the one config table in ``eprqkd.defaults``.  The seed
-comes from --seed, else the config's session.seed, else 42; no environment
-variable enters a run.
+default experiment, the one config table in ``eprqkd.defaults``, and any
+other key is rejected.  The seed comes from --seed, else 42; no config key or
+environment variable enters it.
 
 Exit codes: 0 success, 2 validation error, 3 runtime/convergence error,
 4 session aborted on an eavesdropping alarm (simulate only).
@@ -34,7 +34,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import analysis, defaults, detection, protocol
-from .defaults import ConfigError, _as_float, _as_int, build_setup, parse_config_file
+from .defaults import ConfigError, _as_int, build_setup, build_station, parse_config_file
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,21 +70,13 @@ def build_attack(cfg: dict[str, str]) -> protocol.AttackConfig | None:
     return protocol.AttackConfig(basis_policy=policy)
 
 
-def resolve_seed(cli_seed: int | None, cfg: dict[str, str] | None) -> int:
-    """Seed from --seed, else session.seed, else the default."""
-    if cli_seed is not None:
-        origin, raw = "--seed", cli_seed
-    elif cfg is not None and cfg.get("session.seed"):
-        origin, raw = "session.seed", cfg["session.seed"]
-    else:
+def resolve_seed(cli_seed: int | None) -> int:
+    """Seed from --seed, else the default."""
+    if cli_seed is None:
         return DEFAULT_SEED
-    try:
-        seed = int(raw)
-    except ValueError:
-        seed = None
-    if seed is None or seed < 0:
-        raise ConfigError(f"{origin} must be a non-negative integer, got {raw!r}")
-    return seed
+    if cli_seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {cli_seed!r}")
+    return cli_seed
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +197,7 @@ def cmd_eve_predict(args):
 
 def cmd_simulate(args):
     cfg = parse_config_file(args.config)
-    seed = resolve_seed(args.seed, cfg)
+    seed = resolve_seed(args.seed)
     attack = build_attack(cfg)
     out_dir = Path(args.out_dir)
     outputs = {f"config key {key}": out_dir / cfg[key]
@@ -215,7 +207,6 @@ def cmd_simulate(args):
     session = protocol.SessionConfig(
         n_coincidences=_as_int(cfg, "session.coincidences"),
         m_estimation=_as_int(cfg, "session.estimation_pairs"),
-        qber_threshold=_as_float(cfg, "session.qber_threshold"),
         rng_seed=seed,
     )
     src, alice, bob = build_setup(cfg)
@@ -279,7 +270,7 @@ def _scan_and_fit(args, detectors, grid, pairs):
     import numpy as np
 
     cfg = _scan_config(args.config)
-    seed = resolve_seed(args.seed, cfg)
+    seed = resolve_seed(args.seed)
     src, alice, bob = build_setup(cfg)
     rng = np.random.default_rng(seed)
     fitted = []
@@ -351,9 +342,16 @@ def _epr_results(check: analysis.EprCheckResult, note: str | None) -> dict:
 
 
 def _fits_from_reports(paths) -> list:
-    """(basis, flat label, fit) per saved scan report, the fit holding sigma and covariance."""
-    fits = []
+    """(basis, flat label, fit) per saved scan report, the fit holding sigma and covariance.
+
+    A path that resolves to one already given exits: one scan is not two measurements.
+    """
+    fits, given = [], {}
     for path in paths:
+        resolved = Path(path).resolve()
+        if resolved in given:
+            raise ConfigError(f"{path}: already given as {given[resolved]}; --fits needs four scans")
+        given[resolved] = path
         try:
             data = json.loads(Path(path).read_text())
         except ValueError as exc:
@@ -426,7 +424,7 @@ def cmd_epr_check(args):
     cfg = seed = unc_x = unc_p = note = None
     if args.fits:
         cfg = _scan_config(args.config)
-        _, _, bob = build_setup(cfg)
+        bob = build_station(cfg)
         var_x, var_p, unc_x, unc_p = _witness_variances(_fits_from_reports(args.fits), bob)
     elif args.from_scans:
         pairs = DEFAULT_PAIRS if args.pairs is None else args.pairs

@@ -19,7 +19,9 @@ coordinate).
 The experiment is written down once, as the config table that run files
 override; ``default_setup`` is ``build_setup`` of that table unchanged, and
 the setup without level-equalizing filters is ``build_setup`` of it with
-``station.equalize = false``, the key a run file sets.
+``station.equalize = false``, the key a run file sets.  ``build_station``
+reads the ``station.*`` keys into B's station alone, which is all that
+converting a saved peak width needs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
-from . import protocol
 from .detection import (
     SlitDetector, StationConfig, calibrate_source, derive_partner_centers, equalize_levels,
 )
@@ -62,8 +63,6 @@ _CONFIG_DEFAULTS = {
     "station.equalize": "true",
     "session.coincidences": "100000",
     "session.estimation_pairs": "10000",
-    "session.qber_threshold": repr(protocol.DEFAULT_QBER_THRESHOLD),
-    "session.seed": "",
     "attack.policy": "none",
     "output.alice_key": "alice_key.txt",
     "output.bob_key": "bob_key.txt",
@@ -138,8 +137,8 @@ def _as_bool(cfg, key) -> bool:
     raise ConfigError(f"config key {key} must be true/false, got {cfg[key]!r}")
 
 
-def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, StationConfig]:
-    """Source plus both stations (alice, bob order: A first) from a parsed config."""
+def build_station(cfg: dict[str, str]) -> StationConfig:
+    """B's station from the station.* keys of a parsed config."""
     def slits(width_key):
         width = _as_float(cfg, width_key)
         return (
@@ -147,7 +146,7 @@ def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, Statio
             SlitDetector(_as_float(cfg, "station.detector2_mm"), width, 1),
         )
 
-    bob = StationConfig(
+    return StationConfig(
         object_distance=_as_float(cfg, "station.object_distance_mm"),
         image_distance=_as_float(cfg, "station.image_distance_mm"),
         focal_length=_as_float(cfg, "station.focal_length_mm"),
@@ -157,6 +156,10 @@ def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, Statio
         origin=_as_float(cfg, "station.origin_mm"),
     )
 
+
+def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, StationConfig]:
+    """Source plus both stations (alice, bob order: A first) from a parsed config."""
+    bob = build_station(cfg)
     pump = PumpProfile(_as_float(cfg, "source.pump_waist_mm"))
     sigma_plus = _as_float(cfg, "source.sigma_plus_mm")
     kappa_plus = _as_float(cfg, "source.kappa_plus_per_mm")

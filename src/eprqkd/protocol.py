@@ -3,8 +3,9 @@
 A session accumulates N coincidences (both parties click on the same pair),
 sifts the events where the basis choices matched, sacrifices m random sifted
 pairs to estimate the error rate, and aborts when the estimate exceeds the
-threshold.  Detector 1 carries logical 0 and detector 2 logical 1 in both
-bases, so the surviving sifted outcomes are the raw key.
+fixed threshold DEFAULT_QBER_THRESHOLD.  Detector 1 carries logical 0 and
+detector 2 logical 1 in both bases, so the surviving sifted outcomes are the
+raw key.
 
 qber_from_counts and qber_with_eve_prediction work on a 4x4 coincidence
 table (rows Ax1, Ax2, Ap1, Ap2; columns Bx1, Bx2, Bp1, Bp2):
@@ -52,11 +53,10 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Run parameters: N coincidences, m estimation pairs, abort threshold."""
+    """Run parameters: N coincidences, m estimation pairs and the seed."""
 
     n_coincidences: int
     m_estimation: int
-    qber_threshold: float = DEFAULT_QBER_THRESHOLD
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -73,8 +73,6 @@ class SessionConfig:
                 f"m_estimation must satisfy 0 < m < N/2, got m={self.m_estimation} "
                 f"N={self.n_coincidences}"
             )
-        if not 0.0 < self.qber_threshold < 1.0:
-            raise ValueError("qber_threshold must lie strictly between 0 and 1")
 
 
 class CoincidenceTable:
@@ -377,7 +375,8 @@ def run_session(
     coin; an optional intercept-resend attack transforms B's photon before
     detection.  The same-basis events are sifted, m of them are sampled
     without replacement for error estimation and removed from the key, and
-    the session is aborted when the estimate strictly exceeds the threshold.
+    the session is aborted when the estimate strictly exceeds
+    DEFAULT_QBER_THRESHOLD.
 
     Emission runs in fixed-size batches of source.DRAW_SIZE pairs (at most
     8 N, at least 4096) through _coincidences; batches are consumed in order
@@ -436,7 +435,7 @@ def run_session(
         sifted_bits_A=_bit_string(sift_A[~est_mask]),
         sifted_bits_B=_bit_string(sift_B[~est_mask]),
         estimate=estimate,
-        aborted=estimate.qber > session.qber_threshold,
+        aborted=estimate.qber > DEFAULT_QBER_THRESHOLD,
         table=table,
         emitted_pairs=emitted,
     )

@@ -39,8 +39,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-ENTANGLEMENT_BOUND = 1.0  # on sigma_minus * kappa_minus and sigma_plus * kappa_plus, hbar = 1
-
 
 class UnphysicalSourceError(ValueError):
     """Raised when the requested widths violate an uncertainty product."""
@@ -74,14 +72,6 @@ class SourceModel:
     kappa_minus: float
     kappa_plus: float
     pump: PumpProfile
-
-    @property
-    def entangled(self) -> bool:
-        """True when the partial transpose is unphysical (exact PPT condition)."""
-        return (
-            self.sigma_minus * self.kappa_minus < ENTANGLEMENT_BOUND
-            or self.sigma_plus * self.kappa_plus < ENTANGLEMENT_BOUND
-        )
 
 
 def build_source(

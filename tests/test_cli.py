@@ -266,12 +266,15 @@ class TestSimulateCommand:
         ("attack.p_same", "1.0"),
         ("attack.p_cross_1", "0.5"),
         ("attack.p_cross_2", "0.5"),
+        ("session.seed", "99"),
+        ("session.qber_threshold", "0.5"),
     ])
     def test_attack_probability_out_of_range_names_key(
         self, capsys, monkeypatch, tmp_path, key, value
     ):
-        """The resend is one fixed rule: a run file that sets one of its old
-        probability keys, at any value, is rejected as an unknown key before setup."""
+        """A run file that sets a removed key, at any value, is rejected as an
+        unknown key before setup: the resend is one fixed rule, the seed comes
+        from --seed alone and the abort threshold is fixed."""
         def no_setup(cfg):
             raise AssertionError("config keys must be checked before setup")
 
@@ -428,9 +431,9 @@ class TestSimulateCommand:
         assert outputs[0] == outputs[1]
         assert len(outputs[0][1]) == 3
 
-    @pytest.mark.parametrize("config,seed", [("", cli.DEFAULT_SEED), ("session.seed = 99\n", 99)])
+    @pytest.mark.parametrize("config,seed", [("", cli.DEFAULT_SEED)])
     def test_environment_does_not_set_the_seed(self, capsys, tmp_path, monkeypatch, config, seed):
-        """The seed comes from --seed, session.seed or the default, never the environment."""
+        """The seed comes from --seed or the default, never the environment."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text("session.coincidences = 5000\nsession.estimation_pairs = 500\n" + config)
         monkeypatch.setenv("EPRQKD_SEED", "1234")
@@ -443,8 +446,6 @@ class TestSimulateCommand:
         "argv,config,origin",
         [
             (["--seed", "-3"], "", "--seed"),
-            ([], "session.seed = -3\n", "session.seed"),
-            ([], "session.seed = abc\n", "session.seed"),
         ],
     )
     def test_invalid_seed_names_its_source(self, capsys, tmp_path, argv, config, origin):
@@ -654,6 +655,7 @@ def test_scans_reject_an_attack(capsys, monkeypatch, tmp_path, command, policy):
         raise AssertionError("attack.policy must be checked before setup")
 
     monkeypatch.setattr(cli, "build_setup", no_setup)
+    monkeypatch.setattr(cli, "build_station", no_setup)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"attack.policy = {policy}\n")
     code, report, err = run_cli(command + ["--config", str(cfg)], capsys)
@@ -891,17 +893,49 @@ class TestEprCheckCommand:
         assert "need a same-basis scan report, got 'xp'" in err
 
     def test_flat_fit_file_rejected(self, capsys, tmp_path):
-        out = tmp_path / "flat_xx.json"
-        out.write_text(json.dumps(
-            {"command": "scan", "results": {"basis_pair": "xx", "flat": True,
-                                            "fit": {"sigma_mm": None, "flat": True}}}
-        ))
-        code, report, err = run_cli(
-            ["epr-check", "--fits", str(out), str(out), str(out), str(out)], capsys
-        )
+        paths = []
+        for i in range(4):
+            out = tmp_path / f"flat_xx_{i}.json"
+            out.write_text(json.dumps(
+                {"command": "scan", "results": {"basis_pair": "xx", "flat": True,
+                                                "fit": {"sigma_mm": None, "flat": True}}}
+            ))
+            paths.append(str(out))
+        code, report, err = run_cli(["epr-check", "--fits", *paths], capsys)
         assert code == cli.EXIT_VALIDATION
         assert report is None
         assert "scan is flat; no width to convert" in err
+
+    @pytest.mark.parametrize("spelling", ["same", "relative"])
+    def test_repeated_fit_report_rejected(self, capsys, monkeypatch, tmp_path, spelling):
+        """One scan is not two measurements: a path given twice exits 2 and names it."""
+        monkeypatch.chdir(tmp_path)
+        paths = _fit_reports(tmp_path, (("xx", 0.31), ("xx", 0.29), ("pp", 0.27), ("pp", 0.26)))
+        repeat = paths[0] if spelling == "same" else f"./{Path(paths[0]).name}"
+        code, report, err = run_cli(["epr-check", "--fits", paths[0], repeat, *paths[2:]], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err.startswith(f"error: {repeat}: already given as {paths[0]}"), err
+
+    def test_fits_read_only_b_station(self, capsys, monkeypatch, tmp_path):
+        """--fits converts widths with B's optics and never calibrates a source,
+        so slits too wide to calibrate on still give a witness."""
+        from eprqkd import defaults, detection
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("--fits must not calibrate a source")
+
+        monkeypatch.setattr(detection, "calibrate_source", no_calibration)
+        monkeypatch.setattr(defaults, "calibrate_source", no_calibration)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("station.x_slit_width_mm = 1.5\nstation.detector2_mm = 4.0\n")
+        paths = _fit_reports(tmp_path, (("xx", 0.31), ("xx", 0.29), ("pp", 0.27), ("pp", 0.26)))
+        code, report, err = run_cli(["epr-check", "--fits", *paths, "--config", str(cfg)], capsys)
+        assert code == 0, err
+        res = report["results"]
+        alpha, k_over_f = 200.0 / (2 * 100.0), 330.0 / 150.0  # the default optics
+        assert res["var_x_mm2"] == [(alpha * 0.31) ** 2, (alpha * 0.29) ** 2]
+        assert res["var_p_hbar2_per_mm2"] == [(k_over_f * 0.27) ** 2, (k_over_f * 0.26) ** 2]
 
     @pytest.mark.parametrize("text", [
         "[]",
@@ -975,6 +1009,16 @@ class TestEprCheckCommand:
         assert code == cli.EXIT_VALIDATION
         assert report is None
         assert named in err, err
+
+
+def _fit_reports(tmp_path, fits):
+    """Minimal saved scan reports, one per (basis pair, width), with no covariance."""
+    paths = []
+    for i, (pair, sigma) in enumerate(fits):
+        path = tmp_path / f"{pair}_{i}.json"
+        path.write_text(json.dumps({"results": {"basis_pair": pair, "fit": {"sigma_mm": sigma}}}))
+        paths.append(str(path))
+    return paths
 
 
 def test_report_shape(capsys):

