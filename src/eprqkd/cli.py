@@ -526,7 +526,12 @@ def main(argv=None) -> int:
         text = json.dumps(report, indent=2)
         if args.out:
             atomic_write(Path(args.out), lambda tmp: tmp.write_text(text + "\n"))
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader closed stdout early: send the interpreter's final
+            # flush to devnull so that it stays quiet too.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

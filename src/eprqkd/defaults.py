@@ -8,8 +8,7 @@ the optical axis at 1.5 mm, 0.2 mm slits for position and 0.5 mm for
 momentum.  The source's correlation widths are calibrated against the
 detected variance targets (0.116 mm^2, 0.894 hbar^2/mm^2) by
 detection.calibrate_source; the two anti-squeezed widths are fixed defaults
-chosen inside the physicality region.  A run file that sets both squeezed
-widths uses them instead, and then may not also change a target.
+chosen inside the physicality region.
 
 Party A's slit centers are derived by maximizing the same-basis coincidence
 probability against party B's slits, which places the momentum slits on the
@@ -17,11 +16,9 @@ mirrored side of the axis (the momentum sum, not difference, is the narrow
 coordinate).
 
 The experiment is written down once, as the config table that run files
-override; ``default_setup`` is ``build_setup`` of that table unchanged, and
-the setup without level-equalizing filters is ``build_setup`` of it with
-``station.equalize = false``, the key a run file sets.  ``build_station``
-reads the ``station.*`` keys into B's station alone, which is all that
-converting a saved peak width needs.
+override; ``default_setup`` is ``build_setup`` of that table unchanged.
+``build_station`` reads the ``station.*`` keys into B's station alone, which
+is all that converting a saved peak width needs.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from pathlib import Path
 from .detection import (
     SlitDetector, StationConfig, calibrate_source, derive_partner_centers, equalize_levels,
 )
-from .source import PumpProfile, SourceModel, build_source
+from .source import PumpProfile, SourceModel
 
 
 class ConfigError(ValueError):
@@ -46,8 +43,6 @@ class ConfigError(ValueError):
 _CONFIG_DEFAULTS = {
     "source.target_var_x_mm2": "0.116",  # detected-variance calibration targets
     "source.target_var_p_hbar2_mm2": "0.894",
-    "source.sigma_minus_mm": "",  # squeezed widths; set both to skip calibration
-    "source.kappa_minus_per_mm": "",
     "source.sigma_plus_mm": "1.8",  # free (anti-squeezed) widths and pump
     "source.kappa_plus_per_mm": "3.7",
     "source.pump_waist_mm": "2.0",
@@ -60,7 +55,6 @@ _CONFIG_DEFAULTS = {
     "station.p_slit_width_mm": "0.5",
     "station.detector1_mm": "1.0",
     "station.detector2_mm": "2.0",
-    "station.equalize": "true",
     "session.coincidences": "100000",
     "session.estimation_pairs": "10000",
     "attack.policy": "none",
@@ -68,9 +62,6 @@ _CONFIG_DEFAULTS = {
     "output.bob_key": "bob_key.txt",
     "output.table": "session_table.csv",
 }
-
-_WIDTH_KEYS = ("source.sigma_minus_mm", "source.kappa_minus_per_mm")
-_TARGET_KEYS = ("source.target_var_x_mm2", "source.target_var_p_hbar2_mm2")
 
 # Reference conditional variances with their quoted uncertainties, used by the
 # EPR-inequality verification commands.  The fourth uncertainty is recorded as
@@ -128,15 +119,6 @@ def _as_int(cfg, key) -> int:
         raise ConfigError(f"config key {key} must be an integer, got {cfg[key]!r}") from exc
 
 
-def _as_bool(cfg, key) -> bool:
-    value = cfg[key].lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"config key {key} must be true/false, got {cfg[key]!r}")
-
-
 def build_station(cfg: dict[str, str]) -> StationConfig:
     """B's station from the station.* keys of a parsed config."""
     def slits(width_key):
@@ -163,36 +145,22 @@ def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, Statio
     pump = PumpProfile(_as_float(cfg, "source.pump_waist_mm"))
     sigma_plus = _as_float(cfg, "source.sigma_plus_mm")
     kappa_plus = _as_float(cfg, "source.kappa_plus_per_mm")
-    widths = [key for key in _WIDTH_KEYS if cfg[key]]
-    if widths:
-        for target in _TARGET_KEYS:
-            if _as_float(cfg, target) != float(_CONFIG_DEFAULTS[target]):
-                raise ConfigError(
-                    f"{target} would go unused beside {' and '.join(widths)}; "
-                    "give the squeezed widths or the calibration targets, not both"
-                )
-        if len(widths) == 1:
-            missing = next(key for key in _WIDTH_KEYS if key not in widths)
-            raise ConfigError(f"{widths[0]} requires {missing}")
-        sigma_minus, kappa_minus = (_as_float(cfg, key) for key in _WIDTH_KEYS)
-        src = build_source(sigma_minus, sigma_plus, kappa_minus, kappa_plus, pump)
-    else:
-        src = calibrate_source(
-            *(_as_float(cfg, key) for key in _TARGET_KEYS), bob, bob,
-            sigma_plus=sigma_plus, kappa_plus=kappa_plus, pump=pump,
-        )
-    return assemble_setup(src, bob, _as_bool(cfg, "station.equalize"))
+    src = calibrate_source(
+        _as_float(cfg, "source.target_var_x_mm2"), _as_float(cfg, "source.target_var_p_hbar2_mm2"),
+        bob, bob, sigma_plus=sigma_plus, kappa_plus=kappa_plus, pump=pump,
+    )
+    return assemble_setup(src, bob)
 
 
 def assemble_setup(
-    source: SourceModel, bob: StationConfig, equalize: bool = True
+    source: SourceModel, bob: StationConfig
 ) -> tuple[SourceModel, StationConfig, StationConfig]:
     """Source plus both stations (alice, bob order: A first) around B's station.
 
     Party A starts as a copy of B's station.  Its slit centers are derived
     from the source's correlations, then the level-equalizing attenuation
-    factors are optionally attached.  Slit centers do not enter the detected
-    variances, so a source calibrated on B's station stays calibrated.
+    factors are attached.  Slit centers do not enter the detected variances,
+    so a source calibrated on B's station stays calibrated.
     """
     centers = {basis: derive_partner_centers(source, bob, bob, basis) for basis in ("x", "p")}
     alice = replace(
@@ -200,8 +168,7 @@ def assemble_setup(
         x_detectors=tuple(replace(d, center=c) for d, c in zip(bob.x_detectors, centers["x"])),
         p_detectors=tuple(replace(d, center=c) for d, c in zip(bob.p_detectors, centers["p"])),
     )
-    if equalize:
-        alice, bob = equalize_levels(source, alice, bob)
+    alice, bob = equalize_levels(source, alice, bob)
     return source, alice, bob
 
 

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from eprqkd.defaults import build_setup, default_setup, parse_config_file
+from eprqkd.defaults import default_setup
 from eprqkd.detection import SlitDetector, StationConfig
 
 
@@ -34,8 +36,17 @@ def default_experiment():
 
 @pytest.fixture(scope="session")
 def raw_experiment():
-    """Same geometry without the level-equalizing filters."""
-    return build_setup({**parse_config_file(None), "station.equalize": "false"})
+    """Same geometry without the level-equalizing filters: every attenuation 1.0."""
+    source, alice, bob = default_setup()
+
+    def unfiltered(station):
+        return replace(
+            station,
+            x_detectors=tuple(replace(d, attenuation=1.0) for d in station.x_detectors),
+            p_detectors=tuple(replace(d, attenuation=1.0) for d in station.p_detectors),
+        )
+
+    return source, unfiltered(alice), unfiltered(bob)
 
 
 @pytest.fixture()

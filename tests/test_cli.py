@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -290,23 +291,25 @@ class TestSimulateCommand:
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("lines, named", [
-        # sigma_plus^2 kappa_minus^2 = 1.8^2 * 0.5^2 = 0.81 < 1
-        ("source.sigma_minus_mm = 0.3\nsource.kappa_minus_per_mm = 0.5\n",
-         ["sigma_plus^2 * kappa_minus^2 = 0.81 < 1", "uncertainty product"]),
-        ("source.sigma_minus_mm = 0.33\n", ["source.sigma_minus_mm requires source.kappa_minus_per_mm"]),
-        ("source.kappa_minus_per_mm = 0.83\n", ["source.kappa_minus_per_mm requires source.sigma_minus_mm"]),
-        ("source.sigma_minus_mm = 0.33\nsource.kappa_minus_per_mm = 0.83\n"
-         "source.target_var_p_hbar2_mm2 = 0.9\n",
-         ["source.target_var_p_hbar2_mm2", "source.sigma_minus_mm"]),
-        ("source.sigma_minus_mm = 0.33\nsource.target_var_x_mm2 = 0.2\n",
-         ["source.target_var_x_mm2", "source.sigma_minus_mm"]),
-        ("source.calibrate = false\n", ["unknown config key 'source.calibrate'"]),
+        # the calibrated kappa_minus gives sigma_plus^2 kappa_minus^2 = 0.6426 < 1
+        pytest.param("source.target_var_p_hbar2_mm2 = 0.4\n",
+                     ["sigma_plus^2 * kappa_minus^2 = 0.6426 < 1", "uncertainty product"],
+                     id="unphysical-target"),
+        pytest.param("source.sigma_minus_mm = 0.33\n",
+                     ["unknown config key 'source.sigma_minus_mm'"], id="sigma_minus"),
+        pytest.param("source.kappa_minus_per_mm = 0.83\n",
+                     ["unknown config key 'source.kappa_minus_per_mm'"], id="kappa_minus"),
+        pytest.param("station.equalize = false\n",
+                     ["unknown config key 'station.equalize'"], id="equalize"),
+        pytest.param("source.calibrate = false\n",
+                     ["unknown config key 'source.calibrate'"], id="calibrate"),
     ])
-    def test_source_width_route_rejections_name_keys(
+    def test_source_rejections_name_product_or_key(
         self, capsys, monkeypatch, tmp_path, lines, named
     ):
-        """Widths unphysical, one width alone, a width beside a changed target,
-        or the removed calibrate switch: exit 2 before the session, naming the keys."""
+        """Targets that calibrate to an unphysical source, or a removed key
+        (the squeezed widths, the equalize and calibrate switches): exit 2
+        before the session, naming the product or the key."""
         def no_session(*args, **kwargs):
             raise AssertionError("the source must be checked before the session")
 
@@ -1118,3 +1121,20 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert '"qber"' in proc.stdout
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    """A reader that closes stdout early (``| head -1``) gets no traceback:
+    the command exits with its own code and its --out report is complete."""
+    report = tmp_path / "report.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eprqkd.cli", "qber", "table1.csv", "--out", str(report)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(report.read_text())["command"] == "qber"

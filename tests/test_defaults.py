@@ -1,9 +1,7 @@
-"""The default experiment, pinned exactly, the width route, and the README's run file against the config table."""
+"""The default experiment, pinned exactly, and the README's run file against the config table."""
 
 import re
 from pathlib import Path
-
-import pytest
 
 from eprqkd import cli
 from eprqkd.defaults import build_setup, default_setup, parse_config_file
@@ -19,28 +17,13 @@ EQUALIZED_ATTENUATIONS = (  # A's then B's slits, each x1, x2, p1, p2
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-@pytest.mark.parametrize("equalize", [True, False])
-def test_default_experiment_is_pinned(equalize):
-    raw = {**parse_config_file(None), "station.equalize": "false"}
-    src, alice, bob = default_setup() if equalize else build_setup(raw)
+def test_default_experiment_is_pinned():
+    src, alice, bob = default_setup()
     slits = [d for station in (alice, bob) for d in station.x_detectors + station.p_detectors]
     assert (src.sigma_minus, src.sigma_plus, src.kappa_minus, src.kappa_plus) == SOURCE_WIDTHS
     assert tuple(d.center for d in slits[:4]) == ALICE_CENTERS
     assert tuple(d.center for d in slits[4:]) == (1.0, 2.0, 1.0, 2.0)
-    expected = EQUALIZED_ATTENUATIONS if equalize else (1.0,) * 8
-    assert tuple(d.attenuation for d in slits) == expected
-
-
-@pytest.mark.parametrize("target", ["", "source.target_var_x_mm2 = 0.1160\n"])
-def test_width_route_uses_the_given_widths(tmp_path, target):
-    """Both squeezed widths set: no calibration, the widths go in exactly.
-
-    A target restated at its default value is not a conflict.
-    """
-    path = tmp_path / "run.cfg"
-    path.write_text(f"source.sigma_minus_mm = 0.33\nsource.kappa_minus_per_mm = 0.83\n{target}")
-    src, _, _ = build_setup(parse_config_file(str(path)))
-    assert (src.sigma_minus, src.sigma_plus, src.kappa_minus, src.kappa_plus) == (0.33, 1.8, 0.83, 3.7)
+    assert tuple(d.attenuation for d in slits) == EQUALIZED_ATTENUATIONS
 
 
 def test_readme_run_file_parses(tmp_path):
