@@ -29,11 +29,12 @@ import numbers
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
-from .detection import StationConfig, basis_index
-from .source import DRAW_SIZE, SourceModel, channel_law, ordered_streams, partner_latent
+from .source import DRAW_SIZE, SourceModel, basis_index, channel_law, ordered_streams, partner_latent
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .detection import StationConfig
 
 FLAT_RATIO_BOUND = 1.3
 DUAN_BOUND = 0.25

@@ -22,7 +22,6 @@ Exit codes: 0 success, 2 validation error, 3 runtime/convergence error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -33,11 +32,13 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from . import analysis, defaults, detection, protocol
+from . import defaults, tables
 from .defaults import ConfigError, _as_int, build_setup, build_station, parse_config_file
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from . import analysis, protocol
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -55,12 +56,16 @@ FROM_SCANS_GRID = "0:3:0.1"
 
 
 def config_hash(cfg: dict[str, str]) -> str:
+    import hashlib
+
     canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def build_attack(cfg: dict[str, str]) -> protocol.AttackConfig | None:
     """The configured attack; attack.policy = none is no attack (None)."""
+    from . import protocol
+
     policy = cfg["attack.policy"]
     if policy == "none":
         return None
@@ -85,12 +90,12 @@ def resolve_seed(cli_seed: int | None) -> int:
 
 
 def resolve_table_path(name: str) -> Path:
-    """Existing path as given, else the packaged data file of that name."""
+    """Existing path as given, else for a bare file name the packaged data file of that name."""
     path = Path(name)
     if path.exists():
         return path
-    packaged = resources.files("eprqkd").joinpath("data", path.name)
-    if packaged.is_file():
+    packaged = resources.files("eprqkd").joinpath("data", name)
+    if path.name == name and packaged.is_file():
         return Path(str(packaged))
     raise FileNotFoundError(f"coincidence table {name!r} not found")
 
@@ -100,6 +105,8 @@ def verify_checksum(path: Path) -> None:
     sidecar = Path(str(path) + ".sha256")
     if not sidecar.exists():
         return
+    import hashlib
+
     recorded = sidecar.read_text().split()
     if not recorded:
         raise ConfigError(f"{sidecar} is empty; remove it to use {path} unverified")
@@ -109,10 +116,14 @@ def verify_checksum(path: Path) -> None:
         )
 
 
-def _load_table(args) -> tuple[Path, protocol.CoincidenceTable]:
+def _load_table(args) -> tuple[Path, tables.CoincidenceTable]:
+    """The table and its path; one that cannot be read or decoded exits 2 naming the path."""
     path = resolve_table_path(args.table)
-    verify_checksum(path)
-    return path, protocol.CoincidenceTable.load_csv(path)
+    try:
+        verify_checksum(path)
+        return path, tables.CoincidenceTable.load_csv(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"coincidence table {str(path)!r}: {exc}") from exc
 
 
 def atomic_write(path: Path, save) -> None:
@@ -158,7 +169,7 @@ def _check_outputs(args, named: dict[str, Path] | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _qber_results(report: protocol.QberReport) -> dict:
+def _qber_results(report: tables.QberReport) -> dict:
     out = {
         "qber": report.qber,
         "qber_uncertainty": report.uncertainty,
@@ -177,7 +188,7 @@ def _qber_results(report: protocol.QberReport) -> dict:
 def cmd_qber(args):
     _check_outputs(args)
     path, table = _load_table(args)
-    results = _qber_results(protocol.qber_from_counts(table))
+    results = _qber_results(tables.qber_from_counts(table))
     results["table_path"] = str(path)
     return EXIT_OK, {"table": args.table}, None, None, results
 
@@ -189,13 +200,15 @@ def cmd_eve_predict(args):
             raise ConfigError(f"{flag} must lie in [0, 1], got {value}")
     path, table = _load_table(args)
     p_resend = (args.p, args.p if args.p2 is None else args.p2)
-    results = _qber_results(protocol.qber_with_eve_prediction(table, p_resend=p_resend))
+    results = _qber_results(tables.qber_with_eve_prediction(table, p_resend=p_resend))
     results["p_resend"] = list(p_resend)
     results["table_path"] = str(path)
     return EXIT_OK, {"table": args.table, "p": args.p, "p2": args.p2}, None, None, results
 
 
 def cmd_simulate(args):
+    from . import protocol
+
     cfg = parse_config_file(args.config)
     seed = resolve_seed(args.seed)
     attack = build_attack(cfg)
@@ -268,6 +281,8 @@ def _scan_and_fit(args, detectors, grid, pairs):
     Returns the config, the seed, B's station and the (scan, fit) pairs.
     """
     import numpy as np
+
+    from . import analysis
 
     cfg = _scan_config(args.config)
     seed = resolve_seed(args.seed)
@@ -354,6 +369,8 @@ def _fits_from_reports(paths) -> list:
         given[resolved] = path
         try:
             data = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read scan report: {exc.strerror}") from exc
         except ValueError as exc:
             raise ConfigError(f"{path}: not a JSON scan report: {exc}") from exc
         results = data.get("results", data) if isinstance(data, dict) else None
@@ -382,6 +399,8 @@ def _witness_variances(fits, station) -> tuple:
 
     A flat fit exits with its label; uncertainties are None unless every fit has a covariance.
     """
+    from . import analysis, detection
+
     with_unc = all(fit.covariance is not None for _, _, fit in fits)
     var, unc = {"x": [], "p": []}, {"x": [], "p": []}
     for basis, label, fit in fits:
@@ -419,6 +438,8 @@ def _check_epr_flags(args) -> None:
 
 
 def cmd_epr_check(args):
+    from . import analysis
+
     _check_outputs(args)
     _check_epr_flags(args)
     cfg = seed = unc_x = unc_p = note = None
@@ -536,9 +557,15 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (protocol.ProtocolError, analysis.FitError) as exc:
+    except _runtime_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+
+
+def _runtime_errors() -> tuple:
+    """ProtocolError and FitError, if loaded: an except clause calls this once an error reaches it."""
+    errors = (("eprqkd.protocol", "ProtocolError"), ("eprqkd.analysis", "FitError"))
+    return tuple(getattr(sys.modules[m], name) for m, name in errors if m in sys.modules)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ coordinate).
 The experiment is written down once, as the config table that run files
 override; ``default_setup`` is ``build_setup`` of that table unchanged.
 ``build_station`` reads the ``station.*`` keys into B's station alone, which
-is all that converting a saved peak width needs.
+is all that converting a saved peak width needs; the builders import
+detection where they run.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ import math
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .detection import (
-    SlitDetector, StationConfig, calibrate_source, derive_partner_centers, equalize_levels,
-)
 from .source import PumpProfile, SourceModel
+
+if TYPE_CHECKING:
+    from .detection import StationConfig
 
 
 class ConfigError(ValueError):
@@ -121,6 +123,8 @@ def _as_int(cfg, key) -> int:
 
 def build_station(cfg: dict[str, str]) -> StationConfig:
     """B's station from the station.* keys of a parsed config."""
+    from .detection import SlitDetector, StationConfig
+
     def slits(width_key):
         width = _as_float(cfg, width_key)
         return (
@@ -141,6 +145,8 @@ def build_station(cfg: dict[str, str]) -> StationConfig:
 
 def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, StationConfig]:
     """Source plus both stations (alice, bob order: A first) from a parsed config."""
+    from .detection import calibrate_source
+
     bob = build_station(cfg)
     pump = PumpProfile(_as_float(cfg, "source.pump_waist_mm"))
     sigma_plus = _as_float(cfg, "source.sigma_plus_mm")
@@ -162,6 +168,8 @@ def assemble_setup(
     factors are attached.  Slit centers do not enter the detected variances,
     so a source calibrated on B's station stays calibrated.
     """
+    from .detection import derive_partner_centers, equalize_levels
+
     centers = {basis: derive_partner_centers(source, bob, bob, basis) for basis in ("x", "p")}
     alice = replace(
         bob,

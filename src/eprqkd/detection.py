@@ -32,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .source import PumpProfile, SourceModel, build_source, channel_law, marginal_std
+from .source import PumpProfile, SourceModel, basis_index, build_source, channel_law, marginal_std
 
 _SQRT2 = math.sqrt(2.0)
 _TWOPI = 2.0 * math.pi
@@ -62,13 +62,6 @@ _GAUSS_LEGENDRE = (
       0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
       0.017614007139150893)),
 )
-
-
-def basis_index(basis: str) -> int:
-    """0 for the position basis x, 1 for the momentum basis p."""
-    if basis not in ("x", "p"):
-        raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
-    return "xp".index(basis)
 
 
 @dataclass(frozen=True)

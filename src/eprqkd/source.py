@@ -25,8 +25,9 @@ test, exact for this family: Simon, PRL 84, 2726 (2000)), that is when
 Position and momentum blocks are uncorrelated, so a single latent sample per
 pair reproduces the detection statistics of all four basis pairings at once.
 Sessions and scans share one A-first emission kernel here: partner_latent
-and ordered_streams.  This module imports nothing from the package: the
-widths a run uses come from a run file or from detection.calibrate_source.
+and ordered_streams, and every layer reads basis_index.  This module imports
+nothing from the package: the widths a run uses come from a run file or
+from detection.calibrate_source.
 """
 
 from __future__ import annotations
@@ -131,11 +132,16 @@ def sample_pairs(
     return x_A, x_B, p_A, p_B
 
 
-def marginal_std(source: SourceModel, basis: str) -> float:
-    """Single-party standard deviation of the latent readout coordinate."""
+def basis_index(basis: str) -> int:
+    """0 for the position basis x, 1 for the momentum basis p."""
     if basis not in ("x", "p"):
         raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
-    return channel_law(source)[0]["xp".index(basis)]
+    return "xp".index(basis)
+
+
+def marginal_std(source: SourceModel, basis: str) -> float:
+    """Single-party standard deviation of the latent readout coordinate."""
+    return channel_law(source)[0][basis_index(basis)]
 
 
 def channel_law(source: SourceModel):

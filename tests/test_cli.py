@@ -68,6 +68,23 @@ class TestQberCommand:
         assert code == cli.EXIT_VALIDATION
         assert "not found" in err
 
+    def test_missing_path_does_not_fall_back_to_the_fixture(self, capsys, tmp_path):
+        """Only a bare file name resolves to the bundled table of that name."""
+        for name in (str(tmp_path / "nosuchdir" / "table1.csv"), "nosuchdir/table1.csv"):
+            code, report, err = run_cli(["qber", name], capsys)
+            assert code == cli.EXIT_VALIDATION and report is None
+            assert "not found" in err and name in err
+
+    @pytest.mark.parametrize("command", [["qber"], ["eve-predict", "--p", "0.5"]])
+    def test_unreadable_table_names_path(self, capsys, tmp_path, command):
+        """A directory or a file that is not UTF-8 exits 2 naming it, not with a traceback."""
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b",Bx1,Bx2,Bp1,Bp2\nAx1,\xff\xfe,0,0,0\n")
+        for path in (tmp_path, binary):
+            code, report, err = run_cli([command[0], str(path), *command[1:]], capsys)
+            assert code == cli.EXIT_VALIDATION and report is None
+            assert str(path) in err
+
 
 class TestChecksum:
     def test_tampered_fixture_refused(self, capsys, tmp_path):
@@ -923,13 +940,12 @@ class TestEprCheckCommand:
     def test_fits_read_only_b_station(self, capsys, monkeypatch, tmp_path):
         """--fits converts widths with B's optics and never calibrates a source,
         so slits too wide to calibrate on still give a witness."""
-        from eprqkd import defaults, detection
+        from eprqkd import detection
 
         def no_calibration(*args, **kwargs):
             raise AssertionError("--fits must not calibrate a source")
 
         monkeypatch.setattr(detection, "calibrate_source", no_calibration)
-        monkeypatch.setattr(defaults, "calibrate_source", no_calibration)
         cfg = tmp_path / "wide.cfg"
         cfg.write_text("station.x_slit_width_mm = 1.5\nstation.detector2_mm = 4.0\n")
         paths = _fit_reports(tmp_path, (("xx", 0.31), ("xx", 0.29), ("pp", 0.27), ("pp", 0.26)))
@@ -956,6 +972,14 @@ class TestEprCheckCommand:
         assert code == cli.EXIT_VALIDATION
         assert report is None
         assert str(out) in err
+
+    def test_unreadable_fit_report_names_path(self, capsys, tmp_path):
+        dirs = [tmp_path / name for name in "abcd"]
+        for path in dirs:
+            path.mkdir()
+        code, report, err = run_cli(["epr-check", "--fits", *map(str, dirs)], capsys)
+        assert code == cli.EXIT_VALIDATION and report is None
+        assert str(dirs[0]) in err
 
     @pytest.mark.parametrize("sigma", [
         "true", "false", "NaN", "Infinity", "-Infinity", "0", "0.0", "-0.31",
@@ -1108,6 +1132,64 @@ def test_table_commands_do_not_load_numpy(tmp_path):
         [sys.executable, "-c", code, json.dumps(commands)],
         capture_output=True, text=True, timeout=120,
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+TABLE_ROUTE = {"eprqkd", "eprqkd.cli", "eprqkd.defaults", "eprqkd.source", "eprqkd.tables"}
+
+
+def _main(*args: str) -> str:
+    """A statement running cli.main on args, each a Python expression."""
+    return f"from eprqkd import cli; assert cli.main([{', '.join(args)}]) == 0"
+
+
+@pytest.mark.parametrize("statement, expected, hashlib", [
+    ("import eprqkd", {"eprqkd"}, None),
+    ("import eprqkd; eprqkd.default_setup()",
+     {"eprqkd", "eprqkd.defaults", "eprqkd.detection", "eprqkd.source"}, None),
+    (_main("'qber'", "'table1.csv'"), TABLE_ROUTE, None),
+    (_main("'qber'", "sys.argv[1]"), TABLE_ROUTE, False),
+    (_main("'eve-predict'", "'table1.csv'", "'--p'", "'0.5'"), TABLE_ROUTE, None),
+    (_main("'epr-check'"), TABLE_ROUTE | {"eprqkd.analysis"}, None),
+    (_main(*map(repr, ["epr-check", "--var-x", "0.15", "0.08", "--var-p", "0.91", "0.88"])),
+     TABLE_ROUTE | {"eprqkd.analysis"}, False),
+], ids=["import", "default_setup", "qber", "qber-no-sidecar", "eve-predict",
+        "epr-check-reference", "epr-check-variances"])
+def test_each_route_loads_only_its_modules(tmp_path, statement, expected, hashlib):
+    """A cold command compiles every module it imports, so each loads only its layers.
+
+    A fresh process per case: this one has loaded every module already.
+    sys.argv[1] is a copy of the bundled table without its .sha256 sidecar,
+    and hashlib is False where neither a sidecar nor a config hash needs it.
+    """
+    table = tmp_path / "table1.csv"
+    shutil.copy(BUNDLED, table)
+    code = (
+        "import contextlib, io, json, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {statement}\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'eprqkd')\n"
+        "print(json.dumps([loaded, 'hashlib' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(table)], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, hashlib_loaded = json.loads(proc.stdout)
+    assert set(loaded) == expected
+    if hashlib is not None:
+        assert hashlib_loaded == hashlib
+
+
+def test_star_import_binds_every_public_name():
+    code = (
+        "import eprqkd\n"
+        "namespace = {}\n"
+        "exec('from eprqkd import *', namespace)\n"
+        "assert sorted(set(namespace) - {'__builtins__'}) == sorted(eprqkd.__all__)\n"
+        "assert all(namespace[name] is getattr(eprqkd, name) for name in eprqkd.__all__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
