@@ -23,6 +23,7 @@ different SourceModel.
 
 from __future__ import annotations
 
+import math
 import numbers
 from contextlib import closing
 from dataclasses import dataclass
@@ -117,6 +118,73 @@ class _Readout:
         return det
 
 
+def _standard_window(lo: float, hi: float, std: float) -> tuple[float, float]:
+    """The window [t, u] of z that decides lo <= z * std <= hi exactly in floating point.
+
+    t is the smallest double with t * std >= lo and u the largest with
+    u * std <= hi.  The rounded product is monotone in z, so z >= t if and
+    only if z * std >= lo, and z <= u if and only if z * std <= hi.
+    """
+    down, up = -math.inf, math.inf
+    t = lo / std
+    while t * std < lo:
+        t = math.nextafter(t, up)
+    while math.nextafter(t, down) * std >= lo:
+        t = math.nextafter(t, down)
+    u = hi / std
+    while u * std > hi:
+        u = math.nextafter(u, down)
+    while math.nextafter(u, up) * std <= hi:
+        u = math.nextafter(u, up)
+    return t, u
+
+
+class _StandardReadout:
+    """A station's readout of standard normals z whose latent is z * std[basis].
+
+    The thresholds come from _Readout's windows (StationConfig.latent_window)
+    through _standard_window, once per basis and detector.  slits and then
+    survivors decide, draw and thin exactly as _Readout.clicks on
+    z * std[basis], without forming that product for the pairs that miss
+    every slit; between the two the caller may drop z.
+    """
+
+    def __init__(self, station: StationConfig, std):
+        readout = _Readout(station)
+        self.windows = [
+            [_standard_window(readout.lo[b, d], readout.hi[b, d], std[b]) for d in (0, 1)]
+            for b in (0, 1)
+        ]
+        self.survival = readout.survival.ravel()
+
+    def slits(self, z: np.ndarray, basis: np.ndarray):
+        """(inside, basis[inside], det): the z inside a slit of their basis, in index order.
+
+        det is that slit's detector index (0 / 1); nothing is drawn.
+        """
+        import numpy as np
+
+        hit, det_2 = np.zeros(z.shape, dtype=bool), np.zeros(z.shape, dtype=bool)
+        chosen, slit, edge = (np.empty(z.shape, dtype=bool) for _ in range(3))
+        for b, windows in enumerate(self.windows):
+            np.equal(basis, b, out=chosen)
+            for found, (t, u) in zip((hit, det_2), windows):
+                np.greater_equal(z, t, out=slit)
+                slit &= np.less_equal(z, u, out=edge)
+                slit &= chosen
+                found |= slit
+        del chosen, slit, edge
+        hit |= det_2
+        inside = np.flatnonzero(hit)
+        return inside, basis.take(inside), det_2.take(inside).astype(np.int8)
+
+    def survivors(self, bas: np.ndarray, det: np.ndarray, rng: np.random.Generator):
+        """Indices of the in-slit photons that click: one uniform each, in order, thins by attenuation."""
+        import numpy as np
+
+        return np.flatnonzero(rng.random(bas.size) < self.survival.take(2 * bas + det))
+
+
 def _coincidences(
     source: SourceModel,
     station_A: StationConfig,
@@ -128,14 +196,19 @@ def _coincidences(
 ):
     """Emit n_pairs pairs in batches of `batch` (the last one shorter), A's photon first.
 
-    Each pair draws A's basis coin and her latent coordinate in that basis.
-    Only the pairs on which A clicks draw B's basis coin and the photon on
-    B's channel (source.partner_latent), read by B's readout in B's basis
-    or, under interception, in the interceptor's, whose clicks _resend
-    relays.  B's coin is independent of everything else, so drawing it only
-    where it is read leaves the law of sample_pairs followed by both
-    readouts unchanged.  Batches run through
-    source.ordered_streams.
+    Each pair draws A's basis coin and a standard normal z; her latent
+    coordinate is z times that basis's std.  A's readout (_StandardReadout)
+    compares z with per-basis thresholds that decide exactly as her slit
+    windows on the latent, draws the thinning uniforms for the in-slit pairs
+    in index order, and scales only the pairs that click, so the stream and
+    every click are those of _Readout.clicks on the scaled latents.  The
+    batch-sized arrays are dropped before B's draws.  Only the pairs on
+    which A clicks draw B's basis coin and the photon on B's channel
+    (source.partner_latent), read by B's readout in B's basis or, under
+    interception, in the interceptor's, whose clicks _resend relays.  B's
+    coin is independent of everything else, so drawing it only where it is
+    read leaves the law of sample_pairs followed by both readouts unchanged.
+    Batches run through source.ordered_streams.
 
     Yields (n, pos, bas_A, bas_B, det_A, det_B) per batch: the n pairs
     emitted, the in-batch positions of its coincidences in increasing order,
@@ -145,16 +218,18 @@ def _coincidences(
 
     law = channel_law(source)
     std = np.array(law[0])
-    readout_A, readout_B = _Readout(station_A), _Readout(station_B)
+    readout_A, readout_B = _StandardReadout(station_A, law[0]), _Readout(station_B)
 
     def emit(n: int, stream: np.random.Generator):
         bas_A = stream.integers(0, 2, size=n, dtype=np.int8)
-        lat_A = stream.standard_normal(n)
-        lat_A *= std[bas_A]
-        det_A = readout_A.clicks(lat_A, bas_A, stream)
+        z = stream.standard_normal(n)
+        inside, bas_A, det_A = readout_A.slits(z, bas_A)
+        lat_A = z.take(inside)
+        del z
+        alive = readout_A.survivors(bas_A, det_A, stream)
+        pos, bas_A, lat_A, det_A = (a.take(alive) for a in (inside, bas_A, lat_A, det_A))
+        lat_A *= std.take(bas_A)
 
-        pos = np.flatnonzero(det_A >= 0)
-        bas_A, lat_A, det_A = bas_A[pos], lat_A[pos], det_A[pos]
         bas_B = stream.integers(0, 2, size=pos.size, dtype=np.int8)
         bas_ch = bas_B if attack is None else _eve_bases(attack, pos.size, stream)
         lat_ch = partner_latent(law, lat_A, bas_A, bas_ch, stream.standard_normal(pos.size))
@@ -162,20 +237,23 @@ def _coincidences(
         if attack is not None:
             det_B = _resend(det_B, bas_ch, bas_B, stream)
 
-        hit = det_B >= 0
-        return n, pos[hit], bas_A[hit], bas_B[hit], det_A[hit], det_B[hit]
+        hit = np.flatnonzero(det_B >= 0)
+        return (n, *(a.take(hit) for a in (pos, bas_A, bas_B, det_A, det_B)))
 
     sizes = (min(batch, n_pairs - start) for start in range(0, n_pairs, batch))
     return ordered_streams(emit, sizes, rng)
 
 
 def _cell_counts(bas_A, bas_B, det_A, det_B) -> np.ndarray:
-    """4x4 tally of coincidences by (Ax1, Ax2, Ap1, Ap2) x (Bx1, Bx2, Bp1, Bp2)."""
+    """4x4 tally of coincidences by (Ax1, Ax2, Ap1, Ap2) x (Bx1, Bx2, Bp1, Bp2).
+
+    The cell index (0-15) is formed in the inputs' int8, without wide
+    temporaries.
+    """
     import numpy as np
 
-    idx_A = 2 * bas_A.astype(np.int64) + det_A
-    idx_B = 2 * bas_B.astype(np.int64) + det_B
-    return np.bincount(4 * idx_A + idx_B, minlength=16).reshape(4, 4)
+    cell = 8 * bas_A + 4 * det_A + 2 * bas_B + det_B
+    return np.bincount(cell, minlength=16).reshape(4, 4)
 
 
 def _bit_string(bits: np.ndarray) -> str:

@@ -1135,6 +1135,33 @@ def test_table_commands_do_not_load_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_main_pins_openblas_threads_unless_set(tmp_path, preset, expected):
+    """cli.main sets OPENBLAS_NUM_THREADS to 1 before a command imports numpy; a set value wins.
+
+    A subprocess, because this test process has numpy loaded already.
+    """
+    config = tmp_path / "run.cfg"
+    config.write_text("session.coincidences = 2000\nsession.estimation_pairs = 200\n")
+    code = (
+        "import contextlib, io, os, sys\n"
+        "from eprqkd import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['simulate', '--config', sys.argv[1], '--out-dir', sys.argv[2]])\n"
+        "assert code == 0, code\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
 TABLE_ROUTE = {"eprqkd", "eprqkd.cli", "eprqkd.defaults", "eprqkd.source", "eprqkd.tables"}
 
 

@@ -542,6 +542,60 @@ def _reference_table(source, alice, bob, n, rng, intercept):
     return np.bincount(cell, minlength=16).reshape(4, 4)
 
 
+class TestStandardReadout:
+    """A's readout of standard normals decides, draws and thins as _Readout.clicks."""
+
+    # Over geometry-sweep geometries the latent std is 0.91-0.94 (x) and
+    # 1.89-1.91 (p), and the slit windows lie within [-2.6, 2.3].
+    @settings(max_examples=300, deadline=None)
+    @given(
+        std=st.floats(0.9, 1.95),
+        ends=st.lists(st.floats(-2.6, 2.3), min_size=2, max_size=2, unique=True).map(sorted),
+        zs=st.lists(st.floats(-4.0, 4.0), max_size=20),
+    )
+    def test_thresholds_decide_exactly(self, std, ends, zs):
+        lo, hi = ends
+        t, u = protocol._standard_window(lo, hi, std)
+        edges = [t, math.nextafter(t, -math.inf), u, math.nextafter(u, math.inf)]
+        for z in edges + zs:
+            assert (z * std >= lo) == (z >= t), (z, std, lo, t)
+            assert (z * std <= hi) == (z <= u), (z, std, hi, u)
+        assert t * std >= lo > math.nextafter(t, -math.inf) * std
+        assert u * std <= hi < math.nextafter(u, math.inf) * std
+
+    def test_clicks_equal_readout_of_scaled_latents(self, default_experiment):
+        source, alice, _ = default_experiment
+        std = source_module.channel_law(source)[0]
+        readout = protocol._StandardReadout(alice, std)
+        rng = np.random.default_rng(23)
+        n = 100_000
+        bas = rng.integers(0, 2, size=n, dtype=np.int8)
+        z = rng.standard_normal(n)
+        # Each threshold and the double one step outside it, in its own basis.
+        edges = [
+            (b, x)
+            for b, windows in enumerate(readout.windows)
+            for t, u in windows
+            for x in (t, math.nextafter(t, -math.inf), u, math.nextafter(u, math.inf))
+        ]
+        at = rng.choice(n, size=len(edges), replace=False)
+        for i, (b, x) in zip(at, edges):
+            bas[i], z[i] = b, x
+
+        inside, bas_in, det_in = readout.slits(z, bas)
+        assert set(at[0::2]) <= set(inside) and not set(at[1::2]) & set(inside)
+        new_rng, old_rng = np.random.default_rng(5), np.random.default_rng(5)
+        alive = readout.survivors(bas_in, det_in, new_rng)
+        old = protocol._Readout(alice).clicks(z * np.array(std)[bas], bas, old_rng)
+
+        pos = inside[alive]
+        np.testing.assert_array_equal(pos, np.flatnonzero(old >= 0))
+        np.testing.assert_array_equal(det_in[alive], old[pos])
+        np.testing.assert_array_equal(bas_in[alive], bas[pos])
+        assert 0 < alive.size < inside.size  # the attenuation thinned some
+        assert new_rng.random() == old_rng.random()
+
+
 @pytest.mark.parametrize("intercept", [False, True], ids=["clean", "uniform_random"])
 def test_sampler_law_matches_full_pair_sampler(default_experiment, intercept):
     """Two-sample chi-square between tally_coincidences and the reference.
