@@ -164,6 +164,8 @@ class _StandardReadout:
         """
         import numpy as np
 
+        # Masks are written in place and freed before the index array is
+        # built, so a batch holds z and at most five n-byte masks at once.
         hit, det_2 = np.zeros(z.shape, dtype=bool), np.zeros(z.shape, dtype=bool)
         chosen, slit, edge = (np.empty(z.shape, dtype=bool) for _ in range(3))
         for b, windows in enumerate(self.windows):
@@ -179,7 +181,10 @@ class _StandardReadout:
         return inside, basis.take(inside), det_2.take(inside).astype(np.int8)
 
     def survivors(self, bas: np.ndarray, det: np.ndarray, rng: np.random.Generator):
-        """Indices of the in-slit photons that click: one uniform each, in order, thins by attenuation."""
+        """Indices into bas and det of the in-slit photons that survive their detector's attenuation.
+
+        One uniform is drawn per photon, in order.
+        """
         import numpy as np
 
         return np.flatnonzero(rng.random(bas.size) < self.survival.take(2 * bas + det))
