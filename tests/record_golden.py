@@ -28,6 +28,14 @@ RUNS = {
         SMALL_SESSION + "attack.policy = uniform_random\n",
         ["simulate", "--config", "{cfg}", "--seed", "7"],
     ),
+    "simulate-always-x": (
+        SMALL_SESSION + "attack.policy = always_x\n",
+        ["simulate", "--config", "{cfg}", "--seed", "7"],
+    ),
+    "simulate-always-p": (
+        SMALL_SESSION + "attack.policy = always_p\n",
+        ["simulate", "--config", "{cfg}", "--seed", "7"],
+    ),
     "scan": (None, ["scan", "--fixed", "Ax1", "--bases", "xp", "--grid", "0:3:0.1",
                     "--pairs", "20000", "--seed", "7"]),
     "epr-check-from-scans": (None, ["epr-check", "--from-scans", "--pairs", "20000", "--seed", "7"]),
