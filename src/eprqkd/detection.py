@@ -8,7 +8,8 @@ lens and the coordinate is p * f / k.  An optional origin offset models where
 the translation stage's zero sits relative to the optical axis.
 
 A slit detector accepts the closed latent window StationConfig.latent_window
-maps its aperture to; protocol._Readout, the scans and the oracle all read it.
+maps its aperture to.  protocol._Readout, the session readout of both
+stations, the scans and the oracle all read it.
 Two detectors per basis encode one key bit: detector index 1 is logical 0,
 index 2 is logical 1.
 

@@ -11,6 +11,9 @@ The coincidence table and its error-rate arithmetic live in tables, which
 the table commands load without this module; CoincidenceTable, QberReport,
 qber_from_counts and qber_with_eve_prediction resolve here too.
 
+Every click comes out of one slit readout, _Readout: A reads her standard
+normals at her latent's per-basis std, B his latent at scale 1.
+
 The intercept-resend attack (AttackConfig) acts on B's channel inside the
 session: the interceptor reads each photon in her basis with B's own
 readout, a null blocks it (the pair is later discarded as a
@@ -85,45 +88,13 @@ class SessionResult:
 # ---------------------------------------------------------------------------
 
 
-class _Readout:
-    """One station's readout as arrays indexed by basis (0 = x, 1 = p) and detector."""
-
-    def __init__(self, station: StationConfig):
-        import numpy as np
-
-        bases = ("x", "p")
-        windows = [[station.latent_window(b, d) for d in station.detectors(b)] for b in bases]
-        self.lo, self.hi = np.moveaxis(np.array(windows), -1, 0)
-        self.survival = np.array([[d.attenuation for d in station.detectors(b)] for b in bases])
-
-    def clicks(
-        self, latent: np.ndarray, basis: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Detector index 0 / 1 for each latent coordinate, -1 for null.
-
-        A slit accepts its closed latent window (StationConfig.latent_window).
-        A uniform is drawn only for a coordinate inside a slit, applying that
-        detector's attenuation as independent thinning.
-        """
-        import numpy as np
-
-        det = np.full(latent.shape, -1, dtype=np.int8)
-        in_p = basis == 1
-        for b, chosen in ((0, ~in_p), (1, in_p)):
-            for d in (0, 1):
-                det[chosen & (latent >= self.lo[b, d]) & (latent <= self.hi[b, d])] = d
-        inside = np.flatnonzero(det >= 0)
-        dead = rng.random(inside.size) >= self.survival[basis[inside], det[inside]]
-        det[inside[dead]] = -1
-        return det
-
-
 def _standard_window(lo: float, hi: float, std: float) -> tuple[float, float]:
     """The window [t, u] of z that decides lo <= z * std <= hi exactly in floating point.
 
     t is the smallest double with t * std >= lo and u the largest with
     u * std <= hi.  The rounded product is monotone in z, so z >= t if and
-    only if z * std >= lo, and z <= u if and only if z * std <= hi.
+    only if z * std >= lo, and z <= u if and only if z * std <= hi.  At
+    std = 1 the window is [lo, hi] itself.
     """
     down, up = -math.inf, math.inf
     t = lo / std
@@ -139,23 +110,25 @@ def _standard_window(lo: float, hi: float, std: float) -> tuple[float, float]:
     return t, u
 
 
-class _StandardReadout:
-    """A station's readout of standard normals z whose latent is z * std[basis].
+class _Readout:
+    """One station's slit readout of z, whose latent coordinate is z * scale[basis].
 
-    The thresholds come from _Readout's windows (StationConfig.latent_window)
-    through _standard_window, once per basis and detector.  slits and then
-    survivors decide, draw and thin exactly as _Readout.clicks on
-    z * std[basis], without forming that product for the pairs that miss
-    every slit; between the two the caller may drop z.
+    A slit accepts its closed latent window (StationConfig.latent_window);
+    windows holds, per basis (0 = x, 1 = p) and detector, the window [t, u]
+    of z that decides it exactly (_standard_window), so z is never scaled.
+    At the default scale 1 the windows are the latent windows themselves.
+    slits and then survivors decide, draw and thin; between the two the
+    caller may drop z.
     """
 
-    def __init__(self, station: StationConfig, std):
-        readout = _Readout(station)
+    def __init__(self, station: StationConfig, scale=(1.0, 1.0)):
+        import numpy as np
+
         self.windows = [
-            [_standard_window(readout.lo[b, d], readout.hi[b, d], std[b]) for d in (0, 1)]
-            for b in (0, 1)
+            [_standard_window(*station.latent_window(b, d), s) for d in station.detectors(b)]
+            for b, s in zip("xp", scale)
         ]
-        self.survival = readout.survival.ravel()
+        self.survival = np.array([d.attenuation for b in "xp" for d in station.detectors(b)])
 
     def slits(self, z: np.ndarray, basis: np.ndarray):
         """(inside, basis[inside], det): the z inside a slit of their basis, in index order.
@@ -202,18 +175,16 @@ def _coincidences(
     """Emit n_pairs pairs in batches of `batch` (the last one shorter), A's photon first.
 
     Each pair draws A's basis coin and a standard normal z; her latent
-    coordinate is z times that basis's std.  A's readout (_StandardReadout)
-    compares z with per-basis thresholds that decide exactly as her slit
-    windows on the latent, draws the thinning uniforms for the in-slit pairs
-    in index order, and scales only the pairs that click, so the stream and
-    every click are those of _Readout.clicks on the scaled latents.  The
-    batch-sized arrays are dropped before B's draws.  Only the pairs on
-    which A clicks draw B's basis coin and the photon on B's channel
-    (source.partner_latent), read by B's readout in B's basis or, under
-    interception, in the interceptor's, whose clicks _resend relays.  B's
-    coin is independent of everything else, so drawing it only where it is
-    read leaves the law of sample_pairs followed by both readouts unchanged.
-    Batches run through source.ordered_streams.
+    coordinate is z times that basis's std, so A's _Readout reads z at that
+    scale, draws the thinning uniforms for the in-slit pairs in index order,
+    and only the pairs that click are scaled.  The batch-sized arrays are
+    dropped before B's draws.  Only the pairs on which A clicks draw B's
+    basis coin and the photon on B's channel (source.partner_latent), which
+    B's _Readout reads at scale 1 in B's basis or, under interception, in
+    the interceptor's, whose clicks _resend relays.  B's coin is independent
+    of everything else, so drawing it only where it is read leaves the law
+    of sample_pairs followed by both readouts unchanged.  Batches run
+    through source.ordered_streams.
 
     Yields (n, pos, bas_A, bas_B, det_A, det_B) per batch: the n pairs
     emitted, the in-batch positions of its coincidences in increasing order,
@@ -223,7 +194,7 @@ def _coincidences(
 
     law = channel_law(source)
     std = np.array(law[0])
-    readout_A, readout_B = _StandardReadout(station_A, law[0]), _Readout(station_B)
+    readout_A, readout_B = _Readout(station_A, law[0]), _Readout(station_B)
 
     def emit(n: int, stream: np.random.Generator):
         bas_A = stream.integers(0, 2, size=n, dtype=np.int8)
@@ -238,12 +209,12 @@ def _coincidences(
         bas_B = stream.integers(0, 2, size=pos.size, dtype=np.int8)
         bas_ch = bas_B if attack is None else _eve_bases(attack, pos.size, stream)
         lat_ch = partner_latent(law, lat_A, bas_A, bas_ch, stream.standard_normal(pos.size))
-        det_B = readout_B.clicks(lat_ch, bas_ch, stream)
+        inside, bas_ch, det_B = readout_B.slits(lat_ch, bas_ch)
+        alive = readout_B.survivors(bas_ch, det_B, stream)
+        hit, det_B = inside.take(alive), det_B.take(alive)
         if attack is not None:
-            det_B = _resend(det_B, bas_ch, bas_B, stream)
-
-        hit = np.flatnonzero(det_B >= 0)
-        return (n, *(a.take(hit) for a in (pos, bas_A, bas_B, det_A, det_B)))
+            det_B = _resend(det_B, bas_ch.take(alive), bas_B.take(hit), stream)
+        return (n, *(a.take(hit) for a in (pos, bas_A, bas_B, det_A)), det_B)
 
     sizes = (min(batch, n_pairs - start) for start in range(0, n_pairs, batch))
     return ordered_streams(emit, sizes, rng)
@@ -409,19 +380,15 @@ def _eve_bases(attack: AttackConfig, n: int, rng: np.random.Generator) -> np.nda
 def _resend(
     det_E: np.ndarray, bas_E: np.ndarray, bas_B: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """B's detector index (-1 for null) after the interceptor relays her clicks.
+    """B's detector index for each photon the interceptor clicked on and relays.
 
-    det_E holds her readout of each photon in her basis bas_E; a null
-    blocks the photon.  On a click she resends: if B measures in her basis
-    he fires her detector; in the conjugate basis either of his detectors
-    fires with probability 1/2.  One uniform is drawn per relayed photon,
-    same-basis ones included, and the conjugate-basis photons fire
-    detector 2 iff it is >= 1/2.
+    det_E and bas_E are her clicks and bases, bas_B is B's basis for the
+    same photons; the photons she did not click on are blocked before this.
+    If B measures in her basis he fires her detector; in the conjugate basis
+    either of his detectors fires with probability 1/2.  One uniform is
+    drawn per relayed photon, in order, same-basis ones included, and the
+    conjugate-basis photons fire detector 2 iff it is >= 1/2.
     """
     import numpy as np
 
-    det_B = np.full(det_E.shape, -1, dtype=np.int8)
-    passed = np.flatnonzero(det_E >= 0)
-    coin = rng.random(passed.size) >= 0.5
-    det_B[passed] = np.where(bas_B[passed] == bas_E[passed], det_E[passed], coin)
-    return det_B
+    return np.where(bas_B == bas_E, det_E, rng.random(det_E.size) >= 0.5)

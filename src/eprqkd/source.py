@@ -171,11 +171,11 @@ def partner_latent(law, lat_A, bas_A, bas_ch, noise: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    std, slope, cond_std = map(np.asarray, law)
-    same = bas_ch == bas_A
-    return np.where(same, slope[bas_A] * lat_A, 0.0) + np.where(
-        same, cond_std[bas_A], std[bas_ch]
-    ) * noise
+    std, slope, cond_std = law
+    k = 2 * bas_A + bas_ch
+    mean = np.array([slope[0], 0.0, 0.0, slope[1]]).take(k)
+    spread = np.array([cond_std[0], std[1], std[0], cond_std[1]]).take(k)
+    return mean * lat_A + spread * noise
 
 
 def worker_threads() -> int:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from eprqkd.defaults import default_setup
-from eprqkd.detection import SlitDetector, StationConfig
+from eprqkd.detection import SlitDetector, StationConfig, coincidence_probability
+from eprqkd.tables import ALICE_LABELS, BOB_LABELS
 
 
 def make_station(
@@ -26,6 +27,26 @@ def make_station(
         ),
         origin=origin,
     )
+
+
+def oracle_table(source, alice, bob):
+    """The 16 coincidence_probability cells: rows ALICE_LABELS, columns BOB_LABELS."""
+    return np.array([
+        [
+            coincidence_probability(source, alice, bob, a[1], b[1], int(a[2]), int(b[2]))
+            for b in BOB_LABELS
+        ]
+        for a in ALICE_LABELS
+    ])
+
+
+def readout_clicks(readout, z, basis, rng):
+    """Detector index 0 / 1 per coordinate, -1 for null: readout.slits, then survivors."""
+    inside, bas, det = readout.slits(np.asarray(z, dtype=float), basis)
+    alive = readout.survivors(bas, det, rng)
+    out = np.full(len(basis), -1, dtype=np.int8)
+    out[inside.take(alive)] = det.take(alive)
+    return out
 
 
 @pytest.fixture(scope="session")

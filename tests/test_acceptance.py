@@ -28,7 +28,7 @@ from eprqkd.defaults import (
     REFERENCE_VAR_X,
     default_setup,
 )
-from eprqkd.detection import calibrate_source, coincidence_probability, detected_variance
+from eprqkd.detection import calibrate_source, detected_variance
 from eprqkd.protocol import (
     AttackConfig,
     CoincidenceTable,
@@ -39,6 +39,9 @@ from eprqkd.protocol import (
     tally_coincidences,
 )
 from eprqkd.source import PumpProfile, UnphysicalSourceError, build_source
+from eprqkd.tables import ALICE_LABELS, BOB_LABELS
+
+from conftest import oracle_table
 
 # Reference coincidence counts (rows Ax1..Ap2, columns Bx1..Bp2), as carried
 # by the bundled table1.csv, and their error bars as quoted with the paper's
@@ -66,7 +69,6 @@ REFERENCE_ERRORS = np.array(
     ]
 )
 PRINTED_ERRATUM = {(3, 1): 26}
-BASES = (("x", 1), ("x", 2), ("p", 1), ("p", 2))
 
 
 class Criterion:
@@ -165,17 +167,16 @@ def test_criterion_05_oracle_equivalence(experiment, capsys):
     n = 1_000_000
     rng = np.random.default_rng(501)
     table = tally_coincidences(source, alice, bob, n, rng)
-    for i, (ba, da) in enumerate(BASES):
-        for j, (bb, db) in enumerate(BASES):
-            p_cell = 0.25 * coincidence_probability(source, alice, bob, ba, bb, da, db)
-            expected = n * p_cell
-            sigma = math.sqrt(n * p_cell * (1.0 - p_cell))
-            observed = table.counts[i, j]
-            crit.check(
-                abs(observed - expected) <= 3.0 * sigma,
-                f"cell A{ba}{da} B{bb}{db}: {observed} vs {expected:.1f} "
-                f"(3 sigma = {3 * sigma:.1f})",
-            )
+    for (i, j), cell in np.ndenumerate(oracle_table(source, alice, bob)):
+        p_cell = 0.25 * cell
+        expected = n * p_cell
+        sigma = math.sqrt(n * p_cell * (1.0 - p_cell))
+        observed = table.counts[i, j]
+        crit.check(
+            abs(observed - expected) <= 3.0 * sigma,
+            f"cell {ALICE_LABELS[i]} {BOB_LABELS[j]}: {observed} vs {expected:.1f} "
+            f"(3 sigma = {3 * sigma:.1f})",
+        )
     with capsys.disabled():
         crit.conclude()
 
@@ -194,12 +195,8 @@ def test_criterion_06_protocol_without_interception(experiment, capsys):
     # The bases match at emission with probability 1/2, but slit survival
     # weights the coincidences: the same-basis share of coincidences is the
     # oracle's same-basis mass over the mass of all 16 cells (0.591 here).
-    cells = [
-        (ba == bb, coincidence_probability(source, alice, bob, ba, bb, da, db))
-        for ba, da in BASES
-        for bb, db in BASES
-    ]
-    predicted = sum(p for same, p in cells if same) / sum(p for _, p in cells)
+    cells = oracle_table(source, alice, bob)
+    predicted = (cells[:2, :2].sum() + cells[2:, 2:].sum()) / cells.sum()
     n_sifted = len(result.sifted_bits_A) + cfg.m_estimation
     fraction = n_sifted / cfg.n_coincidences
     sigma_frac = math.sqrt(predicted * (1.0 - predicted) / cfg.n_coincidences)

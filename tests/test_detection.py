@@ -38,7 +38,7 @@ from eprqkd.source import (
     sample_pairs,
 )
 
-from conftest import make_station
+from conftest import make_station, oracle_table, readout_clicks
 
 PUMP = PumpProfile(2.0)
 
@@ -152,8 +152,19 @@ class TestReadout:
             for d, det in enumerate(station.detectors(basis)):
                 lo, hi = station.latent_window(basis, det)
                 edges = np.array([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
-                clicks = readout.clicks(edges, np.full(4, b, dtype=np.int8), rng)
+                clicks = readout_clicks(readout, edges, np.full(4, b, dtype=np.int8), rng)
                 assert list(clicks) == [d, d, -1, -1], (basis, d, lo, hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(station=stations())
+    def test_unit_scale_windows_are_latent_windows(self, station):
+        # B reads his latent at scale 1, where the thresholds are the
+        # latent window's ends bit for bit, the sign of a zero included.
+        readout = protocol._Readout(station)
+        for b, basis in enumerate("xp"):
+            for d, det in enumerate(station.detectors(basis)):
+                got = [v.hex() for v in readout.windows[b][d]]
+                assert got == [v.hex() for v in station.latent_window(basis, det)], (basis, d)
 
     def test_unknown_basis_rejected(self):
         station = make_station()
@@ -171,11 +182,11 @@ UNIT_STATION = make_station(
 def unit_clicks(latents, basis):
     latents = np.asarray(latents, dtype=float)
     bases = np.full(latents.shape, "xp".index(basis), dtype=np.int8)
-    return protocol._Readout(UNIT_STATION).clicks(latents, bases, np.random.default_rng(0))
+    return readout_clicks(protocol._Readout(UNIT_STATION), latents, bases, np.random.default_rng(0))
 
 
 class TestClick:
-    """protocol._Readout.clicks, the one click rule of sessions and tallies."""
+    """protocol._Readout (slits, then survivors), the one click rule of sessions and tallies."""
 
     def test_inside_first_slit(self):
         assert list(unit_clicks([1.05, 2.05], "x")) == [0, 1]
@@ -517,17 +528,15 @@ DEFAULT_ATTENUATION_HEX = (
     "0x1.f2a7cf6cdee38p-1", "0x1.f2a7cf6cdee2ap-1", "0x1.c26d8207b783dp-2", "0x1.c26d8207b783dp-2",
     "0x1.ffffffffffffep-1", "0x1.ffffffffffff7p-1", "0x1.c26d8207b783dp-2", "0x1.c26d8207b783dp-2",
 )
-LABELS = (("x", 1), ("x", 2), ("p", 1), ("p", 2))
 
 
 def oracle_hex(geometry):
     """A's derived slits and filters on a drawn geometry, and its 16 cells, as float.hex."""
     source, alice, bob = assemble_setup(*geometry)
     slits = [d for station in (alice, bob) for d in station.x_detectors + station.p_detectors]
-    values = [d.center for d in slits] + [d.attenuation for d in slits] + [
-        coincidence_probability(source, alice, bob, ba, bb, da, db)
-        for ba, da in LABELS for bb, db in LABELS
-    ]
+    values = [d.center for d in slits] + [d.attenuation for d in slits] + list(
+        oracle_table(source, alice, bob).flat
+    )
     return [v.hex() for v in values]
 
 
@@ -552,10 +561,7 @@ class TestOracleExactness:
 
     def test_default_setup_pinned(self, default_experiment):
         source, alice, bob = default_experiment
-        cells = tuple(
-            tuple(coincidence_probability(source, alice, bob, ba, bb, da, db).hex() for bb, db in LABELS)
-            for ba, da in LABELS
-        )
+        cells = tuple(tuple(v.hex() for v in row) for row in oracle_table(source, alice, bob))
         assert cells == DEFAULT_CELLS_HEX
         slits = alice.x_detectors + alice.p_detectors
         assert tuple(d.center.hex() for d in slits) == DEFAULT_CENTERS_HEX
@@ -634,14 +640,12 @@ def test_monte_carlo_matches_oracle_small(default_experiment, rng):
     source, alice, bob = default_experiment
     n = 300_000
     table = protocol.tally_coincidences(source, alice, bob, n, rng)
-    bases = (("x", 1), ("x", 2), ("p", 1), ("p", 2))
-    for i, (ba, da) in enumerate(bases):
-        for j, (bb, db) in enumerate(bases):
-            p_cell = 0.25 * coincidence_probability(source, alice, bob, ba, bb, da, db)
-            sigma = math.sqrt(n * p_cell * (1 - p_cell))
-            assert abs(table.counts[i, j] - n * p_cell) <= 3.0 * sigma + 1.0, (
-                f"cell {i},{j}: observed {table.counts[i, j]}, expected {n * p_cell:.1f}"
-            )
+    for (i, j), cell in np.ndenumerate(oracle_table(source, alice, bob)):
+        p_cell = 0.25 * cell
+        sigma = math.sqrt(n * p_cell * (1 - p_cell))
+        assert abs(table.counts[i, j] - n * p_cell) <= 3.0 * sigma + 1.0, (
+            f"cell {i},{j}: observed {table.counts[i, j]}, expected {n * p_cell:.1f}"
+        )
 
 
 class TestEqualization:
@@ -803,6 +807,6 @@ def test_acceptance_mass_sums_slits(default_experiment, rng):
         )
         latents = rng.standard_normal(n) * marginal_std(source, basis)
         bases = np.full(n, "xp".index(basis), dtype=np.int8)
-        rate = float(np.mean(readout.clicks(latents, bases, rng) >= 0))
+        rate = float(np.mean(readout_clicks(readout, latents, bases, rng) >= 0))
         sigma = math.sqrt(expected * (1.0 - expected) / n)
         assert abs(rate - expected) <= 3.0 * sigma, (basis, rate, expected)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from eprqkd import cli, protocol
 from eprqkd import source as source_module
-from eprqkd.detection import SlitDetector, coincidence_probability
+from eprqkd.detection import SlitDetector
 from eprqkd.protocol import (
     AttackConfig,
     CoincidenceTable,
@@ -24,7 +24,7 @@ from eprqkd.protocol import (
 )
 from eprqkd.source import PumpProfile, SourceModel, build_source, sample_pairs
 
-from conftest import make_station
+from conftest import make_station, oracle_table
 
 
 @pytest.fixture(scope="module")
@@ -302,10 +302,7 @@ class TestRunSession:
         # std sqrt(N (1 - P)) / P, with P the oracle's coincidence probability
         # under fair basis coins.
         source, alice, bob = default_experiment
-        p = sum(
-            coincidence_probability(source, alice, bob, b_A, b_B, d_A, d_B)
-            for b_A in "xp" for b_B in "xp" for d_A in (1, 2) for d_B in (1, 2)
-        ) / 4.0
+        p = oracle_table(source, alice, bob).sum() / 4.0
         cfg = SessionConfig(n_coincidences=n, m_estimation=n // 10, rng_seed=23)
         emitted = run_session(source, alice, bob, cfg).emitted_pairs
         sigma = math.sqrt(n * (1.0 - p)) / p
@@ -542,8 +539,27 @@ def _reference_table(source, alice, bob, n, rng, intercept):
     return np.bincount(cell, minlength=16).reshape(4, 4)
 
 
+def _latent_clicks(station, latent, basis, rng):
+    """Reference readout: closed latent windows, then one thinning uniform per in-slit photon.
+
+    Returns the detector index 0 / 1 per latent, -1 for null; the uniforms
+    are drawn in index order and a photon survives iff its uniform is below
+    its detector's attenuation.
+    """
+    det = np.full(latent.shape, -1, dtype=np.int8)
+    for b, name in enumerate("xp"):
+        for d, slit in enumerate(station.detectors(name)):
+            lo, hi = station.latent_window(name, slit)
+            det[(basis == b) & (latent >= lo) & (latent <= hi)] = d
+    inside = np.flatnonzero(det >= 0)
+    survival = np.array([[slit.attenuation for slit in station.detectors(b)] for b in "xp"])
+    dead = rng.random(inside.size) >= survival[basis[inside], det[inside]]
+    det[inside[dead]] = -1
+    return det
+
+
 class TestStandardReadout:
-    """A's readout of standard normals decides, draws and thins as _Readout.clicks."""
+    """_Readout of standard normals decides, draws and thins as closed windows on the scaled latents."""
 
     # Over geometry-sweep geometries the latent std is 0.91-0.94 (x) and
     # 1.89-1.91 (p), and the slit windows lie within [-2.6, 2.3].
@@ -566,7 +582,7 @@ class TestStandardReadout:
     def test_clicks_equal_readout_of_scaled_latents(self, default_experiment):
         source, alice, _ = default_experiment
         std = source_module.channel_law(source)[0]
-        readout = protocol._StandardReadout(alice, std)
+        readout = protocol._Readout(alice, std)
         rng = np.random.default_rng(23)
         n = 100_000
         bas = rng.integers(0, 2, size=n, dtype=np.int8)
@@ -586,7 +602,7 @@ class TestStandardReadout:
         assert set(at[0::2]) <= set(inside) and not set(at[1::2]) & set(inside)
         new_rng, old_rng = np.random.default_rng(5), np.random.default_rng(5)
         alive = readout.survivors(bas_in, det_in, new_rng)
-        old = protocol._Readout(alice).clicks(z * np.array(std)[bas], bas, old_rng)
+        old = _latent_clicks(alice, z * np.array(std)[bas], bas, old_rng)
 
         pos = inside[alive]
         np.testing.assert_array_equal(pos, np.flatnonzero(old >= 0))
