@@ -29,6 +29,7 @@ import numbers
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
+from .defaults import RunError
 from .source import DRAW_SIZE, SourceModel, basis_index, channel_law, ordered_streams, partner_latent
 
 if TYPE_CHECKING:
@@ -42,7 +43,7 @@ _MIN_POINTS = 5
 FIT_MAX_STEPS = 200
 
 
-class FitError(RuntimeError):
+class FitError(RunError):
     """Nonlinear fit failed to converge."""
 
 

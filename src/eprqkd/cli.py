@@ -15,8 +15,10 @@ default experiment, the one config table in ``eprqkd.defaults``, and any
 other key is rejected.  The seed comes from --seed, else 42; no config key or
 environment variable enters it.
 
-Exit codes: 0 success, 2 validation error, 3 runtime/convergence error,
-4 session aborted on an eavesdropping alarm (simulate only).
+Exit codes: 0 success; 2 validation error (a ConfigError or other
+ValueError, or a missing file); 3 run error (a RunError: a session or peak
+fit that could not complete); 4 session aborted on an eavesdropping alarm
+(simulate only).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import defaults, tables
-from .defaults import ConfigError, _as_int, build_setup, build_station, parse_config_file
+from .defaults import ConfigError, RunError, _as_int, build_setup, build_station, parse_config_file
 
 if TYPE_CHECKING:
     import numpy as np
@@ -217,11 +219,11 @@ def cmd_simulate(args):
                for key in ("output.alice_key", "output.bob_key", "output.table")}
     _check_outputs(args, outputs)
     key_a, key_b, table_path = outputs.values()
-    session = protocol.SessionConfig(
-        n_coincidences=_as_int(cfg, "session.coincidences"),
-        m_estimation=_as_int(cfg, "session.estimation_pairs"),
-        rng_seed=seed,
-    )
+    n, m = (_as_int(cfg, key) for key in ("session.coincidences", "session.estimation_pairs"))
+    try:
+        session = protocol.SessionConfig(n_coincidences=n, m_estimation=m, rng_seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"session.coincidences = {n}, session.estimation_pairs = {m}: {exc}") from exc
     src, alice, bob = build_setup(cfg)
     result = protocol.run_session(src, alice, bob, session, attack=attack)
 
@@ -259,7 +261,15 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"--grid must be increasing with positive step, got {spec!r}")
     import numpy as np
 
-    return np.arange(start, stop + step / 2.0, step)
+    from .analysis import _MIN_POINTS
+
+    try:
+        grid = np.arange(start, stop + step / 2.0, step)
+    except (MemoryError, ValueError) as exc:  # ValueError: "Maximum allowed size exceeded"
+        raise ConfigError(f"--grid {spec!r} has too many points: {exc}") from exc
+    if grid.size < _MIN_POINTS:
+        raise ConfigError(f"--grid needs at least {_MIN_POINTS} points, got {grid.size} from {spec!r}")
+    return grid
 
 
 def _check_pairs(pairs: int) -> None:
@@ -562,15 +572,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _runtime_errors() as exc:
+    except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-def _runtime_errors() -> tuple:
-    """ProtocolError and FitError, if loaded: an except clause calls this once an error reaches it."""
-    errors = (("eprqkd.protocol", "ProtocolError"), ("eprqkd.analysis", "FitError"))
-    return tuple(getattr(sys.modules[m], name) for m, name in errors if m in sys.modules)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,11 @@ if TYPE_CHECKING:
 
 
 class ConfigError(ValueError):
-    pass
+    """A run file, flag or input that cannot be used: the CLI exits 2."""
+
+
+class RunError(RuntimeError):
+    """A valid run that could not complete (no session, no fit): the CLI exits 3."""
 
 
 # The default experiment, as the config keys that a run file may override.

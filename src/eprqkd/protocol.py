@@ -8,8 +8,8 @@ detector 2 logical 1 in both bases, so the surviving sifted outcomes are the
 raw key.
 
 The coincidence table and its error-rate arithmetic live in tables, which
-the table commands load without this module; CoincidenceTable, QberReport,
-qber_from_counts and qber_with_eve_prediction resolve here too.
+the table commands load without this module.  This module imports numpy on
+load; only simulate loads it.
 
 Every click comes out of one slit readout, _Readout: A reads her standard
 normals at her latent's per-basis std, B his latent at scale 1.
@@ -32,12 +32,13 @@ from contextlib import closing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from .defaults import RunError
 from .source import DRAW_SIZE, SourceModel, channel_law, ordered_streams, partner_latent
-from .tables import CoincidenceTable, QberReport, qber_from_counts, qber_with_eve_prediction
+from .tables import CoincidenceTable, QberReport, qber_from_counts
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .detection import StationConfig
 
 DEFAULT_QBER_THRESHOLD = 0.15
@@ -45,7 +46,7 @@ DEFAULT_QBER_THRESHOLD = 0.15
 EMITTED_PER_COINCIDENCE = 10_000
 
 
-class ProtocolError(RuntimeError):
+class ProtocolError(RunError):
     """Session could not complete (e.g. coincidence rate pathologically low)."""
 
 
@@ -122,8 +123,6 @@ class _Readout:
     """
 
     def __init__(self, station: StationConfig, scale=(1.0, 1.0)):
-        import numpy as np
-
         self.windows = [
             [_standard_window(*station.latent_window(b, d), s) for d in station.detectors(b)]
             for b, s in zip("xp", scale)
@@ -135,8 +134,6 @@ class _Readout:
 
         det is that slit's detector index (0 / 1); nothing is drawn.
         """
-        import numpy as np
-
         # Masks are written in place and freed before the index array is
         # built, so a batch holds z and at most five n-byte masks at once.
         hit, det_2 = np.zeros(z.shape, dtype=bool), np.zeros(z.shape, dtype=bool)
@@ -158,8 +155,6 @@ class _Readout:
 
         One uniform is drawn per photon, in order.
         """
-        import numpy as np
-
         return np.flatnonzero(rng.random(bas.size) < self.survival.take(2 * bas + det))
 
 
@@ -190,8 +185,6 @@ def _coincidences(
     emitted, the in-batch positions of its coincidences in increasing order,
     and their basis choices (0 = x, 1 = p) and detector indices (0 / 1).
     """
-    import numpy as np
-
     law = channel_law(source)
     std = np.array(law[0])
     readout_A, readout_B = _Readout(station_A, law[0]), _Readout(station_B)
@@ -226,15 +219,11 @@ def _cell_counts(bas_A, bas_B, det_A, det_B) -> np.ndarray:
     The cell index (0-15) is formed in the inputs' int8, without wide
     temporaries.
     """
-    import numpy as np
-
     cell = 8 * bas_A + 4 * det_A + 2 * bas_B + det_B
     return np.bincount(cell, minlength=16).reshape(4, 4)
 
 
 def _bit_string(bits: np.ndarray) -> str:
-    import numpy as np
-
     return (bits + 48).astype(np.uint8).tobytes().decode("ascii")
 
 
@@ -262,8 +251,6 @@ def run_session(
     so emitted_pairs counts the pairs up to and including that coincidence.
     The result depends only on the seed, not on the number of threads.
     """
-    import numpy as np
-
     rng = np.random.default_rng(session.rng_seed)
     n_target = session.n_coincidences
     batch = max(4096, min(DRAW_SIZE, n_target * 8))
@@ -337,8 +324,6 @@ def tally_coincidences(
     """
     if isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Integral) or n_pairs < 0:
         raise ValueError(f"n_pairs must be a non-negative integer, got {n_pairs!r}")
-    import numpy as np
-
     counts = np.zeros((4, 4), dtype=np.int64)
     with closing(_coincidences(
         source, station_A, station_B, attack, rng, n_pairs, DRAW_SIZE
@@ -370,8 +355,6 @@ class AttackConfig:
 
 def _eve_bases(attack: AttackConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """The interceptor's basis choice (0 = x, 1 = p) for n photons."""
-    import numpy as np
-
     if attack.basis_policy == "uniform_random":
         return rng.integers(0, 2, size=n, dtype=np.int8)
     return np.full(n, attack.basis_policy == "always_p", dtype=np.int8)
@@ -389,6 +372,4 @@ def _resend(
     drawn per relayed photon, in order, same-basis ones included, and the
     conjugate-basis photons fire detector 2 iff it is >= 1/2.
     """
-    import numpy as np
-
     return np.where(bas_B == bas_E, det_E, rng.random(det_E.size) >= 0.5)

@@ -29,17 +29,15 @@ from eprqkd.defaults import (
     default_setup,
 )
 from eprqkd.detection import calibrate_source, detected_variance
-from eprqkd.protocol import (
-    AttackConfig,
+from eprqkd.protocol import AttackConfig, SessionConfig, run_session, tally_coincidences
+from eprqkd.source import PumpProfile, UnphysicalSourceError, build_source
+from eprqkd.tables import (
+    ALICE_LABELS,
+    BOB_LABELS,
     CoincidenceTable,
-    SessionConfig,
     qber_from_counts,
     qber_with_eve_prediction,
-    run_session,
-    tally_coincidences,
 )
-from eprqkd.source import PumpProfile, UnphysicalSourceError, build_source
-from eprqkd.tables import ALICE_LABELS, BOB_LABELS
 
 from conftest import oracle_table
 

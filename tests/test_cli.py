@@ -503,6 +503,26 @@ class TestSimulateCommand:
         assert code == cli.EXIT_VALIDATION
         assert key in err
 
+    @pytest.mark.parametrize("config", [
+        "session.coincidences = 0\n",
+        "session.estimation_pairs = 60000\n",
+        "session.estimation_pairs = 0\n",
+    ])
+    def test_session_errors_name_their_keys(self, capsys, monkeypatch, tmp_path, config):
+        def no_setup(cfg):
+            raise AssertionError("the session keys must be checked before setup")
+
+        monkeypatch.setattr(cli, "build_setup", no_setup)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code, report, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert "session.coincidences" in err and "session.estimation_pairs" in err
+        assert not (tmp_path / "out").exists()
+
     def test_emission_guard_is_runtime_error(self, capsys, tmp_path):
         # Micron slits almost never click together, so the fixed guard of
         # 10^4 N emitted pairs trips mid-session: a runtime condition (exit
@@ -587,6 +607,24 @@ class TestScanCommand:
         assert code == cli.EXIT_VALIDATION
         assert report is None
         assert "--fixed" in err and repr(fixed) in err
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0:0.2:0.1", "at least 5 points"),
+        # 10^18 and 10^19 points: numpy refuses each before it allocates.
+        ("0:1e9:1e-9", "too many points"),
+        ("0:1e19:1", "too many points"),
+    ])
+    def test_grid_size_checked_before_setup(self, capsys, monkeypatch, grid, message):
+        def no_setup(cfg):
+            raise AssertionError("--grid must be checked before setup")
+
+        monkeypatch.setattr(cli, "build_setup", no_setup)
+        code, report, err = run_cli(
+            ["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", grid], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err.startswith("error: --grid") and message in err
 
     @pytest.mark.parametrize("grid", ["0:nan:0.1", "0:inf:0.1", "nan:3:0.1", "0:3:inf"])
     def test_non_finite_grid_names_grid(self, capsys, grid):
@@ -1180,17 +1218,28 @@ def _main(*args: str) -> str:
     (_main("'epr-check'"), TABLE_ROUTE | {"eprqkd.analysis"}, None),
     (_main(*map(repr, ["epr-check", "--var-x", "0.15", "0.08", "--var-p", "0.91", "0.88"])),
      TABLE_ROUTE | {"eprqkd.analysis"}, False),
+    (_main("'simulate'", "'--config'", "sys.argv[2]", "'--out-dir'", "sys.argv[3]"),
+     TABLE_ROUTE | {"eprqkd.detection", "eprqkd.protocol"}, None),
+    (_main(*map(repr, ["scan", "--fixed", "Ax1", "--bases", "xp", "--grid", "1:2:0.1",
+                       "--pairs", "20000"])),
+     TABLE_ROUTE | {"eprqkd.detection", "eprqkd.analysis"}, None),
+    (_main(*map(repr, ["epr-check", "--from-scans", "--pairs", "20000"])),
+     TABLE_ROUTE | {"eprqkd.detection", "eprqkd.analysis"}, None),
 ], ids=["import", "default_setup", "qber", "qber-no-sidecar", "eve-predict",
-        "epr-check-reference", "epr-check-variances"])
+        "epr-check-reference", "epr-check-variances", "simulate", "scan", "epr-check-from-scans"])
 def test_each_route_loads_only_its_modules(tmp_path, statement, expected, hashlib):
     """A cold command compiles every module it imports, so each loads only its layers.
 
     A fresh process per case: this one has loaded every module already.
     sys.argv[1] is a copy of the bundled table without its .sha256 sidecar,
-    and hashlib is False where neither a sidecar nor a config hash needs it.
+    sys.argv[2] a 2,000-coincidence run file and sys.argv[3] simulate's
+    output directory; hashlib is False where neither a sidecar nor a config
+    hash needs it.  Only simulate loads protocol, which imports numpy on load.
     """
     table = tmp_path / "table1.csv"
     shutil.copy(BUNDLED, table)
+    run_file = tmp_path / "run.cfg"
+    run_file.write_text("session.coincidences = 2000\nsession.estimation_pairs = 200\n")
     code = (
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1199,7 +1248,8 @@ def test_each_route_loads_only_its_modules(tmp_path, statement, expected, hashli
         "print(json.dumps([loaded, 'hashlib' in sys.modules]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(table)], capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", code, str(table), str(run_file), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     loaded, hashlib_loaded = json.loads(proc.stdout)

@@ -12,17 +12,9 @@ from hypothesis import given, settings, strategies as st
 from eprqkd import cli, protocol
 from eprqkd import source as source_module
 from eprqkd.detection import SlitDetector
-from eprqkd.protocol import (
-    AttackConfig,
-    CoincidenceTable,
-    ProtocolError,
-    SessionConfig,
-    qber_from_counts,
-    qber_with_eve_prediction,
-    run_session,
-    tally_coincidences,
-)
+from eprqkd.protocol import AttackConfig, ProtocolError, SessionConfig, run_session, tally_coincidences
 from eprqkd.source import PumpProfile, SourceModel, build_source, sample_pairs
+from eprqkd.tables import CoincidenceTable, qber_from_counts, qber_with_eve_prediction
 
 from conftest import make_station, oracle_table
 
