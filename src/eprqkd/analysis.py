@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from .defaults import RunError
-from .source import DRAW_SIZE, SourceModel, basis_index, channel_law, ordered_streams, partner_latent
+from .source import DRAW_SIZE, SourceModel, basis_index, channel_law, ordered_streams
+from .source import partner_latent, window_normals
 
 if TYPE_CHECKING:
     import numpy as np
@@ -329,12 +330,15 @@ def scan_simulation(
     scan (calibration runs bypass the random basis choice).  At each grid
     point B's slit is re-centered and pairs_per_point fresh pairs are
     emitted; the count is the number of double transmissions through the
-    closed slit windows.  A's photon comes first: each pair draws A's latent
-    coordinate, and only the pairs inside A's window draw B's
-    (source.partner_latent).  This is the law of sample_pairs followed by
-    both window tests.  Attenuation filters are left out: scans model the
-    bare alignment measurements taken before filters are installed.  Grid
-    points run through source.ordered_streams, DRAW_SIZE pairs at a time.
+    closed slit windows.  A's photon comes first: source.window_normals
+    draws only A's latents inside A's fixed window, reading no window mass.
+    In the same basis each kept pair draws B's latent given A's
+    (source.partner_latent); across bases B's follows its marginal, so B's
+    hits are window_normals over the kept pairs and B's window.  This is
+    the law of sample_pairs followed by both window tests.  Attenuation
+    filters are left out: scans model the bare alignment measurements taken
+    before filters are installed.  Grid points run through
+    source.ordered_streams, DRAW_SIZE // 8 draws at a time.
     """
     grid = list(grid)
     if len(grid) < _MIN_POINTS:
@@ -365,18 +369,18 @@ def scan_simulation(
     ]
     law = channel_law(source)
     i_A, i_B = basis_index(basis_A), basis_index(basis_B)
-    pairs, chunk = int(pairs_per_point), DRAW_SIZE
+    std_A, std_B = law[0][i_A], law[0][i_B]
+    pairs, chunk = int(pairs_per_point), DRAW_SIZE // 8  # bounds both threads' temporaries
 
     def count(window_B: tuple[float, float], stream: np.random.Generator) -> int:
         b_lo, b_hi = window_B
-        buffer = np.empty(min(chunk, pairs))
+        kept_A = window_normals(stream, pairs, a_lo / std_A, a_hi / std_A, chunk)
+        if i_A != i_B:
+            kept = sum(z.size for z in kept_A)
+            return sum(z.size for z in window_normals(stream, kept, b_lo / std_B, b_hi / std_B, chunk))
         hits = 0
-        for start in range(0, pairs, chunk):
-            drawn = buffer[: min(chunk, pairs - start)]
-            stream.standard_normal(out=drawn)
-            drawn *= law[0][i_A]
-            lat_A = drawn[(drawn >= a_lo) & (drawn <= a_hi)]
-            lat_B = partner_latent(law, lat_A, i_A, i_B, stream.standard_normal(lat_A.size))
+        for z_A in kept_A:
+            lat_B = partner_latent(law, z_A * std_A, i_A, i_B, stream.standard_normal(z_A.size))
             hits += int(np.count_nonzero((lat_B >= b_lo) & (lat_B <= b_hi)))
         return hits
 

@@ -108,13 +108,15 @@ def parse_config_file(path: str | None) -> dict[str, str]:
     return cfg
 
 
-def _as_float(cfg, key) -> float:
+def _as_float(cfg, key, positive=False) -> float:
     try:
         value = float(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"config key {key} must be a number, got {cfg[key]!r}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"config key {key} must be finite, got {cfg[key]!r}")
+    if positive and value <= 0:
+        raise ConfigError(f"config key {key} must be positive, got {cfg[key]!r}")
     return value
 
 
@@ -130,17 +132,17 @@ def build_station(cfg: dict[str, str]) -> StationConfig:
     from .detection import SlitDetector, StationConfig
 
     def slits(width_key):
-        width = _as_float(cfg, width_key)
+        width = _as_float(cfg, width_key, positive=True)
         return (
             SlitDetector(_as_float(cfg, "station.detector1_mm"), width, 0),
             SlitDetector(_as_float(cfg, "station.detector2_mm"), width, 1),
         )
 
     return StationConfig(
-        object_distance=_as_float(cfg, "station.object_distance_mm"),
-        image_distance=_as_float(cfg, "station.image_distance_mm"),
-        focal_length=_as_float(cfg, "station.focal_length_mm"),
-        wavenumber=_as_float(cfg, "station.wavenumber_per_mm"),
+        object_distance=_as_float(cfg, "station.object_distance_mm", positive=True),
+        image_distance=_as_float(cfg, "station.image_distance_mm", positive=True),
+        focal_length=_as_float(cfg, "station.focal_length_mm", positive=True),
+        wavenumber=_as_float(cfg, "station.wavenumber_per_mm", positive=True),
         x_detectors=slits("station.x_slit_width_mm"),
         p_detectors=slits("station.p_slit_width_mm"),
         origin=_as_float(cfg, "station.origin_mm"),
@@ -152,11 +154,12 @@ def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, Statio
     from .detection import calibrate_source
 
     bob = build_station(cfg)
-    pump = PumpProfile(_as_float(cfg, "source.pump_waist_mm"))
-    sigma_plus = _as_float(cfg, "source.sigma_plus_mm")
-    kappa_plus = _as_float(cfg, "source.kappa_plus_per_mm")
+    pump = PumpProfile(_as_float(cfg, "source.pump_waist_mm", positive=True))
+    sigma_plus = _as_float(cfg, "source.sigma_plus_mm", positive=True)
+    kappa_plus = _as_float(cfg, "source.kappa_plus_per_mm", positive=True)
     src = calibrate_source(
-        _as_float(cfg, "source.target_var_x_mm2"), _as_float(cfg, "source.target_var_p_hbar2_mm2"),
+        _as_float(cfg, "source.target_var_x_mm2", positive=True),
+        _as_float(cfg, "source.target_var_p_hbar2_mm2", positive=True),
         bob, bob, sigma_plus=sigma_plus, kappa_plus=kappa_plus, pump=pump,
     )
     return assemble_setup(src, bob)

@@ -24,10 +24,10 @@ test, exact for this family: Simon, PRL 84, 2726 (2000)), that is when
 
 Position and momentum blocks are uncorrelated, so a single latent sample per
 pair reproduces the detection statistics of all four basis pairings at once.
-Sessions and scans share one A-first emission kernel here: partner_latent
-and ordered_streams, and every layer reads basis_index.  This module imports
-nothing from the package: the widths a run uses come from a run file or
-from detection.calibrate_source.
+Sessions and scans share partner_latent and ordered_streams, scans draw A's
+in-slit photons with window_normals, and every layer reads basis_index.
+This module imports nothing from the package: the widths a run uses come
+from a run file or from detection.calibrate_source.
 """
 
 from __future__ import annotations
@@ -176,6 +176,39 @@ def partner_latent(law, lat_A, bas_A, bas_ch, noise: np.ndarray) -> np.ndarray:
     mean = np.array([slope[0], 0.0, 0.0, slope[1]]).take(k)
     spread = np.array([cond_std[0], std[1], std[0], cond_std[1]]).take(k)
     return mean * lat_A + spread * noise
+
+
+def window_normals(stream: np.random.Generator, n: int, t: float, u: float, chunk: int):
+    """Yield, at most chunk draws at a time, the standard normals among n that land in [t, u].
+
+    Same law as n draws with the ones outside discarded, but no value
+    outside is drawn and no mass is computed.  The envelope is a box over
+    [t, u] (two equal boxes if it straddles 0) as tall as the density at
+    near, the point nearest 0: binomial(n, area) uniform proposals, each kept
+    when a uniform is at most exp((near^2 - x^2) / 2).  A box of area 1 or
+    more, a window holding most of the mass, draws all n normals instead.
+    """
+    import numpy as np
+
+    near = min(max(0.0, t), u)
+    area = (u - t) * math.exp(-0.5 * near * near) / math.sqrt(2.0 * math.pi)
+    draws = n if area >= 1.0 else int(stream.binomial(n, area))
+    buffer = np.empty((3, min(chunk, draws)))  # reused: fresh arrays cost page faults
+    for start in range(0, draws, chunk):
+        x, ratio, uniform = buffer[:, : min(chunk, draws - start)]
+        if area >= 1.0:
+            stream.standard_normal(out=x)
+            keep = True
+        else:
+            stream.random(out=x)
+            x *= u - t
+            x += t
+            np.multiply(x, x, out=ratio)
+            ratio -= near * near
+            ratio *= -0.5
+            np.exp(ratio, out=ratio)  # the density at x over the box's height
+            keep = stream.random(out=uniform) <= ratio
+        yield x[keep & (x >= t) & (x <= u)]  # closed window; guards rounding at u
 
 
 def worker_threads() -> int:

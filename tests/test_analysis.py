@@ -441,6 +441,30 @@ class TestScanSimulation:
             )
             assert scan.counts == (pairs,) * 6
 
+    def test_reads_no_normal_mass(self, default_experiment, monkeypatch):
+        """The scan Monte Carlo stays an independent check of the quadrature oracle."""
+        from eprqkd import detection
+
+        source, alice, bob = default_experiment  # built before the mass functions break
+
+        def oracle_read(*args, **kwargs):
+            raise AssertionError("scan_simulation read the oracle's normal mass")
+
+        for name in ("_cdf", "_normal_mass", "_window_mass", "_rectangle"):
+            monkeypatch.setattr(detection, name, oracle_read)
+        monkeypatch.setattr(math, "erf", oracle_read)
+        monkeypatch.setattr(math, "erfc", oracle_read)
+        with pytest.raises(AssertionError, match="normal mass"):
+            coincidence_probability(source, alice, bob, "x", "p", 1, 1)
+        grid = np.arange(0.5, 2.5001, 0.25)
+        for fixed, pair in (
+            ("Ax1", ("x", "x")), ("Ap2", ("p", "p")), ("Ax2", ("x", "p")), ("Ap1", ("p", "x"))
+        ):
+            scan = scan_simulation(
+                source, alice, bob, fixed, pair, grid, 20_000, np.random.default_rng(3)
+            )
+            assert sum(scan.counts) > 0
+
 
 class _NoDraws:
     """A generator stand-in that fails on any use: input checks come first."""

@@ -242,6 +242,29 @@ class TestSimulateCommand:
         assert code == cli.EXIT_VALIDATION
         assert "unknown config key" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("key", [
+        "source.target_var_x_mm2", "source.target_var_p_hbar2_mm2", "source.sigma_plus_mm",
+        "source.kappa_plus_per_mm", "source.pump_waist_mm", "station.object_distance_mm",
+        "station.image_distance_mm", "station.focal_length_mm", "station.wavenumber_per_mm",
+        "station.x_slit_width_mm", "station.p_slit_width_mm",
+    ])
+    def test_non_positive_key_named_before_setup(self, capsys, monkeypatch, tmp_path, key, value):
+        from eprqkd import detection
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError(f"{key} must be checked before setup")
+
+        monkeypatch.setattr(detection, "calibrate_source", no_setup)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, report, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err == f"error: config key {key} must be positive, got '{value}'\n"
+
     def test_unknown_attack_policy_names_key(self, capsys, monkeypatch, tmp_path):
         def no_setup(cfg):
             raise AssertionError("attack.policy must be checked before setup")
@@ -787,13 +810,12 @@ class TestEprCheckCommand:
         assert report["results"]["sigma_distance"] is None
 
     def test_from_scans_flat_scan_names_detector_and_pairs(self, capsys):
-        code, report, err = run_cli(
-            ["epr-check", "--from-scans", "--pairs", "50", "--seed", "1"], capsys
-        )
+        # With one pair per point no count exceeds 1, so every seed's scans are flat.
+        code, report, err = run_cli(["epr-check", "--from-scans", "--pairs", "1"], capsys)
         assert code == cli.EXIT_VALIDATION
         assert report is None
         assert err.strip() == (
-            "error: --from-scans: the Ax1 scan is flat at --pairs 50; no width to convert"
+            "error: --from-scans: the Ax1 scan is flat at --pairs 1; no width to convert"
         )
 
     def test_explicit_variances(self, capsys):
@@ -891,7 +913,7 @@ class TestEprCheckCommand:
         )
         assert code == 0
         var_x, _, unc_x, _ = checked[-1]
-        assert var_x[0] == var["x"][0] == 0.11204449192856429
+        assert var_x[0] == var["x"][0] == 0.11030495201496185
         assert unc_x[0] == unc["x"][0]
 
     @pytest.mark.parametrize("covariance", ["absent", "null", "one-null"])

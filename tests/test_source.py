@@ -21,6 +21,7 @@ from eprqkd.source import (
     ordered_streams,
     partner_latent,
     sample_pairs,
+    window_normals,
 )
 
 from conftest import make_station
@@ -480,3 +481,73 @@ class TestEmissionKernel:
         with pytest.raises(ValueError, match="job 2 failed"):
             list(ordered_streams(work, range(10), np.random.default_rng(0)))
         assert threading.active_count() == threads
+
+
+def _kept_normals(rng, n, t, u, chunk=1 << 20):
+    """The reference law: n standard_normal draws, the ones in [t, u] kept."""
+    kept = []
+    for start in range(0, n, chunk):
+        drawn = rng.standard_normal(min(chunk, n - start))
+        kept.append(drawn[(drawn >= t) & (drawn <= u)])
+    return np.concatenate(kept)
+
+
+class TestWindowNormals:
+    """window_normals against plain draws kept in the window, with no mass computed."""
+
+    @pytest.mark.parametrize(
+        "t, u, n",
+        [
+            (-0.696, -0.478, 400_000),  # one box: the default Ax1 window
+            (0.372, 0.952, 400_000),  # one box: the default Ap1 window
+            (-0.3, 0.4, 400_000),  # two boxes cut at 0
+            (4.0, 5.0, 10_000_000),  # far tail
+            (-3.0, 3.0, 400_000),  # envelope area over 1: every normal drawn
+        ],
+        ids=["Ax1", "Ap1", "straddles-0", "tail", "all-drawn"],
+    )
+    def test_matches_kept_standard_normals(self, t, u, n):
+        """Two-sample tests at fixed seeds, on the kept counts and on the binned values.
+
+        Under equal laws each count difference a - b has variance a + b, so
+        the sum of (a - b)^2 / (a + b) over three seeds is chi-square with 3
+        degrees of freedom; the pooled values of both samples, binned evenly
+        over [t, u], give the two-sample chi-square with bins - 1.
+        """
+        from scipy.stats import chi2
+
+        seeds = (21, 22, 23)
+        count_stat, fast, ref = 0.0, [], []
+        for seed in seeds:
+            a = np.concatenate(list(window_normals(np.random.default_rng(seed), n, t, u, 4096)))
+            b = _kept_normals(np.random.default_rng(seed + 100), n, t, u)
+            assert np.all((a >= t) & (a <= u))
+            count_stat += (a.size - b.size) ** 2 / (a.size + b.size)
+            fast.append(a)
+            ref.append(b)
+        assert count_stat < chi2.ppf(0.999, len(seeds)), count_stat
+        edges = np.linspace(t, u, 6 if t > 3 else 11)
+        a, b = (np.histogram(np.concatenate(v), edges)[0] for v in (fast, ref))
+        scale = math.sqrt(b.sum() / a.sum())
+        occupied = (a + b) > 0
+        value_stat = np.sum(((scale * a - b / scale) ** 2 / (a + b))[occupied])
+        assert value_stat < chi2.ppf(0.999, occupied.sum() - 1), value_stat
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t=st.floats(-6.0, 6.0),
+        width=st.floats(1e-6, 8.0),
+        n=st.integers(0, 5000),
+        chunk=st.integers(1, 700),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_in_window_and_at_most_n(self, t, width, n, chunk, seed):
+        u = t + width
+        total = 0
+        for values in window_normals(np.random.default_rng(seed), n, t, u, chunk):
+            assert values.size <= chunk
+            assert np.all((values >= t) & (values <= u))
+            total += values.size
+        assert total <= n
+        wide = window_normals(np.random.default_rng(seed), n, -1e6, 1e6, chunk)
+        assert sum(values.size for values in wide) == n
