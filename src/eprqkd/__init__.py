@@ -12,7 +12,6 @@ _SUBMODULE = {
     "SourceModel": "source",
     "build_source": "source",
     "sample_pairs": "source",
-    "marginal_std": "source",
     "calibrate_source": "detection",
     "UnphysicalSourceError": "source",
     "CalibrationError": "detection",

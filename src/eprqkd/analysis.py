@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .defaults import RunError
 from .source import DRAW_SIZE, SourceModel, basis_index, channel_law, ordered_streams
-from .source import partner_latent, window_normals
+from .source import partner_normal, window_normals
 
 if TYPE_CHECKING:
     import numpy as np
@@ -330,15 +330,16 @@ def scan_simulation(
     scan (calibration runs bypass the random basis choice).  At each grid
     point B's slit is re-centered and pairs_per_point fresh pairs are
     emitted; the count is the number of double transmissions through the
-    closed slit windows.  A's photon comes first: source.window_normals
-    draws only A's latents inside A's fixed window, reading no window mass.
-    In the same basis each kept pair draws B's latent given A's
-    (source.partner_latent); across bases B's follows its marginal, so B's
-    hits are window_normals over the kept pairs and B's window.  This is
-    the law of sample_pairs followed by both window tests.  Attenuation
-    filters are left out: scans model the bare alignment measurements taken
-    before filters are installed.  Grid points run through
-    source.ordered_streams, DRAW_SIZE // 8 draws at a time.
+    closed slit windows.  Photons are drawn in standard units, against each
+    slit's latent window over its basis's std.  A's photon comes first:
+    source.window_normals draws only A's normals inside A's fixed window,
+    reading no window mass.  In the same basis each kept pair draws B's
+    given A's (source.partner_normal); across bases B's is independent of
+    A's, so B's hits are window_normals over the kept pairs and B's window.
+    This is the law of sample_pairs followed by both window tests.
+    Attenuation filters are left out: scans model the bare alignment
+    measurements taken before filters are installed.  Grid points run
+    through source.ordered_streams, DRAW_SIZE // 8 draws at a time.
     """
     grid = list(grid)
     if len(grid) < _MIN_POINTS:
@@ -361,27 +362,26 @@ def scan_simulation(
     import numpy as np
 
     det_idx = int(fixed_detector[-1]) - 1
-    slit_A = station_A.detectors(basis_A)[det_idx]
-    a_lo, a_hi = station_A.latent_window(basis_A, slit_A)
-    slit_B = station_B.detectors(basis_B)[0]
-    windows_B = [
-        station_B.latent_window(basis_B, replace(slit_B, center=center)) for center in grid
-    ]
     law = channel_law(source)
     i_A, i_B = basis_index(basis_A), basis_index(basis_B)
     std_A, std_B = law[0][i_A], law[0][i_B]
+    slit_A = station_A.detectors(basis_A)[det_idx]
+    a_lo, a_hi = (v / std_A for v in station_A.latent_window(basis_A, slit_A))
+    slit_B = station_B.detectors(basis_B)[0]
+    latent_B = [station_B.latent_window(basis_B, replace(slit_B, center=c)) for c in grid]
+    windows_B = [(lo / std_B, hi / std_B) for lo, hi in latent_B]
     pairs, chunk = int(pairs_per_point), DRAW_SIZE // 8  # bounds both threads' temporaries
 
     def count(window_B: tuple[float, float], stream: np.random.Generator) -> int:
         b_lo, b_hi = window_B
-        kept_A = window_normals(stream, pairs, a_lo / std_A, a_hi / std_A, chunk)
+        kept_A = window_normals(stream, pairs, a_lo, a_hi, chunk)
         if i_A != i_B:
             kept = sum(z.size for z in kept_A)
-            return sum(z.size for z in window_normals(stream, kept, b_lo / std_B, b_hi / std_B, chunk))
+            return sum(z.size for z in window_normals(stream, kept, b_lo, b_hi, chunk))
         hits = 0
         for z_A in kept_A:
-            lat_B = partner_latent(law, z_A * std_A, i_A, i_B, stream.standard_normal(z_A.size))
-            hits += int(np.count_nonzero((lat_B >= b_lo) & (lat_B <= b_hi)))
+            z_B = partner_normal(law, z_A, i_A, i_B, stream.standard_normal(z_A.size))
+            hits += int(np.count_nonzero((z_B >= b_lo) & (z_B <= b_hi)))
         return hits
 
     return ScanData(

@@ -131,22 +131,28 @@ def build_station(cfg: dict[str, str]) -> StationConfig:
     """B's station from the station.* keys of a parsed config."""
     from .detection import SlitDetector, StationConfig
 
-    def slits(width_key):
-        width = _as_float(cfg, width_key, positive=True)
+    def slits(basis):
+        width = _as_float(cfg, f"station.{basis}_slit_width_mm", positive=True)
         return (
             SlitDetector(_as_float(cfg, "station.detector1_mm"), width, 0),
             SlitDetector(_as_float(cfg, "station.detector2_mm"), width, 1),
         )
 
-    return StationConfig(
+    fields = dict(
         object_distance=_as_float(cfg, "station.object_distance_mm", positive=True),
         image_distance=_as_float(cfg, "station.image_distance_mm", positive=True),
         focal_length=_as_float(cfg, "station.focal_length_mm", positive=True),
         wavenumber=_as_float(cfg, "station.wavenumber_per_mm", positive=True),
-        x_detectors=slits("station.x_slit_width_mm"),
-        p_detectors=slits("station.p_slit_width_mm"),
+        x_detectors=slits("x"),
+        p_detectors=slits("p"),
         origin=_as_float(cfg, "station.origin_mm"),
     )
+    try:
+        return StationConfig(**fields)
+    except ValueError as exc:  # each key is checked above, so a basis's slits overlap
+        basis = str(exc)[0]  # the overlap message starts with the basis
+        keys = f"station.detector1_mm, station.detector2_mm and station.{basis}_slit_width_mm"
+        raise ConfigError(f"config keys {keys}: {exc}") from exc
 
 
 def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, StationConfig]:

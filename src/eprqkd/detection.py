@@ -8,8 +8,9 @@ lens and the coordinate is p * f / k.  An optional origin offset models where
 the translation stage's zero sits relative to the optical axis.
 
 A slit detector accepts the closed latent window StationConfig.latent_window
-maps its aperture to.  protocol._Readout, the session readout of both
-stations, the scans and the oracle all read it.
+maps its aperture to.  The oracle, the scans and protocol._Readout (the
+session readout of both stations) all compare standard normals with that
+window over the basis's std (source.channel_law), so they share its floats.
 Two detectors per basis encode one key bit: detector index 1 is logical 0,
 index 2 is logical 1.
 
@@ -33,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .source import PumpProfile, SourceModel, basis_index, build_source, channel_law, marginal_std
+from .source import PumpProfile, SourceModel, basis_index, build_source, channel_law
 
 _SQRT2 = math.sqrt(2.0)
 _TWOPI = 2.0 * math.pi
@@ -120,13 +121,12 @@ class StationConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not math.isfinite(self.origin):
             raise ValueError(f"origin must be finite, got {self.origin}")
-        for pair in (self.x_detectors, self.p_detectors):
-            first, second = pair
+        for basis, (first, second) in zip("xp", (self.x_detectors, self.p_detectors)):
             if first.logical_bit != 0 or second.logical_bit != 1:
                 raise ValueError("detector 1 must carry bit 0 and detector 2 bit 1")
             if first.hi >= second.lo and second.hi >= first.lo:
                 raise ValueError(
-                    f"slit intervals overlap: [{first.lo}, {first.hi}] and "
+                    f"{basis} slit intervals overlap: [{first.lo}, {first.hi}] and "
                     f"[{second.lo}, {second.hi}]"
                 )
 
@@ -174,7 +174,7 @@ def _normal_mass(lo: float, hi: float) -> float:
 
 def _window_mass(source: SourceModel, basis: str, lo: float, hi: float) -> float:
     """Single-party latent probability mass in [lo, hi]."""
-    std = marginal_std(source, basis)
+    std = channel_law(source)[0][basis_index(basis)]
     return _normal_mass(lo / std, hi / std)
 
 
@@ -270,7 +270,7 @@ def _cell_probability(source, basis_A, basis_B, window_A, window_B) -> float:
     """Latent probability that A lands in window_A and B in window_B.
 
     Same-basis cells are a bivariate-normal rectangle with both parties'
-    std and correlation slope from source.channel_law; mixed-basis cells
+    std and correlation rho from source.channel_law; mixed-basis cells
     factor into two masses.
     """
     if basis_A != basis_B:
@@ -474,8 +474,8 @@ def derive_partner_centers(
     marginal stds, and a step that would leave it bisects it instead.
     """
     i = basis_index(basis)
-    std, rho, cond_std = (law[i] for law in channel_law(source))
-    s = max(cond_std / std, 1e-150)  # exactly 0 for a perfect correlation
+    std, rho, s = (law[i] for law in channel_law(source))
+    s = max(s, 1e-150)  # exactly 0 for a perfect correlation
     gain = conversion_for(station_free, basis) / std  # standardized units per mm
     span = 6.0 / gain
     centers = []

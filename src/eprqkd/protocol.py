@@ -11,8 +11,10 @@ The coincidence table and its error-rate arithmetic live in tables, which
 the table commands load without this module.  This module imports numpy on
 load; only simulate loads it.
 
-Every click comes out of one slit readout, _Readout: A reads her standard
-normals at her latent's per-basis std, B his latent at scale 1.
+The Monte Carlo runs in standard units, each latent coordinate over its
+basis's std, and every click comes out of one slit readout, _Readout, which
+compares them with each slit's latent window over that std: the same floats
+the oracle integrates.
 
 The intercept-resend attack (AttackConfig) acts on B's channel inside the
 session: the interceptor reads each photon in her basis with B's own
@@ -26,7 +28,6 @@ different SourceModel.
 
 from __future__ import annotations
 
-import math
 import numbers
 from contextlib import closing
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .defaults import RunError
-from .source import DRAW_SIZE, SourceModel, channel_law, ordered_streams, partner_latent
+from .source import DRAW_SIZE, SourceModel, channel_law, ordered_streams, partner_normal
 from .tables import CoincidenceTable, QberReport, qber_from_counts
 
 if TYPE_CHECKING:
@@ -89,43 +90,19 @@ class SessionResult:
 # ---------------------------------------------------------------------------
 
 
-def _standard_window(lo: float, hi: float, std: float) -> tuple[float, float]:
-    """The window [t, u] of z that decides lo <= z * std <= hi exactly in floating point.
-
-    t is the smallest double with t * std >= lo and u the largest with
-    u * std <= hi.  The rounded product is monotone in z, so z >= t if and
-    only if z * std >= lo, and z <= u if and only if z * std <= hi.  At
-    std = 1 the window is [lo, hi] itself.
-    """
-    down, up = -math.inf, math.inf
-    t = lo / std
-    while t * std < lo:
-        t = math.nextafter(t, up)
-    while math.nextafter(t, down) * std >= lo:
-        t = math.nextafter(t, down)
-    u = hi / std
-    while u * std > hi:
-        u = math.nextafter(u, down)
-    while math.nextafter(u, up) * std <= hi:
-        u = math.nextafter(u, up)
-    return t, u
-
-
 class _Readout:
-    """One station's slit readout of z, whose latent coordinate is z * scale[basis].
+    """One station's slit readout of standard normals z, whose latent coordinate is z * std[basis].
 
     A slit accepts its closed latent window (StationConfig.latent_window);
-    windows holds, per basis (0 = x, 1 = p) and detector, the window [t, u]
-    of z that decides it exactly (_standard_window), so z is never scaled.
-    At the default scale 1 the windows are the latent windows themselves.
-    slits and then survivors decide, draw and thin; between the two the
-    caller may drop z.
+    windows holds, per basis (0 = x, 1 = p) and detector, that window over
+    the basis's std, the bounds the oracle integrates.  slits and then
+    survivors decide, draw and thin; between the two the caller may drop z.
     """
 
-    def __init__(self, station: StationConfig, scale=(1.0, 1.0)):
+    def __init__(self, station: StationConfig, std):
         self.windows = [
-            [_standard_window(*station.latent_window(b, d), s) for d in station.detectors(b)]
-            for b, s in zip("xp", scale)
+            [tuple(v / s for v in station.latent_window(b, d)) for d in station.detectors(b)]
+            for b, s in zip("xp", std)
         ]
         self.survival = np.array([d.attenuation for b in "xp" for d in station.detectors(b)])
 
@@ -169,40 +146,39 @@ def _coincidences(
 ):
     """Emit n_pairs pairs in batches of `batch` (the last one shorter), A's photon first.
 
-    Each pair draws A's basis coin and a standard normal z; her latent
-    coordinate is z times that basis's std, so A's _Readout reads z at that
-    scale, draws the thinning uniforms for the in-slit pairs in index order,
-    and only the pairs that click are scaled.  The batch-sized arrays are
-    dropped before B's draws.  Only the pairs on which A clicks draw B's
-    basis coin and the photon on B's channel (source.partner_latent), which
-    B's _Readout reads at scale 1 in B's basis or, under interception, in
-    the interceptor's, whose clicks _resend relays.  B's coin is independent
-    of everything else, so drawing it only where it is read leaves the law
-    of sample_pairs followed by both readouts unchanged.  Batches run
-    through source.ordered_streams.
+    Every coordinate is drawn in standard units, latent over std, and both
+    stations' _Readout compare it with their windows over std
+    (channel_law(source)[0]).  Each pair draws A's basis coin and a standard
+    normal; A's readout decides which land in a slit and draws the thinning
+    uniforms for those in index order.  The batch-sized arrays are dropped
+    before B's draws.  Only the pairs on which A clicks draw B's basis coin
+    and the photon on B's channel (source.partner_normal), which B's
+    _Readout reads in B's basis or, under interception, in the
+    interceptor's, whose clicks _resend relays.  B's coin is independent of
+    everything else, so drawing it only where it is read leaves the law of
+    sample_pairs followed by both readouts unchanged.  Batches run through
+    source.ordered_streams.
 
     Yields (n, pos, bas_A, bas_B, det_A, det_B) per batch: the n pairs
     emitted, the in-batch positions of its coincidences in increasing order,
     and their basis choices (0 = x, 1 = p) and detector indices (0 / 1).
     """
     law = channel_law(source)
-    std = np.array(law[0])
-    readout_A, readout_B = _Readout(station_A, law[0]), _Readout(station_B)
+    readout_A, readout_B = _Readout(station_A, law[0]), _Readout(station_B, law[0])
 
     def emit(n: int, stream: np.random.Generator):
         bas_A = stream.integers(0, 2, size=n, dtype=np.int8)
         z = stream.standard_normal(n)
         inside, bas_A, det_A = readout_A.slits(z, bas_A)
-        lat_A = z.take(inside)
+        z_A = z.take(inside)
         del z
         alive = readout_A.survivors(bas_A, det_A, stream)
-        pos, bas_A, lat_A, det_A = (a.take(alive) for a in (inside, bas_A, lat_A, det_A))
-        lat_A *= std.take(bas_A)
+        pos, bas_A, z_A, det_A = (a.take(alive) for a in (inside, bas_A, z_A, det_A))
 
         bas_B = stream.integers(0, 2, size=pos.size, dtype=np.int8)
         bas_ch = bas_B if attack is None else _eve_bases(attack, pos.size, stream)
-        lat_ch = partner_latent(law, lat_A, bas_A, bas_ch, stream.standard_normal(pos.size))
-        inside, bas_ch, det_B = readout_B.slits(lat_ch, bas_ch)
+        z_ch = partner_normal(law, z_A, bas_A, bas_ch, stream.standard_normal(pos.size))
+        inside, bas_ch, det_B = readout_B.slits(z_ch, bas_ch)
         alive = readout_B.survivors(bas_ch, det_B, stream)
         hit, det_B = inside.take(alive), det_B.take(alive)
         if attack is not None:

@@ -24,8 +24,9 @@ test, exact for this family: Simon, PRL 84, 2726 (2000)), that is when
 
 Position and momentum blocks are uncorrelated, so a single latent sample per
 pair reproduces the detection statistics of all four basis pairings at once.
-Sessions and scans share partner_latent and ordered_streams, scans draw A's
-in-slit photons with window_normals, and every layer reads basis_index.
+Sessions and scans draw in standard units, latent over std: they share
+partner_normal and ordered_streams, scans draw A's in-slit photons with
+window_normals, and every layer reads basis_index.
 This module imports nothing from the package: the widths a run uses come
 from a run file or from detection.calibrate_source.
 """
@@ -139,43 +140,41 @@ def basis_index(basis: str) -> int:
     return "xp".index(basis)
 
 
-def marginal_std(source: SourceModel, basis: str) -> float:
-    """Single-party standard deviation of the latent readout coordinate."""
-    return channel_law(source)[0][basis_index(basis)]
-
-
 def channel_law(source: SourceModel):
-    """Per basis (x, p): (std, slope, cond_std), each a pair of floats.
+    """Per basis (x, p): (std, rho, s), each a pair of floats.
 
-    std is either party's latent std (the state is symmetric); given A's
-    latent u_A in the same basis, B's is Gaussian with mean slope * u_A and
-    std cond_std.  With s and d the widths of the sum and difference
-    coordinates, var = (s^2 + d^2) / 4, cov = (s^2 - d^2) / 4 and
-    cond_std = s d / sqrt(s^2 + d^2).  Position and momentum are independent,
-    so in the other basis B's latent follows its marginal whatever A read.
+    std is either party's latent std (the state is symmetric), so a latent
+    u is the standard normal u / std.  Given A's standard normal z_A in the
+    same basis, B's is Gaussian with mean rho * z_A and std s.  With a and d
+    the widths of the sum and difference coordinates, var = (a^2 + d^2) / 4,
+    rho = cov / var with cov = (a^2 - d^2) / 4, and s is the conditional
+    latent std a d / sqrt(a^2 + d^2) over std.  Position and momentum are
+    independent, so in the other basis B's standard normal is independent
+    of whatever A read.
     """
     laws = []
-    for s, d in ((source.sigma_plus, source.sigma_minus), (source.kappa_minus, source.kappa_plus)):
-        var, cov = (s**2 + d**2) / 4.0, (s**2 - d**2) / 4.0
-        laws.append((math.sqrt(var), cov / var, s * d / math.sqrt(s**2 + d**2)))
+    for a, d in ((source.sigma_plus, source.sigma_minus), (source.kappa_minus, source.kappa_plus)):
+        var, cov = (a**2 + d**2) / 4.0, (a**2 - d**2) / 4.0
+        std = math.sqrt(var)
+        laws.append((std, cov / var, a * d / math.sqrt(a**2 + d**2) / std))
     return tuple(zip(*laws))
 
 
 DRAW_SIZE = 1 << 18  # pairs an emission loop draws at once
 
 
-def partner_latent(law, lat_A, bas_A, bas_ch, noise: np.ndarray) -> np.ndarray:
-    """B's latent from noise: its law given lat_A where bas_ch is A's basis, else its marginal.
+def partner_normal(law, z_A, bas_A, bas_ch, noise: np.ndarray) -> np.ndarray:
+    """B's standard normal from noise: rho * z_A + s * noise where bas_ch is A's basis, else noise.
 
     law is channel_law(source); bases (0 = x, 1 = p) are arrays or scalars.
     """
     import numpy as np
 
-    std, slope, cond_std = law
+    _, rho, s = law
     k = 2 * bas_A + bas_ch
-    mean = np.array([slope[0], 0.0, 0.0, slope[1]]).take(k)
-    spread = np.array([cond_std[0], std[1], std[0], cond_std[1]]).take(k)
-    return mean * lat_A + spread * noise
+    mean = np.array([rho[0], 0.0, 0.0, rho[1]]).take(k)
+    spread = np.array([s[0], 1.0, 1.0, s[1]]).take(k)
+    return mean * z_A + spread * noise
 
 
 def window_normals(stream: np.random.Generator, n: int, t: float, u: float, chunk: int):

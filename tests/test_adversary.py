@@ -37,9 +37,12 @@ def bases(label, n):
 
 
 def bob_clicks(latents, basis_E, basis_B, rng, station=EVE_STATION):
-    """B's detector per photon after she reads it with station and relays her clicks, -1 for null."""
+    """B's detector per photon after she reads it with station and relays her clicks, -1 for null.
+
+    The latents are read as they are: her readout's std is 1 in both bases.
+    """
     n = len(latents)
-    det_E = readout_clicks(_Readout(station), latents, bases(basis_E, n), rng)
+    det_E = readout_clicks(_Readout(station, (1.0, 1.0)), latents, bases(basis_E, n), rng)
     relayed = np.flatnonzero(det_E >= 0)
     det_B = np.full(n, -1, dtype=np.int8)
     det_B[relayed] = _resend(

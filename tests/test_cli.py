@@ -25,6 +25,18 @@ def run_cli(argv, capsys):
 BUNDLED = str(resources.files("eprqkd").joinpath("data", "table1.csv"))
 
 
+# The run file's numeric keys: every float key, and those that must be positive.
+POSITIVE_KEYS = (
+    "source.target_var_x_mm2", "source.target_var_p_hbar2_mm2", "source.sigma_plus_mm",
+    "source.kappa_plus_per_mm", "source.pump_waist_mm", "station.object_distance_mm",
+    "station.image_distance_mm", "station.focal_length_mm", "station.wavenumber_per_mm",
+    "station.x_slit_width_mm", "station.p_slit_width_mm",
+)
+FLOAT_KEYS = POSITIVE_KEYS + (
+    "station.origin_mm", "station.detector1_mm", "station.detector2_mm",
+)
+
+
 class TestQberCommand:
     def test_reference_values(self, capsys):
         code, report, _ = run_cli(["qber", "table1.csv"], capsys)
@@ -242,14 +254,17 @@ class TestSimulateCommand:
         assert code == cli.EXIT_VALIDATION
         assert "unknown config key" in err
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("key", [
-        "source.target_var_x_mm2", "source.target_var_p_hbar2_mm2", "source.sigma_plus_mm",
-        "source.kappa_plus_per_mm", "source.pump_waist_mm", "station.object_distance_mm",
-        "station.image_distance_mm", "station.focal_length_mm", "station.wavenumber_per_mm",
-        "station.x_slit_width_mm", "station.p_slit_width_mm",
+    @pytest.mark.parametrize("key,value,rule", [
+        *((key, value, "a number" if value == "abc" else "finite")
+          for key in FLOAT_KEYS for value in ("nan", "inf", "abc", "1e400")),
+        *((key, value, "an integer")
+          for key in ("session.coincidences", "session.estimation_pairs")
+          for value in ("nan", "inf", "abc", "1e400")),
+        *((key, value, "positive") for key in POSITIVE_KEYS for value in ("0", "-1")),
     ])
-    def test_non_positive_key_named_before_setup(self, capsys, monkeypatch, tmp_path, key, value):
+    def test_bad_numeric_value_named_before_setup(
+        self, capsys, monkeypatch, tmp_path, key, value, rule
+    ):
         from eprqkd import detection
 
         def no_setup(*args, **kwargs):
@@ -263,7 +278,7 @@ class TestSimulateCommand:
         )
         assert code == cli.EXIT_VALIDATION
         assert report is None
-        assert err == f"error: config key {key} must be positive, got '{value}'\n"
+        assert err == f"error: config key {key} must be {rule}, got '{value}'\n"
 
     def test_unknown_attack_policy_names_key(self, capsys, monkeypatch, tmp_path):
         def no_setup(cfg):
@@ -512,20 +527,6 @@ class TestSimulateCommand:
         assert code == cli.EXIT_VALIDATION
         assert "unknown config key 'session.max_emitted'" in err
 
-    @pytest.mark.parametrize(
-        "key,value",
-        [("station.x_slit_width_mm", "nan"), ("station.object_distance_mm", "inf"),
-         ("source.target_var_x_mm2", "nan")],
-    )
-    def test_non_finite_config_value_rejected(self, capsys, tmp_path, key, value):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
-        code, _, err = run_cli(
-            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys
-        )
-        assert code == cli.EXIT_VALIDATION
-        assert key in err
-
     @pytest.mark.parametrize("config", [
         "session.coincidences = 0\n",
         "session.estimation_pairs = 60000\n",
@@ -743,6 +744,37 @@ def test_scans_reject_an_attack(capsys, monkeypatch, tmp_path, command, policy):
     assert code == cli.EXIT_VALIDATION
     assert report is None
     assert err.startswith("error: attack.policy") and repr(policy) in err, err
+
+
+@pytest.mark.parametrize("detector2, basis", [("1.1", "x"), ("1.4", "p"), ("1.0", "x")],
+                         ids=["x", "p-only", "both"])
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", "0:3:0.1"],
+    ["epr-check", "--fits", "a", "b", "c", "d"],
+], ids=["simulate", "scan", "fits"])
+def test_overlapping_slits_name_keys_and_basis(
+    capsys, monkeypatch, tmp_path, command, detector2, basis
+):
+    """Overlapping slits exit 2 before calibration, naming the keys and the first such basis.
+
+    At 1.1 mm both bases overlap and x is named; at 1.4 mm only the wider p
+    slits do.
+    """
+    from eprqkd import detection
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("the slits must be checked before calibration")
+
+    monkeypatch.setattr(detection, "calibrate_source", no_setup)
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(f"station.detector2_mm = {detector2}\n")
+    code, report, err = run_cli(command + ["--config", "run.cfg"], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert report is None
+    keys = f"station.detector1_mm, station.detector2_mm and station.{basis}_slit_width_mm"
+    assert err.startswith(f"error: config keys {keys}: {basis} slit intervals overlap: "), err
+    assert "Traceback" not in err
 
 
 class TestEprCheckCommand:

@@ -34,7 +34,6 @@ from eprqkd.source import (
     SourceModel,
     build_source,
     channel_law,
-    marginal_std,
     sample_pairs,
 )
 
@@ -63,8 +62,10 @@ def momentum_covariance(source):
 
 class TestStationValidation:
     def test_overlapping_slits_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(ValueError, match="^x slit intervals overlap"):
             make_station(x_centers=(1.0, 1.1))
+        with pytest.raises(ValueError, match="^p slit intervals overlap"):
+            make_station(p_centers=(1.0, 1.4))
 
     def test_bit_order_enforced(self):
         with pytest.raises(ValueError, match="bit"):
@@ -142,15 +143,16 @@ class TestReadout:
         assert lo == -hi
 
     @settings(max_examples=200, deadline=None)
-    @given(station=stations())
-    def test_latent_window_edges_click(self, station):
+    @given(station=stations(), std=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)))
+    def test_latent_window_edges_click(self, station, std):
         # The session readout accepts exactly the closed window the oracle and
-        # the scans integrate: each end clicks, one ulp outside does not.
-        readout = protocol._Readout(station)
+        # the scans integrate, latent window over std: each end clicks, one
+        # ulp outside does not.
+        readout = protocol._Readout(station, std)
         rng = np.random.default_rng(0)
         for b, basis in enumerate("xp"):
             for d, det in enumerate(station.detectors(basis)):
-                lo, hi = station.latent_window(basis, det)
+                lo, hi = (v / std[b] for v in station.latent_window(basis, det))
                 edges = np.array([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
                 clicks = readout_clicks(readout, edges, np.full(4, b, dtype=np.int8), rng)
                 assert list(clicks) == [d, d, -1, -1], (basis, d, lo, hi)
@@ -158,9 +160,9 @@ class TestReadout:
     @settings(max_examples=200, deadline=None)
     @given(station=stations())
     def test_unit_scale_windows_are_latent_windows(self, station):
-        # B reads his latent at scale 1, where the thresholds are the
-        # latent window's ends bit for bit, the sign of a zero included.
-        readout = protocol._Readout(station)
+        # At std 1 the thresholds are the latent window's ends bit for bit,
+        # the sign of a zero included.
+        readout = protocol._Readout(station, (1.0, 1.0))
         for b, basis in enumerate("xp"):
             for d, det in enumerate(station.detectors(basis)):
                 got = [v.hex() for v in readout.windows[b][d]]
@@ -182,7 +184,8 @@ UNIT_STATION = make_station(
 def unit_clicks(latents, basis):
     latents = np.asarray(latents, dtype=float)
     bases = np.full(latents.shape, "xp".index(basis), dtype=np.int8)
-    return readout_clicks(protocol._Readout(UNIT_STATION), latents, bases, np.random.default_rng(0))
+    readout = protocol._Readout(UNIT_STATION, (1.0, 1.0))
+    return readout_clicks(readout, latents, bases, np.random.default_rng(0))
 
 
 class TestClick:
@@ -288,7 +291,16 @@ def quad_cell(source, basis, window_A, window_B):
     window against A's marginal density.
     """
     b_lo, b_hi = window_B
-    std, slope, cond_std = (law["xp".index(basis)] for law in channel_law(source))
+    # The latent law from the sum and difference widths (s, d):
+    # var = (s^2 + d^2) / 4, cov = (s^2 - d^2) / 4, and B's conditional
+    # variance var - cov^2 / var = s^2 d^2 / (4 var).
+    s, d = (
+        (source.sigma_plus, source.sigma_minus) if basis == "x"
+        else (source.kappa_minus, source.kappa_plus)
+    )
+    var, cov = (s * s + d * d) / 4.0, (s * s - d * d) / 4.0
+    std = math.sqrt(var)
+    slope, cond_std = cov / var, s * d / (2.0 * std)
 
     def integrand(u):
         mu = slope * u
@@ -360,7 +372,7 @@ def reference_centers(source, fixed, free, basis):
     than that range.  The search variable is the offset from the best scan
     point, so its tolerance does not grow with the center's magnitude.
     """
-    span = 6.0 * marginal_std(source, basis) / conversion_for(free, basis)
+    span = 6.0 * channel_law(source)[0]["xp".index(basis)] / conversion_for(free, basis)
     grid = np.linspace(free.origin - span, free.origin + span, 201)
     centers = []
     for free_det, fixed_det in zip(free.detectors(basis), fixed.detectors(basis)):
@@ -798,15 +810,15 @@ def test_acceptance_mass_sums_slits(default_experiment, rng):
     # One photon clicks with probability sum over slits of window mass times
     # attenuation; check the session readout against it on marginal draws.
     source, _alice, bob = default_experiment
-    readout = protocol._Readout(bob)
+    readout = protocol._Readout(bob, channel_law(source)[0])
     n = 400_000
     for basis in ("x", "p"):
         expected = sum(
             _window_mass(source, basis, *bob.latent_window(basis, det)) * det.attenuation
             for det in bob.detectors(basis)
         )
-        latents = rng.standard_normal(n) * marginal_std(source, basis)
+        z = rng.standard_normal(n)
         bases = np.full(n, "xp".index(basis), dtype=np.int8)
-        rate = float(np.mean(readout_clicks(readout, latents, bases, rng) >= 0))
+        rate = float(np.mean(readout_clicks(readout, z, bases, rng) >= 0))
         sigma = math.sqrt(expected * (1.0 - expected) / n)
         assert abs(rate - expected) <= 3.0 * sigma, (basis, rate, expected)

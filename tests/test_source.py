@@ -17,9 +17,8 @@ from eprqkd.source import (
     UnphysicalSourceError,
     build_source,
     channel_law,
-    marginal_std,
     ordered_streams,
-    partner_latent,
+    partner_normal,
     sample_pairs,
     window_normals,
 )
@@ -159,8 +158,8 @@ def joint_density(source, basis_A, basis_B, u_A, u_B):
     elif basis_A == "p" and basis_B == "p":
         out = 2.0 * _gauss(u_A + u_B, source.kappa_minus) * _gauss(u_A - u_B, source.kappa_plus)
     else:
-        std_A = marginal_std(source, basis_A)
-        std_B = marginal_std(source, basis_B)
+        std = channel_law(source)[0]
+        std_A, std_B = std["xp".index(basis_A)], std["xp".index(basis_B)]
         out = _gauss(u_A, std_A) * _gauss(u_B, std_B)
     if out.ndim == 0:
         return float(out)
@@ -179,8 +178,7 @@ class TestJointDensity:
 
     def test_mixed_basis_factorizes(self):
         model = build_source(0.3, 2.0, 0.9, 4.0, PUMP)
-        std_x = marginal_std(model, "x")
-        std_p = marginal_std(model, "p")
+        std_x, std_p = channel_law(model)[0]
 
         def marginal(value, std):
             return math.exp(-0.5 * (value / std) ** 2) / (std * math.sqrt(2 * math.pi))
@@ -245,8 +243,9 @@ def test_sampler_matches_density_chi_square(basis_A, basis_B, rng):
     vals_A = lat[basis_A][0]
     vals_B = lat[basis_B][1]
 
-    edges_A = _bin_edges(marginal_std(model, basis_A))
-    edges_B = _bin_edges(marginal_std(model, basis_B))
+    std = channel_law(model)[0]
+    edges_A = _bin_edges(std["xp".index(basis_A)])
+    edges_B = _bin_edges(std["xp".index(basis_B)])
     observed, _, _ = np.histogram2d(vals_A, vals_B, bins=(edges_A, edges_B))
     expected = _expected_bin_masses(model, basis_A, basis_B, edges_A, edges_B) * n
 
@@ -404,22 +403,25 @@ def test_units_discipline_default_is_entangled(default_experiment):
 
 
 class TestEmissionKernel:
-    """partner_latent and ordered_streams, shared by sessions and scans."""
+    """partner_normal and ordered_streams, shared by sessions and scans."""
 
-    def test_partner_latent_scalar_and_array_bases_agree(self, default_experiment, rng):
+    def test_partner_normal_scalar_and_array_bases_agree(self, default_experiment, rng):
+        # In standard units B's normal given A's has mean rho z_A and std s,
+        # so its variance rho^2 + s^2 is 1; across bases it is the noise.
         law = channel_law(default_experiment[0])
-        std, slope, cond_std = law
-        lat_A, noise = rng.standard_normal(2000), rng.standard_normal(2000)
+        _, rho, s = law
+        z_A, noise = rng.standard_normal(2000), rng.standard_normal(2000)
         for b in (0, 1):
-            same = partner_latent(law, lat_A, b, b, noise)
-            assert np.array_equal(same, slope[b] * lat_A + cond_std[b] * noise)
-            assert np.array_equal(partner_latent(law, lat_A, b, 1 - b, noise), std[1 - b] * noise)
+            assert math.isclose(rho[b] ** 2 + s[b] ** 2, 1.0, rel_tol=1e-12)
+            same = partner_normal(law, z_A, b, b, noise)
+            assert np.array_equal(same, rho[b] * z_A + s[b] * noise)
+            assert np.array_equal(partner_normal(law, z_A, b, 1 - b, noise), noise)
         bas_A, bas_ch = (rng.integers(0, 2, size=2000, dtype=np.int8) for _ in range(2))
-        mixed = partner_latent(law, lat_A, bas_A, bas_ch, noise)
+        mixed = partner_normal(law, z_A, bas_A, bas_ch, noise)
         for a in (0, 1):
             for c in (0, 1):
                 sel = (bas_A == a) & (bas_ch == c)
-                assert np.array_equal(mixed[sel], partner_latent(law, lat_A[sel], a, c, noise[sel]))
+                assert np.array_equal(mixed[sel], partner_normal(law, z_A[sel], a, c, noise[sel]))
 
     def test_results_in_job_order_when_a_later_job_finishes_first(self, monkeypatch):
         monkeypatch.setattr(source_module, "worker_threads", lambda: 2)
