@@ -30,8 +30,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from .defaults import RunError
-from .source import DRAW_SIZE, SourceModel, basis_index, channel_law, ordered_streams
-from .source import partner_normal, window_normals
+from .source import DRAW_SIZE, PairKernel, SourceModel, basis_index, channel_law, ordered_streams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -331,15 +330,14 @@ def scan_simulation(
     point B's slit is re-centered and pairs_per_point fresh pairs are
     emitted; the count is the number of double transmissions through the
     closed slit windows.  Photons are drawn in standard units, against each
-    slit's latent window over its basis's std.  A's photon comes first:
-    source.window_normals draws only A's normals inside A's fixed window,
-    reading no window mass.  In the same basis each kept pair draws B's
-    given A's (source.partner_normal); across bases B's is independent of
-    A's, so B's hits are window_normals over the kept pairs and B's window.
-    This is the law of sample_pairs followed by both window tests.
-    Attenuation filters are left out: scans model the bare alignment
-    measurements taken before filters are installed.  Grid points run
-    through source.ordered_streams, DRAW_SIZE // 8 draws at a time.
+    slit's latent window over its basis's std, through source.PairKernel
+    with one cell of weight 1 (A's fixed window, B's window at the point,
+    the basis pair's (rho, s)): binomial(pairs_per_point, kernel.total)
+    proposals, DRAW_SIZE // 8 at a time, of which the kept ones are the
+    hits.  This is the law of sample_pairs followed by both window tests,
+    and no window mass is read.  Attenuation filters are left out: scans
+    model the bare alignment measurements taken before filters are
+    installed.  Grid points run through source.ordered_streams.
     """
     grid = list(grid)
     if len(grid) < _MIN_POINTS:
@@ -359,30 +357,24 @@ def scan_simulation(
         raise ValueError(f"pairs_per_point must be an integer, got {pairs_per_point!r}")
     if pairs_per_point <= 0:
         raise ValueError("pairs_per_point must be positive")
-    import numpy as np
-
     det_idx = int(fixed_detector[-1]) - 1
-    law = channel_law(source)
+    std, rho, s = channel_law(source)
     i_A, i_B = basis_index(basis_A), basis_index(basis_B)
-    std_A, std_B = law[0][i_A], law[0][i_B]
+    law = (rho[i_A], s[i_A]) if i_A == i_B else (0.0, 1.0)
     slit_A = station_A.detectors(basis_A)[det_idx]
-    a_lo, a_hi = (v / std_A for v in station_A.latent_window(basis_A, slit_A))
+    window_A = tuple(v / std[i_A] for v in station_A.latent_window(basis_A, slit_A))
     slit_B = station_B.detectors(basis_B)[0]
     latent_B = [station_B.latent_window(basis_B, replace(slit_B, center=c)) for c in grid]
-    windows_B = [(lo / std_B, hi / std_B) for lo, hi in latent_B]
-    pairs, chunk = int(pairs_per_point), DRAW_SIZE // 8  # bounds both threads' temporaries
+    windows_B = [(lo / std[i_B], hi / std[i_B]) for lo, hi in latent_B]
+    pairs, chunk = int(pairs_per_point), DRAW_SIZE // 8
 
     def count(window_B: tuple[float, float], stream: np.random.Generator) -> int:
-        b_lo, b_hi = window_B
-        kept_A = window_normals(stream, pairs, a_lo, a_hi, chunk)
-        if i_A != i_B:
-            kept = sum(z.size for z in kept_A)
-            return sum(z.size for z in window_normals(stream, kept, b_lo, b_hi, chunk))
-        hits = 0
-        for z_A in kept_A:
-            z_B = partner_normal(law, z_A, i_A, i_B, stream.standard_normal(z_A.size))
-            hits += int(np.count_nonzero((z_B >= b_lo) & (z_B <= b_hi)))
-        return hits
+        kernel = PairKernel([(window_A, window_B, *law, 1.0)])
+        proposals = int(stream.binomial(pairs, kernel.total))
+        return sum(
+            kernel.kept(stream, min(chunk, proposals - start))[0].size
+            for start in range(0, proposals, chunk)
+        )
 
     return ScanData(
         positions=tuple(float(g) for g in grid),

@@ -543,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the command, then print (and save) its report."""
     # numpy's bundled OpenBLAS starts a worker thread per CPU on import, which
-    # costs CPU time beside the emission threads; no command calls BLAS beyond
+    # costs start-up time and CPU; no command calls BLAS beyond
     # the peak fit's 4x4 solve.  It reads this before numpy is imported, and a
     # value already set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -8,9 +8,10 @@ lens and the coordinate is p * f / k.  An optional origin offset models where
 the translation stage's zero sits relative to the optical axis.
 
 A slit detector accepts the closed latent window StationConfig.latent_window
-maps its aperture to.  The oracle, the scans and protocol._Readout (the
-session readout of both stations) all compare standard normals with that
-window over the basis's std (source.channel_law), so they share its floats.
+maps its aperture to.  The oracle and the Monte Carlo (the cells of
+source.PairKernel, for sessions and scans) all compare standard normals with
+that window over the basis's std (source.channel_law), so they share its
+floats.
 Two detectors per basis encode one key bit: detector index 1 is logical 0,
 index 2 is logical 1.
 

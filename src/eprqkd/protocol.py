@@ -12,13 +12,13 @@ the table commands load without this module.  This module imports numpy on
 load; only simulate loads it.
 
 The Monte Carlo runs in standard units, each latent coordinate over its
-basis's std, and every click comes out of one slit readout, _Readout, which
-compares them with each slit's latent window over that std: the same floats
-the oracle integrates.
+basis's std: every click is a cell of source.PairKernel, whose windows
+(_cells) are each slit's latent window over that std, the same floats the
+oracle integrates.
 
 The intercept-resend attack (AttackConfig) acts on B's channel inside the
 session: the interceptor reads each photon in her basis with B's own
-readout, a null blocks it (the pair is later discarded as a
+station, a null blocks it (the pair is later discarded as a
 non-coincidence), and a click triggers a replacement photon under one fixed
 rule: B in her basis fires her detector, B in the conjugate basis fires
 either detector with probability 1/2 (_resend).  Substituting a whole fresh
@@ -29,14 +29,13 @@ different SourceModel.
 from __future__ import annotations
 
 import numbers
-from contextlib import closing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .defaults import RunError
-from .source import DRAW_SIZE, SourceModel, channel_law, ordered_streams, partner_normal
+from .source import DRAW_SIZE, PairKernel, SourceModel, channel_law, ordered_streams
 from .tables import CoincidenceTable, QberReport, qber_from_counts
 
 if TYPE_CHECKING:
@@ -90,49 +89,43 @@ class SessionResult:
 # ---------------------------------------------------------------------------
 
 
-class _Readout:
-    """One station's slit readout of standard normals z, whose latent coordinate is z * std[basis].
+def _cells(source: SourceModel, station_A: StationConfig, station_B: StationConfig, attack):
+    """The 16 source.PairKernel cells of a session, cell 8 b_A + 4 d_A + 2 b_ch + d_ch.
 
-    A slit accepts its closed latent window (StationConfig.latent_window);
-    windows holds, per basis (0 = x, 1 = p) and detector, that window over
-    the basis's std, the bounds the oracle integrates.  slits and then
-    survivors decide, draw and thin; between the two the caller may drop z.
+    b_A / d_A are A's basis and detector index and b_ch / d_ch the channel's:
+    B's, or under interception the interceptor's, who reads with B's
+    station.  Windows are each slit's latent window over its basis's std,
+    the oracle's floats.  The weight is 1/2 for A's coin, the channel
+    basis's probability (B's fair coin or the interceptor's policy) and
+    both slits' attenuations.
     """
+    std, rho, s = channel_law(source)
+    policy = "uniform_random" if attack is None else attack.basis_policy
+    p_ch = {"always_x": (1.0, 0.0), "always_p": (0.0, 1.0)}.get(policy, (0.5, 0.5))
 
-    def __init__(self, station: StationConfig, std):
-        self.windows = [
-            [tuple(v / s for v in station.latent_window(b, d)) for d in station.detectors(b)]
-            for b, s in zip("xp", std)
+    def windows(station, b):
+        basis = "xp"[b]
+        return [
+            (tuple(v / std[b] for v in station.latent_window(basis, slit)), slit.attenuation)
+            for slit in station.detectors(basis)
         ]
-        self.survival = np.array([d.attenuation for b in "xp" for d in station.detectors(b)])
 
-    def slits(self, z: np.ndarray, basis: np.ndarray):
-        """(inside, basis[inside], det): the z inside a slit of their basis, in index order.
+    return [
+        (window_A, window_ch, *((rho[b_A], s[b_A]) if b_A == b_ch else (0.0, 1.0)),
+         0.5 * p_ch[b_ch] * att_A * att_ch)
+        for b_A in (0, 1) for window_A, att_A in windows(station_A, b_A)
+        for b_ch in (0, 1) for window_ch, att_ch in windows(station_B, b_ch)
+    ]
 
-        det is that slit's detector index (0 / 1); nothing is drawn.
-        """
-        # Masks are written in place and freed before the index array is
-        # built, so a batch holds z and at most five n-byte masks at once.
-        hit, det_2 = np.zeros(z.shape, dtype=bool), np.zeros(z.shape, dtype=bool)
-        chosen, slit, edge = (np.empty(z.shape, dtype=bool) for _ in range(3))
-        for b, windows in enumerate(self.windows):
-            np.equal(basis, b, out=chosen)
-            for found, (t, u) in zip((hit, det_2), windows):
-                np.greater_equal(z, t, out=slit)
-                slit &= np.less_equal(z, u, out=edge)
-                slit &= chosen
-                found |= slit
-        del chosen, slit, edge
-        hit |= det_2
-        inside = np.flatnonzero(hit)
-        return inside, basis.take(inside), det_2.take(inside).astype(np.int8)
 
-    def survivors(self, bas: np.ndarray, det: np.ndarray, rng: np.random.Generator):
-        """Indices into bas and det of the in-slit photons that survive their detector's attenuation.
-
-        One uniform is drawn per photon, in order.
-        """
-        return np.flatnonzero(rng.random(bas.size) < self.survival.take(2 * bas + det))
+def _positions(q: float, n: int, stream: np.random.Generator) -> np.ndarray:
+    """Increasing positions among n pairs of those that draw a proposal: gaps geometric in q."""
+    found, last, size = [np.empty(0, dtype=np.int64)], -1, int(n * q + 4.0 * (n * q) ** 0.5) + 16
+    while q > 0.0 and last < n:
+        found.append(last + np.cumsum(stream.geometric(q, size=size)))
+        last = int(found[-1][-1])
+    pos = np.concatenate(found)
+    return pos[: np.searchsorted(pos, n)]
 
 
 def _coincidences(
@@ -144,46 +137,32 @@ def _coincidences(
     n_pairs: int,
     batch: int,
 ):
-    """Emit n_pairs pairs in batches of `batch` (the last one shorter), A's photon first.
+    """Emit n_pairs pairs in batches of `batch` (the last one shorter).
 
-    Every coordinate is drawn in standard units, latent over std, and both
-    stations' _Readout compare it with their windows over std
-    (channel_law(source)[0]).  Each pair draws A's basis coin and a standard
-    normal; A's readout decides which land in a slit and draws the thinning
-    uniforms for those in index order.  The batch-sized arrays are dropped
-    before B's draws.  Only the pairs on which A clicks draw B's basis coin
-    and the photon on B's channel (source.partner_normal), which B's
-    _Readout reads in B's basis or, under interception, in the
-    interceptor's, whose clicks _resend relays.  B's coin is independent of
-    everything else, so drawing it only where it is read leaves the law of
-    sample_pairs followed by both readouts unchanged.  Batches run through
-    source.ordered_streams.
+    source.PairKernel over the session's cells (_cells) gives each pair at
+    most one proposal, with probability kernel.total, so the pairs that
+    draw one are a Bernoulli process: a batch places them by geometric gaps
+    (_positions) and draws only those.  The kept ones are the batch's
+    coincidences, with A's basis and detector and the channel's.  Clean,
+    B's basis is the channel's; under interception B's fair coin is drawn
+    for the kept pairs only, in order, and _resend relays the
+    interceptor's click.  Nothing else is drawn, so the pairs that miss a
+    slit cost nothing.  Batches run through source.ordered_streams.
 
     Yields (n, pos, bas_A, bas_B, det_A, det_B) per batch: the n pairs
     emitted, the in-batch positions of its coincidences in increasing order,
     and their basis choices (0 = x, 1 = p) and detector indices (0 / 1).
     """
-    law = channel_law(source)
-    readout_A, readout_B = _Readout(station_A, law[0]), _Readout(station_B, law[0])
+    kernel = PairKernel(_cells(source, station_A, station_B, attack))
 
     def emit(n: int, stream: np.random.Generator):
-        bas_A = stream.integers(0, 2, size=n, dtype=np.int8)
-        z = stream.standard_normal(n)
-        inside, bas_A, det_A = readout_A.slits(z, bas_A)
-        z_A = z.take(inside)
-        del z
-        alive = readout_A.survivors(bas_A, det_A, stream)
-        pos, bas_A, z_A, det_A = (a.take(alive) for a in (inside, bas_A, z_A, det_A))
-
-        bas_B = stream.integers(0, 2, size=pos.size, dtype=np.int8)
-        bas_ch = bas_B if attack is None else _eve_bases(attack, pos.size, stream)
-        z_ch = partner_normal(law, z_A, bas_A, bas_ch, stream.standard_normal(pos.size))
-        inside, bas_ch, det_B = readout_B.slits(z_ch, bas_ch)
-        alive = readout_B.survivors(bas_ch, det_B, stream)
-        hit, det_B = inside.take(alive), det_B.take(alive)
-        if attack is not None:
-            det_B = _resend(det_B, bas_ch.take(alive), bas_B.take(hit), stream)
-        return (n, *(a.take(hit) for a in (pos, bas_A, bas_B, det_A)), det_B)
+        pos = _positions(kernel.total, n, stream)
+        kept, cell = kernel.kept(stream, pos.size)
+        bas_A, det_A, bas_ch, det_ch = (cell >> 3, (cell >> 2) & 1, (cell >> 1) & 1, cell & 1)
+        if attack is None:
+            return n, pos.take(kept), bas_A, bas_ch, det_A, det_ch
+        bas_B = stream.integers(0, 2, size=kept.size, dtype=np.int8)
+        return n, pos.take(kept), bas_A, bas_B, det_A, _resend(det_ch, bas_ch, bas_B, stream)
 
     sizes = (min(batch, n_pairs - start) for start in range(0, n_pairs, batch))
     return ordered_streams(emit, sizes, rng)
@@ -223,9 +202,8 @@ def run_session(
 
     Emission runs in fixed-size batches of source.DRAW_SIZE pairs (at most
     8 N, at least 4096) through _coincidences; batches are consumed in order
-    up to the N-th coincidence and any batch run ahead past it is discarded,
-    so emitted_pairs counts the pairs up to and including that coincidence.
-    The result depends only on the seed, not on the number of threads.
+    up to the N-th coincidence, so emitted_pairs counts the pairs up to and
+    including that coincidence.  The result depends only on the seed.
     """
     rng = np.random.default_rng(session.rng_seed)
     n_target = session.n_coincidences
@@ -233,24 +211,24 @@ def run_session(
     chunks = []
     collected = 0
     emitted = 0
-    with closing(_coincidences(
+    batches = _coincidences(
         source, station_A, station_B, attack, rng, EMITTED_PER_COINCIDENCE * n_target, batch
-    )) as batches:
-        for n, pos, *cells in batches:
-            need = n_target - collected
-            if pos.size >= need:
-                # Count emissions up to and including the N-th coincidence only.
-                emitted += int(pos[need - 1]) + 1
-                chunks.append([c[:need] for c in cells])
-                break
-            emitted += n
-            collected += pos.size
-            chunks.append(cells)
-        else:
-            raise ProtocolError(
-                f"emitted {emitted} pairs but collected only {collected} of "
-                f"{n_target} coincidences; coincidence rate is pathologically low"
-            )
+    )
+    for n, pos, *cells in batches:
+        need = n_target - collected
+        if pos.size >= need:
+            # Count emissions up to and including the N-th coincidence only.
+            emitted += int(pos[need - 1]) + 1
+            chunks.append([c[:need] for c in cells])
+            break
+        emitted += n
+        collected += pos.size
+        chunks.append(cells)
+    else:
+        raise ProtocolError(
+            f"emitted {emitted} pairs but collected only {collected} of "
+            f"{n_target} coincidences; coincidence rate is pathologically low"
+        )
     bas_A, bas_B, det_A, det_B = (np.concatenate(c) for c in zip(*chunks))
     table = CoincidenceTable(_cell_counts(bas_A, bas_B, det_A, det_B).tolist())
 
@@ -301,11 +279,8 @@ def tally_coincidences(
     if isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Integral) or n_pairs < 0:
         raise ValueError(f"n_pairs must be a non-negative integer, got {n_pairs!r}")
     counts = np.zeros((4, 4), dtype=np.int64)
-    with closing(_coincidences(
-        source, station_A, station_B, attack, rng, n_pairs, DRAW_SIZE
-    )) as batches:
-        for _, _, *cells in batches:
-            counts += _cell_counts(*cells)
+    for _, _, *cells in _coincidences(source, station_A, station_B, attack, rng, n_pairs, DRAW_SIZE):
+        counts += _cell_counts(*cells)
     return CoincidenceTable(counts)
 
 
@@ -327,13 +302,6 @@ class AttackConfig:
             raise ValueError(
                 f"basis_policy must be one of {BASIS_POLICIES}, got {self.basis_policy!r}"
             )
-
-
-def _eve_bases(attack: AttackConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The interceptor's basis choice (0 = x, 1 = p) for n photons."""
-    if attack.basis_policy == "uniform_random":
-        return rng.integers(0, 2, size=n, dtype=np.int8)
-    return np.full(n, attack.basis_policy == "always_p", dtype=np.int8)
 
 
 def _resend(

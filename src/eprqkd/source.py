@@ -24,9 +24,8 @@ test, exact for this family: Simon, PRL 84, 2726 (2000)), that is when
 
 Position and momentum blocks are uncorrelated, so a single latent sample per
 pair reproduces the detection statistics of all four basis pairings at once.
-Sessions and scans draw in standard units, latent over std: they share
-partner_normal and ordered_streams, scans draw A's in-slit photons with
-window_normals, and every layer reads basis_index.
+Sessions and scans draw in standard units, latent over std, through one
+kernel, PairKernel, run by ordered_streams; every layer reads basis_index.
 This module imports nothing from the package: the widths a run uses come
 from a run file or from detection.calibrate_source.
 """
@@ -34,7 +33,6 @@ from a run file or from detection.calibrate_source.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -163,83 +161,82 @@ def channel_law(source: SourceModel):
 DRAW_SIZE = 1 << 18  # pairs an emission loop draws at once
 
 
-def partner_normal(law, z_A, bas_A, bas_ch, noise: np.ndarray) -> np.ndarray:
-    """B's standard normal from noise: rho * z_A + s * noise where bas_ch is A's basis, else noise.
+def _box(cell, k: int, a0: float, a1: float, w0: float, w1: float) -> tuple:
+    """(-area, k, a0, a1, w0, w1, near^2): cell k's box, w narrowed to the channel window."""
+    _, (c0, c1), rho, s, weight = cell
+    if s:
+        w0 = max(w0, (c0 - max(rho * a0, rho * a1)) / s)
+        w1 = min(w1, (c1 - min(rho * a0, rho * a1)) / s)
+    else:  # w is not read
+        w0 = w1 = 0.0
+    near_a, near_w = min(max(0.0, a0), a1), min(max(0.0, w0), w1)
+    near2 = near_a * near_a + near_w * near_w
+    side_w = max(w1 - w0, 0.0) if s else math.sqrt(2.0 * math.pi)
+    area = weight * (a1 - a0) * side_w * math.exp(-0.5 * near2) / (2.0 * math.pi)
+    return -area, k, a0, a1, w0, w1, near2
 
-    law is channel_law(source); bases (0 = x, 1 = p) are arrays or scalars.
+
+class PairKernel:
+    """Which pairs click in a table of cells, by rejection under boxes (Devroye 1986, II.3).
+
+    A cell (window_A, window_ch, rho, s, weight) takes a pair of standard
+    normals with z in A's closed window and rho z + s w in the channel's,
+    with probability weight.  Its box in (z, w), as tall as the density at
+    its point nearest 0, bounds that; the largest box is halved while they
+    total 1.  A pair has one proposal with probability total, kept if a
+    uniform is at most the density ratio and it is in its cell; no mass is read.
     """
-    import numpy as np
 
-    _, rho, s = law
-    k = 2 * bas_A + bas_ch
-    mean = np.array([rho[0], 0.0, 0.0, rho[1]]).take(k)
-    spread = np.array([s[0], 1.0, 1.0, s[1]]).take(k)
-    return mean * z_A + spread * noise
+    def __init__(self, cells):
+        import heapq
 
+        import numpy as np
 
-def window_normals(stream: np.random.Generator, n: int, t: float, u: float, chunk: int):
-    """Yield, at most chunk draws at a time, the standard normals among n that land in [t, u].
+        boxes = [_box(cell, k, *cell[0], -math.inf, math.inf) for k, cell in enumerate(cells)]
+        heapq.heapify(boxes)
+        total = -math.fsum(box[0] for box in boxes)
+        while total >= 1.0:
+            if len(boxes) >= 4096:
+                raise ValueError("slits that take nearly every pair: 4096 boxes still total 1")
+            area, k, a0, a1, w0, w1, _ = heapq.heappop(boxes)
+            a, w = (a0 + a1) / 2.0, (w0 + w1) / 2.0
+            if a1 - a0 >= w1 - w0:  # halve the longer side
+                halves = ((a0, a, w0, w1), (a, a1, w0, w1))
+            else:
+                halves = ((a0, a1, w0, w), (a0, a1, w, w1))
+            for half in halves:
+                heapq.heappush(boxes, box := _box(cells[k], k, *half))
+                area -= box[0]
+            total += area
+            if total < 1.0:  # confirm with an exact sum
+                total = -math.fsum(box[0] for box in boxes)
+        boxes = [box for box in boxes if box[0] < 0.0]
+        self.total = total
+        self._cols = np.array([
+            (a0, a1 - a0, w0, w1 - w0, near2, *cells[k][0], *cells[k][1], *cells[k][2:4], k)
+            for _, k, a0, a1, w0, w1, near2 in boxes
+        ]).reshape(-1, 12).T
+        cum = np.cumsum([-box[0] for box in boxes])
+        self._cdf = cum / cum[-1] if boxes else cum
 
-    Same law as n draws with the ones outside discarded, but no value
-    outside is drawn and no mass is computed.  The envelope is a box over
-    [t, u] (two equal boxes if it straddles 0) as tall as the density at
-    near, the point nearest 0: binomial(n, area) uniform proposals, each kept
-    when a uniform is at most exp((near^2 - x^2) / 2).  A box of area 1 or
-    more, a window holding most of the mass, draws all n normals instead.
-    """
-    import numpy as np
+    def kept(self, stream: np.random.Generator, k: int):
+        """(index, int8 cell) of the kept ones of k proposals, each reading 4 uniforms, in order."""
+        import numpy as np
 
-    near = min(max(0.0, t), u)
-    area = (u - t) * math.exp(-0.5 * near * near) / math.sqrt(2.0 * math.pi)
-    draws = n if area >= 1.0 else int(stream.binomial(n, area))
-    buffer = np.empty((3, min(chunk, draws)))  # reused: fresh arrays cost page faults
-    for start in range(0, draws, chunk):
-        x, ratio, uniform = buffer[:, : min(chunk, draws - start)]
-        if area >= 1.0:
-            stream.standard_normal(out=x)
-            keep = True
-        else:
-            stream.random(out=x)
-            x *= u - t
-            x += t
-            np.multiply(x, x, out=ratio)
-            ratio -= near * near
-            ratio *= -0.5
-            np.exp(ratio, out=ratio)  # the density at x over the box's height
-            keep = stream.random(out=uniform) <= ratio
-        yield x[keep & (x >= t) & (x <= u)]  # closed window; guards rounding at u
-
-
-def worker_threads() -> int:
-    """Threads a Monte Carlo loop may use: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+        box, u, v, test = stream.random((4, k))
+        cols = self._cols  # one box: its columns broadcast
+        if self._cdf.size > 1:
+            cols = cols.take(np.searchsorted(self._cdf, box, side="right"), axis=1)
+        a0, da, w0, dw, near2, lo, hi, c0, c1, rho, s, cell = cols
+        z, w = a0 + da * u, w0 + dw * v
+        y = rho * z + s * w
+        keep = test <= np.exp(0.5 * (near2 - z * z - w * w))
+        keep &= (z >= lo) & (z <= hi) & (y >= c0) & (y <= c1)
+        index = np.flatnonzero(keep)
+        return index, np.broadcast_to(cell, keep.shape)[index].astype(np.int8)
 
 
 def ordered_streams(work, jobs, rng: np.random.Generator):
-    """Yield work(job, stream) for each job in job order, stream a fresh child of rng.
-
-    Children are spawned in job order on the calling thread (rng.spawn), and
-    up to worker_threads() jobs run at once on a pool of threads (numpy
-    releases the interpreter lock).  Results depend only on rng's seed and
-    how many children it had spawned, not on the thread count or on which
-    job finishes first.  Closing the generator, or a job raising, cancels
-    the jobs not yet started and joins the running ones.
-    """
-    from collections import deque
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = worker_threads()
-    pool = ThreadPoolExecutor(max_workers=workers)
-    running = deque()
-    try:
-        for job in jobs:
-            running.append(pool.submit(work, job, rng.spawn(1)[0]))
-            if len(running) == workers:
-                yield running.popleft().result()
-        while running:
-            yield running.popleft().result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    """Yield work(job, stream) per job in order, stream a child of rng spawned in job order."""
+    for job in jobs:
+        yield work(job, rng.spawn(1)[0])

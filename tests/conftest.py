@@ -29,6 +29,18 @@ def make_station(
     )
 
 
+# Slits covering most of each basis's mass, at unit scales (latent = plane
+# mm): a session's 16 unsplit boxes total about 3, so its envelope is split.
+WIDE_STATION = make_station(
+    O=200.0, I=100.0, f=150.0, k=150.0, x_centers=(-0.7, 0.7), p_centers=(-1.4, 1.4),
+    x_width=1.2, p_width=2.4,
+)
+# Detector-1 slits that accept every photon in both bases, at attenuation 1:
+# a party reading with it always clicks, so a tally shows the other side's
+# clicks alone.
+OPEN_STATION = make_station(x_centers=(0.0, 1e4), p_centers=(0.0, 1e4), x_width=1e3, p_width=1e3)
+
+
 def oracle_table(source, alice, bob):
     """The 16 coincidence_probability cells: rows ALICE_LABELS, columns BOB_LABELS."""
     return np.array([
@@ -40,13 +52,19 @@ def oracle_table(source, alice, bob):
     ])
 
 
-def readout_clicks(readout, z, basis, rng):
-    """Detector index 0 / 1 per coordinate, -1 for null: readout.slits, then survivors."""
-    inside, bas, det = readout.slits(np.asarray(z, dtype=float), basis)
-    alive = readout.survivors(bas, det, rng)
-    out = np.full(len(basis), -1, dtype=np.int8)
-    out[inside.take(alive)] = det.take(alive)
-    return out
+def _two_sample_chi2(pairs):
+    """(statistic, dof): the sum of (a - b)^2 / (a + b) over the occupied cells of each table pair.
+
+    Both tables of a pair come from the same number of emitted pairs, so
+    under equal laws each cell difference a - b has variance a + b and the
+    sum is chi-square with one degree of freedom per occupied cell.
+    """
+    stat, dof = 0.0, 0
+    for a, b in pairs:
+        occupied = (a + b) > 0
+        stat += float(np.sum((a - b)[occupied] ** 2 / (a + b)[occupied]))
+        dof += int(occupied.sum())
+    return stat, dof
 
 
 @pytest.fixture(scope="session")

@@ -4,20 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_station, oracle_table, readout_clicks
+from conftest import OPEN_STATION, make_station, oracle_table
 
-from eprqkd import protocol
 from eprqkd.detection import _window_mass
 from eprqkd.protocol import (
     AttackConfig,
     SessionConfig,
-    _Readout,
-    _eve_bases,
     _resend,
     run_session,
     tally_coincidences,
 )
-from eprqkd.source import sample_pairs
 
 
 class TestAttackConfigValidation:
@@ -26,47 +22,35 @@ class TestAttackConfigValidation:
             AttackConfig(basis_policy="sometimes")
 
 
-# The station she reads with in the hand-built cases.  alpha = 1 and k/f = 2
-# with the origin at 0: its x slits take latents in [0.9, 1.1] and
-# [1.9, 2.1], its p slits [1.5, 2.5] and [3.5, 4.5].
-EVE_STATION = make_station(O=200.0, I=100.0, k=300.0)
-
-
 def bases(label, n):
     return np.full(n, "xp".index(label), dtype=np.int8)
 
 
-def bob_clicks(latents, basis_E, basis_B, rng, station=EVE_STATION):
-    """B's detector per photon after she reads it with station and relays her clicks, -1 for null.
-
-    The latents are read as they are: her readout's std is 1 in both bases.
-    """
-    n = len(latents)
-    det_E = readout_clicks(_Readout(station, (1.0, 1.0)), latents, bases(basis_E, n), rng)
-    relayed = np.flatnonzero(det_E >= 0)
-    det_B = np.full(n, -1, dtype=np.int8)
-    det_B[relayed] = _resend(
-        det_E[relayed], bases(basis_E, relayed.size), bases(basis_B, relayed.size), rng
-    )
-    return det_B
-
-
 class TestInterceptSingle:
-    """protocol._resend on readouts of hand-built arrays."""
+    """protocol._resend on hand-built clicks, and her nulls in a tally."""
 
-    def test_click_inside_slit_resends_same_basis(self, rng):
-        assert np.all(bob_clicks([1.05] * 20, "x", "x", rng) == 0)
-        assert np.all(bob_clicks([2.05] * 20, "x", "x", rng) == 1)
-        assert np.all(bob_clicks([4.0] * 20, "p", "p", rng) == 1)
+    def test_same_basis_resend_copies_her_click(self, rng):
+        for basis in ("x", "p"):
+            det_E = np.array([0, 1] * 10, dtype=np.int8)
+            det_B = _resend(det_E, bases(basis, 20), bases(basis, 20), rng)
+            assert det_B.tolist() == det_E.tolist()
 
-    def test_null_blocks_bob(self, rng):
-        for basis_B in ("x", "p"):
-            assert np.all(bob_clicks([5.0, 0.0, 1.5], "x", basis_B, rng) == -1)
+    def test_null_blocks_bob(self, default_experiment):
+        # She reads x with slits no photon reaches, so nothing is relayed;
+        # reading p half the time, she relays some.
+        source, alice, _ = default_experiment
+        far = make_station(x_centers=(1000.0, 1002.0))
+        for policy in ("always_x", "uniform_random"):
+            table = tally_coincidences(
+                source, alice, far, 400_000, np.random.default_rng(3),
+                attack=AttackConfig(basis_policy=policy),
+            )
+            assert (table.total() > 0) == (policy == "uniform_random")
 
     def test_wrong_basis_resend_follows_cross_fractions(self, rng):
         """In the conjugate basis each of B's detectors fires with probability 1/2."""
         n = 100_000
-        det = bob_clicks([1.0] * n, "x", "p", rng)
+        det = _resend(np.zeros(n, dtype=np.int8), bases("x", n), bases("p", n), rng)
         assert np.all(det >= 0)
         assert abs(np.count_nonzero(det == 1) - n / 2) <= 3 * math.sqrt(n / 4)
 
@@ -81,38 +65,30 @@ class TestInterceptSingle:
         assert det_B.tolist() == [0, 1, int(coin[2]), int(coin[3])]
         assert rng.random() == twin.random()
 
-    def test_uniform_policy_mixes_bases(self, rng):
-        n = 100_000
-        mixed = _eve_bases(AttackConfig(basis_policy="uniform_random"), n, rng)
-        assert abs(np.count_nonzero(mixed) - n / 2) <= 3 * math.sqrt(n / 4)
-        assert np.all(_eve_bases(AttackConfig(basis_policy="always_x"), 10, rng) == 0)
-        assert np.all(_eve_bases(AttackConfig(basis_policy="always_p"), 10, rng) == 1)
 
-    def test_requires_resolution_and_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            _eve_bases(AttackConfig(basis_policy="none"), 10, np.random.default_rng(0))
-
-
-def test_null_rate_matches_acceptance_mass(default_experiment, rng):
+@pytest.mark.parametrize("policy, basis", [("always_x", "x"), ("always_p", "p")])
+def test_null_rate_matches_acceptance_mass(default_experiment, policy, basis):
     """Her blocking probability equals one minus the slit acceptance mass.
 
-    With B in her basis, B's result is null exactly when she blocks, so her
-    readout with B's station is what is measured here.
+    A reads with OPEN_STATION and always clicks, and B clicks on every
+    photon she relays, so a pair is a coincidence exactly when she clicks
+    with B's station in her one basis.
     """
     source, _, bob = default_experiment
     n = 1_000_000
-    _, x_B, _, p_B = sample_pairs(source, n, rng)
-    for basis, latents in (("x", x_B), ("p", p_B)):
-        det = bob_clicks(latents, basis, basis, rng, station=bob)
-        mass = sum(
-            _window_mass(source, basis, *bob.latent_window(basis, d)) * d.attenuation
-            for d in bob.detectors(basis)
-        )
-        blocked = np.count_nonzero(det == -1)
-        sigma = math.sqrt(n * mass * (1 - mass))
-        assert abs(blocked - n * (1 - mass)) <= 3 * sigma, (
-            f"{basis}: blocked {blocked} expected {n * (1 - mass):.0f}"
-        )
+    table = tally_coincidences(
+        source, OPEN_STATION, bob, n, np.random.default_rng(5),
+        attack=AttackConfig(basis_policy=policy),
+    )
+    mass = sum(
+        _window_mass(source, basis, *bob.latent_window(basis, d)) * d.attenuation
+        for d in bob.detectors(basis)
+    )
+    blocked = n - table.total()
+    sigma = math.sqrt(n * mass * (1 - mass))
+    assert abs(blocked - n * (1 - mass)) <= 3 * sigma, (
+        f"{basis}: blocked {blocked} expected {n * (1 - mass):.0f}"
+    )
 
 
 def test_matching_basis_transparency(default_experiment):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import re
 
@@ -23,7 +24,7 @@ from eprqkd.analysis import (
 from eprqkd.detection import coincidence_probability, conversion_for
 from eprqkd.source import sample_pairs
 
-from conftest import make_station
+from conftest import WIDE_STATION, _two_sample_chi2
 
 
 def synthetic_scan(amplitude, center, sigma, offset, n_points=21, span=3.0, rng=None):
@@ -405,16 +406,14 @@ class TestScanSimulation:
             scan_simulation(source, alice, bob, "Ax1", ("x", "x"), grid, 100, _NoDraws())
 
     @pytest.mark.parametrize("fixed, pair", [("Ax1", ("x", "x")), ("Ax2", ("x", "p"))])
-    def test_counts_do_not_depend_on_worker_count(self, default_experiment, monkeypatch, fixed, pair):
+    def test_counts_repeat_for_a_seed(self, default_experiment, fixed, pair):
         source, alice, bob = default_experiment
         grid = np.arange(0.5, 2.5001, 0.25)
-        scans = []
-        for workers in (1, 3):
-            monkeypatch.setattr(source_module, "worker_threads", lambda: workers)
-            scans.append(scan_simulation(
-                source, alice, bob, fixed, pair, grid, 50_000, np.random.default_rng(5)
-            ))
-        assert scans[0] == scans[1]
+        first, second = (
+            scan_simulation(source, alice, bob, fixed, pair, grid, 50_000, np.random.default_rng(5))
+            for _ in range(2)
+        )
+        assert first == second
 
     def test_back_to_back_scans_draw_distinct_streams(self, default_experiment):
         source, alice, bob = default_experiment
@@ -426,31 +425,43 @@ class TestScanSimulation:
         )
         assert first.counts != second.counts
 
-    @pytest.mark.parametrize("pairs", [999, 1000, 1001, 2007])
-    def test_every_pair_drawn_once_across_chunks(self, default_experiment, monkeypatch, pairs):
-        """Windows that accept every pair count pairs_per_point exactly."""
+    @pytest.mark.parametrize("fixed, pair", [("Ax1", ("x", "x")), ("Ap1", ("p", "x"))])
+    def test_every_proposal_drawn_once_across_chunks(
+        self, default_experiment, monkeypatch, fixed, pair
+    ):
+        """Each grid point draws binomial(pairs, total) proposals first on its child, in chunks."""
         monkeypatch.setattr(analysis, "DRAW_SIZE", 1000)
-        source = default_experiment[0]
-        wide = make_station(
-            x_centers=(0.0, 1e7), p_centers=(0.0, 1e7), x_width=1e6, p_width=1e6
-        )
-        for fixed, pair in (("Ax1", ("x", "x")), ("Ap1", ("p", "x"))):
-            scan = scan_simulation(
-                source, wide, wide, fixed, pair, np.arange(0.0, 1.01, 0.2), pairs,
-                np.random.default_rng(9),
-            )
-            assert scan.counts == (pairs,) * 6
+        drawn = []
+
+        class Recording(source_module.PairKernel):
+            def kept(self, stream, k):
+                if not drawn or drawn[-1][0] is not self:
+                    drawn.append((self, []))
+                drawn[-1][1].append(k)
+                return super().kept(stream, k)
+
+        monkeypatch.setattr(analysis, "PairKernel", Recording)
+        source, alice, bob = default_experiment
+        grid = np.arange(0.0, 3.01, 0.5)
+        scan_simulation(source, alice, bob, fixed, pair, grid, 100_000, np.random.default_rng(9))
+        children = np.random.default_rng(9).spawn(len(grid))
+        proposals = [
+            int(child.binomial(100_000, kernel.total)) for child, (kernel, _) in zip(children, drawn)
+        ]
+        assert [sum(chunks) for _, chunks in drawn] == [p for p in proposals if p > 0]
+        assert all(k <= 125 for _, chunks in drawn for k in chunks) and max(proposals) > 125
 
     def test_reads_no_normal_mass(self, default_experiment, monkeypatch):
-        """The scan Monte Carlo stays an independent check of the quadrature oracle."""
+        """The scan and session Monte Carlo stay an independent check of the quadrature oracle."""
         from eprqkd import detection
+        from eprqkd.protocol import AttackConfig, SessionConfig, run_session, tally_coincidences
 
         source, alice, bob = default_experiment  # built before the mass functions break
 
         def oracle_read(*args, **kwargs):
-            raise AssertionError("scan_simulation read the oracle's normal mass")
+            raise AssertionError("the Monte Carlo read the oracle's normal mass")
 
-        for name in ("_cdf", "_normal_mass", "_window_mass", "_rectangle"):
+        for name in ("_cdf", "_normal_mass", "_window_mass", "_rectangle", "_upper_orthant"):
             monkeypatch.setattr(detection, name, oracle_read)
         monkeypatch.setattr(math, "erf", oracle_read)
         monkeypatch.setattr(math, "erfc", oracle_read)
@@ -464,6 +475,13 @@ class TestScanSimulation:
                 source, alice, bob, fixed, pair, grid, 20_000, np.random.default_rng(3)
             )
             assert sum(scan.counts) > 0
+        for policy in (None, "uniform_random", "always_x", "always_p"):
+            attack = None if policy is None else AttackConfig(basis_policy=policy)
+            rng = np.random.default_rng(3)
+            table = tally_coincidences(source, alice, bob, 100_000, rng, attack=attack)
+            assert table.total() > 0
+            result = run_session(source, alice, bob, SessionConfig(2000, 200, 3), attack=attack)
+            assert result.table.total() == 2000
 
 
 class _NoDraws:
@@ -538,6 +556,38 @@ def test_scan_law_holds_across_chunks(default_experiment, monkeypatch):
     """The xx law test with 1000-pair chunks: 100 chunks per grid point."""
     monkeypatch.setattr(analysis, "DRAW_SIZE", 1000)
     test_scan_law_matches_full_pair_sampler(default_experiment, "Ax1", ("x", "x"))
+
+
+@pytest.mark.parametrize("fixed, pair", [("Ax1", ("x", "x")), ("Ap2", ("p", "p"))], ids=["xx", "pp"])
+def test_split_envelope_scan_law(default_experiment, fixed, pair):
+    """The scan law test (_two_sample_chi2) on slits where an unsplit box would reach 1."""
+    from scipy.stats import chi2
+
+    source, wide = default_experiment[0], WIDE_STATION
+    std, rho, s = source_module.channel_law(source)
+    b = "xp".index(pair[0])
+    slit = wide.detectors(pair[0])[int(fixed[-1]) - 1]
+    window = tuple(v / std[b] for v in wide.latent_window(pair[0], slit))
+    grid = np.arange(-1.5, 1.5001, 0.25)
+    unsplit = [
+        -source_module._box((window, tuple(v / std[b] for v in wide.latent_window(pair[1], slit_B)),
+                             rho[b], s[b], 1.0), 0, *window, -math.inf, math.inf)[0]
+        for slit_B in (dataclasses.replace(wide.detectors(pair[1])[0], center=c) for c in grid)
+    ]
+    assert max(unsplit) > 1.0
+    n = 50_000
+    stat, dof = _two_sample_chi2([
+        (
+            np.array(scan_simulation(
+                source, wide, wide, fixed, pair, grid, n, np.random.default_rng(seed)
+            ).counts),
+            _reference_scan(
+                source, wide, wide, fixed, pair, grid, n, np.random.default_rng(seed + 100)
+            ),
+        )
+        for seed in (91, 92, 93)
+    ])
+    assert stat < chi2.ppf(0.999, dof), (stat, dof)
 
 
 class TestScanCsv:

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from eprqkd import analysis, cli, protocol
-from eprqkd import source as source_module
 
 
 def run_cli(argv, capsys):
@@ -467,20 +466,19 @@ class TestSimulateCommand:
             results.append(report["results"])
         assert results[0] == results[1]
 
-    def test_outputs_do_not_depend_on_worker_count(self, capsys, tmp_path, monkeypatch):
+    def test_outputs_and_files_repeat_for_a_seed(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("session.coincidences = 5000\nsession.estimation_pairs = 500\n")
         outputs = []
-        for workers in (1, 3):
-            monkeypatch.setattr(source_module, "worker_threads", lambda: workers)
-            out_dir = tmp_path / f"w{workers}"
+        for run in range(2):
+            out_dir = tmp_path / f"run{run}"
             code, _, _ = run_cli(
                 ["simulate", "--config", str(cfg), "--seed", "7",
-                 "--out-dir", str(out_dir), "--out", str(tmp_path / f"w{workers}.json")],
+                 "--out-dir", str(out_dir), "--out", str(tmp_path / f"run{run}.json")],
                 capsys,
             )
             assert code == 0
-            report = json.loads((tmp_path / f"w{workers}.json").read_text())
+            report = json.loads((tmp_path / f"run{run}.json").read_text())
             report.pop("duration_s")
             files = {p.name: p.read_text() for p in sorted(out_dir.iterdir())}
             for key in ("alice_key_path", "bob_key_path", "table_path"):
@@ -488,6 +486,24 @@ class TestSimulateCommand:
             outputs.append((report, files))
         assert outputs[0] == outputs[1]
         assert len(outputs[0][1]) == 3
+
+    @pytest.mark.parametrize("key", ["station.origin_mm", "station.detector1_mm", "station.detector2_mm"])
+    def test_dark_geometry_ends_fast(self, capsys, tmp_path, key):
+        # Moved 1 mm off the pump, the slits see so few pairs that the
+        # session gives up at its 10^4 N emission cap; only the proposals
+        # are drawn, so it gets there in well under a second.
+        import time
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = -1\n")
+        start = time.perf_counter()
+        argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        code, _, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == cli.EXIT_RUNTIME
+        assert "emitted 1000000000 pairs but collected only " in err
+        assert " of 100000 coincidences; coincidence rate is pathologically low" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config,seed", [("", cli.DEFAULT_SEED)])
     def test_environment_does_not_set_the_seed(self, capsys, tmp_path, monkeypatch, config, seed):
@@ -945,7 +961,7 @@ class TestEprCheckCommand:
         )
         assert code == 0
         var_x, _, unc_x, _ = checked[-1]
-        assert var_x[0] == var["x"][0] == 0.11030495201496185
+        assert var_x[0] == var["x"][0] == 0.11225617631241325
         assert unc_x[0] == unc["x"][0]
 
     @pytest.mark.parametrize("covariance", ["absent", "null", "one-null"])
@@ -1288,7 +1304,8 @@ def test_each_route_loads_only_its_modules(tmp_path, statement, expected, hashli
     sys.argv[1] is a copy of the bundled table without its .sha256 sidecar,
     sys.argv[2] a 2,000-coincidence run file and sys.argv[3] simulate's
     output directory; hashlib is False where neither a sidecar nor a config
-    hash needs it.  Only simulate loads protocol, which imports numpy on load.
+    hash needs it.  Only simulate loads protocol, which imports numpy on load,
+    and no route loads concurrent.futures.
     """
     table = tmp_path / "table1.csv"
     shutil.copy(BUNDLED, table)
@@ -1299,15 +1316,16 @@ def test_each_route_loads_only_its_modules(tmp_path, statement, expected, hashli
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {statement}\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'eprqkd')\n"
-        "print(json.dumps([loaded, 'hashlib' in sys.modules]))\n"
+        "print(json.dumps([loaded, 'hashlib' in sys.modules, 'concurrent.futures' in sys.modules]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, str(table), str(run_file), str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, hashlib_loaded = json.loads(proc.stdout)
+    loaded, hashlib_loaded, pool_loaded = json.loads(proc.stdout)
     assert set(loaded) == expected
+    assert not pool_loaded  # no command starts a thread pool
     if hashlib is not None:
         assert hashlib_loaded == hashlib
 

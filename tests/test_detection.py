@@ -29,7 +29,9 @@ from eprqkd.detection import (
     equalize_levels,
     slit_smearing_variance,
 )
+from eprqkd.protocol import tally_coincidences
 from eprqkd.source import (
+    PairKernel,
     PumpProfile,
     SourceModel,
     build_source,
@@ -37,7 +39,7 @@ from eprqkd.source import (
     sample_pairs,
 )
 
-from conftest import make_station, oracle_table, readout_clicks
+from conftest import OPEN_STATION, make_station, oracle_table
 
 PUMP = PumpProfile(2.0)
 
@@ -143,30 +145,20 @@ class TestReadout:
         assert lo == -hi
 
     @settings(max_examples=200, deadline=None)
-    @given(station=stations(), std=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)))
-    def test_latent_window_edges_click(self, station, std):
-        # The session readout accepts exactly the closed window the oracle and
-        # the scans integrate, latent window over std: each end clicks, one
-        # ulp outside does not.
-        readout = protocol._Readout(station, std)
-        rng = np.random.default_rng(0)
-        for b, basis in enumerate("xp"):
-            for d, det in enumerate(station.detectors(basis)):
-                lo, hi = (v / std[b] for v in station.latent_window(basis, det))
-                edges = np.array([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
-                clicks = readout_clicks(readout, edges, np.full(4, b, dtype=np.int8), rng)
-                assert list(clicks) == [d, d, -1, -1], (basis, d, lo, hi)
-
-    @settings(max_examples=200, deadline=None)
-    @given(station=stations())
-    def test_unit_scale_windows_are_latent_windows(self, station):
-        # At std 1 the thresholds are the latent window's ends bit for bit,
-        # the sign of a zero included.
-        readout = protocol._Readout(station, (1.0, 1.0))
-        for b, basis in enumerate("xp"):
-            for d, det in enumerate(station.detectors(basis)):
-                got = [v.hex() for v in readout.windows[b][d]]
-                assert got == [v.hex() for v in station.latent_window(basis, det)], (basis, d)
+    @given(station=stations(), widths=st.tuples(*(st.floats(0.05, 10.0) for _ in range(4))))
+    def test_session_cells_hold_the_latent_windows(self, station, widths):
+        # The session's cells hold exactly the closed window the oracle and
+        # the scans integrate, each slit's latent window over its basis's
+        # std, bit for bit: the sign of a zero included.
+        source = SourceModel(*widths, PUMP)
+        std = channel_law(source)[0]
+        cells = protocol._cells(source, station, station, None)
+        for k, (window_A, window_ch, *_) in enumerate(cells):
+            for b, d, window in ((k >> 3, (k >> 2) & 1, window_A), ((k >> 1) & 1, k & 1, window_ch)):
+                basis = "xp"[b]
+                slit = station.detectors(basis)[d]
+                want = [(v / std[b]).hex() for v in station.latent_window(basis, slit)]
+                assert [v.hex() for v in window] == want, (k, basis, d)
 
     def test_unknown_basis_rejected(self):
         station = make_station()
@@ -181,33 +173,54 @@ UNIT_STATION = make_station(
 )
 
 
-def unit_clicks(latents, basis):
-    latents = np.asarray(latents, dtype=float)
-    bases = np.full(latents.shape, "xp".index(basis), dtype=np.int8)
-    readout = protocol._Readout(UNIT_STATION, (1.0, 1.0))
-    return readout_clicks(readout, latents, bases, np.random.default_rng(0))
+class _Uniforms:
+    """A generator stand-in whose random() returns the given rows of uniforms."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
 
 
 class TestClick:
-    """protocol._Readout (slits, then survivors), the one click rule of sessions and tallies."""
+    """protocol._cells and source.PairKernel's closed windows: the one click rule."""
 
-    def test_inside_first_slit(self):
-        assert list(unit_clicks([1.05, 2.05], "x")) == [0, 1]
-        assert list(unit_clicks([3.05, 4.05], "p")) == [0, 1]
-        # The basis selects the slit pair: x slits do not fire in basis p.
-        assert list(unit_clicks([1.05], "p")) == [-1]
-
-    def test_between_slits_is_null(self):
-        assert list(unit_clicks([1.5, 0.0, 2.5], "x")) == [-1, -1, -1]
+    def test_cells_read_the_slits_of_their_basis(self, default_experiment):
+        # Cell 8 b_A + 4 d_A + 2 b_ch + d_ch reads A's slit d_A in basis
+        # b_A and the channel's slit d_ch in basis b_ch, so x slits do not
+        # fire in basis p, and the gap between a basis's slits is in no cell.
+        source = default_experiment[0]
+        std = channel_law(source)[0]
+        cells = protocol._cells(source, UNIT_STATION, UNIT_STATION, None)
+        for k, (window_A, window_ch, *_) in enumerate(cells):
+            for b, d, window in ((k >> 3, (k >> 2) & 1, window_A), ((k >> 1) & 1, k & 1, window_ch)):
+                slit = UNIT_STATION.detectors("xp"[b])[d]
+                assert window == (slit.lo / std[b], slit.hi / std[b]), (k, b, d)
+        gaps = {0: 1.5 / std[0], 1: 3.5 / std[1]}
+        assert not any(lo <= gaps[k >> 3] <= hi for k, ((lo, hi), *_) in enumerate(cells))
 
     def test_boundary_is_closed(self):
-        for basis in ("x", "p"):
-            for d, det in enumerate(UNIT_STATION.detectors(basis)):
-                lo, hi = UNIT_STATION.latent_window(basis, det)
-                assert (lo, hi) == (det.lo, det.hi)
-                assert list(unit_clicks([lo, hi], basis)) == [d, d]
-                outside = [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
-                assert list(unit_clicks(outside, basis)) == [-1, -1]
+        # A cross-basis cell's box is its two windows, so proposals at the
+        # corners land on the window ends and are kept; one double past an
+        # end is not.
+        (lo, hi), (c0, c1) = (0.5, 0.75), (-0.25, 0.5)
+        kernel = PairKernel([((lo, hi), (c0, c1), 0.0, 1.0, 1.0)])
+        corners = [(0.0, u, v, 0.0) for u in (0.0, 1.0) for v in (0.0, 1.0)]
+        index, cell = kernel.kept(_Uniforms(np.transpose(corners)), 4)
+        assert index.tolist() == [0, 1, 2, 3] and cell.tolist() == [0] * 4
+        past = [
+            ((np.nextafter(lo, -np.inf) - lo) / (hi - lo), 0.0),
+            ((np.nextafter(hi, np.inf) - lo) / (hi - lo), 0.0),
+            (0.0, (np.nextafter(c0, -np.inf) - c0) / (c1 - c0)),
+            (0.0, (np.nextafter(c1, np.inf) - c0) / (c1 - c0)),
+        ]
+        for u, v in past:
+            z, w = lo + (hi - lo) * u, c0 + (c1 - c0) * v
+            assert not (lo <= z <= hi and c0 <= w <= c1)  # the proposal is one double outside
+        rows = np.transpose([(0.0, u, v, 0.0) for u, v in past])
+        assert kernel.kept(_Uniforms(rows), 4)[0].size == 0
 
     def test_bit_mapping(self):
         # Detector index d carries logical bit d, and the key writes it as is.
@@ -806,19 +819,20 @@ class TestEqualization:
         assert abs(table.counts[0, 0] - n * p_cell) <= 3.0 * sigma
 
 
-def test_acceptance_mass_sums_slits(default_experiment, rng):
+def test_acceptance_mass_sums_slits(default_experiment):
     # One photon clicks with probability sum over slits of window mass times
-    # attenuation; check the session readout against it on marginal draws.
+    # attenuation.  B's station reads A's side here and the other side is
+    # OPEN_STATION, so each row of the tally is one slit's clicks, under
+    # A's fair coin.
     source, _alice, bob = default_experiment
-    readout = protocol._Readout(bob, channel_law(source)[0])
     n = 400_000
-    for basis in ("x", "p"):
-        expected = sum(
+    table = tally_coincidences(source, bob, OPEN_STATION, n, np.random.default_rng(13))
+    rows = table.counts.sum(axis=1)
+    for b, basis in enumerate("xp"):
+        expected = 0.5 * sum(
             _window_mass(source, basis, *bob.latent_window(basis, det)) * det.attenuation
             for det in bob.detectors(basis)
         )
-        z = rng.standard_normal(n)
-        bases = np.full(n, "xp".index(basis), dtype=np.int8)
-        rate = float(np.mean(readout_clicks(readout, z, bases, rng) >= 0))
+        rate = float(rows[2 * b : 2 * b + 2].sum()) / n
         sigma = math.sqrt(expected * (1.0 - expected) / n)
         assert abs(rate - expected) <= 3.0 * sigma, (basis, rate, expected)

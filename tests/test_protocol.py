@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import sys
-import threading
 from fractions import Fraction
 from importlib import resources
 
@@ -17,7 +15,7 @@ from eprqkd.protocol import AttackConfig, ProtocolError, SessionConfig, run_sess
 from eprqkd.source import PumpProfile, SourceModel, build_source, sample_pairs
 from eprqkd.tables import CoincidenceTable, qber_from_counts, qber_with_eve_prediction
 
-from conftest import make_station, oracle_table
+from conftest import WIDE_STATION, _two_sample_chi2, make_station, oracle_table
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +299,26 @@ class TestRunSession:
         sigma = math.sqrt(n * (1.0 - p)) / p
         assert abs(emitted / n - 1.0 / p) < 4.0 * sigma / n, (emitted, n / p, sigma)
 
+    @pytest.mark.parametrize(
+        "attack", [None, AttackConfig(basis_policy="always_p")], ids=["clean", "always_p"]
+    )
+    def test_mean_emitted_pairs_over_seeds(self, default_experiment, attack):
+        # Geometric gaps of the envelope total place the proposals, and a
+        # kept one is a coincidence: over 20 seeds the mean emission to the
+        # N-th coincidence is N/P within 4 standard errors of the negative
+        # binomial, P the attenuated oracle rate (mean of 16 cells / 4).  The
+        # interceptor leaves the rate alone: she reads with B's station and
+        # every click of hers reaches one of B's detectors.
+        source, alice, bob = default_experiment
+        p = oracle_table(source, alice, bob).sum() / 4.0
+        n, seeds = 2000, range(40, 60)
+        emitted = [
+            run_session(source, alice, bob, SessionConfig(n, n // 10, seed), attack=attack)
+            .emitted_pairs for seed in seeds
+        ]
+        sigma = math.sqrt(n * (1.0 - p)) / p / math.sqrt(len(seeds))
+        assert abs(np.mean(emitted) - n / p) < 4.0 * sigma, (np.mean(emitted), n / p, sigma)
+
     def test_table_consistent_with_event_tallies(self, default_experiment):
         # The table tallies every coincidence; each party's key holds the
         # same-basis bit-1 clicks of its row (A) or column (B) sums, less at
@@ -374,53 +392,31 @@ class TestRunSession:
         assert cli.build_attack({"attack.policy": "none"}) is None
 
 
-def _wide_station():
-    """A station whose detector-0 slits accept every latent coordinate."""
-    return make_station(x_centers=(0.0, 1e7), p_centers=(0.0, 1e7), x_width=1e6, p_width=1e6)
-
-
 _ATTACKS = pytest.mark.parametrize(
     "attack", [None, AttackConfig(basis_policy="uniform_random")], ids=["clean", "attacked"]
 )
 
 
 class TestBatchedEmission:
-    """Batches run on threads, each on its own child stream, consumed in order."""
+    """Batches each on a child stream spawned in order, consumed in order."""
 
     @_ATTACKS
-    def test_session_does_not_depend_on_worker_count(self, default_experiment, monkeypatch, attack):
+    def test_session_repeats_for_a_seed(self, default_experiment, attack):
         # N = 5000 gives batches of 40,000 pairs and about five of them, so
-        # several are in flight and the session stops inside one.
+        # the session stops inside one.
         source, alice, bob = default_experiment
         cfg = SessionConfig(n_coincidences=5000, m_estimation=500, rng_seed=19)
-        results = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(source_module, "worker_threads", lambda: workers)
-            results.append(run_session(source, alice, bob, cfg, attack=attack))
-        for result in results[1:]:
-            assert result.sifted_bits_A == results[0].sifted_bits_A
-            assert result.sifted_bits_B == results[0].sifted_bits_B
-            assert result.table == results[0].table
-            assert result.emitted_pairs == results[0].emitted_pairs
-            assert result == results[0]
+        first, second = (run_session(source, alice, bob, cfg, attack=attack) for _ in range(2))
+        assert first == second
 
     @_ATTACKS
-    def test_tally_does_not_depend_on_worker_count(self, default_experiment, monkeypatch, attack):
-        # More threads than cores, switching every microsecond: a batch that
-        # read another's stream or landed out of order would change the table.
+    def test_tally_repeats_for_a_seed(self, default_experiment, attack):
         source, alice, bob = default_experiment
-        tables = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 3):
-                monkeypatch.setattr(source_module, "worker_threads", lambda: workers)
-                tables.append(tally_coincidences(
-                    source, alice, bob, 600_000, np.random.default_rng(7), attack=attack
-                ))
-        finally:
-            sys.setswitchinterval(interval)
-        assert tables[0] == tables[1]
+        first, second = (
+            tally_coincidences(source, alice, bob, 600_000, np.random.default_rng(7), attack=attack)
+            for _ in range(2)
+        )
+        assert first == second
 
     @pytest.mark.parametrize("n_pairs", [1e5, True, -1])
     def test_tally_rejects_bad_pair_count(self, default_experiment, n_pairs):
@@ -435,65 +431,61 @@ class TestBatchedEmission:
         assert first != second
 
     @pytest.mark.parametrize("n_pairs", [999, 1000, 1001, 2007])
-    def test_every_pair_emitted_once_across_batches(self, default_experiment, monkeypatch, n_pairs):
-        """Windows that accept every pair tally n_pairs coincidences exactly."""
-        monkeypatch.setattr(protocol, "DRAW_SIZE", 1000)
-        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
-        wide = _wide_station()
-        table = tally_coincidences(
-            default_experiment[0], wide, wide, n_pairs, np.random.default_rng(9)
-        )
-        assert table.total() == n_pairs
+    def test_batches_emit_every_pair_once(self, default_experiment, n_pairs):
+        # Batch sizes sum to the pairs asked for, each holding its own
+        # coincidences, and each batch takes the next child stream.
+        source, alice, bob = default_experiment
+        rng = np.random.default_rng(9)
+        sizes = []
+        for n, pos, *_ in protocol._coincidences(source, alice, bob, None, rng, n_pairs, 1000):
+            assert pos.size == 0 or pos[-1] < n
+            sizes.append(n)
+        assert sum(sizes) == n_pairs and max(sizes) == min(n_pairs, 1000)
+        assert rng.bit_generator.seed_seq.n_children_spawned == len(sizes)
 
-    def test_session_counts_emissions_to_the_last_coincidence(self, default_experiment, monkeypatch):
-        # Every pair is a coincidence, so the session stops at pair N exactly
-        # although later batches were already running.
-        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
-        wide = _wide_station()
+    @_ATTACKS
+    def test_session_counts_emissions_to_the_last_coincidence(self, default_experiment, attack):
+        # The session's batches, replayed: emitted_pairs is the N-th
+        # coincidence's position + 1, inside a batch that holds more, and
+        # the table is the first N coincidences.
+        source, alice, bob = default_experiment
         cfg = SessionConfig(n_coincidences=5001, m_estimation=500, rng_seed=4)
-        result = run_session(default_experiment[0], wide, wide, cfg)
-        assert result.emitted_pairs == cfg.n_coincidences
-        assert result.table.total() == cfg.n_coincidences
+        result = run_session(source, alice, bob, cfg, attack=attack)
+        offset, cells = 0, []
+        batch = max(4096, min(protocol.DRAW_SIZE, 8 * cfg.n_coincidences))
+        for n, pos, *cell in protocol._coincidences(
+            source, alice, bob, attack, np.random.default_rng(cfg.rng_seed), 10**9, batch
+        ):
+            cells.append(np.array(cell))
+            if sum(c.shape[1] for c in cells) >= cfg.n_coincidences:
+                break
+            offset += n
+        last = cfg.n_coincidences - sum(c.shape[1] for c in cells[:-1]) - 1
+        assert last < pos.size - 1  # the batch was cut
+        assert result.emitted_pairs == offset + int(pos[last]) + 1
+        tallied = protocol._cell_counts(*np.concatenate(cells, axis=1)[:, : cfg.n_coincidences])
+        assert result.table.counts.tolist() == tallied.tolist()
 
-    def test_guard_counts_every_emitted_pair(self, default_experiment, monkeypatch):
+    def test_guard_counts_every_emitted_pair(self, default_experiment):
         # The guard of 10^4 N = 100,000 pairs is 24 batches of 4,096 plus
         # 1,696, not a multiple of the batch: the batches still sum to it
         # exactly before the session gives up.
-        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
         source, alice, _ = default_experiment
         far = make_station(x_centers=(1000.0, 1002.0), p_centers=(1000.0, 1002.0))
         cfg = SessionConfig(n_coincidences=10, m_estimation=1, rng_seed=1)
-        threads = threading.active_count()
         with pytest.raises(ProtocolError, match="emitted 100000 pairs but collected only 0 of 10"):
             run_session(source, alice, far, cfg)
-        assert threading.active_count() == threads
 
-    def test_no_pool_thread_outlives_an_early_stop(self, default_experiment, monkeypatch):
-        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
-        source, alice, bob = default_experiment
-        threads = threading.active_count()
-        cfg = SessionConfig(n_coincidences=2000, m_estimation=200, rng_seed=3)
-        result = run_session(source, alice, bob, cfg)
-        assert result.emitted_pairs < protocol.EMITTED_PER_COINCIDENCE * cfg.n_coincidences
-        assert threading.active_count() == threads
-        tally_coincidences(source, alice, bob, 100_000, np.random.default_rng(3))
-        assert threading.active_count() == threads
-
-    def test_no_pool_thread_outlives_a_failed_sift(self, monkeypatch):
+    def test_failed_sift_names_the_shortfall(self):
         # A reads only x and B only p, so every coincidence is sifted away and
-        # the session raises after stopping early.  `failure` holds the
-        # traceback and with it the session's frame, so only an explicit close
-        # ends the emission loop before the assertion.
-        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
+        # the session raises after stopping early.
         alice = make_station(x_centers=(-0.2, 0.2), p_centers=(1000.0, 1002.0))
         bob = make_station(x_centers=(1000.0, 1002.0), p_centers=(-0.3, 0.3))
         source = build_source(1.0, 1.0, 1.0, 1.0, PumpProfile(2.0))
-        threads = threading.active_count()
         cfg = SessionConfig(n_coincidences=2000, m_estimation=200, rng_seed=3)
         with pytest.raises(ProtocolError, match="only 0 sifted pairs") as failure:
             run_session(source, alice, bob, cfg)
         assert "cannot sacrifice 200" in str(failure.value)
-        assert threading.active_count() == threads
 
 
 def _reference_table(source, alice, bob, n, rng, intercept):
@@ -532,93 +524,51 @@ def _reference_table(source, alice, bob, n, rng, intercept):
     return np.bincount(cell, minlength=16).reshape(4, 4)
 
 
-def _latent_clicks(station, latent, basis, rng):
-    """Reference readout: closed latent windows, then one thinning uniform per in-slit photon.
-
-    Returns the detector index 0 / 1 per latent, -1 for null; the uniforms
-    are drawn in index order and a photon survives iff its uniform is below
-    its detector's attenuation.
-    """
-    det = np.full(latent.shape, -1, dtype=np.int8)
-    for b, name in enumerate("xp"):
-        for d, slit in enumerate(station.detectors(name)):
-            lo, hi = station.latent_window(name, slit)
-            det[(basis == b) & (latent >= lo) & (latent <= hi)] = d
-    inside = np.flatnonzero(det >= 0)
-    survival = np.array([[slit.attenuation for slit in station.detectors(b)] for b in "xp"])
-    dead = rng.random(inside.size) >= survival[basis[inside], det[inside]]
-    det[inside[dead]] = -1
-    return det
-
-
-class TestStandardReadout:
-    """_Readout of standard normals decides, draws and thins as closed windows on the scaled latents."""
+class TestSessionCells:
+    """protocol._cells, the table the session's PairKernel draws from."""
 
     @settings(max_examples=300, deadline=None)
     @given(
-        std=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        widths=st.tuples(*(st.floats(0.05, 10.0) for _ in range(4))),
         centers=st.tuples(st.floats(-3.0, -0.1), st.floats(0.5, 3.0)),
         origin=st.floats(-3.0, 3.0),
     )
-    def test_thresholds_decide_exactly(self, std, centers, origin):
+    def test_thresholds_decide_exactly(self, widths, centers, origin):
         # Each window is its slit's latent window over the basis's std, bit
         # for bit: the floats the oracle and the scans compare with.
-        station = make_station(x_centers=centers, p_centers=centers, origin=origin)
-        readout = protocol._Readout(station, std)
-        for b, basis in enumerate("xp"):
-            for d, det in enumerate(station.detectors(basis)):
-                want = [(v / std[b]).hex() for v in station.latent_window(basis, det)]
-                assert [v.hex() for v in readout.windows[b][d]] == want, (basis, d)
-
-    def test_clicks_equal_readout_of_scaled_latents(self, default_experiment):
-        # Deciding z against lo / std and z * std against lo can differ only
-        # within about an ulp of an edge; on the default stations they agree
-        # even there, so the seeded streams do not depend on the unit.
-        source, alice, _ = default_experiment
+        source = SourceModel(*widths, PumpProfile(2.0))
         std = source_module.channel_law(source)[0]
-        readout = protocol._Readout(alice, std)
-        rng = np.random.default_rng(23)
-        n = 100_000
-        bas = rng.integers(0, 2, size=n, dtype=np.int8)
-        z = rng.standard_normal(n)
-        # Each threshold and the double one step outside it, in its own basis.
-        edges = [
-            (b, x)
-            for b, windows in enumerate(readout.windows)
-            for t, u in windows
-            for x in (t, math.nextafter(t, -math.inf), u, math.nextafter(u, math.inf))
-        ]
-        at = rng.choice(n, size=len(edges), replace=False)
-        for i, (b, x) in zip(at, edges):
-            bas[i], z[i] = b, x
+        alice = make_station(x_centers=centers, p_centers=centers, origin=origin)
+        bob = make_station(x_centers=centers, p_centers=centers, origin=-origin, x_width=0.3)
+        cells = protocol._cells(source, alice, bob, None)
+        for k, (window_A, window_ch, *_) in enumerate(cells):
+            b_A, d_A, b_ch, d_ch = k >> 3, (k >> 2) & 1, (k >> 1) & 1, k & 1
+            for station, b, d, window in ((alice, b_A, d_A, window_A), (bob, b_ch, d_ch, window_ch)):
+                basis = "xp"[b]
+                slit = station.detectors(basis)[d]
+                want = [(v / std[b]).hex() for v in station.latent_window(basis, slit)]
+                assert [v.hex() for v in window] == want, (k, basis, d)
 
-        inside, bas_in, det_in = readout.slits(z, bas)
-        assert set(at[0::2]) <= set(inside) and not set(at[1::2]) & set(inside)
-        new_rng, old_rng = np.random.default_rng(5), np.random.default_rng(5)
-        alive = readout.survivors(bas_in, det_in, new_rng)
-        old = _latent_clicks(alice, z * np.array(std)[bas], bas, old_rng)
-
-        pos = inside[alive]
-        np.testing.assert_array_equal(pos, np.flatnonzero(old >= 0))
-        np.testing.assert_array_equal(det_in[alive], old[pos])
-        np.testing.assert_array_equal(bas_in[alive], bas[pos])
-        assert 0 < alive.size < inside.size  # the attenuation thinned some
-        assert new_rng.random() == old_rng.random()
-
-
-def _two_sample_chi2(pairs):
-    """(statistic, dof): the sum of (a - b)^2 / (a + b) over the occupied cells of each table pair.
-
-    Both tables of a pair come from the same number of emitted pairs, so
-    under equal laws each cell difference a - b has variance a + b and the
-    sum is chi-square with one degree of freedom per occupied cell.
-    """
-    stat, dof = 0.0, 0
-    for a, b in pairs:
-        occupied = (a + b) > 0
-        stat += float(np.sum((a - b)[occupied] ** 2 / (a + b)[occupied]))
-        dof += int(occupied.sum())
-    return stat, dof
+    @pytest.mark.parametrize("policy, p_ch", [
+        (None, (0.5, 0.5)), ("uniform_random", (0.5, 0.5)),
+        ("always_x", (1.0, 0.0)), ("always_p", (0.0, 1.0)),
+    ])
+    def test_laws_and_weights(self, default_experiment, policy, p_ch):
+        # Same-basis cells carry the basis's (rho, s), cross cells (0, 1);
+        # the weight is A's coin, the channel basis's probability under the
+        # policy and both attenuations.
+        source, alice, bob = default_experiment
+        _, rho, s = source_module.channel_law(source)
+        attack = None if policy is None else AttackConfig(basis_policy=policy)
+        cells = protocol._cells(source, alice, bob, attack)
+        assert len(cells) == 16
+        for k, (_, _, cell_rho, cell_s, weight) in enumerate(cells):
+            b_A, d_A, b_ch, d_ch = k >> 3, (k >> 2) & 1, (k >> 1) & 1, k & 1
+            law = (rho[b_A], s[b_A]) if b_A == b_ch else (0.0, 1.0)
+            assert (cell_rho, cell_s) == law
+            att_A = alice.detectors("xp"[b_A])[d_A].attenuation
+            att = att_A * bob.detectors("xp"[b_ch])[d_ch].attenuation
+            assert weight == 0.5 * p_ch[b_ch] * att
 
 
 @pytest.mark.parametrize("intercept", [False, True], ids=["clean", "uniform_random"])
@@ -635,6 +585,34 @@ def test_sampler_law_matches_full_pair_sampler(default_experiment, intercept):
             _reference_table(source, alice, bob, n, np.random.default_rng(seed + 100), intercept),
         )
         for seed in (61, 62, 63)
+    ]
+    stat, dof = _two_sample_chi2(pairs)
+    assert stat < chi2.ppf(0.999, dof), (stat, dof)
+
+
+@pytest.mark.parametrize("intercept", [False, True], ids=["clean", "uniform_random"])
+def test_split_envelope_law_matches_full_pair_sampler(default_experiment, intercept):
+    """The law test of tally_coincidences on stations whose unsplit envelope would reach 1."""
+    from scipy.stats import chi2
+
+    source = default_experiment[0]
+    cells = protocol._cells(source, WIDE_STATION, WIDE_STATION, None)
+    unsplit = sum(
+        -source_module._box(cell, k, *cell[0], -math.inf, math.inf)[0] for k, cell in enumerate(cells)
+    )
+    assert unsplit > 1.0 and len(source_module.PairKernel(cells)._cdf) > len(cells)
+    attack = AttackConfig(basis_policy="uniform_random") if intercept else None
+    n = 400_000
+    pairs = [
+        (
+            tally_coincidences(
+                source, WIDE_STATION, WIDE_STATION, n, np.random.default_rng(seed), attack=attack
+            ).counts,
+            _reference_table(
+                source, WIDE_STATION, WIDE_STATION, n, np.random.default_rng(seed + 100), intercept
+            ),
+        )
+        for seed in (81, 82, 83)
     ]
     stat, dof = _two_sample_chi2(pairs)
     assert stat < chi2.ppf(0.999, dof), (stat, dof)

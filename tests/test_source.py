@@ -1,6 +1,5 @@
 import ast
 import math
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +11,14 @@ from eprqkd import source as source_module
 from eprqkd.defaults import assemble_setup
 from eprqkd.detection import CalibrationError, calibrate_source
 from eprqkd.source import (
+    PairKernel,
     PumpProfile,
     SourceModel,
     UnphysicalSourceError,
     build_source,
     channel_law,
     ordered_streams,
-    partner_normal,
     sample_pairs,
-    window_normals,
 )
 
 from conftest import make_station
@@ -402,154 +400,127 @@ def test_units_discipline_default_is_entangled(default_experiment):
     assert _entangled(source)
 
 
-class TestEmissionKernel:
-    """partner_normal and ordered_streams, shared by sessions and scans."""
-
-    def test_partner_normal_scalar_and_array_bases_agree(self, default_experiment, rng):
-        # In standard units B's normal given A's has mean rho z_A and std s,
-        # so its variance rho^2 + s^2 is 1; across bases it is the noise.
-        law = channel_law(default_experiment[0])
-        _, rho, s = law
-        z_A, noise = rng.standard_normal(2000), rng.standard_normal(2000)
-        for b in (0, 1):
-            assert math.isclose(rho[b] ** 2 + s[b] ** 2, 1.0, rel_tol=1e-12)
-            same = partner_normal(law, z_A, b, b, noise)
-            assert np.array_equal(same, rho[b] * z_A + s[b] * noise)
-            assert np.array_equal(partner_normal(law, z_A, b, 1 - b, noise), noise)
-        bas_A, bas_ch = (rng.integers(0, 2, size=2000, dtype=np.int8) for _ in range(2))
-        mixed = partner_normal(law, z_A, bas_A, bas_ch, noise)
-        for a in (0, 1):
-            for c in (0, 1):
-                sel = (bas_A == a) & (bas_ch == c)
-                assert np.array_equal(mixed[sel], partner_normal(law, z_A[sel], a, c, noise[sel]))
-
-    def test_results_in_job_order_when_a_later_job_finishes_first(self, monkeypatch):
-        monkeypatch.setattr(source_module, "worker_threads", lambda: 2)
-        first_may_finish = threading.Event()
-        finished = []
-
-        def work(job, stream):
-            if job == 0:
-                assert first_may_finish.wait(timeout=30)
-            elif job == 1:
-                first_may_finish.set()
-            finished.append(job)
-            return job
-
-        results = list(ordered_streams(work, range(4), np.random.default_rng(0)))
-        assert finished[:2] == [1, 0]
-        assert results == [0, 1, 2, 3]
-
-    def test_streams_are_the_spawned_children_in_order(self, monkeypatch):
-        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
-        rng = np.random.default_rng(11)
-        drawn = list(ordered_streams(lambda job, stream: stream.random(4), range(7), rng))
-        children = np.random.default_rng(11).spawn(7)
-        assert len(drawn) == 7
-        for got, child in zip(drawn, children):
-            assert np.array_equal(got, child.random(4))
-        assert rng.bit_generator.seed_seq.n_children_spawned == 7
-
-    def test_close_after_first_result_stops_the_jobs(self, monkeypatch):
-        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
-        threads = threading.active_count()
-        pulled, started = [], []
-
-        def jobs():
-            for job in range(100):
-                pulled.append(job)
-                yield job
-
-        def work(job, stream):
-            started.append(job)
-            return job
-
-        stream = ordered_streams(work, jobs(), np.random.default_rng(0))
-        assert next(stream) == 0
-        stream.close()
-        assert pulled == [0, 1, 2]
-        assert set(started) <= {0, 1, 2}
-        assert threading.active_count() == threads
-
-    def test_failing_job_raises_and_leaves_no_pool_thread(self, monkeypatch):
-        monkeypatch.setattr(source_module, "worker_threads", lambda: 3)
-        threads = threading.active_count()
-
-        def work(job, stream):
-            if job == 2:
-                raise ValueError("job 2 failed")
-            return job
-
-        with pytest.raises(ValueError, match="job 2 failed"):
-            list(ordered_streams(work, range(10), np.random.default_rng(0)))
-        assert threading.active_count() == threads
+def test_streams_are_the_spawned_children_in_order():
+    rng = np.random.default_rng(11)
+    drawn = list(ordered_streams(lambda job, stream: stream.random(4), range(7), rng))
+    children = np.random.default_rng(11).spawn(7)
+    assert len(drawn) == 7
+    for got, child in zip(drawn, children):
+        assert np.array_equal(got, child.random(4))
+    assert rng.bit_generator.seed_seq.n_children_spawned == 7
 
 
-def _kept_normals(rng, n, t, u, chunk=1 << 20):
-    """The reference law: n standard_normal draws, the ones in [t, u] kept."""
-    kept = []
+_RHO = 0.935
+_S = math.sqrt(1.0 - _RHO**2)
+
+
+def _kept_cells(rng, cells, n, chunk=1 << 20):
+    """The reference law: n pairs of standard normals (z, w), each tallied in the cell it lands in.
+
+    A pair lands in a cell when z is in its A window and rho z + s w in its
+    channel window, and is then kept with probability the cell's weight.
+    """
+    counts = np.zeros(len(cells), dtype=np.int64)
     for start in range(0, n, chunk):
-        drawn = rng.standard_normal(min(chunk, n - start))
-        kept.append(drawn[(drawn >= t) & (drawn <= u)])
-    return np.concatenate(kept)
+        z, w = rng.standard_normal((2, min(chunk, n - start)))
+        for k, ((a0, a1), (c0, c1), rho, s, weight) in enumerate(cells):
+            y = rho * z + s * w
+            inside = (z >= a0) & (z <= a1) & (y >= c0) & (y <= c1)
+            counts[k] += np.count_nonzero(rng.random(np.count_nonzero(inside)) < weight)
+    return counts
 
 
-class TestWindowNormals:
-    """window_normals against plain draws kept in the window, with no mass computed."""
+def _kernel_cells(rng, cells, n, chunk=1 << 16):
+    """The same tally from PairKernel: binomial(n, total) proposals, the kept ones by cell."""
+    kernel = PairKernel(cells)
+    assert kernel.total < 1.0
+    proposals = int(rng.binomial(n, kernel.total))
+    counts = np.zeros(len(cells), dtype=np.int64)
+    for start in range(0, proposals, chunk):
+        _, cell = kernel.kept(rng, min(chunk, proposals - start))
+        counts += np.bincount(cell, minlength=len(cells))
+    return counts
 
-    @pytest.mark.parametrize(
-        "t, u, n",
-        [
-            (-0.696, -0.478, 400_000),  # one box: the default Ax1 window
-            (0.372, 0.952, 400_000),  # one box: the default Ap1 window
-            (-0.3, 0.4, 400_000),  # two boxes cut at 0
-            (4.0, 5.0, 10_000_000),  # far tail
-            (-3.0, 3.0, 400_000),  # envelope area over 1: every normal drawn
-        ],
-        ids=["Ax1", "Ap1", "straddles-0", "tail", "all-drawn"],
-    )
-    def test_matches_kept_standard_normals(self, t, u, n):
-        """Two-sample tests at fixed seeds, on the kept counts and on the binned values.
+
+_CELL_SETS = {
+    # The default Ax1 window against the partner slit, same basis.
+    "same-basis": [((-0.696, -0.478), (-0.656, -0.437), _RHO, _S, 1.0)],
+    # A negative correlation and a weight: the momentum basis.
+    "negative-rho": [((0.372, 0.952), (-0.870, -0.290), -0.904, math.sqrt(1 - 0.904**2), 0.44)],
+    # Across bases the channel reads w alone; its window straddles 0.
+    "cross-basis": [((0.372, 0.952), (-0.3, 0.4), 0.0, 1.0, 0.5)],
+    # One window cut in five: the law inside a window, not only its mass.
+    "cut-window": [((t, t + 0.14), (-0.2, 0.9), _RHO, _S, 1.0) for t in np.arange(-0.3, 0.4, 0.14)],
+    # Far in A's tail.
+    "tail": [((3.0, 4.0), (2.0, 4.5), _RHO, _S, 1.0)],
+    # Boxes whose total is over 1: the envelope is split.
+    "split": [
+        ((0.05, 3.0), (0.05, 3.0), 0.0, 1.0, 1.0),
+        ((-3.0, -0.05), (-3.0, 0.0), 0.5, math.sqrt(0.75), 1.0),
+    ],
+    # s = 0: the channel copies rho z and w is not read.
+    "no-noise": [
+        ((-0.4, 0.3), (-0.2, 0.2), 1.0, 0.0, 1.0), ((0.5, 0.9), (-0.9, -0.6), -1.0, 0.0, 0.5)
+    ],
+}
+
+
+class TestPairKernel:
+    """PairKernel against pairs drawn in full and tallied by cell, with no mass computed."""
+
+    @pytest.mark.parametrize("name", list(_CELL_SETS))
+    def test_matches_tallied_pairs(self, name):
+        """Two-sample chi-square on the cell counts over three seeds.
 
         Under equal laws each count difference a - b has variance a + b, so
-        the sum of (a - b)^2 / (a + b) over three seeds is chi-square with 3
-        degrees of freedom; the pooled values of both samples, binned evenly
-        over [t, u], give the two-sample chi-square with bins - 1.
+        the sum of (a - b)^2 / (a + b) over the occupied cells is chi-square
+        with one degree of freedom per cell.
         """
         from scipy.stats import chi2
 
-        seeds = (21, 22, 23)
-        count_stat, fast, ref = 0.0, [], []
-        for seed in seeds:
-            a = np.concatenate(list(window_normals(np.random.default_rng(seed), n, t, u, 4096)))
-            b = _kept_normals(np.random.default_rng(seed + 100), n, t, u)
-            assert np.all((a >= t) & (a <= u))
-            count_stat += (a.size - b.size) ** 2 / (a.size + b.size)
-            fast.append(a)
-            ref.append(b)
-        assert count_stat < chi2.ppf(0.999, len(seeds)), count_stat
-        edges = np.linspace(t, u, 6 if t > 3 else 11)
-        a, b = (np.histogram(np.concatenate(v), edges)[0] for v in (fast, ref))
-        scale = math.sqrt(b.sum() / a.sum())
-        occupied = (a + b) > 0
-        value_stat = np.sum(((scale * a - b / scale) ** 2 / (a + b))[occupied])
-        assert value_stat < chi2.ppf(0.999, occupied.sum() - 1), value_stat
+        cells = _CELL_SETS[name]
+        n = 4_000_000 if name == "tail" else 400_000
+        stat, dof = 0.0, 0
+        for seed in (21, 22, 23):
+            a = _kernel_cells(np.random.default_rng(seed), cells, n)
+            b = _kept_cells(np.random.default_rng(seed + 100), cells, n)
+            occupied = (a + b) > 0
+            stat += float(np.sum((a - b)[occupied] ** 2 / (a + b)[occupied]))
+            dof += int(occupied.sum())
+        assert dof > 0 and stat < chi2.ppf(0.999, dof), (stat, dof)
+
+    def test_split_only_when_the_total_would_reach_1(self):
+        one = PairKernel(_CELL_SETS["same-basis"])
+        assert len(one._cdf) == 1 and 0.0 < one.total < 0.05
+        split = PairKernel(_CELL_SETS["split"])
+        assert len(split._cdf) > 2 and 0.5 < split.total < 1.0
+
+    def test_dark_cells_propose_nothing(self):
+        kernel = PairKernel([((50.0, 51.0), (-1.0, 1.0), 0.0, 1.0, 1.0)])
+        assert kernel.total == 0.0
+        index, cell = kernel.kept(np.random.default_rng(0), 0)
+        assert index.size == cell.size == 0
+
+    def test_a_window_holding_every_pair_is_refused(self):
+        with pytest.raises(ValueError, match="slits that take nearly every pair"):
+            PairKernel([((-1e6, 1e6), (-1e6, 1e6), _RHO, _S, 1.0)])
 
     @settings(max_examples=200, deadline=None)
     @given(
         t=st.floats(-6.0, 6.0),
-        width=st.floats(1e-6, 8.0),
-        n=st.integers(0, 5000),
-        chunk=st.integers(1, 700),
+        width=st.floats(1e-6, 4.0),
+        c=st.floats(-6.0, 6.0),
+        rho=st.floats(-1.0, 1.0),
+        weight=st.floats(0.0, 0.5),
+        k=st.integers(0, 3000),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_values_in_window_and_at_most_n(self, t, width, n, chunk, seed):
-        u = t + width
-        total = 0
-        for values in window_normals(np.random.default_rng(seed), n, t, u, chunk):
-            assert values.size <= chunk
-            assert np.all((values >= t) & (values <= u))
-            total += values.size
-        assert total <= n
-        wide = window_normals(np.random.default_rng(seed), n, -1e6, 1e6, chunk)
-        assert sum(values.size for values in wide) == n
+    def test_kept_proposals_are_ordered_cells(self, t, width, c, rho, weight, k, seed):
+        cells = [((t, t + width), (c, c + width), rho, math.sqrt(1.0 - rho * rho), weight),
+                 ((t, t + width), (c - 2 * width, c - width), 0.0, 1.0, weight)]
+        kernel = PairKernel(cells)
+        assert 0.0 <= kernel.total < 1.0
+        k = k if kernel.total > 0.0 else 0  # an empty envelope has no proposals
+        index, cell = kernel.kept(np.random.default_rng(seed), k)
+        assert np.all(np.diff(index) > 0) and np.all((index >= 0) & (index < k))
+        assert cell.dtype == np.int8 and cell.size == index.size and set(cell) <= {0, 1}
