@@ -119,13 +119,17 @@ def _cells(source: SourceModel, station_A: StationConfig, station_B: StationConf
 
 
 def _positions(q: float, n: int, stream: np.random.Generator) -> np.ndarray:
-    """Increasing positions among n pairs of those that draw a proposal: gaps geometric in q."""
-    found, last, size = [np.empty(0, dtype=np.int64)], -1, int(n * q + 4.0 * (n * q) ** 0.5) + 16
+    """Increasing positions among n pairs of those that draw a proposal: gaps geometric in q.
+
+    The gaps are summed in floats: exact below 2^53, and a tiny q's huge
+    gaps cannot wrap round.
+    """
+    found, last, size = [np.empty(0)], -1.0, int(n * q + 4.0 * (n * q) ** 0.5) + 16
     while q > 0.0 and last < n:
-        found.append(last + np.cumsum(stream.geometric(q, size=size)))
-        last = int(found[-1][-1])
+        found.append(last + np.cumsum(stream.geometric(q, size=size), dtype=float))
+        last = found[-1][-1]
     pos = np.concatenate(found)
-    return pos[: np.searchsorted(pos, n)]
+    return pos[: np.searchsorted(pos, n)].astype(np.int64)
 
 
 def _coincidences(
@@ -153,7 +157,8 @@ def _coincidences(
     emitted, the in-batch positions of its coincidences in increasing order,
     and their basis choices (0 = x, 1 = p) and detector indices (0 / 1).
     """
-    kernel = PairKernel(_cells(source, station_A, station_B, attack))
+    groups = [(k >> 3, k >> 1 & 1) for k in range(16)]  # (b_A, b_ch): disjoint slits
+    kernel = PairKernel(_cells(source, station_A, station_B, attack), groups)
 
     def emit(n: int, stream: np.random.Generator):
         pos = _positions(kernel.total, n, stream)

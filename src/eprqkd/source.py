@@ -161,19 +161,19 @@ def channel_law(source: SourceModel):
 DRAW_SIZE = 1 << 18  # pairs an emission loop draws at once
 
 
-def _box(cell, k: int, a0: float, a1: float, w0: float, w1: float) -> tuple:
-    """(-area, k, a0, a1, w0, w1, near^2): cell k's box, w narrowed to the channel window."""
-    _, (c0, c1), rho, s, weight = cell
+def _box(cell) -> tuple:
+    """(area, a0, a1 - a0, w0, w1 - w0, near^2): the cell's box, w narrowed to the channel window."""
+    (a0, a1), (c0, c1), rho, s, weight = cell
     if s:
-        w0 = max(w0, (c0 - max(rho * a0, rho * a1)) / s)
-        w1 = min(w1, (c1 - min(rho * a0, rho * a1)) / s)
+        w0 = (c0 - max(rho * a0, rho * a1)) / s
+        w1 = (c1 - min(rho * a0, rho * a1)) / s
     else:  # w is not read
         w0 = w1 = 0.0
     near_a, near_w = min(max(0.0, a0), a1), min(max(0.0, w0), w1)
     near2 = near_a * near_a + near_w * near_w
-    side_w = max(w1 - w0, 0.0) if s else math.sqrt(2.0 * math.pi)
+    side_w = w1 - w0 if s else math.sqrt(2.0 * math.pi)
     area = weight * (a1 - a0) * side_w * math.exp(-0.5 * near2) / (2.0 * math.pi)
-    return -area, k, a0, a1, w0, w1, near2
+    return area, a0, a1 - a0, w0, w1 - w0, near2
 
 
 class PairKernel:
@@ -182,47 +182,50 @@ class PairKernel:
     A cell (window_A, window_ch, rho, s, weight) takes a pair of standard
     normals with z in A's closed window and rho z + s w in the channel's,
     with probability weight.  Its box in (z, w), as tall as the density at
-    its point nearest 0, bounds that; the largest box is halved while they
-    total 1.  A pair has one proposal with probability total, kept if a
-    uniform is at most the density ratio and it is in its cell; no mass is read.
+    its point nearest 0, bounds that.  A pair has one proposal with
+    probability total, kept if a uniform is at most the density ratio and
+    it is in its cell; no mass is read.  Boxes that total 1 or more give
+    way to the density: each pair draws its normals in full, in a group of
+    disjoint cells (groups[k], one group by default) drawn with its largest
+    weight, and is kept in its cell there with probability weight over that.
     """
 
-    def __init__(self, cells):
-        import heapq
-
+    def __init__(self, cells, groups=None):
         import numpy as np
 
-        boxes = [_box(cell, k, *cell[0], -math.inf, math.inf) for k, cell in enumerate(cells)]
-        heapq.heapify(boxes)
-        total = -math.fsum(box[0] for box in boxes)
-        while total >= 1.0:
-            if len(boxes) >= 4096:
-                raise ValueError("slits that take nearly every pair: 4096 boxes still total 1")
-            area, k, a0, a1, w0, w1, _ = heapq.heappop(boxes)
-            a, w = (a0 + a1) / 2.0, (w0 + w1) / 2.0
-            if a1 - a0 >= w1 - w0:  # halve the longer side
-                halves = ((a0, a, w0, w1), (a, a1, w0, w1))
-            else:
-                halves = ((a0, a1, w0, w), (a0, a1, w, w1))
-            for half in halves:
-                heapq.heappush(boxes, box := _box(cells[k], k, *half))
-                area -= box[0]
-            total += area
-            if total < 1.0:  # confirm with an exact sum
-                total = -math.fsum(box[0] for box in boxes)
-        boxes = [box for box in boxes if box[0] < 0.0]
-        self.total = total
-        self._cols = np.array([
-            (a0, a1 - a0, w0, w1 - w0, near2, *cells[k][0], *cells[k][1], *cells[k][2:4], k)
-            for _, k, a0, a1, w0, w1, near2 in boxes
-        ]).reshape(-1, 12).T
-        cum = np.cumsum([-box[0] for box in boxes])
-        self._cdf = cum / cum[-1] if boxes else cum
+        boxes = [_box(cell) for cell in cells]
+        self.total, self._full = math.fsum(box[0] for box in boxes), None
+        if self.total < 1.0:
+            on = [k for k, box in enumerate(boxes) if box[0] > 0.0]
+            areas = [boxes[k][0] for k in on]
+            self._cols = np.array([
+                (*boxes[k][1:], *cells[k][0], *cells[k][1], *cells[k][2:4], k) for k in on
+            ]).reshape(-1, 12).T
+        else:  # slits holding most pairs
+            keys = groups or [0] * len(cells)
+            share = {g: max(cell[4] for cell, key in zip(cells, keys) if key == g) for g in keys}
+            areas, self.total = list(share.values()), math.fsum(share.values())
+            if self.total > 1.0:
+                raise ValueError(f"the groups' largest weights total {self.total} > 1")
+            self._full = [(list(share).index(g), share[g], *cell) for g, cell in zip(keys, cells)]
+        cum = np.cumsum(areas)
+        self._cdf = cum / cum[-1] if areas else cum
 
     def kept(self, stream: np.random.Generator, k: int):
-        """(index, int8 cell) of the kept ones of k proposals, each reading 4 uniforms, in order."""
+        """(index, int8 cell) of the kept ones of k proposals, each reading 4 draws, in order."""
         import numpy as np
 
+        if self._full is not None:
+            pick, test = stream.random((2, k))
+            z, w = stream.standard_normal((2, k))
+            group = np.searchsorted(self._cdf, pick, side="right")
+            cell = np.full(k, -1, dtype=np.int8)
+            for j, (g, share, (lo, hi), (c0, c1), rho, s, weight) in enumerate(self._full):
+                y = rho * z + s * w
+                inside = (z >= lo) & (z <= hi) & (y >= c0) & (y <= c1)
+                cell[inside & (group == g) & (test * share <= weight)] = j
+            index = np.flatnonzero(cell >= 0)
+            return index, cell[index]
         box, u, v, test = stream.random((4, k))
         cols = self._cols  # one box: its columns broadcast
         if self._cdf.size > 1:

@@ -30,7 +30,7 @@ def make_station(
 
 
 # Slits covering most of each basis's mass, at unit scales (latent = plane
-# mm): a session's 16 unsplit boxes total about 3, so its envelope is split.
+# mm): a session's 16 boxes total about 3, so the kernel draws every pair in full.
 WIDE_STATION = make_station(
     O=200.0, I=100.0, f=150.0, k=150.0, x_centers=(-0.7, 0.7), p_centers=(-1.4, 1.4),
     x_width=1.2, p_width=2.4,

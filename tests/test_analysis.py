@@ -24,7 +24,7 @@ from eprqkd.analysis import (
 from eprqkd.detection import coincidence_probability, conversion_for
 from eprqkd.source import sample_pairs
 
-from conftest import WIDE_STATION, _two_sample_chi2
+from conftest import WIDE_STATION, _two_sample_chi2, make_station
 
 
 def synthetic_scan(amplitude, center, sigma, offset, n_points=21, span=3.0, rng=None):
@@ -451,6 +451,21 @@ class TestScanSimulation:
         assert [sum(chunks) for _, chunks in drawn] == [p for p in proposals if p > 0]
         assert all(k <= 125 for _, chunks in drawn for k in chunks) and max(proposals) > 125
 
+    @pytest.mark.parametrize("pairs", [999, 1000, 1001, 2007])
+    def test_every_pair_drawn_once_across_chunks(self, default_experiment, monkeypatch, pairs):
+        """Windows that accept every pair count pairs_per_point exactly."""
+        monkeypatch.setattr(analysis, "DRAW_SIZE", 1000)
+        source = default_experiment[0]
+        wide = make_station(
+            x_centers=(0.0, 1e7), p_centers=(0.0, 1e7), x_width=1e6, p_width=1e6
+        )
+        for fixed, pair in (("Ax1", ("x", "x")), ("Ap1", ("p", "x"))):
+            scan = scan_simulation(
+                source, wide, wide, fixed, pair, np.arange(0.0, 1.01, 0.2), pairs,
+                np.random.default_rng(9),
+            )
+            assert scan.counts == (pairs,) * 6
+
     def test_reads_no_normal_mass(self, default_experiment, monkeypatch):
         """The scan and session Monte Carlo stay an independent check of the quadrature oracle."""
         from eprqkd import detection
@@ -559,8 +574,8 @@ def test_scan_law_holds_across_chunks(default_experiment, monkeypatch):
 
 
 @pytest.mark.parametrize("fixed, pair", [("Ax1", ("x", "x")), ("Ap2", ("p", "p"))], ids=["xx", "pp"])
-def test_split_envelope_scan_law(default_experiment, fixed, pair):
-    """The scan law test (_two_sample_chi2) on slits where an unsplit box would reach 1."""
+def test_full_density_scan_law(default_experiment, fixed, pair):
+    """The scan law test (_two_sample_chi2) on slits whose box would reach 1."""
     from scipy.stats import chi2
 
     source, wide = default_experiment[0], WIDE_STATION
@@ -569,12 +584,12 @@ def test_split_envelope_scan_law(default_experiment, fixed, pair):
     slit = wide.detectors(pair[0])[int(fixed[-1]) - 1]
     window = tuple(v / std[b] for v in wide.latent_window(pair[0], slit))
     grid = np.arange(-1.5, 1.5001, 0.25)
-    unsplit = [
-        -source_module._box((window, tuple(v / std[b] for v in wide.latent_window(pair[1], slit_B)),
-                             rho[b], s[b], 1.0), 0, *window, -math.inf, math.inf)[0]
+    areas = [
+        source_module._box((window, tuple(v / std[b] for v in wide.latent_window(pair[1], slit_B)),
+                            rho[b], s[b], 1.0))[0]
         for slit_B in (dataclasses.replace(wide.detectors(pair[1])[0], center=c) for c in grid)
     ]
-    assert max(unsplit) > 1.0
+    assert max(areas) > 1.0
     n = 50_000
     stat, dof = _two_sample_chi2([
         (

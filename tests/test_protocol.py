@@ -383,6 +383,41 @@ class TestRunSession:
         with pytest.raises(ProtocolError, match="pathologically low"):
             run_session(source, alice, far, cfg)
 
+    def test_far_slits_give_up_fast(self, default_experiment):
+        # Slits about 10 std out on both sides: the envelope total is tiny
+        # but not 0, so each batch's gaps are near the int64 limit.  The
+        # session still reaches its 10^4 N cap, quickly.
+        import time
+
+        source, alice, bob = default_experiment
+        far_A, far_B = (
+            dataclasses.replace(station, **{
+                f"{basis}_detectors": tuple(
+                    dataclasses.replace(slit, center=slit.center + shift)
+                    for slit in station.detectors(basis)
+                )
+                for basis in "xp"
+            })
+            for station, shift in ((alice, 10.0), (bob, -10.0))
+        )
+        assert 0.0 < source_module.PairKernel(protocol._cells(source, far_A, far_B, None)).total < 1e-20
+        cfg = SessionConfig(n_coincidences=100_000, m_estimation=10, rng_seed=1)
+        start = time.perf_counter()
+        with pytest.raises(ProtocolError, match="emitted 1000000000 pairs but collected only 0 of"):
+            run_session(source, far_A, far_B, cfg)
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("q", [1e-320, 1e-34, 1e-18, 1e-9, 0.01, 0.5, 1.0])
+    def test_positions_increase_inside_the_batch(self, q):
+        n = 1 << 18
+        pos = protocol._positions(q, n, np.random.default_rng(3))
+        assert pos.dtype == np.int64 and np.all(np.diff(pos) > 0)
+        assert pos.size == 0 or (pos[0] >= 0 and pos[-1] < n)
+        if q == 1.0:
+            assert pos.tolist() == list(range(n))
+        if q < 1e-12:
+            assert pos.size == 0
+
     def test_attack_has_no_none_policy(self):
         # No attack is attack=None, never a policy.
         with pytest.raises(ValueError, match="basis_policy"):
@@ -390,6 +425,11 @@ class TestRunSession:
 
     def test_config_policy_none_is_no_attack(self):
         assert cli.build_attack({"attack.policy": "none"}) is None
+
+
+def _wide_station():
+    """A station whose detector-0 slits accept every latent coordinate."""
+    return make_station(x_centers=(0.0, 1e7), p_centers=(0.0, 1e7), x_width=1e6, p_width=1e6)
 
 
 _ATTACKS = pytest.mark.parametrize(
@@ -443,8 +483,26 @@ class TestBatchedEmission:
         assert sum(sizes) == n_pairs and max(sizes) == min(n_pairs, 1000)
         assert rng.bit_generator.seed_seq.n_children_spawned == len(sizes)
 
+    @pytest.mark.parametrize("n_pairs", [999, 1000, 1001, 2007])
+    def test_every_pair_emitted_once_across_batches(self, default_experiment, monkeypatch, n_pairs):
+        """Windows that accept every pair tally n_pairs coincidences exactly."""
+        monkeypatch.setattr(protocol, "DRAW_SIZE", 1000)
+        wide = _wide_station()
+        table = tally_coincidences(
+            default_experiment[0], wide, wide, n_pairs, np.random.default_rng(9)
+        )
+        assert table.total() == n_pairs
+
+    def test_session_counts_emissions_to_the_last_coincidence(self, default_experiment):
+        # Every pair is a coincidence, so the session stops at pair N exactly.
+        wide = _wide_station()
+        cfg = SessionConfig(n_coincidences=5001, m_estimation=500, rng_seed=4)
+        result = run_session(default_experiment[0], wide, wide, cfg)
+        assert result.emitted_pairs == cfg.n_coincidences
+        assert result.table.total() == cfg.n_coincidences
+
     @_ATTACKS
-    def test_session_counts_emissions_to_the_last_coincidence(self, default_experiment, attack):
+    def test_emitted_pairs_end_at_the_last_coincidence(self, default_experiment, attack):
         # The session's batches, replayed: emitted_pairs is the N-th
         # coincidence's position + 1, inside a batch that holds more, and
         # the table is the first N coincidences.
@@ -591,16 +649,13 @@ def test_sampler_law_matches_full_pair_sampler(default_experiment, intercept):
 
 
 @pytest.mark.parametrize("intercept", [False, True], ids=["clean", "uniform_random"])
-def test_split_envelope_law_matches_full_pair_sampler(default_experiment, intercept):
-    """The law test of tally_coincidences on stations whose unsplit envelope would reach 1."""
+def test_full_density_law_matches_full_pair_sampler(default_experiment, intercept):
+    """The law test of tally_coincidences on stations whose boxes would total 1 or more."""
     from scipy.stats import chi2
 
     source = default_experiment[0]
     cells = protocol._cells(source, WIDE_STATION, WIDE_STATION, None)
-    unsplit = sum(
-        -source_module._box(cell, k, *cell[0], -math.inf, math.inf)[0] for k, cell in enumerate(cells)
-    )
-    assert unsplit > 1.0 and len(source_module.PairKernel(cells)._cdf) > len(cells)
+    assert sum(source_module._box(cell)[0] for cell in cells) > 1.0
     attack = AttackConfig(basis_policy="uniform_random") if intercept else None
     n = 400_000
     pairs = [

@@ -430,10 +430,10 @@ def _kept_cells(rng, cells, n, chunk=1 << 20):
     return counts
 
 
-def _kernel_cells(rng, cells, n, chunk=1 << 16):
+def _kernel_cells(rng, cells, n, groups=None, chunk=1 << 16):
     """The same tally from PairKernel: binomial(n, total) proposals, the kept ones by cell."""
-    kernel = PairKernel(cells)
-    assert kernel.total < 1.0
+    kernel = PairKernel(cells, groups)
+    assert kernel.total <= 1.0
     proposals = int(rng.binomial(n, kernel.total))
     counts = np.zeros(len(cells), dtype=np.int64)
     for start in range(0, proposals, chunk):
@@ -453,16 +453,25 @@ _CELL_SETS = {
     "cut-window": [((t, t + 0.14), (-0.2, 0.9), _RHO, _S, 1.0) for t in np.arange(-0.3, 0.4, 0.14)],
     # Far in A's tail.
     "tail": [((3.0, 4.0), (2.0, 4.5), _RHO, _S, 1.0)],
-    # Boxes whose total is over 1: the envelope is split.
-    "split": [
+    # Boxes whose total is over 1: the density is its own envelope.
+    "full": [
         ((0.05, 3.0), (0.05, 3.0), 0.0, 1.0, 1.0),
         ((-3.0, -0.05), (-3.0, 0.0), 0.5, math.sqrt(0.75), 1.0),
+    ],
+    # The same in two groups (_GROUPS) whose cells share pairs, with weights.
+    "full-groups": [
+        ((-3.0, -0.05), (-3.0, 3.0), _RHO, _S, 0.5),
+        ((0.05, 3.0), (-3.0, 3.0), _RHO, _S, 0.3),
+        ((-1.0, 1.0), (-1.0, 1.0), 0.0, 1.0, 0.5),
     ],
     # s = 0: the channel copies rho z and w is not read.
     "no-noise": [
         ((-0.4, 0.3), (-0.2, 0.2), 1.0, 0.0, 1.0), ((0.5, 0.9), (-0.9, -0.6), -1.0, 0.0, 0.5)
     ],
 }
+
+
+_GROUPS = {"full-groups": ["a", "a", "b"]}
 
 
 class TestPairKernel:
@@ -482,18 +491,25 @@ class TestPairKernel:
         n = 4_000_000 if name == "tail" else 400_000
         stat, dof = 0.0, 0
         for seed in (21, 22, 23):
-            a = _kernel_cells(np.random.default_rng(seed), cells, n)
+            a = _kernel_cells(np.random.default_rng(seed), cells, n, _GROUPS.get(name))
             b = _kept_cells(np.random.default_rng(seed + 100), cells, n)
             occupied = (a + b) > 0
             stat += float(np.sum((a - b)[occupied] ** 2 / (a + b)[occupied]))
             dof += int(occupied.sum())
         assert dof > 0 and stat < chi2.ppf(0.999, dof), (stat, dof)
 
-    def test_split_only_when_the_total_would_reach_1(self):
+    def test_full_density_only_when_the_boxes_total_1(self):
         one = PairKernel(_CELL_SETS["same-basis"])
-        assert len(one._cdf) == 1 and 0.0 < one.total < 0.05
-        split = PairKernel(_CELL_SETS["split"])
-        assert len(split._cdf) > 2 and 0.5 < split.total < 1.0
+        assert one._full is None and len(one._cdf) == 1 and 0.0 < one.total < 0.05
+        full = PairKernel(_CELL_SETS["full"])
+        assert full._full is not None and full.total == 1.0
+        groups = PairKernel(_CELL_SETS["full-groups"], _GROUPS["full-groups"])
+        assert groups.total == 1.0 and groups._cdf.tolist() == [0.5, 1.0]
+
+    def test_groups_whose_weights_total_over_1_are_refused(self):
+        cells = _CELL_SETS["full-groups"]
+        with pytest.raises(ValueError, match="largest weights total 1.5 > 1"):
+            PairKernel(cells + [((-1.0, 1.0), (-1.0, 1.0), 0.0, 1.0, 0.5)], [0, 0, 1, 2])
 
     def test_dark_cells_propose_nothing(self):
         kernel = PairKernel([((50.0, 51.0), (-1.0, 1.0), 0.0, 1.0, 1.0)])
@@ -501,9 +517,11 @@ class TestPairKernel:
         index, cell = kernel.kept(np.random.default_rng(0), 0)
         assert index.size == cell.size == 0
 
-    def test_a_window_holding_every_pair_is_refused(self):
-        with pytest.raises(ValueError, match="slits that take nearly every pair"):
-            PairKernel([((-1e6, 1e6), (-1e6, 1e6), _RHO, _S, 1.0)])
+    @pytest.mark.parametrize("k", [0, 1, 4097])
+    def test_a_window_holding_every_pair_keeps_every_proposal(self, k):
+        kernel = PairKernel([((-1e6, 1e6), (-1e6, 1e6), _RHO, _S, 1.0)])
+        index, cell = kernel.kept(np.random.default_rng(k), k)
+        assert kernel.total == 1.0 and index.tolist() == list(range(k)) and not cell.any()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -518,9 +536,11 @@ class TestPairKernel:
     def test_kept_proposals_are_ordered_cells(self, t, width, c, rho, weight, k, seed):
         cells = [((t, t + width), (c, c + width), rho, math.sqrt(1.0 - rho * rho), weight),
                  ((t, t + width), (c - 2 * width, c - width), 0.0, 1.0, weight)]
-        kernel = PairKernel(cells)
-        assert 0.0 <= kernel.total < 1.0
+        kernel = PairKernel(cells, groups=[0, 1])  # the two may share a pair
+        assert 0.0 <= kernel.total <= 1.0
         k = k if kernel.total > 0.0 else 0  # an empty envelope has no proposals
         index, cell = kernel.kept(np.random.default_rng(seed), k)
         assert np.all(np.diff(index) > 0) and np.all((index >= 0) & (index < k))
         assert cell.dtype == np.int8 and cell.size == index.size and set(cell) <= {0, 1}
+        wide = PairKernel([((-1e6, 1e6), (-1e6, 1e6), rho, math.sqrt(1.0 - rho * rho), 1.0)])
+        assert wide.kept(np.random.default_rng(seed), k)[0].size == k  # exactly k on [-1e6, 1e6]
