@@ -332,9 +332,10 @@ def scan_simulation(
     closed slit windows.  Photons are drawn in standard units, against each
     slit's latent window over its basis's std, through source.PairKernel
     with one cell of weight 1 (A's fixed window, B's window at the point,
-    the basis pair's (rho, s)): binomial(pairs_per_point, kernel.total)
-    proposals, DRAW_SIZE // 8 at a time, of which the kept ones are the
-    hits.  This is the law of sample_pairs followed by both window tests,
+    the basis pair's (rho, s)), whose box is the two windows in A's and the
+    channel's coordinate: binomial(pairs_per_point, kernel.total)
+    proposals, the rule sessions use, DRAW_SIZE // 8 at a time, of which
+    the kept ones are the hits.  This is the law of sample_pairs followed by both window tests,
     and no window mass is read.  Attenuation filters are left out: scans
     model the bare alignment measurements taken before filters are
     installed.  Grid points run through source.ordered_streams.

@@ -273,8 +273,11 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _check_pairs(pairs: int) -> None:
+    """--pairs is a binomial draw's count, so it must fit in int64."""
     if pairs <= 0:
         raise ConfigError(f"--pairs must be positive, got {pairs}")
+    if pairs > 2**63 - 1:
+        raise ConfigError(f"--pairs must be at most 2^63 - 1, got {pairs}")
 
 
 def _scan_config(path: str | None) -> dict[str, str]:

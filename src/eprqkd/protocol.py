@@ -118,18 +118,23 @@ def _cells(source: SourceModel, station_A: StationConfig, station_B: StationConf
     ]
 
 
-def _positions(q: float, n: int, stream: np.random.Generator) -> np.ndarray:
-    """Increasing positions among n pairs of those that draw a proposal: gaps geometric in q.
+def _position(n: int, k: int, j: int, stream: np.random.Generator) -> int:
+    """The j-th smallest (from 0) of a uniform k-subset of range(n), the subset never drawn.
 
-    The gaps are summed in floats: exact below 2^53, and a tiny q's huge
-    gaps cannot wrap round.
+    Bisection: the first half of the span holds hypergeometric(k, n - k,
+    half) of the k, and the j-th lies in the half that holds it; once every
+    place of the span is taken it is the span's start plus j.  About log2 n
+    scalar draws and no array.
     """
-    found, last, size = [np.empty(0)], -1.0, int(n * q + 4.0 * (n * q) ** 0.5) + 16
-    while q > 0.0 and last < n:
-        found.append(last + np.cumsum(stream.geometric(q, size=size), dtype=float))
-        last = found[-1][-1]
-    pos = np.concatenate(found)
-    return pos[: np.searchsorted(pos, n)].astype(np.int64)
+    start = 0
+    while k < n:
+        half = n // 2
+        left = int(stream.hypergeometric(k, n - k, half))
+        if j < left:
+            n, k = half, left
+        else:
+            start, n, k, j = start + half, n - half, k - left, j - left
+    return start + j
 
 
 def _coincidences(
@@ -144,30 +149,39 @@ def _coincidences(
     """Emit n_pairs pairs in batches of `batch` (the last one shorter).
 
     source.PairKernel over the session's cells (_cells) gives each pair at
-    most one proposal, with probability kernel.total, so the pairs that
-    draw one are a Bernoulli process: a batch places them by geometric gaps
-    (_positions) and draws only those.  The kept ones are the batch's
-    coincidences, with A's basis and detector and the channel's.  Clean,
-    B's basis is the channel's; under interception B's fair coin is drawn
-    for the kept pairs only, in order, and _resend relays the
-    interceptor's click.  Nothing else is drawn, so the pairs that miss a
-    slit cost nothing.  Batches run through source.ordered_streams.
+    most one proposal, with probability kernel.total, so a batch of n pairs
+    draws binomial(n, total) proposals, the rule scans use, and only those.
+    The kept ones are the batch's coincidences, with A's basis and detector
+    and the channel's.  Clean, B's basis is the channel's; under
+    interception B's fair coin is drawn for the kept pairs only, in order,
+    and _resend relays the interceptor's click.  Nothing else is drawn, so
+    the pairs that miss a slit cost nothing.  Batches run through
+    source.ordered_streams.
 
-    Yields (n, pos, bas_A, bas_B, det_A, det_B) per batch: the n pairs
-    emitted, the in-batch positions of its coincidences in increasing order,
-    and their basis choices (0 = x, 1 = p) and detector indices (0 / 1).
+    Given k proposals, their places among the n pairs are a uniform
+    k-subset in proposal order, so a coincidence's place is drawn only when
+    asked for: position(i) draws, from the batch's stream, the in-batch
+    place of coincidence i (_position).  Call it at most once per batch.
+
+    Yields (n, position, bas_A, bas_B, det_A, det_B) per batch: the n pairs
+    emitted, position, and the coincidences' basis choices (0 = x, 1 = p)
+    and detector indices (0 / 1) in emission order.
     """
     groups = [(k >> 3, k >> 1 & 1) for k in range(16)]  # (b_A, b_ch): disjoint slits
     kernel = PairKernel(_cells(source, station_A, station_B, attack), groups)
 
     def emit(n: int, stream: np.random.Generator):
-        pos = _positions(kernel.total, n, stream)
-        kept, cell = kernel.kept(stream, pos.size)
+        k = int(stream.binomial(n, kernel.total))
+        kept, cell = kernel.kept(stream, k)
         bas_A, det_A, bas_ch, det_ch = (cell >> 3, (cell >> 2) & 1, (cell >> 1) & 1, cell & 1)
+
+        def position(i: int) -> int:
+            return _position(n, k, int(kept[i]), stream)
+
         if attack is None:
-            return n, pos.take(kept), bas_A, bas_ch, det_A, det_ch
+            return n, position, bas_A, bas_ch, det_A, det_ch
         bas_B = stream.integers(0, 2, size=kept.size, dtype=np.int8)
-        return n, pos.take(kept), bas_A, bas_B, det_A, _resend(det_ch, bas_ch, bas_B, stream)
+        return n, position, bas_A, bas_B, det_A, _resend(det_ch, bas_ch, bas_B, stream)
 
     sizes = (min(batch, n_pairs - start) for start in range(0, n_pairs, batch))
     return ordered_streams(emit, sizes, rng)
@@ -206,9 +220,11 @@ def run_session(
     DEFAULT_QBER_THRESHOLD.
 
     Emission runs in fixed-size batches of source.DRAW_SIZE pairs (at most
-    8 N, at least 4096) through _coincidences; batches are consumed in order
-    up to the N-th coincidence, so emitted_pairs counts the pairs up to and
-    including that coincidence.  The result depends only on the seed.
+    8 N, at least 4096) through _coincidences, each drawing binomial(n,
+    total) proposals; batches are consumed in order up to the N-th
+    coincidence, and only that one's place in its batch is drawn, so
+    emitted_pairs counts the pairs up to and including it.  The result
+    depends only on the seed.
     """
     rng = np.random.default_rng(session.rng_seed)
     n_target = session.n_coincidences
@@ -219,15 +235,15 @@ def run_session(
     batches = _coincidences(
         source, station_A, station_B, attack, rng, EMITTED_PER_COINCIDENCE * n_target, batch
     )
-    for n, pos, *cells in batches:
+    for n, position, *cells in batches:
         need = n_target - collected
-        if pos.size >= need:
+        if cells[0].size >= need:
             # Count emissions up to and including the N-th coincidence only.
-            emitted += int(pos[need - 1]) + 1
+            emitted += position(need - 1) + 1
             chunks.append([c[:need] for c in cells])
             break
         emitted += n
-        collected += pos.size
+        collected += cells[0].size
         chunks.append(cells)
     else:
         raise ProtocolError(

@@ -162,32 +162,48 @@ DRAW_SIZE = 1 << 18  # pairs an emission loop draws at once
 
 
 def _box(cell) -> tuple:
-    """(area, a0, a1 - a0, w0, w1 - w0, near^2): the cell's box, w narrowed to the channel window."""
+    """(area, height, q): the cell's box window_A x window_ch in (z, y) and its density bound.
+
+    y = rho z + s w is the channel's coordinate, so every proposal in the box
+    is in both windows.  The density of (z, y) is phi(z) phi(r) / s with
+    r = (y - rho z) / s; height is its value where q = z^2 + r^2 is least on
+    the box: 0 if the box holds 0, else the least of the four edge minima
+    (z at an end: y = rho z; y at an end: z = rho y / (rho^2 + s^2); each
+    clipped to the edge).  An s = 0 cell (y = rho z) has a box in z alone,
+    as tall as phi at its point nearest 0.  area is weight x size x height.
+    """
     (a0, a1), (c0, c1), rho, s, weight = cell
-    if s:
-        w0 = (c0 - max(rho * a0, rho * a1)) / s
-        w1 = (c1 - min(rho * a0, rho * a1)) / s
-    else:  # w is not read
-        w0 = w1 = 0.0
-    near_a, near_w = min(max(0.0, a0), a1), min(max(0.0, w0), w1)
-    near2 = near_a * near_a + near_w * near_w
-    side_w = w1 - w0 if s else math.sqrt(2.0 * math.pi)
-    area = weight * (a1 - a0) * side_w * math.exp(-0.5 * near2) / (2.0 * math.pi)
-    return area, a0, a1 - a0, w0, w1 - w0, near2
+    if not s:
+        near = min(max(0.0, a0), a1)
+        height = math.exp(-0.5 * near * near) / math.sqrt(2.0 * math.pi)
+        return weight * (a1 - a0) * height, height, near * near
+
+    def at(z, y):
+        r = (y - rho * z) / s
+        return z * z + r * r
+
+    q = 0.0 if a0 <= 0.0 <= a1 and c0 <= 0.0 <= c1 else min(
+        *(at(z, min(max(rho * z, c0), c1)) for z in (a0, a1)),
+        *(at(min(max(rho * y / (rho * rho + s * s), a0), a1), y) for y in (c0, c1)),
+    )
+    e = math.exp(-0.5 * q)
+    return weight * (a1 - a0) * (c1 - c0) * e / (2.0 * math.pi * s), e / (2.0 * math.pi * s), q
 
 
 class PairKernel:
     """Which pairs click in a table of cells, by rejection under boxes (Devroye 1986, II.3).
 
     A cell (window_A, window_ch, rho, s, weight) takes a pair of standard
-    normals with z in A's closed window and rho z + s w in the channel's,
-    with probability weight.  Its box in (z, w), as tall as the density at
-    its point nearest 0, bounds that.  A pair has one proposal with
-    probability total, kept if a uniform is at most the density ratio and
-    it is in its cell; no mass is read.  Boxes that total 1 or more give
-    way to the density: each pair draws its normals in full, in a group of
-    disjoint cells (groups[k], one group by default) drawn with its largest
-    weight, and is kept in its cell there with probability weight over that.
+    normals with z in A's closed window and y = rho z + s w in the
+    channel's, with probability weight.  Its box (_box) is the two windows
+    in (z, y), as tall as the density's largest value there.  A pair has
+    one proposal with probability total, in a box chosen by area through a
+    guide table (Chen & Asau 1974), kept if a uniform is at most the
+    density ratio and both window tests pass; no mass is read.  Boxes that
+    total 1 or more give way to the density: each pair draws its normals
+    in full, in a group of disjoint cells (groups[k], one group by default)
+    drawn with its largest weight, and is kept in its cell there with
+    probability weight over that.
     """
 
     def __init__(self, cells, groups=None):
@@ -198,9 +214,14 @@ class PairKernel:
         if self.total < 1.0:
             on = [k for k, box in enumerate(boxes) if box[0] > 0.0]
             areas = [boxes[k][0] for k in on]
-            self._cols = np.array([
-                (*boxes[k][1:], *cells[k][0], *cells[k][1], *cells[k][2:4], k) for k in on
-            ]).reshape(-1, 12).T
+
+            def columns(k):  # a proposal's y is y0 + dy v + m z: in the channel window, or rho z
+                (a0, a1), (c0, c1), rho, s, _ = cells[k]
+                y = (c0, c1 - c0, 0.0, 1.0 / s) if s else (0.0, 0.0, rho, 0.0)
+                return (a0, a1 - a0, a1, *y, c0, c1, rho, boxes[k][2], k)
+
+            self._cols = np.array([columns(k) for k in on]).reshape(-1, 12).T
+            self._tied = not all(cells[k][3] for k in on)
         else:  # slits holding most pairs
             keys = groups or [0] * len(cells)
             share = {g: max(cell[4] for cell, key in zip(cells, keys) if key == g) for g in keys}
@@ -210,6 +231,23 @@ class PairKernel:
             self._full = [(list(share).index(g), share[g], *cell) for g, cell in zip(keys, cells)]
         cum = np.cumsum(areas)
         self._cdf = cum / cum[-1] if areas else cum
+        if self._cdf.size > 1:
+            # Guide table: a uniform u starts at the first box whose cdf
+            # passes floor(u G) / G and steps up while cdf <= u.  G, a power
+            # of 2 of at least 4 entries per box, makes u G exact; _steps is
+            # the most steps any entry needs.
+            size = 1 << (4 * self._cdf.size).bit_length()
+            guide = np.minimum(
+                np.searchsorted(self._cdf, np.arange(size + 1) / size, side="right"), self._cdf.size - 1
+            )
+            self._guide, self._steps = guide[:-1], int(np.diff(guide).max())
+
+    def _choose(self, u):
+        """The box of each uniform u, of two or more: the first whose cdf exceeds it."""
+        index = self._guide[(u * self._guide.size).astype(int)]
+        for _ in range(self._steps):
+            index += self._cdf[index] <= u
+        return index
 
     def kept(self, stream: np.random.Generator, k: int):
         """(index, int8 cell) of the kept ones of k proposals, each reading 4 draws, in order."""
@@ -218,7 +256,7 @@ class PairKernel:
         if self._full is not None:
             pick, test = stream.random((2, k))
             z, w = stream.standard_normal((2, k))
-            group = np.searchsorted(self._cdf, pick, side="right")
+            group = self._choose(pick) if self._cdf.size > 1 else 0
             cell = np.full(k, -1, dtype=np.int8)
             for j, (g, share, (lo, hi), (c0, c1), rho, s, weight) in enumerate(self._full):
                 y = rho * z + s * w
@@ -229,11 +267,14 @@ class PairKernel:
         box, u, v, test = stream.random((4, k))
         cols = self._cols  # one box: its columns broadcast
         if self._cdf.size > 1:
-            cols = cols.take(np.searchsorted(self._cdf, box, side="right"), axis=1)
-        a0, da, w0, dw, near2, lo, hi, c0, c1, rho, s, cell = cols
-        z, w = a0 + da * u, w0 + dw * v
-        y = rho * z + s * w
-        keep = test <= np.exp(0.5 * (near2 - z * z - w * w))
+            cols = cols.take(self._choose(box), axis=1)
+        lo, da, hi, y0, dy, m, t, c0, c1, rho, q, cell = cols
+        z = lo + da * u
+        y = y0 + dy * v
+        if self._tied:
+            y += m * z
+        r = (y - rho * z) * t
+        keep = test <= np.exp(0.5 * (q - z * z - r * r))
         keep &= (z >= lo) & (z <= hi) & (y >= c0) & (y <= c1)
         index = np.flatnonzero(keep)
         return index, np.broadcast_to(cell, keep.shape)[index].astype(np.int8)

@@ -578,7 +578,11 @@ def test_full_density_scan_law(default_experiment, fixed, pair):
     """The scan law test (_two_sample_chi2) on slits whose box would reach 1."""
     from scipy.stats import chi2
 
-    source, wide = default_experiment[0], WIDE_STATION
+    # WIDE_STATION's slits 1.5 times wider: a box in (z, y) tops 1 at some points.
+    source, wide = default_experiment[0], make_station(
+        O=200.0, I=100.0, f=150.0, k=150.0, x_centers=(-1.0, 1.0), p_centers=(-2.0, 2.0),
+        x_width=1.8, p_width=3.6,
+    )
     std, rho, s = source_module.channel_law(source)
     b = "xp".index(pair[0])
     slit = wide.detectors(pair[0])[int(fixed[-1]) - 1]

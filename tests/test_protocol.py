@@ -211,12 +211,13 @@ class TestSift:
         source, alice, bob = default_experiment
         for attack in (None, AttackConfig(basis_policy="uniform_random")):
             emitted = 0
-            for n, pos, _, _, det_A, det_B in protocol._coincidences(
+            for n, position, _, _, det_A, det_B in protocol._coincidences(
                 source, alice, bob, attack, rng, 50_000, 20_000
             ):
                 emitted += n
                 assert np.all(det_A >= 0) and np.all(det_B >= 0)
-                assert np.all(np.diff(pos) > 0) and (pos.size == 0 or pos[-1] < n)
+                assert det_A.size == det_B.size <= n
+                assert det_A.size == 0 or 0 <= position(det_A.size - 1) < n
             assert emitted == 50_000
 
 
@@ -303,12 +304,13 @@ class TestRunSession:
         "attack", [None, AttackConfig(basis_policy="always_p")], ids=["clean", "always_p"]
     )
     def test_mean_emitted_pairs_over_seeds(self, default_experiment, attack):
-        # Geometric gaps of the envelope total place the proposals, and a
-        # kept one is a coincidence: over 20 seeds the mean emission to the
-        # N-th coincidence is N/P within 4 standard errors of the negative
-        # binomial, P the attenuated oracle rate (mean of 16 cells / 4).  The
-        # interceptor leaves the rate alone: she reads with B's station and
-        # every click of hers reaches one of B's detectors.
+        # Each batch draws binomial(n, total) proposals, a kept one is a
+        # coincidence, and the N-th is placed by bisection: over 20 seeds
+        # the mean emission to the N-th coincidence is N/P within 4 standard
+        # errors of the negative binomial, P the attenuated oracle rate
+        # (mean of 16 cells / 4).  The interceptor leaves the rate alone:
+        # she reads with B's station and every click of hers reaches one of
+        # B's detectors.
         source, alice, bob = default_experiment
         p = oracle_table(source, alice, bob).sum() / 4.0
         n, seeds = 2000, range(40, 60)
@@ -385,8 +387,8 @@ class TestRunSession:
 
     def test_far_slits_give_up_fast(self, default_experiment):
         # Slits about 10 std out on both sides: the envelope total is tiny
-        # but not 0, so each batch's gaps are near the int64 limit.  The
-        # session still reaches its 10^4 N cap, quickly.
+        # but not 0, so nearly every batch draws no proposal.  The session
+        # still reaches its 10^4 N cap, quickly.
         import time
 
         source, alice, bob = default_experiment
@@ -407,16 +409,40 @@ class TestRunSession:
             run_session(source, far_A, far_B, cfg)
         assert time.perf_counter() - start < 5.0
 
-    @pytest.mark.parametrize("q", [1e-320, 1e-34, 1e-18, 1e-9, 0.01, 0.5, 1.0])
-    def test_positions_increase_inside_the_batch(self, q):
-        n = 1 << 18
-        pos = protocol._positions(q, n, np.random.default_rng(3))
-        assert pos.dtype == np.int64 and np.all(np.diff(pos) > 0)
-        assert pos.size == 0 or (pos[0] >= 0 and pos[-1] < n)
-        if q == 1.0:
-            assert pos.tolist() == list(range(n))
-        if q < 1e-12:
-            assert pos.size == 0
+    @pytest.mark.parametrize("n, k", [(1, 1), (7, 1), (7, 3), (8, 7), (9, 9), (12, 5)])
+    def test_position_law_is_the_order_statistic(self, n, k):
+        # The j-th smallest of a uniform k-subset of range(n) is t with
+        # probability C(t, j) C(n - 1 - t, k - 1 - j) / C(n, k): a chi-square
+        # over t per j (j = 0 and j = k - 1 among them), or the one place
+        # j itself when every place is taken (k = n).
+        from scipy.stats import chi2
+
+        rng = np.random.default_rng(n * 100 + k)
+        for j in range(k):
+            draws = [protocol._position(n, k, j, rng) for _ in range(3000)]
+            law = np.array([math.comb(t, j) * math.comb(n - 1 - t, k - 1 - j) for t in range(n)])
+            law = law / math.comb(n, k)
+            if k == n:
+                assert set(draws) == {j}
+                continue
+            seen = np.bincount(draws, minlength=n)
+            assert seen.size == n and seen[law == 0].sum() == 0
+            expected = 3000 * law[law > 0]
+            stat = float(np.sum((seen[law > 0] - expected) ** 2 / expected))
+            assert stat < chi2.ppf(0.999, law.size - 1 - (law == 0).sum()), (j, stat)
+
+    @pytest.mark.parametrize("j", [0, 40, 99])
+    def test_position_matches_a_sorted_sample(self, j):
+        # Over seeds, the bisection's place of the j-th of k = 100 among
+        # n = 2^18 has the mean and spread of np.sort(choice(n, k))[j].
+        n, k, seeds = 1 << 18, 100, range(400)
+        bisected = [protocol._position(n, k, j, np.random.default_rng(s)) for s in seeds]
+        sorted_ = [
+            np.sort(np.random.default_rng(s + 1000).choice(n, k, replace=False))[j] for s in seeds
+        ]
+        se = math.sqrt((np.var(bisected) + np.var(sorted_)) / len(seeds))
+        assert abs(np.mean(bisected) - np.mean(sorted_)) < 4.0 * se
+        assert 0.75 < np.std(bisected) / np.std(sorted_) < 1.33
 
     def test_attack_has_no_none_policy(self):
         # No attack is attack=None, never a policy.
@@ -477,8 +503,8 @@ class TestBatchedEmission:
         source, alice, bob = default_experiment
         rng = np.random.default_rng(9)
         sizes = []
-        for n, pos, *_ in protocol._coincidences(source, alice, bob, None, rng, n_pairs, 1000):
-            assert pos.size == 0 or pos[-1] < n
+        for n, position, *cells in protocol._coincidences(source, alice, bob, None, rng, n_pairs, 1000):
+            assert cells[0].size == 0 or 0 <= position(cells[0].size - 1) < n
             sizes.append(n)
         assert sum(sizes) == n_pairs and max(sizes) == min(n_pairs, 1000)
         assert rng.bit_generator.seed_seq.n_children_spawned == len(sizes)
@@ -511,7 +537,7 @@ class TestBatchedEmission:
         result = run_session(source, alice, bob, cfg, attack=attack)
         offset, cells = 0, []
         batch = max(4096, min(protocol.DRAW_SIZE, 8 * cfg.n_coincidences))
-        for n, pos, *cell in protocol._coincidences(
+        for n, position, *cell in protocol._coincidences(
             source, alice, bob, attack, np.random.default_rng(cfg.rng_seed), 10**9, batch
         ):
             cells.append(np.array(cell))
@@ -519,8 +545,8 @@ class TestBatchedEmission:
                 break
             offset += n
         last = cfg.n_coincidences - sum(c.shape[1] for c in cells[:-1]) - 1
-        assert last < pos.size - 1  # the batch was cut
-        assert result.emitted_pairs == offset + int(pos[last]) + 1
+        assert last < cells[-1].shape[1] - 1  # the batch was cut
+        assert result.emitted_pairs == offset + position(last) + 1
         tallied = protocol._cell_counts(*np.concatenate(cells, axis=1)[:, : cfg.n_coincidences])
         assert result.table.counts.tolist() == tallied.tolist()
 
@@ -719,6 +745,53 @@ def test_station_swap_transposes_the_tables(default_experiment, geometry_A, geom
     table = tally_coincidences(source, alice, bob, n, np.random.default_rng(71)).counts
     swapped = tally_coincidences(source, bob, alice, n, np.random.default_rng(72)).counts
     stat, dof = _two_sample_chi2([(table, swapped.T)])
+    assert stat < chi2.ppf(0.999, dof), (stat, dof)
+
+
+def _relabelled(station):
+    """The station with each basis's two slits exchanged: detector 1 is the old detector 2."""
+    first_x, second_x = station.x_detectors
+    first_p, second_p = station.p_detectors
+    return dataclasses.replace(
+        station,
+        x_detectors=(dataclasses.replace(second_x, logical_bit=0), dataclasses.replace(first_x, logical_bit=1)),
+        p_detectors=(dataclasses.replace(second_p, logical_bit=0), dataclasses.replace(first_p, logical_bit=1)),
+    )
+
+
+def _block_error_rates(table):
+    """(xx, pp) error rates of a 4x4 table: off-diagonal over total of each same-basis block."""
+    return [(b[0, 1] + b[1, 0]) / b.sum() for b in (table[:2, :2], table[2:, 2:])]
+
+
+@pytest.mark.parametrize("geometry_A, geometry_B", [
+    (None, None), ("wide-x", "wide-p"),
+], ids=["default", "wide-x A, wide-p B"])
+def test_detector_relabel_permutes_the_tables(default_experiment, geometry_A, geometry_B):
+    """Exchanging each basis's two slits on both stations permutes the cells.
+
+    Detector 1 and 2 of both bases trade places, so row and column
+    (Ax1, Ax2, Ap1, Ap2) become (Ax2, Ax1, Ap2, Ap1): the relabelled
+    oracle table is the unrelabelled one so permuted, to 1e-12, with both
+    error rates unchanged, and a 10^7-pair tally of the relabelled setup,
+    permuted back, passes the two-sample chi-square against the
+    unrelabelled one.  The kernel then draws from a cell table whose
+    windows and weights sit in other places.
+    """
+    from scipy.stats import chi2
+
+    source, alice, bob = default_experiment
+    if geometry_A is not None:
+        alice, bob = _sweep_setup(geometry_A)[1], _sweep_setup(geometry_B)[2]
+    alice_r, bob_r = _relabelled(alice), _relabelled(bob)
+    perm = [1, 0, 3, 2]
+    table, relabelled = oracle_table(source, alice, bob), oracle_table(source, alice_r, bob_r)
+    np.testing.assert_allclose(relabelled, table[perm][:, perm], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_block_error_rates(relabelled), _block_error_rates(table), rtol=1e-12)
+    n = 10_000_000
+    counts = tally_coincidences(source, alice, bob, n, np.random.default_rng(73)).counts
+    back = tally_coincidences(source, alice_r, bob_r, n, np.random.default_rng(74)).counts
+    stat, dof = _two_sample_chi2([(counts, back[perm][:, perm])])
     assert stat < chi2.ppf(0.999, dof), (stat, dof)
 
 

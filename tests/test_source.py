@@ -523,6 +523,25 @@ class TestPairKernel:
         index, cell = kernel.kept(np.random.default_rng(k), k)
         assert kernel.total == 1.0 and index.tolist() == list(range(k)) and not cell.any()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.lists(st.floats(1e-9, 1.0), min_size=2, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_guide_table_picks_the_searchsorted_box(self, weights, seed):
+        # Boxes whose areas are in the ratio of the weights: the guide
+        # table's pick is the first box whose cdf exceeds u, also at each
+        # cdf value itself and one double either side of it.
+        cell = ((0.0, 1.0), (0.0, 1.0), 0.0, 1.0)
+        kernel = PairKernel([(*cell, w / len(weights)) for w in weights])
+        assert kernel._full is None and kernel._cdf.size == len(weights)
+        cdf = kernel._cdf
+        u = np.concatenate([
+            np.random.default_rng(seed).random(2000), cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)
+        ])
+        u = u[u < 1.0]
+        assert kernel._choose(u).tolist() == np.searchsorted(cdf, u, side="right").tolist()
+
     @settings(max_examples=200, deadline=None)
     @given(
         t=st.floats(-6.0, 6.0),
@@ -544,3 +563,87 @@ class TestPairKernel:
         assert cell.dtype == np.int8 and cell.size == index.size and set(cell) <= {0, 1}
         wide = PairKernel([((-1e6, 1e6), (-1e6, 1e6), rho, math.sqrt(1.0 - rho * rho), 1.0)])
         assert wide.kept(np.random.default_rng(seed), k)[0].size == k  # exactly k on [-1e6, 1e6]
+
+
+def _zw_box_area(cell):
+    """The area of a cell's box in (z, w), the envelope the kernel drew under before (z, y).
+
+    w ran over the channel window pulled back through rho z + s w, the
+    height was the density at the box's point nearest 0, and an s = 0 cell
+    had a box in z alone.
+    """
+    (a0, a1), (c0, c1), rho, s, weight = cell
+    if s:
+        w0 = (c0 - max(rho * a0, rho * a1)) / s
+        w1 = (c1 - min(rho * a0, rho * a1)) / s
+    else:
+        w0 = w1 = 0.0
+    near_a, near_w = min(max(0.0, a0), a1), min(max(0.0, w0), w1)
+    side_w = w1 - w0 if s else math.sqrt(2.0 * math.pi)
+    return weight * (a1 - a0) * side_w * math.exp(-0.5 * (near_a**2 + near_w**2)) / (2.0 * math.pi)
+
+
+def _cell_q(z, y, rho, s):
+    """-2 log of the density of (z, y = rho z + s w), less its log normalizer: z^2 + r^2."""
+    if not s:
+        return z * z
+    r = (y - rho * z) / s
+    return z * z + r * r
+
+
+def _cell_density(z, y, rho, s):
+    """The density of (z, y) for standard normals z, w; of z alone when s = 0."""
+    norm = math.sqrt(2.0 * math.pi) if not s else 2.0 * math.pi * s
+    return np.exp(-0.5 * _cell_q(z, y, rho, s)) / norm
+
+
+def _edge_minimum(f, lo, hi, points=201, rounds=14):
+    """The least f on [lo, hi] by a grid zoomed about its best point: f is convex there."""
+    for _ in range(rounds):
+        grid = np.linspace(lo, hi, points)
+        best = int(np.argmin(f(grid)))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, points - 1)]
+    return float(np.min(f(np.linspace(lo, hi, points))))
+
+
+_window = st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)).map(sorted).map(tuple)
+
+
+class TestBox:
+    """_box: the cell's windows in (z, y), as tall as the density's largest value there."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        window_A=_window,
+        window_ch=_window,
+        rho=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+        weight=st.floats(1e-3, 1.0),  # far smaller weights underflow the area
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_height_bounds_the_density_and_is_its_maximum(self, window_A, window_ch, rho, weight, seed):
+        s = math.sqrt(1.0 - rho * rho)
+        (a0, a1), (c0, c1) = window_A, window_ch
+        area, height, _ = source_module._box((window_A, window_ch, rho, s, weight))
+        # Inside the box: random points and the corners (z alone when s = 0).
+        u, v = np.random.default_rng(seed).random((2, 200))
+        z = np.concatenate([a0 + (a1 - a0) * u, [a0, a0, a1, a1]])
+        y = np.concatenate([c0 + (c1 - c0) * v, [c0, c1, c0, c1]])
+        assert np.all(_cell_density(z, y, rho, s) <= height * (1.0 + 1e-12))
+        # The largest density over the box's edges, and at 0 if the box holds
+        # it, by a grid search on its convex exponent z^2 + r^2.
+        if s:
+            exponents = [
+                _edge_minimum(lambda t: _cell_q(a0 + 0.0 * t, t, rho, s), c0, c1),
+                _edge_minimum(lambda t: _cell_q(a1 + 0.0 * t, t, rho, s), c0, c1),
+                _edge_minimum(lambda t: _cell_q(t, c0 + 0.0 * t, rho, s), a0, a1),
+                _edge_minimum(lambda t: _cell_q(t, c1 + 0.0 * t, rho, s), a0, a1),
+            ]
+            if a0 <= 0.0 <= a1 and c0 <= 0.0 <= c1:
+                exponents.append(0.0)
+        else:
+            exponents = [_edge_minimum(lambda t: _cell_q(t, 0.0, rho, s), a0, a1)]
+        brute = _cell_density(0.0, 0.0, 0.0, s) * math.exp(-0.5 * min(exponents))
+        assert height == pytest.approx(brute, rel=1e-12, abs=1e-290)
+        size = (a1 - a0) * ((c1 - c0) if s else 1.0)
+        assert area == pytest.approx(weight * size * height, rel=1e-12, abs=1e-290)
+        assert area <= _zw_box_area((window_A, window_ch, rho, s, weight)) * (1.0 + 1e-12)
