@@ -14,16 +14,18 @@ load; only simulate loads it.
 The Monte Carlo runs in standard units, each latent coordinate over its
 basis's std: every click is a cell of source.PairKernel, whose windows
 (_cells) are each slit's latent window over that std, the same floats the
-oracle integrates.
+oracle integrates.  A coincidence is one int8 label, its cell index
+8 b_A + 4 d_A + 2 b_B + d_B (bases 0 = x, 1 = p; detectors 0 / 1), from the
+kernel to the table, the sift and the keys.
 
 The intercept-resend attack (AttackConfig) acts on B's channel inside the
 session: the interceptor reads each photon in her basis with B's own
 station, a null blocks it (the pair is later discarded as a
 non-coincidence), and a click triggers a replacement photon under one fixed
 rule: B in her basis fires her detector, B in the conjugate basis fires
-either detector with probability 1/2 (_resend).  Substituting a whole fresh
-pair is a source swap, not a channel transform: run a session with a
-different SourceModel.
+either detector with probability 1/2 (_resend, on labels).  Substituting a
+whole fresh pair is a source swap, not a channel transform: run a session
+with a different SourceModel.
 """
 
 from __future__ import annotations
@@ -151,50 +153,39 @@ def _coincidences(
     source.PairKernel over the session's cells (_cells) gives each pair at
     most one proposal, with probability kernel.total, so a batch of n pairs
     draws binomial(n, total) proposals, the rule scans use, and only those.
-    The kept ones are the batch's coincidences, with A's basis and detector
-    and the channel's.  Clean, B's basis is the channel's; under
-    interception B's fair coin is drawn for the kept pairs only, in order,
-    and _resend relays the interceptor's click.  Nothing else is drawn, so
-    the pairs that miss a slit cost nothing.  Batches run through
-    source.ordered_streams.
+    The kept ones are the batch's coincidences, each its cell's int8
+    label.  Clean, the channel's cell is B's; under interception _resend
+    relays the interceptor's click on the kept labels.  Nothing else is
+    drawn, so the pairs that miss a slit cost nothing.  Batches run
+    through source.ordered_streams.
 
     Given k proposals, their places among the n pairs are a uniform
     k-subset in proposal order, so a coincidence's place is drawn only when
     asked for: position(i) draws, from the batch's stream, the in-batch
     place of coincidence i (_position).  Call it at most once per batch.
 
-    Yields (n, position, bas_A, bas_B, det_A, det_B) per batch: the n pairs
-    emitted, position, and the coincidences' basis choices (0 = x, 1 = p)
-    and detector indices (0 / 1) in emission order.
+    Yields (n, position, label) per batch: the n pairs emitted, position,
+    and the coincidences' labels in emission order.
     """
     groups = [(k >> 3, k >> 1 & 1) for k in range(16)]  # (b_A, b_ch): disjoint slits
     kernel = PairKernel(_cells(source, station_A, station_B, attack), groups)
 
     def emit(n: int, stream: np.random.Generator):
         k = int(stream.binomial(n, kernel.total))
-        kept, cell = kernel.kept(stream, k)
-        bas_A, det_A, bas_ch, det_ch = (cell >> 3, (cell >> 2) & 1, (cell >> 1) & 1, cell & 1)
+        kept, label = kernel.kept(stream, k)
 
         def position(i: int) -> int:
             return _position(n, k, int(kept[i]), stream)
 
-        if attack is None:
-            return n, position, bas_A, bas_ch, det_A, det_ch
-        bas_B = stream.integers(0, 2, size=kept.size, dtype=np.int8)
-        return n, position, bas_A, bas_B, det_A, _resend(det_ch, bas_ch, bas_B, stream)
+        return n, position, label if attack is None else _resend(label, stream)
 
     sizes = (min(batch, n_pairs - start) for start in range(0, n_pairs, batch))
     return ordered_streams(emit, sizes, rng)
 
 
-def _cell_counts(bas_A, bas_B, det_A, det_B) -> np.ndarray:
-    """4x4 tally of coincidences by (Ax1, Ax2, Ap1, Ap2) x (Bx1, Bx2, Bp1, Bp2).
-
-    The cell index (0-15) is formed in the inputs' int8, without wide
-    temporaries.
-    """
-    cell = 8 * bas_A + 4 * det_A + 2 * bas_B + det_B
-    return np.bincount(cell, minlength=16).reshape(4, 4)
+def _cell_counts(label: np.ndarray) -> np.ndarray:
+    """4x4 tally of coincidence labels by (Ax1, Ax2, Ap1, Ap2) x (Bx1, Bx2, Bp1, Bp2)."""
+    return np.bincount(label, minlength=16).reshape(4, 4)
 
 
 def _bit_string(bits: np.ndarray) -> str:
@@ -235,29 +226,26 @@ def run_session(
     batches = _coincidences(
         source, station_A, station_B, attack, rng, EMITTED_PER_COINCIDENCE * n_target, batch
     )
-    for n, position, *cells in batches:
+    for n, position, label in batches:
         need = n_target - collected
-        if cells[0].size >= need:
+        if label.size >= need:
             # Count emissions up to and including the N-th coincidence only.
             emitted += position(need - 1) + 1
-            chunks.append([c[:need] for c in cells])
+            chunks.append(label[:need])
             break
         emitted += n
-        collected += cells[0].size
-        chunks.append(cells)
+        collected += label.size
+        chunks.append(label)
     else:
         raise ProtocolError(
             f"emitted {emitted} pairs but collected only {collected} of "
             f"{n_target} coincidences; coincidence rate is pathologically low"
         )
-    bas_A, bas_B, det_A, det_B = (np.concatenate(c) for c in zip(*chunks))
-    table = CoincidenceTable(_cell_counts(bas_A, bas_B, det_A, det_B).tolist())
+    label = np.concatenate(chunks)
+    table = CoincidenceTable(_cell_counts(label).tolist())
 
-    same = bas_A == bas_B
-    sift_bas = bas_A[same]
-    sift_A = det_A[same]
-    sift_B = det_B[same]
-    n_sifted = int(same.sum())
+    sifted = label[(label >> 3) == (label >> 1 & 1)]  # b_A == b_B
+    n_sifted = sifted.size
     if n_sifted <= session.m_estimation:
         raise ProtocolError(
             f"only {n_sifted} sifted pairs; cannot sacrifice {session.m_estimation}"
@@ -266,14 +254,12 @@ def run_session(
     est_idx = rng.choice(n_sifted, size=session.m_estimation, replace=False)
     est_mask = np.zeros(n_sifted, dtype=bool)
     est_mask[est_idx] = True
+    estimate = qber_from_counts(CoincidenceTable(_cell_counts(sifted[est_mask]).tolist()))
 
-    est_bas = sift_bas[est_mask]
-    est_table = _cell_counts(est_bas, est_bas, sift_A[est_mask], sift_B[est_mask])
-    estimate = qber_from_counts(CoincidenceTable(est_table.tolist()))
-
+    key = sifted[~est_mask]
     return SessionResult(
-        sifted_bits_A=_bit_string(sift_A[~est_mask]),
-        sifted_bits_B=_bit_string(sift_B[~est_mask]),
+        sifted_bits_A=_bit_string(key >> 2 & 1),
+        sifted_bits_B=_bit_string(key & 1),
         estimate=estimate,
         aborted=estimate.qber > DEFAULT_QBER_THRESHOLD,
         table=table,
@@ -300,8 +286,8 @@ def tally_coincidences(
     if isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Integral) or n_pairs < 0:
         raise ValueError(f"n_pairs must be a non-negative integer, got {n_pairs!r}")
     counts = np.zeros((4, 4), dtype=np.int64)
-    for _, _, *cells in _coincidences(source, station_A, station_B, attack, rng, n_pairs, DRAW_SIZE):
-        counts += _cell_counts(*cells)
+    for _, _, label in _coincidences(source, station_A, station_B, attack, rng, n_pairs, DRAW_SIZE):
+        counts += _cell_counts(label)
     return CoincidenceTable(counts)
 
 
@@ -325,16 +311,16 @@ class AttackConfig:
             )
 
 
-def _resend(
-    det_E: np.ndarray, bas_E: np.ndarray, bas_B: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """B's detector index for each photon the interceptor clicked on and relays.
+def _resend(label: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The labels B reads for the photons the interceptor clicked on and relays.
 
-    det_E and bas_E are her clicks and bases, bas_B is B's basis for the
-    same photons; the photons she did not click on are blocked before this.
-    If B measures in her basis he fires her detector; in the conjugate basis
-    either of his detectors fires with probability 1/2.  One uniform is
-    drawn per relayed photon, in order, same-basis ones included, and the
-    conjugate-basis photons fire detector 2 iff it is >= 1/2.
+    Each label's channel cell (2 b_E + d_E) is her click; the photons she
+    did not click on are blocked before this.  B's fair int8 basis coin is
+    drawn for every relayed photon, then one uniform per relayed photon, in
+    order, same-basis ones included.  If B measures in her basis he fires
+    her detector; in the conjugate basis detector 2 fires iff the uniform is
+    >= 1/2.  A's half of the label is kept.
     """
-    return np.where(bas_B == bas_E, det_E, rng.random(det_E.size) >= 0.5)
+    bas_B = rng.integers(0, 2, size=label.size, dtype=np.int8)
+    det_B = np.where(bas_B == label >> 1 & 1, label & 1, rng.random(label.size) >= 0.5)
+    return label & 12 | bas_B << 1 | det_B

@@ -22,18 +22,25 @@ class TestAttackConfigValidation:
             AttackConfig(basis_policy="sometimes")
 
 
-def bases(label, n):
-    return np.full(n, "xp".index(label), dtype=np.int8)
+def labels(bas_E, det_E, bas_A=0, det_A=0):
+    """Kernel labels 8 b_A + 4 d_A + 2 b_E + d_E for the interceptor's clicks."""
+    return (8 * bas_A + 4 * det_A + 2 * np.asarray(bas_E) + np.asarray(det_E)).astype(np.int8)
 
 
 class TestInterceptSingle:
-    """protocol._resend on hand-built clicks, and her nulls in a tally."""
+    """protocol._resend on hand-built labels, and her nulls in a tally."""
 
     def test_same_basis_resend_copies_her_click(self, rng):
-        for basis in ("x", "p"):
-            det_E = np.array([0, 1] * 10, dtype=np.int8)
-            det_B = _resend(det_E, bases(basis, 20), bases(basis, 20), rng)
-            assert det_B.tolist() == det_E.tolist()
+        # B's coin lands on her basis for about half the photons: those fire
+        # her detector, and A's half of every label is kept.
+        det_E = np.array([0, 1] * 500, dtype=np.int8)
+        for bas_E in (0, 1):
+            label = labels(bas_E, det_E, bas_A=1, det_A=1)
+            out = _resend(label, rng)
+            same = (out >> 1 & 1) == bas_E
+            assert 0 < same.sum() < same.size
+            assert (out[same] & 1).tolist() == det_E[same].tolist()
+            assert np.all(out >> 2 == 3)
 
     def test_null_blocks_bob(self, default_experiment):
         # She reads x with slits no photon reaches, so nothing is relayed;
@@ -49,20 +56,26 @@ class TestInterceptSingle:
 
     def test_wrong_basis_resend_follows_cross_fractions(self, rng):
         """In the conjugate basis each of B's detectors fires with probability 1/2."""
-        n = 100_000
-        det = _resend(np.zeros(n, dtype=np.int8), bases("x", n), bases("p", n), rng)
-        assert np.all(det >= 0)
-        assert abs(np.count_nonzero(det == 1) - n / 2) <= 3 * math.sqrt(n / 4)
+        n = 200_000
+        out = _resend(labels(0, np.zeros(n, dtype=np.int8)), rng)
+        assert np.all((out >= 0) & (out < 4))
+        det = out[out >> 1 & 1 == 1] & 1
+        assert abs(det.size - n / 2) <= 3 * math.sqrt(n / 4)
+        assert abs(np.count_nonzero(det == 1) - det.size / 2) <= 3 * math.sqrt(det.size / 4)
 
     def test_one_uniform_per_relayed_photon(self):
-        """Same-basis photons draw too, so B's basis never shifts the stream."""
-        det_E = np.array([0, 1, 1, 0], dtype=np.int8)
-        bas_E = np.array([0, 1, 0, 1], dtype=np.int8)
-        bas_B = np.array([0, 1, 1, 0], dtype=np.int8)
+        """B's int8 coin for every photon, then one uniform each, same-basis ones too."""
+        bas_E = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+        det_E = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+        label = labels(bas_E, det_E, bas_A=bas_E, det_A=1 - det_E)
         rng, twin = np.random.default_rng(9), np.random.default_rng(9)
-        det_B = _resend(det_E, bas_E, bas_B, rng)
-        coin = twin.random(4) >= 0.5
-        assert det_B.tolist() == [0, 1, int(coin[2]), int(coin[3])]
+        out = _resend(label, rng)
+        bas_B = twin.integers(0, 2, size=8, dtype=np.int8)
+        coin = twin.random(8) >= 0.5
+        assert 0 < np.count_nonzero(bas_B == bas_E) < 8
+        det_B = np.where(bas_B == bas_E, det_E, coin)
+        assert out.tolist() == (label & 12 | 2 * bas_B + det_B).tolist()
+        assert out.dtype == np.int8
         assert rng.random() == twin.random()
 
 

@@ -211,13 +211,13 @@ class TestSift:
         source, alice, bob = default_experiment
         for attack in (None, AttackConfig(basis_policy="uniform_random")):
             emitted = 0
-            for n, position, _, _, det_A, det_B in protocol._coincidences(
+            for n, position, label in protocol._coincidences(
                 source, alice, bob, attack, rng, 50_000, 20_000
             ):
                 emitted += n
-                assert np.all(det_A >= 0) and np.all(det_B >= 0)
-                assert det_A.size == det_B.size <= n
-                assert det_A.size == 0 or 0 <= position(det_A.size - 1) < n
+                assert np.all((label >= 0) & (label < 16))
+                assert label.size <= n
+                assert label.size == 0 or 0 <= position(label.size - 1) < n
             assert emitted == 50_000
 
 
@@ -355,13 +355,15 @@ class TestRunSession:
         sigma = math.sqrt(q * (1 - q) / cfg.m_estimation + q * (1 - q) / key_len)
         assert abs(disagree - q) <= 3 * sigma
 
-    def test_estimation_pairs_removed_from_key(self, default_experiment):
+    @pytest.mark.parametrize("policy", [None, "uniform_random", "always_x", "always_p"])
+    def test_estimation_pairs_removed_from_key(self, default_experiment, policy):
         # The m estimation pairs leave the key: its length is the sifted count
         # less m, and its disagreements are the table's same-basis wrong cells
-        # less the estimate's.
+        # less the estimate's, clean and under each attack policy.
         source, alice, bob = default_experiment
         cfg = SessionConfig(n_coincidences=2000, m_estimation=400, rng_seed=2)
-        result = run_session(source, alice, bob, cfg)
+        attack = None if policy is None else AttackConfig(basis_policy=policy)
+        result = run_session(source, alice, bob, cfg, attack=attack)
         assert len(result.sifted_bits_A) == sifted_count(result) - cfg.m_estimation
         xx, pp = result.table.block("x", "x"), result.table.block("p", "p")
         wrong = xx[0][1] + xx[1][0] + pp[0][1] + pp[1][0]
@@ -503,8 +505,8 @@ class TestBatchedEmission:
         source, alice, bob = default_experiment
         rng = np.random.default_rng(9)
         sizes = []
-        for n, position, *cells in protocol._coincidences(source, alice, bob, None, rng, n_pairs, 1000):
-            assert cells[0].size == 0 or 0 <= position(cells[0].size - 1) < n
+        for n, position, label in protocol._coincidences(source, alice, bob, None, rng, n_pairs, 1000):
+            assert label.size == 0 or 0 <= position(label.size - 1) < n
             sizes.append(n)
         assert sum(sizes) == n_pairs and max(sizes) == min(n_pairs, 1000)
         assert rng.bit_generator.seed_seq.n_children_spawned == len(sizes)
@@ -520,12 +522,19 @@ class TestBatchedEmission:
         assert table.total() == n_pairs
 
     def test_session_counts_emissions_to_the_last_coincidence(self, default_experiment):
-        # Every pair is a coincidence, so the session stops at pair N exactly.
+        # Every pair is a coincidence, so the session stops at pair N exactly,
+        # and its table is the first N labels of its one batch.
         wide = _wide_station()
         cfg = SessionConfig(n_coincidences=5001, m_estimation=500, rng_seed=4)
         result = run_session(default_experiment[0], wide, wide, cfg)
         assert result.emitted_pairs == cfg.n_coincidences
         assert result.table.total() == cfg.n_coincidences
+        batch = max(4096, min(protocol.DRAW_SIZE, 8 * cfg.n_coincidences))
+        _, _, label = next(protocol._coincidences(
+            default_experiment[0], wide, wide, None, np.random.default_rng(cfg.rng_seed), 10**9, batch
+        ))
+        tallied = protocol._cell_counts(label[: cfg.n_coincidences])
+        assert result.table.counts.tolist() == tallied.tolist()
 
     @_ATTACKS
     def test_emitted_pairs_end_at_the_last_coincidence(self, default_experiment, attack):
@@ -535,19 +544,19 @@ class TestBatchedEmission:
         source, alice, bob = default_experiment
         cfg = SessionConfig(n_coincidences=5001, m_estimation=500, rng_seed=4)
         result = run_session(source, alice, bob, cfg, attack=attack)
-        offset, cells = 0, []
+        offset, labels = 0, []
         batch = max(4096, min(protocol.DRAW_SIZE, 8 * cfg.n_coincidences))
-        for n, position, *cell in protocol._coincidences(
+        for n, position, label in protocol._coincidences(
             source, alice, bob, attack, np.random.default_rng(cfg.rng_seed), 10**9, batch
         ):
-            cells.append(np.array(cell))
-            if sum(c.shape[1] for c in cells) >= cfg.n_coincidences:
+            labels.append(label)
+            if sum(c.size for c in labels) >= cfg.n_coincidences:
                 break
             offset += n
-        last = cfg.n_coincidences - sum(c.shape[1] for c in cells[:-1]) - 1
-        assert last < cells[-1].shape[1] - 1  # the batch was cut
+        last = cfg.n_coincidences - sum(c.size for c in labels[:-1]) - 1
+        assert last < labels[-1].size - 1  # the batch was cut
         assert result.emitted_pairs == offset + position(last) + 1
-        tallied = protocol._cell_counts(*np.concatenate(cells, axis=1)[:, : cfg.n_coincidences])
+        tallied = protocol._cell_counts(np.concatenate(labels)[: cfg.n_coincidences])
         assert result.table.counts.tolist() == tallied.tolist()
 
     def test_guard_counts_every_emitted_pair(self, default_experiment):
@@ -793,6 +802,55 @@ def test_detector_relabel_permutes_the_tables(default_experiment, geometry_A, ge
     back = tally_coincidences(source, alice_r, bob_r, n, np.random.default_rng(74)).counts
     stat, dof = _two_sample_chi2([(counts, back[perm][:, perm])])
     assert stat < chi2.ppf(0.999, dof), (stat, dof)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x_slit=st.floats(0.1, 0.4), p_slit=st.floats(0.2, 0.6), image_distance=st.floats(70.0, 100.0),
+    detector1=st.floats(0.9, 1.1), separation=st.floats(0.8, 1.2), scale=st.floats(0.1, 10.0),
+)
+def test_unit_rescaling_leaves_the_oracle_unchanged(
+    x_slit, p_slit, image_distance, detector1, separation, scale
+):
+    """Lengths scaled by lambda and momenta by 1/lambda leave every probability unchanged.
+
+    On a geometry of the benchmark's sweep ranges, sigma+- and alpha
+    (through object_distance) scale by lambda and kappa+- and k/f (through
+    wavenumber) by 1/lambda, both stations alike.  The slits' latent windows
+    then scale with their basis's std, so all 16 oracle cells stay the same
+    to 1e-12; the detected x variance, in detection-plane mm^2, stays the
+    same and the detected p variance, in 1/mm^2, scales by 1/lambda^2.
+    """
+    from eprqkd.detection import detected_variance
+
+    cfg = parse_config_file(None)
+    cfg.update({
+        "station.image_distance_mm": repr(image_distance), "station.x_slit_width_mm": repr(x_slit),
+        "station.p_slit_width_mm": repr(p_slit), "station.detector1_mm": repr(detector1),
+        "station.detector2_mm": repr(detector1 + separation),
+    })
+    source, alice, bob = build_setup(cfg)
+    scaled_source = dataclasses.replace(
+        source, sigma_minus=source.sigma_minus * scale, sigma_plus=source.sigma_plus * scale,
+        kappa_minus=source.kappa_minus / scale, kappa_plus=source.kappa_plus / scale,
+    )
+    scaled_alice, scaled_bob = (
+        dataclasses.replace(
+            station, object_distance=station.object_distance * scale,
+            wavenumber=station.wavenumber / scale,
+        )
+        for station in (alice, bob)
+    )
+    np.testing.assert_allclose(
+        oracle_table(scaled_source, scaled_alice, scaled_bob), oracle_table(source, alice, bob),
+        rtol=0, atol=1e-12,
+    )
+    for basis, power in (("x", 0), ("p", -2)):
+        np.testing.assert_allclose(
+            detected_variance(scaled_source, scaled_alice, scaled_bob, basis),
+            detected_variance(source, alice, bob, basis) * scale**power,
+            rtol=1e-12,
+        )
 
 
 class TestTableCsv:
