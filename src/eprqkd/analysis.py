@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from .defaults import RunError
-from .source import DRAW_SIZE, PairKernel, SourceModel, basis_index, channel_law, ordered_streams
+from .source import DRAW_SIZE, PairKernel, SourceModel, channel_law
 
 if TYPE_CHECKING:
     import numpy as np
@@ -329,17 +329,19 @@ def scan_simulation(
     scan (calibration runs bypass the random basis choice).  At each grid
     point B's slit is re-centered and pairs_per_point fresh pairs are
     emitted; the count is the number of double transmissions through the
-    closed slit windows.  Photons are drawn in standard units, against each
-    slit's latent window over its basis's std, through source.PairKernel
-    with one cell of weight 1 (A's fixed window, B's window at the point,
-    the basis pair's (rho, s)), whose box is the two windows in A's and the
-    channel's coordinate: binomial(pairs_per_point, kernel.total)
-    proposals, the rule sessions use, DRAW_SIZE // 8 at a time, of which
-    the kept ones are the hits.  This is the law of sample_pairs followed by both window tests,
-    and no window mass is read.  Attenuation filters are left out: scans
-    model the bare alignment measurements taken before filters are
-    installed.  Grid points run through source.ordered_streams.
+    closed slit windows.  Photons are drawn in standard units through
+    source.PairKernel with one cell per point, detection.slit_cell of A's
+    fixed slit and B's slit there at weight 1, whose box is the two windows
+    in A's and the channel's coordinate: binomial(pairs_per_point,
+    kernel.total) proposals, the rule sessions use, DRAW_SIZE // 8 at a
+    time, of which the kept ones are the hits.  This is the law of
+    sample_pairs followed by both window tests, and no window mass is read.
+    Attenuation filters are left out: scans model the bare alignment
+    measurements taken before filters are installed.  Each point draws from
+    its own child of rng, spawned in grid order.
     """
+    from .detection import slit_cell
+
     grid = list(grid)
     if len(grid) < _MIN_POINTS:
         raise ValueError(f"need at least {_MIN_POINTS} grid points")
@@ -358,19 +360,16 @@ def scan_simulation(
         raise ValueError(f"pairs_per_point must be an integer, got {pairs_per_point!r}")
     if pairs_per_point <= 0:
         raise ValueError("pairs_per_point must be positive")
-    det_idx = int(fixed_detector[-1]) - 1
-    std, rho, s = channel_law(source)
-    i_A, i_B = basis_index(basis_A), basis_index(basis_B)
-    law = (rho[i_A], s[i_A]) if i_A == i_B else (0.0, 1.0)
-    slit_A = station_A.detectors(basis_A)[det_idx]
-    window_A = tuple(v / std[i_A] for v in station_A.latent_window(basis_A, slit_A))
+    law = channel_law(source)
+    slit_A = station_A.detectors(basis_A)[int(fixed_detector[-1]) - 1]
     slit_B = station_B.detectors(basis_B)[0]
-    latent_B = [station_B.latent_window(basis_B, replace(slit_B, center=c)) for c in grid]
-    windows_B = [(lo / std[i_B], hi / std[i_B]) for lo, hi in latent_B]
     pairs, chunk = int(pairs_per_point), DRAW_SIZE // 8
 
-    def count(window_B: tuple[float, float], stream: np.random.Generator) -> int:
-        kernel = PairKernel([(window_A, window_B, *law, 1.0)])
+    def count(center: float, stream: np.random.Generator) -> int:
+        cell = slit_cell(
+            law, station_A, station_B, basis_A, basis_B, slit_A, replace(slit_B, center=center), 1.0
+        )
+        kernel = PairKernel([cell])
         proposals = int(stream.binomial(pairs, kernel.total))
         return sum(
             kernel.kept(stream, min(chunk, proposals - start))[0].size
@@ -379,7 +378,7 @@ def scan_simulation(
 
     return ScanData(
         positions=tuple(float(g) for g in grid),
-        counts=tuple(ordered_streams(count, windows_B, rng)),
+        counts=tuple(count(center, rng.spawn(1)[0]) for center in grid),
         fixed_detector=fixed_detector,
         basis_pair=(basis_A, basis_B),
     )

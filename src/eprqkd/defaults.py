@@ -168,7 +168,13 @@ def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, Statio
         _as_float(cfg, "source.target_var_p_hbar2_mm2", positive=True),
         bob, bob, sigma_plus=sigma_plus, kappa_plus=kappa_plus, pump=pump,
     )
-    return assemble_setup(src, bob)
+    try:
+        return assemble_setup(src, bob)
+    except ValueError as exc:  # far off axis, A's derived slits can overlap
+        if "slit intervals overlap" not in str(exc):
+            raise
+        keys = "station.origin_mm, station.detector1_mm and station.detector2_mm"
+        raise ConfigError(f"config keys {keys}: party A's derived slits: {exc}") from exc
 
 
 def assemble_setup(

@@ -8,20 +8,22 @@ lens and the coordinate is p * f / k.  An optional origin offset models where
 the translation stage's zero sits relative to the optical axis.
 
 A slit detector accepts the closed latent window StationConfig.latent_window
-maps its aperture to.  The oracle and the Monte Carlo (the cells of
-source.PairKernel, for sessions and scans) all compare standard normals with
-that window over the basis's std (source.channel_law), so they share its
-floats.
+maps its aperture to.  standard_window divides it by the basis's std
+(source.channel_law), and slit_cell turns a slit pair into the cell
+(window_A, window_B, rho, s, weight) of source.PairKernel.  The oracle
+(cell_probability), the sessions, the scans and the setup all read slit_cell
+or standard_window, so they share its floats.
 Two detectors per basis encode one key bit: detector index 1 is logical 0,
 index 2 is logical 1.
 
 coincidence_probability is the latent joint mass of both parties' acceptance
-windows in closed form: a product of two normal masses across bases and a
-bivariate-normal rectangle (four upper-orthant probabilities, Genz's method)
-within one.  It is the oracle that every Monte Carlo estimate in the package
-is checked against, and it needs nothing beyond the math module.  Sessions,
-scans and oracle evaluations share one read-through cache of per-correlation
-quadrature constants (_orthant_rule), which does not change any result.
+windows in closed form (cell_probability): a product of two normal masses for
+independent coordinates (across bases, or rho = 0) and a bivariate-normal
+rectangle (four upper-orthant probabilities, Genz's method) otherwise.  It is
+the oracle that every Monte Carlo estimate in the package is checked against,
+and it needs nothing beyond the math module.  Oracle evaluations share one
+read-through cache of per-correlation quadrature constants (_orthant_rule),
+which does not change any result.
 
 The detected variance of the collective coordinate (detected_variance) and
 its closed-form inverse (calibrate_source, which solves the two squeezed
@@ -173,12 +175,6 @@ def _normal_mass(lo: float, hi: float) -> float:
     return _cdf(hi) - _cdf(lo) if lo + hi < 0.0 else _cdf(-lo) - _cdf(-hi)
 
 
-def _window_mass(source: SourceModel, basis: str, lo: float, hi: float) -> float:
-    """Single-party latent probability mass in [lo, hi]."""
-    std = channel_law(source)[0][basis_index(basis)]
-    return _normal_mass(lo / std, hi / std)
-
-
 @functools.lru_cache(maxsize=16)  # a setup reads two values of r, one per basis
 def _orthant_rule(r: float) -> tuple:
     """The terms of _upper_orthant's rule that depend on r alone.
@@ -267,20 +263,39 @@ def _rectangle(h0: float, h1: float, k0: float, k1: float, r: float) -> float:
     return max(rect, 0.0)
 
 
-def _cell_probability(source, basis_A, basis_B, window_A, window_B) -> float:
-    """Latent probability that A lands in window_A and B in window_B.
+def standard_window(station: StationConfig, basis: str, slit: SlitDetector, std: float):
+    """The slit's latent window over std: the window its standard normal must fall in."""
+    lo, hi = station.latent_window(basis, slit)
+    return lo / std, hi / std
 
-    Same-basis cells are a bivariate-normal rectangle with both parties'
-    std and correlation rho from source.channel_law; mixed-basis cells
-    factor into two masses.
+
+def slit_cell(law, station_A, station_B, basis_A, basis_B, slit_A, slit_B, weight) -> tuple:
+    """The source.PairKernel cell (window_A, window_B, rho, s, weight) of one slit pair.
+
+    law is source.channel_law(source), computed once per table by the
+    caller.  Windows are standard_window's; a same-basis pair carries its
+    basis's (rho, s), a cross-basis pair the independent (0, 1).
     """
-    if basis_A != basis_B:
-        mass_B = _window_mass(source, basis_B, *window_B)
-        return _window_mass(source, basis_A, *window_A) * mass_B
-    i = basis_index(basis_A)
-    std, rho = (law[i] for law in channel_law(source)[:2])
-    (a_lo, a_hi), (b_lo, b_hi) = window_A, window_B
-    return _rectangle(a_lo / std, a_hi / std, b_lo / std, b_hi / std, rho)
+    std, rho, s = law
+    i, j = basis_index(basis_A), basis_index(basis_B)
+    return (
+        standard_window(station_A, basis_A, slit_A, std[i]),
+        standard_window(station_B, basis_B, slit_B, std[j]),
+        *((rho[i], s[i]) if i == j else (0.0, 1.0)),
+        weight,
+    )
+
+
+def cell_probability(cell) -> float:
+    """weight x the probability that A's standard normal is in window_A and B's in window_B.
+
+    A bivariate-normal rectangle with correlation rho; at rho = 0 the two
+    are independent and the mass is the product of two normal masses.
+    """
+    (h0, h1), (k0, k1), rho, _, weight = cell
+    if rho == 0.0:
+        return weight * (_normal_mass(h0, h1) * _normal_mass(k0, k1))
+    return weight * _rectangle(h0, h1, k0, k1, rho)
 
 
 def coincidence_probability(
@@ -296,9 +311,8 @@ def coincidence_probability(
     """Joint click probability for one detector pair, in closed form.
 
     det_A / det_B are detector indices, the ints 1 or 2.  The probability is
-    the latent mass of the two slits' closed latent windows
-    (_cell_probability); attenuation factors thin it unless
-    include_attenuation is False.
+    cell_probability of the two slits' slit_cell, weighted by both
+    attenuation factors unless include_attenuation is False.
     """
     if type(det_A) is not int or not 0 < det_A < 3:  # a bool is not an index
         raise ValueError(f"det_A must be 1 or 2, got {det_A!r}")
@@ -306,14 +320,11 @@ def coincidence_probability(
         raise ValueError(f"det_B must be 1 or 2, got {det_B!r}")
     slit_A = station_A.detectors(basis_A)[det_A - 1]
     slit_B = station_B.detectors(basis_B)[det_B - 1]
-    prob = _cell_probability(
-        source, basis_A, basis_B,
-        station_A.latent_window(basis_A, slit_A),
-        station_B.latent_window(basis_B, slit_B),
+    weight = slit_A.attenuation * slit_B.attenuation if include_attenuation else 1.0
+    cell = slit_cell(
+        channel_law(source), station_A, station_B, basis_A, basis_B, slit_A, slit_B, weight
     )
-    if include_attenuation:
-        prob *= slit_A.attenuation * slit_B.attenuation
-    return prob
+    return cell_probability(cell)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +492,13 @@ def derive_partner_centers(
     span = 6.0 / gain
     centers = []
     for free_det, fixed_det in zip(station_free.detectors(basis), station_fixed.detectors(basis)):
-        k0, k1 = (b / std for b in station_fixed.latent_window(basis, fixed_det))
+        k0, k1 = standard_window(station_fixed, basis, fixed_det, std)
         lo, hi = station_free.origin - span, station_free.origin + span
         peak = 0.5 * (k0 + k1) / (rho * gain) if rho != 0.0 else 0.0
         center = min(max(station_free.origin + peak, lo), hi)
         for _ in range(_NEWTON_MAX_STEPS):
-            window = station_free.latent_window(basis, replace(free_det, center=center))
-            g, dg = _ratio_slopes(window[0] / std, window[1] / std, k0, k1, rho, s)
+            h0, h1 = standard_window(station_free, basis, replace(free_det, center=center), std)
+            g, dg = _ratio_slopes(h0, h1, k0, k1, rho, s)
             if g == 0.0:
                 break
             lo, hi = (center, hi) if g > 0.0 else (lo, center)
@@ -530,15 +541,16 @@ def equalize_levels(
     replace any filters already present, so re-equalizing is a no-op.
     Returns new station configs; levels already equal map to factors 1.
     """
+    law = channel_law(source)
     factors_A = {("x", 0): 1.0, ("x", 1): 1.0, ("p", 0): 1.0, ("p", 1): 1.0}
     factors_B = dict(factors_A)
 
     # Stage 1a: balance the two slits of each station/basis on single mass.
     mass_A, mass_B = {}, {}
     for station, factors, mass in ((station_A, factors_A, mass_A), (station_B, factors_B, mass_B)):
-        for basis in ("x", "p"):
+        for b, basis in enumerate("xp"):
             mass[basis] = masses = [
-                _window_mass(source, basis, *station.latent_window(basis, det))
+                _normal_mass(*standard_window(station, basis, det, law[0][b]))
                 for det in station.detectors(basis)
             ]
             if min(masses) <= 0:
@@ -565,14 +577,10 @@ def equalize_levels(
     # stays uniform.
     diag = {}
     for basis in ("x", "p"):
-        cells = []
-        for idx in (1, 2):
-            raw = coincidence_probability(
-                source, station_A, station_B, basis, basis, idx, idx,
-                include_attenuation=False,
-            )
-            cells.append(raw * factors_A[(basis, idx - 1)] * factors_B[(basis, idx - 1)])
-        diag[basis] = cells
+        diag[basis] = cells = []
+        for i, pair in enumerate(zip(station_A.detectors(basis), station_B.detectors(basis))):
+            raw = cell_probability(slit_cell(law, station_A, station_B, basis, basis, *pair, 1.0))
+            cells.append(raw * factors_A[(basis, i)] * factors_B[(basis, i)])
     lowest = min(min(cells) for cells in diag.values())
     if lowest <= 0:
         raise ValueError("zero diagonal coincidence probability; cannot equalize")

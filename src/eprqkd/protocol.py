@@ -12,11 +12,10 @@ the table commands load without this module.  This module imports numpy on
 load; only simulate loads it.
 
 The Monte Carlo runs in standard units, each latent coordinate over its
-basis's std: every click is a cell of source.PairKernel, whose windows
-(_cells) are each slit's latent window over that std, the same floats the
-oracle integrates.  A coincidence is one int8 label, its cell index
-8 b_A + 4 d_A + 2 b_B + d_B (bases 0 = x, 1 = p; detectors 0 / 1), from the
-kernel to the table, the sift and the keys.
+basis's std: every click is a cell of source.PairKernel, built by
+detection.slit_cell (_cells), the cell the oracle integrates.  A coincidence
+is one int8 label, its cell index 8 b_A + 4 d_A + 2 b_B + d_B (bases 0 = x,
+1 = p; detectors 0 / 1), from the kernel to the table, the sift and the keys.
 
 The intercept-resend attack (AttackConfig) acts on B's channel inside the
 session: the interceptor reads each photon in her basis with B's own
@@ -32,16 +31,13 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .defaults import RunError
-from .source import DRAW_SIZE, PairKernel, SourceModel, channel_law, ordered_streams
+from .detection import StationConfig, slit_cell
+from .source import DRAW_SIZE, PairKernel, SourceModel, channel_law
 from .tables import CoincidenceTable, QberReport, qber_from_counts
-
-if TYPE_CHECKING:
-    from .detection import StationConfig
 
 DEFAULT_QBER_THRESHOLD = 0.15
 # A session gives up after this many emitted pairs per coincidence asked for.
@@ -96,27 +92,18 @@ def _cells(source: SourceModel, station_A: StationConfig, station_B: StationConf
 
     b_A / d_A are A's basis and detector index and b_ch / d_ch the channel's:
     B's, or under interception the interceptor's, who reads with B's
-    station.  Windows are each slit's latent window over its basis's std,
-    the oracle's floats.  The weight is 1/2 for A's coin, the channel
-    basis's probability (B's fair coin or the interceptor's policy) and
-    both slits' attenuations.
+    station.  The weight is 1/2 for A's coin, the channel basis's
+    probability (B's fair coin or the interceptor's policy) and both slits'
+    attenuations.
     """
-    std, rho, s = channel_law(source)
+    law = channel_law(source)
     policy = "uniform_random" if attack is None else attack.basis_policy
     p_ch = {"always_x": (1.0, 0.0), "always_p": (0.0, 1.0)}.get(policy, (0.5, 0.5))
-
-    def windows(station, b):
-        basis = "xp"[b]
-        return [
-            (tuple(v / std[b] for v in station.latent_window(basis, slit)), slit.attenuation)
-            for slit in station.detectors(basis)
-        ]
-
     return [
-        (window_A, window_ch, *((rho[b_A], s[b_A]) if b_A == b_ch else (0.0, 1.0)),
-         0.5 * p_ch[b_ch] * att_A * att_ch)
-        for b_A in (0, 1) for window_A, att_A in windows(station_A, b_A)
-        for b_ch in (0, 1) for window_ch, att_ch in windows(station_B, b_ch)
+        slit_cell(law, station_A, station_B, basis_A, basis_ch, slit_A, slit_ch,
+                  0.5 * p_ch[b_ch] * slit_A.attenuation * slit_ch.attenuation)
+        for basis_A in "xp" for slit_A in station_A.detectors(basis_A)
+        for b_ch, basis_ch in enumerate("xp") for slit_ch in station_B.detectors(basis_ch)
     ]
 
 
@@ -156,8 +143,8 @@ def _coincidences(
     The kept ones are the batch's coincidences, each its cell's int8
     label.  Clean, the channel's cell is B's; under interception _resend
     relays the interceptor's click on the kept labels.  Nothing else is
-    drawn, so the pairs that miss a slit cost nothing.  Batches run
-    through source.ordered_streams.
+    drawn, so the pairs that miss a slit cost nothing.  Each batch draws
+    from its own child of rng, spawned in batch order.
 
     Given k proposals, their places among the n pairs are a uniform
     k-subset in proposal order, so a coincidence's place is drawn only when
@@ -180,7 +167,7 @@ def _coincidences(
         return n, position, label if attack is None else _resend(label, stream)
 
     sizes = (min(batch, n_pairs - start) for start in range(0, n_pairs, batch))
-    return ordered_streams(emit, sizes, rng)
+    return (emit(n, rng.spawn(1)[0]) for n in sizes)
 
 
 def _cell_counts(label: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ test, exact for this family: Simon, PRL 84, 2726 (2000)), that is when
 Position and momentum blocks are uncorrelated, so a single latent sample per
 pair reproduces the detection statistics of all four basis pairings at once.
 Sessions and scans draw in standard units, latent over std, through one
-kernel, PairKernel, run by ordered_streams; every layer reads basis_index.
+kernel, PairKernel, over cells that detection.slit_cell builds; every layer
+reads basis_index.
 This module imports nothing from the package: the widths a run uses come
 from a run file or from detection.calibrate_source.
 """
@@ -278,9 +279,3 @@ class PairKernel:
         keep &= (z >= lo) & (z <= hi) & (y >= c0) & (y <= c1)
         index = np.flatnonzero(keep)
         return index, np.broadcast_to(cell, keep.shape)[index].astype(np.int8)
-
-
-def ordered_streams(work, jobs, rng: np.random.Generator):
-    """Yield work(job, stream) per job in order, stream a child of rng spawned in job order."""
-    for job in jobs:
-        yield work(job, rng.spawn(1)[0])

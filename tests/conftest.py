@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from eprqkd.defaults import default_setup
-from eprqkd.detection import SlitDetector, StationConfig, coincidence_probability
+from eprqkd.detection import SlitDetector, StationConfig, _normal_mass, coincidence_probability
+from eprqkd.source import channel_law
 from eprqkd.tables import ALICE_LABELS, BOB_LABELS
 
 
@@ -50,6 +51,12 @@ def oracle_table(source, alice, bob):
         ]
         for a in ALICE_LABELS
     ])
+
+
+def window_mass(source, basis, lo, hi):
+    """One party's latent mass in [lo, hi]: the standard normal's, each end over the basis's std."""
+    std = channel_law(source)[0]["xp".index(basis)]
+    return _normal_mass(lo / std, hi / std)
 
 
 def _two_sample_chi2(pairs):

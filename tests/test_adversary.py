@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OPEN_STATION, make_station, oracle_table
+from conftest import OPEN_STATION, make_station, oracle_table, window_mass
 
-from eprqkd.detection import _window_mass
 from eprqkd.protocol import (
     AttackConfig,
     SessionConfig,
@@ -94,7 +93,7 @@ def test_null_rate_matches_acceptance_mass(default_experiment, policy, basis):
         attack=AttackConfig(basis_policy=policy),
     )
     mass = sum(
-        _window_mass(source, basis, *bob.latent_window(basis, d)) * d.attenuation
+        window_mass(source, basis, *bob.latent_window(basis, d)) * d.attenuation
         for d in bob.detectors(basis)
     )
     blocked = n - table.total()

@@ -476,7 +476,7 @@ class TestScanSimulation:
         def oracle_read(*args, **kwargs):
             raise AssertionError("the Monte Carlo read the oracle's normal mass")
 
-        for name in ("_cdf", "_normal_mass", "_window_mass", "_rectangle", "_upper_orthant"):
+        for name in ("_cdf", "_normal_mass", "cell_probability", "_rectangle", "_upper_orthant"):
             monkeypatch.setattr(detection, name, oracle_read)
         monkeypatch.setattr(math, "erf", oracle_read)
         monkeypatch.setattr(math, "erfc", oracle_read)

@@ -811,6 +811,23 @@ def test_overlapping_slits_name_keys_and_basis(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("origin, basis", [("-3.5", "p"), ("-4", "x"), ("-100", "x")])
+def test_overlapping_derived_slits_name_keys(capsys, tmp_path, origin, basis):
+    """Far off axis party A's derived slits overlap: exit 2 naming the keys that place them.
+
+    From -3.5 mm on, the default geometry clamps A's two slits onto the
+    search bracket; at -100 mm the two intervals are identical.
+    """
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"station.origin_mm = {origin}\n")
+    code, report, err = run_cli(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert report is None
+    keys = "station.origin_mm, station.detector1_mm and station.detector2_mm"
+    assert err.startswith(f"error: config keys {keys}: party A's derived slits: {basis} slit "), err
+    assert "Traceback" not in err
+
+
 class TestEprCheckCommand:
     def test_reference_defaults(self, capsys):
         code, report, _ = run_cli(["epr-check"], capsys)
@@ -820,6 +837,18 @@ class TestEprCheckCommand:
         assert res["satisfied"] is True
         assert res["sigma_distance"] > 3
         assert "uncertainty_note" in res
+
+    def test_from_scans_separable_source_fails(self, capsys, tmp_path):
+        """A source calibrated to separable variances fails the witness end to end."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("source.target_var_x_mm2 = 0.6\nsource.target_var_p_hbar2_mm2 = 2.5\n")
+        code, report, _ = run_cli(
+            ["epr-check", "--from-scans", "--seed", "7", "--config", str(cfg)], capsys
+        )
+        assert code == 0
+        res = report["results"]
+        assert res["satisfied"] is False
+        assert res["sigma_distance"] < -3
 
     def test_from_scans_uncertainty_recomputed_from_the_fits(self, capsys):
         """Each fit's sd(sigma) carried into its variance, then into the product."""

@@ -16,17 +16,17 @@ from eprqkd.detection import (
     StationConfig,
     _GAUSS_LEGENDRE,
     _cdf,
-    _cell_probability,
     _orthant_rule,
     _rectangle,
     _upper_orthant,
-    _window_mass,
     calibrate_source,
+    cell_probability,
     coincidence_probability,
     conversion_for,
     derive_partner_centers,
     detected_variance,
     equalize_levels,
+    slit_cell,
     slit_smearing_variance,
 )
 from eprqkd.protocol import tally_coincidences
@@ -39,7 +39,7 @@ from eprqkd.source import (
     sample_pairs,
 )
 
-from conftest import OPEN_STATION, make_station, oracle_table
+from conftest import OPEN_STATION, make_station, oracle_table, window_mass
 
 PUMP = PumpProfile(2.0)
 
@@ -144,22 +144,6 @@ class TestReadout:
         lo, hi = shifted.latent_window("p", SlitDetector(1.5, 0.5, 0))
         assert lo == -hi
 
-    @settings(max_examples=200, deadline=None)
-    @given(station=stations(), widths=st.tuples(*(st.floats(0.05, 10.0) for _ in range(4))))
-    def test_session_cells_hold_the_latent_windows(self, station, widths):
-        # The session's cells hold exactly the closed window the oracle and
-        # the scans integrate, each slit's latent window over its basis's
-        # std, bit for bit: the sign of a zero included.
-        source = SourceModel(*widths, PUMP)
-        std = channel_law(source)[0]
-        cells = protocol._cells(source, station, station, None)
-        for k, (window_A, window_ch, *_) in enumerate(cells):
-            for b, d, window in ((k >> 3, (k >> 2) & 1, window_A), ((k >> 1) & 1, k & 1, window_ch)):
-                basis = "xp"[b]
-                slit = station.detectors(basis)[d]
-                want = [(v / std[b]).hex() for v in station.latent_window(basis, slit)]
-                assert [v.hex() for v in window] == want, (k, basis, d)
-
     def test_unknown_basis_rejected(self):
         station = make_station()
         with pytest.raises(ValueError, match="'z'"):
@@ -187,19 +171,31 @@ class _Uniforms:
 class TestClick:
     """protocol._cells and source.PairKernel's closed windows: the one click rule."""
 
-    def test_cells_read_the_slits_of_their_basis(self, default_experiment):
-        # Cell 8 b_A + 4 d_A + 2 b_ch + d_ch reads A's slit d_A in basis
-        # b_A and the channel's slit d_ch in basis b_ch, so x slits do not
-        # fire in basis p, and the gap between a basis's slits is in no cell.
-        source = default_experiment[0]
+    @settings(max_examples=300, deadline=None)
+    @given(
+        widths=st.tuples(*(st.floats(0.05, 10.0) for _ in range(4))),
+        station_A=stations(),
+        station_B=stations(),
+    )
+    @example(  # a slit edge on each origin: windows with an end at zero
+        widths=(0.3, 1.8, 0.6, 3.7), station_A=make_station(x_centers=(0.1, 1.0)),
+        station_B=make_station(p_centers=(-0.25, 1.0), origin=0.0),
+    )
+    def test_slit_cells_hold_the_standard_windows(self, widths, station_A, station_B):
+        # Cell 8 b_A + 4 d_A + 2 b_ch + d_ch reads A's slit d_A in basis b_A
+        # and the channel's slit d_ch in basis b_ch, all four basis pairings,
+        # and holds each slit's latent window over its basis's std bit for
+        # bit, the sign of a zero included: the floats the oracle, the
+        # scans and the sessions compare with.
+        source = SourceModel(*widths, PUMP)
         std = channel_law(source)[0]
-        cells = protocol._cells(source, UNIT_STATION, UNIT_STATION, None)
+        cells = protocol._cells(source, station_A, station_B, None)
         for k, (window_A, window_ch, *_) in enumerate(cells):
-            for b, d, window in ((k >> 3, (k >> 2) & 1, window_A), ((k >> 1) & 1, k & 1, window_ch)):
-                slit = UNIT_STATION.detectors("xp"[b])[d]
-                assert window == (slit.lo / std[b], slit.hi / std[b]), (k, b, d)
-        gaps = {0: 1.5 / std[0], 1: 3.5 / std[1]}
-        assert not any(lo <= gaps[k >> 3] <= hi for k, ((lo, hi), *_) in enumerate(cells))
+            b_A, d_A, b_ch, d_ch = k >> 3, (k >> 2) & 1, (k >> 1) & 1, k & 1
+            for station, b, d, window in ((station_A, b_A, d_A, window_A), (station_B, b_ch, d_ch, window_ch)):
+                basis = "xp"[b]
+                lo, hi = station.latent_window(basis, station.detectors(basis)[d])
+                assert [v.hex() for v in window] == [(lo / std[b]).hex(), (hi / std[b]).hex()], (k, b, d)
 
     def test_boundary_is_closed(self):
         # A cross-basis cell's box is its two windows, so proposals at the
@@ -239,8 +235,8 @@ class TestCoincidenceOracle:
                 )
                 slit_A = alice.x_detectors[det_A - 1]
                 slit_B = bob.p_detectors[det_B - 1]
-                mass_A = _window_mass(source, "x", *alice.latent_window("x", slit_A))
-                mass_B = _window_mass(source, "p", *bob.latent_window("p", slit_B))
+                mass_A = window_mass(source, "x", *alice.latent_window("x", slit_A))
+                mass_B = window_mass(source, "p", *bob.latent_window("p", slit_B))
                 assert abs(joint - mass_A * mass_B) < 1e-8
 
     def test_perfect_correlation_limit(self):
@@ -249,7 +245,7 @@ class TestCoincidenceOracle:
         p_same = coincidence_probability(tight, station, station, "x", "x", 1, 1)
         p_cross = coincidence_probability(tight, station, station, "x", "x", 1, 2)
         lo, hi = station.latent_window("x", station.x_detectors[0])
-        assert abs(p_same - _window_mass(tight, "x", lo, hi)) < 1e-8
+        assert abs(p_same - window_mass(tight, "x", lo, hi)) < 1e-8
         assert p_cross < 1e-12
 
     @pytest.mark.parametrize("bad", [0, 3, -1, True])
@@ -325,6 +321,13 @@ def quad_cell(source, basis, window_A, window_B):
     return value
 
 
+def latent_cell(source, basis, window_A, window_B):
+    """The same-basis cell of two latent windows, built here and not by slit_cell."""
+    i = "xp".index(basis)
+    std, rho, s = (law[i] for law in channel_law(source))
+    return (window_A[0] / std, window_A[1] / std), (window_B[0] / std, window_B[1] / std), rho, s, 1.0
+
+
 def mvn_rectangle(h0, h1, k0, k1, rho):
     mvn = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
     return mvn.cdf([h1, k1]) - mvn.cdf([h0, k1]) - mvn.cdf([h1, k0]) + mvn.cdf([h0, k0])
@@ -344,7 +347,8 @@ class TestClosedFormOracle:
                 for det_B in bob.detectors(basis):
                     window_A = alice.latent_window(basis, det_A)
                     window_B = bob.latent_window(basis, det_B)
-                    closed = _cell_probability(source, basis, basis, window_A, window_B)
+                    cell = slit_cell(channel_law(source), alice, bob, basis, basis, det_A, det_B, 1.0)
+                    closed = cell_probability(cell)
                     assert abs(closed - quad_cell(source, basis, window_A, window_B)) < 1e-10
 
     @settings(max_examples=100, deadline=None)
@@ -356,8 +360,30 @@ class TestClosedFormOracle:
     )
     def test_drawn_cells_match_quadrature(self, widths, window_A, window_B, basis):
         source = SourceModel(*widths, PUMP)
-        closed = _cell_probability(source, basis, basis, window_A, window_B)
+        closed = cell_probability(latent_cell(source, basis, window_A, window_B))
         assert abs(closed - quad_cell(source, basis, window_A, window_B)) < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        widths=st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+        window_A=ordered_pair(-4.0, 4.0),
+        window_B=ordered_pair(-4.0, 4.0),
+        basis=st.sampled_from("xp"),
+    )
+    def test_uncorrelated_same_basis_cells_match_bivariate_normal(
+        self, widths, window_A, window_B, basis
+    ):
+        # Equal sum and difference widths leave a basis uncorrelated: rho is
+        # 0 and the cell is a product of two normal masses, against scipy's
+        # bivariate normal with the model's covariance.
+        source = SourceModel(widths[0], widths[0], widths[1], widths[1], PUMP)
+        cell = latent_cell(source, basis, window_A, window_B)
+        assert cell[2] == 0.0
+        cov = position_covariance(source) if basis == "x" else momentum_covariance(source)
+        mvn = multivariate_normal(mean=[0.0, 0.0], cov=cov)
+        (a0, a1), (b0, b1) = window_A, window_B
+        rect = mvn.cdf([a1, b1]) - mvn.cdf([a0, b1]) - mvn.cdf([a1, b0]) + mvn.cdf([a0, b0])
+        assert abs(cell_probability(cell) - rect) < 1e-10
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -393,8 +419,8 @@ def reference_centers(source, fixed, free, basis):
 
         def neg_ratio(center, _det=free_det, _fixed=fixed_window):
             window = free.latent_window(basis, dataclasses.replace(_det, center=center))
-            mass = _window_mass(source, basis, *window)
-            return -_cell_probability(source, basis, basis, window, _fixed) / mass
+            mass = window_mass(source, basis, *window)
+            return -cell_probability(latent_cell(source, basis, window, _fixed)) / mass
 
         j = int(np.argmin([neg_ratio(c) for c in grid]))
         best = grid[j]
@@ -830,7 +856,7 @@ def test_acceptance_mass_sums_slits(default_experiment):
     rows = table.counts.sum(axis=1)
     for b, basis in enumerate("xp"):
         expected = 0.5 * sum(
-            _window_mass(source, basis, *bob.latent_window(basis, det)) * det.attenuation
+            window_mass(source, basis, *bob.latent_window(basis, det)) * det.attenuation
             for det in bob.detectors(basis)
         )
         rate = float(rows[2 * b : 2 * b + 2].sum()) / n

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from eprqkd import cli, protocol
 from eprqkd import source as source_module
 from eprqkd.defaults import build_setup, parse_config_file
-from eprqkd.detection import SlitDetector
+from eprqkd.detection import SlitDetector, cell_probability, coincidence_probability
 from eprqkd.protocol import AttackConfig, ProtocolError, SessionConfig, run_session, tally_coincidences
 from eprqkd.source import PumpProfile, SourceModel, build_source, sample_pairs
 from eprqkd.tables import CoincidenceTable, qber_from_counts, qber_with_eve_prediction
@@ -617,35 +617,17 @@ def _reference_table(source, alice, bob, n, rng, intercept):
     return np.bincount(cell, minlength=16).reshape(4, 4)
 
 
+# The channel's basis probabilities (x, p): B's fair coin, or each interception policy.
+CHANNEL_POLICIES = [
+    (None, (0.5, 0.5)), ("uniform_random", (0.5, 0.5)),
+    ("always_x", (1.0, 0.0)), ("always_p", (0.0, 1.0)),
+]
+
+
 class TestSessionCells:
     """protocol._cells, the table the session's PairKernel draws from."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        widths=st.tuples(*(st.floats(0.05, 10.0) for _ in range(4))),
-        centers=st.tuples(st.floats(-3.0, -0.1), st.floats(0.5, 3.0)),
-        origin=st.floats(-3.0, 3.0),
-    )
-    def test_thresholds_decide_exactly(self, widths, centers, origin):
-        # Each window is its slit's latent window over the basis's std, bit
-        # for bit: the floats the oracle and the scans compare with.
-        source = SourceModel(*widths, PumpProfile(2.0))
-        std = source_module.channel_law(source)[0]
-        alice = make_station(x_centers=centers, p_centers=centers, origin=origin)
-        bob = make_station(x_centers=centers, p_centers=centers, origin=-origin, x_width=0.3)
-        cells = protocol._cells(source, alice, bob, None)
-        for k, (window_A, window_ch, *_) in enumerate(cells):
-            b_A, d_A, b_ch, d_ch = k >> 3, (k >> 2) & 1, (k >> 1) & 1, k & 1
-            for station, b, d, window in ((alice, b_A, d_A, window_A), (bob, b_ch, d_ch, window_ch)):
-                basis = "xp"[b]
-                slit = station.detectors(basis)[d]
-                want = [(v / std[b]).hex() for v in station.latent_window(basis, slit)]
-                assert [v.hex() for v in window] == want, (k, basis, d)
-
-    @pytest.mark.parametrize("policy, p_ch", [
-        (None, (0.5, 0.5)), ("uniform_random", (0.5, 0.5)),
-        ("always_x", (1.0, 0.0)), ("always_p", (0.0, 1.0)),
-    ])
+    @pytest.mark.parametrize("policy, p_ch", CHANNEL_POLICIES)
     def test_laws_and_weights(self, default_experiment, policy, p_ch):
         # Same-basis cells carry the basis's (rho, s), cross cells (0, 1);
         # the weight is A's coin, the channel basis's probability under the
@@ -662,6 +644,20 @@ class TestSessionCells:
             att_A = alice.detectors("xp"[b_A])[d_A].attenuation
             att = att_A * bob.detectors("xp"[b_ch])[d_ch].attenuation
             assert weight == 0.5 * p_ch[b_ch] * att
+
+    @pytest.mark.parametrize("policy, p_ch", CHANNEL_POLICIES)
+    def test_cells_weigh_the_oracle(self, default_experiment, policy, p_ch):
+        # Each cell's probability is its oracle cell, attenuations included,
+        # times A's coin and the channel basis's probability: the kernel
+        # draws each cell at exactly the oracle's rate.
+        source, alice, bob = default_experiment
+        attack = None if policy is None else AttackConfig(basis_policy=policy)
+        for k, cell in enumerate(protocol._cells(source, alice, bob, attack)):
+            b_A, d_A, b_ch, d_ch = k >> 3, (k >> 2) & 1, (k >> 1) & 1, k & 1
+            oracle = coincidence_probability(
+                source, alice, bob, "xp"[b_A], "xp"[b_ch], d_A + 1, d_ch + 1
+            )
+            assert cell_probability(cell) == pytest.approx(0.5 * p_ch[b_ch] * oracle, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("intercept", [False, True], ids=["clean", "uniform_random"])

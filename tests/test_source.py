@@ -17,7 +17,6 @@ from eprqkd.source import (
     UnphysicalSourceError,
     build_source,
     channel_law,
-    ordered_streams,
     sample_pairs,
 )
 
@@ -398,16 +397,6 @@ def test_units_discipline_default_is_entangled(default_experiment):
     assert latent < 0.25
     assert detected < 0.25
     assert _entangled(source)
-
-
-def test_streams_are_the_spawned_children_in_order():
-    rng = np.random.default_rng(11)
-    drawn = list(ordered_streams(lambda job, stream: stream.random(4), range(7), rng))
-    children = np.random.default_rng(11).spawn(7)
-    assert len(drawn) == 7
-    for got, child in zip(drawn, children):
-        assert np.array_equal(got, child.random(4))
-    assert rng.bit_generator.seed_seq.n_children_spawned == 7
 
 
 _RHO = 0.935
