@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from .defaults import RunError
-from .source import DRAW_SIZE, PairKernel, SourceModel, channel_law
+from .source import PairKernel, SourceModel, channel_law
 
 if TYPE_CHECKING:
     import numpy as np
@@ -332,12 +332,11 @@ def scan_simulation(
     closed slit windows.  Photons are drawn in standard units through
     source.PairKernel with one cell per point, detection.slit_cell of A's
     fixed slit and B's slit there at weight 1, whose box is the two windows
-    in A's and the channel's coordinate: binomial(pairs_per_point,
-    kernel.total) proposals, the rule sessions use, DRAW_SIZE // 8 at a
-    time, of which the kept ones are the hits.  This is the law of
-    sample_pairs followed by both window tests, and no window mass is read.
-    Attenuation filters are left out: scans model the bare alignment
-    measurements taken before filters are installed.  Each point draws from
+    in A's and the channel's coordinate; the kept ones of its
+    PairKernel.emit blocks, as in sessions, are the hits.  This is the law
+    of sample_pairs followed by both window tests, and no window mass is
+    read.  Attenuation filters are left out: scans model the bare alignment
+    measurements taken before filters are installed.  Each block draws from
     its own child of rng, spawned in grid order.
     """
     from .detection import slit_cell
@@ -363,22 +362,16 @@ def scan_simulation(
     law = channel_law(source)
     slit_A = station_A.detectors(basis_A)[int(fixed_detector[-1]) - 1]
     slit_B = station_B.detectors(basis_B)[0]
-    pairs, chunk = int(pairs_per_point), DRAW_SIZE // 8
 
-    def count(center: float, stream: np.random.Generator) -> int:
+    def count(center: float) -> int:
         cell = slit_cell(
             law, station_A, station_B, basis_A, basis_B, slit_A, replace(slit_B, center=center), 1.0
         )
-        kernel = PairKernel([cell])
-        proposals = int(stream.binomial(pairs, kernel.total))
-        return sum(
-            kernel.kept(stream, min(chunk, proposals - start))[0].size
-            for start in range(0, proposals, chunk)
-        )
+        return sum(index.size for *_, index, _ in PairKernel([cell]).emit(rng, int(pairs_per_point)))
 
     return ScanData(
         positions=tuple(float(g) for g in grid),
-        counts=tuple(count(center, rng.spawn(1)[0]) for center in grid),
+        counts=tuple(count(center) for center in grid),
         fixed_detector=fixed_detector,
         basis_pair=(basis_A, basis_B),
     )

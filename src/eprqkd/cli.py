@@ -210,6 +210,7 @@ def cmd_eve_predict(args):
 
 def cmd_simulate(args):
     from . import protocol
+    from .detection import cell_probability
 
     cfg = parse_config_file(args.config)
     seed = resolve_seed(args.seed)
@@ -225,6 +226,15 @@ def cmd_simulate(args):
     except ValueError as exc:
         raise ConfigError(f"session.coincidences = {n}, session.estimation_pairs = {m}: {exc}") from exc
     src, alice, bob = build_setup(cfg)
+    # The oracle's clean coincidence probability per pair: a geometry the
+    # session could not fill within its emission cap is refused here.
+    p = math.fsum(map(cell_probability, protocol._cells(src, alice, bob, None)))
+    if p < 1.0 / protocol.EMITTED_PER_COINCIDENCE:
+        raise ConfigError(
+            "config keys station.origin_mm, station.detector1_mm, station.detector2_mm, "
+            f"station.x_slit_width_mm and station.p_slit_width_mm: the slits see a coincidence "
+            f"in {p:.3g} of the pairs, below 1 in {protocol.EMITTED_PER_COINCIDENCE}"
+        )
     result = protocol.run_session(src, alice, bob, session, attack=attack)
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .defaults import RunError
 from .detection import StationConfig, slit_cell
-from .source import DRAW_SIZE, PairKernel, SourceModel, channel_law
+from .source import PairKernel, SourceModel, channel_law
 from .tables import CoincidenceTable, QberReport, qber_from_counts
 
 DEFAULT_QBER_THRESHOLD = 0.15
@@ -133,41 +133,20 @@ def _coincidences(
     attack: AttackConfig | None,
     rng: np.random.Generator,
     n_pairs: int,
-    batch: int,
 ):
-    """Emit n_pairs pairs in batches of `batch` (the last one shorter).
+    """PairKernel.emit over the session's cells (_cells), block by block.
 
-    source.PairKernel over the session's cells (_cells) gives each pair at
-    most one proposal, with probability kernel.total, so a batch of n pairs
-    draws binomial(n, total) proposals, the rule scans use, and only those.
-    The kept ones are the batch's coincidences, each its cell's int8
-    label.  Clean, the channel's cell is B's; under interception _resend
-    relays the interceptor's click on the kept labels.  Nothing else is
-    drawn, so the pairs that miss a slit cost nothing.  Each batch draws
-    from its own child of rng, spawned in batch order.
-
-    Given k proposals, their places among the n pairs are a uniform
-    k-subset in proposal order, so a coincidence's place is drawn only when
-    asked for: position(i) draws, from the batch's stream, the in-batch
-    place of coincidence i (_position).  Call it at most once per batch.
-
-    Yields (n, position, label) per batch: the n pairs emitted, position,
-    and the coincidences' labels in emission order.
+    Yields (n, k, stream, index, label) per block of n pairs: its k
+    proposals, their kept ones' indices and labels (each its cell's int8
+    label), in emission order.  Clean, the channel's cell is B's; under
+    interception _resend relays the interceptor's click on the kept labels,
+    drawing from the block's stream.  The pairs that miss a slit cost
+    nothing.
     """
     groups = [(k >> 3, k >> 1 & 1) for k in range(16)]  # (b_A, b_ch): disjoint slits
     kernel = PairKernel(_cells(source, station_A, station_B, attack), groups)
-
-    def emit(n: int, stream: np.random.Generator):
-        k = int(stream.binomial(n, kernel.total))
-        kept, label = kernel.kept(stream, k)
-
-        def position(i: int) -> int:
-            return _position(n, k, int(kept[i]), stream)
-
-        return n, position, label if attack is None else _resend(label, stream)
-
-    sizes = (min(batch, n_pairs - start) for start in range(0, n_pairs, batch))
-    return (emit(n, rng.spawn(1)[0]) for n in sizes)
+    for n, k, stream, index, label in kernel.emit(rng, n_pairs):
+        yield n, k, stream, index, label if attack is None else _resend(label, stream)
 
 
 def _cell_counts(label: np.ndarray) -> np.ndarray:
@@ -197,27 +176,23 @@ def run_session(
     the session is aborted when the estimate strictly exceeds
     DEFAULT_QBER_THRESHOLD.
 
-    Emission runs in fixed-size batches of source.DRAW_SIZE pairs (at most
-    8 N, at least 4096) through _coincidences, each drawing binomial(n,
-    total) proposals; batches are consumed in order up to the N-th
-    coincidence, and only that one's place in its batch is drawn, so
-    emitted_pairs counts the pairs up to and including it.  The result
-    depends only on the seed.
+    The blocks of _coincidences are read in order up to the N-th
+    coincidence.  A block's k proposals sit at a uniform k-subset of its n
+    places, in order, so only that coincidence's place is drawn
+    (_position), from its block's stream: emitted_pairs counts the pairs up
+    to and including it.  The result depends only on the seed.
     """
     rng = np.random.default_rng(session.rng_seed)
     n_target = session.n_coincidences
-    batch = max(4096, min(DRAW_SIZE, n_target * 8))
     chunks = []
     collected = 0
     emitted = 0
-    batches = _coincidences(
-        source, station_A, station_B, attack, rng, EMITTED_PER_COINCIDENCE * n_target, batch
-    )
-    for n, position, label in batches:
+    blocks = _coincidences(source, station_A, station_B, attack, rng, EMITTED_PER_COINCIDENCE * n_target)
+    for n, k, stream, index, label in blocks:
         need = n_target - collected
         if label.size >= need:
             # Count emissions up to and including the N-th coincidence only.
-            emitted += position(need - 1) + 1
+            emitted += _position(n, k, int(index[need - 1]), stream) + 1
             chunks.append(label[:need])
             break
         emitted += n
@@ -266,14 +241,14 @@ def tally_coincidences(
 
     Both sides choose bases with fair coins; non-coincidences are dropped.
     This is the Monte Carlo side of the oracle-equivalence check: cell
-    (i, j) accumulates with probability P(cell) / 4.  Batches of
-    source.DRAW_SIZE pairs run through _coincidences, so the table depends
-    only on rng's seed and how many children it has spawned.
+    (i, j) accumulates with probability P(cell) / 4.  The labels of every
+    block of _coincidences are summed, so the table depends only on rng's
+    seed and how many children it has spawned.
     """
     if isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Integral) or n_pairs < 0:
         raise ValueError(f"n_pairs must be a non-negative integer, got {n_pairs!r}")
     counts = np.zeros((4, 4), dtype=np.int64)
-    for _, _, label in _coincidences(source, station_A, station_B, attack, rng, n_pairs, DRAW_SIZE):
+    for *_, label in _coincidences(source, station_A, station_B, attack, rng, n_pairs):
         counts += _cell_counts(label)
     return CoincidenceTable(counts)
 

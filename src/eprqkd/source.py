@@ -24,9 +24,9 @@ test, exact for this family: Simon, PRL 84, 2726 (2000)), that is when
 
 Position and momentum blocks are uncorrelated, so a single latent sample per
 pair reproduces the detection statistics of all four basis pairings at once.
-Sessions and scans draw in standard units, latent over std, through one
-kernel, PairKernel, over cells that detection.slit_cell builds; every layer
-reads basis_index.
+Sessions, tallies and scans draw in standard units, latent over std,
+through one kernel, PairKernel, and its one emission loop, PairKernel.emit,
+over cells that detection.slit_cell builds; every layer reads basis_index.
 This module imports nothing from the package: the widths a run uses come
 from a run file or from detection.calibrate_source.
 """
@@ -159,7 +159,7 @@ def channel_law(source: SourceModel):
     return tuple(zip(*laws))
 
 
-DRAW_SIZE = 1 << 18  # pairs an emission loop draws at once
+DRAW_SIZE = 1 << 18  # pairs in one block of PairKernel.emit
 
 
 def _box(cell) -> tuple:
@@ -204,7 +204,8 @@ class PairKernel:
     total 1 or more give way to the density: each pair draws its normals
     in full, in a group of disjoint cells (groups[k], one group by default)
     drawn with its largest weight, and is kept in its cell there with
-    probability weight over that.
+    probability weight over that.  Sessions, tallies and scans all draw
+    their pairs through emit.
     """
 
     def __init__(self, cells, groups=None):
@@ -242,6 +243,19 @@ class PairKernel:
                 np.searchsorted(self._cdf, np.arange(size + 1) / size, side="right"), self._cdf.size - 1
             )
             self._guide, self._steps = guide[:-1], int(np.diff(guide).max())
+
+    def emit(self, rng: np.random.Generator, n: int):
+        """n pairs in blocks of at most DRAW_SIZE: (pairs, k, stream, index, cell) per block.
+
+        Each block draws from the next spawned child of rng, stream: k =
+        binomial(pairs, total) proposals, then kept(stream, k).  This is the
+        package's only emission loop; a caller may go on drawing from stream.
+        """
+        for start in range(0, n, DRAW_SIZE):
+            pairs = min(DRAW_SIZE, n - start)
+            stream = rng.spawn(1)[0]
+            k = int(stream.binomial(pairs, self.total))
+            yield (pairs, k, stream, *self.kept(stream, k))
 
     def _choose(self, u):
         """The box of each uniform u, of two or more: the first whose cdf exceeds it."""

@@ -38,6 +38,9 @@ RUNS = {
     ),
     "scan": (None, ["scan", "--fixed", "Ax1", "--bases", "xp", "--grid", "0:3:0.1",
                     "--pairs", "20000", "--seed", "7"]),
+    # 300,000 pairs per point: two emission blocks, 2^18 pairs and the rest.
+    "scan-two-blocks": (None, ["scan", "--fixed", "Ap1", "--bases", "pp", "--grid", "0:3:0.1",
+                               "--pairs", "300000", "--seed", "7"]),
     "epr-check-from-scans": (None, ["epr-check", "--from-scans", "--pairs", "20000", "--seed", "7"]),
     "qber": (None, ["qber", "table1.csv"]),
 }

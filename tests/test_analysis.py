@@ -425,47 +425,6 @@ class TestScanSimulation:
         )
         assert first.counts != second.counts
 
-    @pytest.mark.parametrize("fixed, pair", [("Ax1", ("x", "x")), ("Ap1", ("p", "x"))])
-    def test_every_proposal_drawn_once_across_chunks(
-        self, default_experiment, monkeypatch, fixed, pair
-    ):
-        """Each grid point draws binomial(pairs, total) proposals first on its child, in chunks."""
-        monkeypatch.setattr(analysis, "DRAW_SIZE", 1000)
-        drawn = []
-
-        class Recording(source_module.PairKernel):
-            def kept(self, stream, k):
-                if not drawn or drawn[-1][0] is not self:
-                    drawn.append((self, []))
-                drawn[-1][1].append(k)
-                return super().kept(stream, k)
-
-        monkeypatch.setattr(analysis, "PairKernel", Recording)
-        source, alice, bob = default_experiment
-        grid = np.arange(0.0, 3.01, 0.5)
-        scan_simulation(source, alice, bob, fixed, pair, grid, 100_000, np.random.default_rng(9))
-        children = np.random.default_rng(9).spawn(len(grid))
-        proposals = [
-            int(child.binomial(100_000, kernel.total)) for child, (kernel, _) in zip(children, drawn)
-        ]
-        assert [sum(chunks) for _, chunks in drawn] == [p for p in proposals if p > 0]
-        assert all(k <= 125 for _, chunks in drawn for k in chunks) and max(proposals) > 125
-
-    @pytest.mark.parametrize("pairs", [999, 1000, 1001, 2007])
-    def test_every_pair_drawn_once_across_chunks(self, default_experiment, monkeypatch, pairs):
-        """Windows that accept every pair count pairs_per_point exactly."""
-        monkeypatch.setattr(analysis, "DRAW_SIZE", 1000)
-        source = default_experiment[0]
-        wide = make_station(
-            x_centers=(0.0, 1e7), p_centers=(0.0, 1e7), x_width=1e6, p_width=1e6
-        )
-        for fixed, pair in (("Ax1", ("x", "x")), ("Ap1", ("p", "x"))):
-            scan = scan_simulation(
-                source, wide, wide, fixed, pair, np.arange(0.0, 1.01, 0.2), pairs,
-                np.random.default_rng(9),
-            )
-            assert scan.counts == (pairs,) * 6
-
     def test_reads_no_normal_mass(self, default_experiment, monkeypatch):
         """The scan and session Monte Carlo stay an independent check of the quadrature oracle."""
         from eprqkd import detection
@@ -567,9 +526,9 @@ def test_scan_law_matches_full_pair_sampler(default_experiment, fixed, pair):
     assert stat < chi2.ppf(0.999, dof), (stat, dof)
 
 
-def test_scan_law_holds_across_chunks(default_experiment, monkeypatch):
-    """The xx law test with 1000-pair chunks: 100 chunks per grid point."""
-    monkeypatch.setattr(analysis, "DRAW_SIZE", 1000)
+def test_scan_law_holds_across_blocks(default_experiment, monkeypatch):
+    """The xx law test with 1000-pair emission blocks: 100 blocks per grid point."""
+    monkeypatch.setattr(source_module, "DRAW_SIZE", 1000)
     test_scan_law_matches_full_pair_sampler(default_experiment, "Ax1", ("x", "x"))
 
 

@@ -489,20 +489,22 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("key", ["station.origin_mm", "station.detector1_mm", "station.detector2_mm"])
     def test_dark_geometry_ends_fast(self, capsys, tmp_path, key):
-        # Moved 1 mm off the pump, the slits see so few pairs that the
-        # session gives up at its 10^4 N emission cap; only the proposals
-        # are drawn, so it gets there in well under a second.
+        # Moved 1 mm off the pump, the slits see a coincidence in fewer than
+        # 1 in 10^4 pairs (the oracle's clean rate), so the session could
+        # not fill within its 10^4 N emission cap: refused before emission.
         import time
 
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = -1\n")
         start = time.perf_counter()
         argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
-        code, _, err = run_cli(argv, capsys)
-        assert time.perf_counter() - start < 5.0
-        assert code == cli.EXIT_RUNTIME
-        assert "emitted 1000000000 pairs but collected only " in err
-        assert " of 100000 coincidences; coincidence rate is pathologically low" in err
+        code, report, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert "station.origin_mm, station.detector1_mm, station.detector2_mm" in err
+        p = "2.31e-06" if key == "station.origin_mm" else "1.47e-05"
+        assert f"the slits see a coincidence in {p} of the pairs, below 1 in 10000" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config,seed", [("", cli.DEFAULT_SEED)])
@@ -563,18 +565,37 @@ class TestSimulateCommand:
         assert "session.coincidences" in err and "session.estimation_pairs" in err
         assert not (tmp_path / "out").exists()
 
-    def test_emission_guard_is_runtime_error(self, capsys, tmp_path):
-        # Micron slits almost never click together, so the fixed guard of
-        # 10^4 N emitted pairs trips mid-session: a runtime condition (exit
-        # 3), not a config problem, and no file is written.
+    _MICRON_SLITS = (
+        "station.x_slit_width_mm = 0.001\nstation.p_slit_width_mm = 0.001\n"
+        "session.coincidences = 10\nsession.estimation_pairs = 1\n"
+    )
+
+    def test_micron_slits_refused_before_emission(self, capsys, tmp_path):
+        # Micron slits almost never click together: the oracle's rate is
+        # below 1 in 10^4 pairs, a config problem (exit 2), and no file is written.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "station.x_slit_width_mm = 0.001\nstation.p_slit_width_mm = 0.001\n"
-            "session.coincidences = 10\nsession.estimation_pairs = 1\n"
-        )
-        out_dir = tmp_path / "out"
+        cfg.write_text(self._MICRON_SLITS)
         code, report, err = run_cli(
-            ["simulate", "--config", str(cfg), "--out-dir", str(out_dir),
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+             "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert "station.x_slit_width_mm and station.p_slit_width_mm" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_emission_guard_is_runtime_error(self, capsys, tmp_path, monkeypatch):
+        # With the oracle's check passed by a stand-in, micron slits reach
+        # the session's own guard of 10^4 N emitted pairs, which trips
+        # mid-session: a runtime condition (exit 3), and no file is written.
+        from eprqkd import detection
+
+        monkeypatch.setattr(detection, "cell_probability", lambda cell: 1.0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self._MICRON_SLITS)
+        code, report, err = run_cli(
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
              "--out", str(tmp_path / "r.json")],
             capsys,
         )
@@ -838,12 +859,14 @@ class TestEprCheckCommand:
         assert res["sigma_distance"] > 3
         assert "uncertainty_note" in res
 
-    def test_from_scans_separable_source_fails(self, capsys, tmp_path):
-        """A source calibrated to separable variances fails the witness end to end."""
+    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("var_x, var_p", [(0.6, 2.5), (1.2, 4.0), (2.0, 6.0)])
+    def test_from_scans_separable_source_fails(self, capsys, tmp_path, var_x, var_p, seed):
+        """Sources calibrated to separable variances fail the witness end to end."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("source.target_var_x_mm2 = 0.6\nsource.target_var_p_hbar2_mm2 = 2.5\n")
+        cfg.write_text(f"source.target_var_x_mm2 = {var_x}\nsource.target_var_p_hbar2_mm2 = {var_p}\n")
         code, report, _ = run_cli(
-            ["epr-check", "--from-scans", "--seed", "7", "--config", str(cfg)], capsys
+            ["epr-check", "--from-scans", "--seed", str(seed), "--config", str(cfg)], capsys
         )
         assert code == 0
         res = report["results"]

@@ -211,13 +211,11 @@ class TestSift:
         source, alice, bob = default_experiment
         for attack in (None, AttackConfig(basis_policy="uniform_random")):
             emitted = 0
-            for n, position, label in protocol._coincidences(
-                source, alice, bob, attack, rng, 50_000, 20_000
-            ):
+            for n, k, _, index, label in protocol._coincidences(source, alice, bob, attack, rng, 50_000):
                 emitted += n
                 assert np.all((label >= 0) & (label < 16))
-                assert label.size <= n
-                assert label.size == 0 or 0 <= position(label.size - 1) < n
+                assert label.size == index.size <= k <= n
+                assert np.all(np.diff(index) > 0) and np.all((index >= 0) & (index < k))
             assert emitted == 50_000
 
 
@@ -304,7 +302,7 @@ class TestRunSession:
         "attack", [None, AttackConfig(basis_policy="always_p")], ids=["clean", "always_p"]
     )
     def test_mean_emitted_pairs_over_seeds(self, default_experiment, attack):
-        # Each batch draws binomial(n, total) proposals, a kept one is a
+        # Each block draws binomial(n, total) proposals, a kept one is a
         # coincidence, and the N-th is placed by bisection: over 20 seeds
         # the mean emission to the N-th coincidence is N/P within 4 standard
         # errors of the negative binomial, P the attenuated oracle rate
@@ -389,7 +387,7 @@ class TestRunSession:
 
     def test_far_slits_give_up_fast(self, default_experiment):
         # Slits about 10 std out on both sides: the envelope total is tiny
-        # but not 0, so nearly every batch draws no proposal.  The session
+        # but not 0, so nearly every block draws no proposal.  The session
         # still reaches its 10^4 N cap, quickly.
         import time
 
@@ -455,23 +453,18 @@ class TestRunSession:
         assert cli.build_attack({"attack.policy": "none"}) is None
 
 
-def _wide_station():
-    """A station whose detector-0 slits accept every latent coordinate."""
-    return make_station(x_centers=(0.0, 1e7), p_centers=(0.0, 1e7), x_width=1e6, p_width=1e6)
-
-
 _ATTACKS = pytest.mark.parametrize(
     "attack", [None, AttackConfig(basis_policy="uniform_random")], ids=["clean", "attacked"]
 )
 
 
 class TestBatchedEmission:
-    """Batches each on a child stream spawned in order, consumed in order."""
+    """Sessions and tallies over emission blocks; test_source.TestEmit checks the blocks."""
 
     @_ATTACKS
     def test_session_repeats_for_a_seed(self, default_experiment, attack):
-        # N = 5000 gives batches of 40,000 pairs and about five of them, so
-        # the session stops inside one.
+        # N = 5000 takes about 170,000 pairs, so the session stops inside
+        # its first block.
         source, alice, bob = default_experiment
         cfg = SessionConfig(n_coincidences=5000, m_estimation=500, rng_seed=19)
         first, second = (run_session(source, alice, bob, cfg, attack=attack) for _ in range(2))
@@ -498,75 +491,14 @@ class TestBatchedEmission:
         first, second = (tally_coincidences(source, alice, bob, 300_000, rng) for _ in range(2))
         assert first != second
 
-    @pytest.mark.parametrize("n_pairs", [999, 1000, 1001, 2007])
-    def test_batches_emit_every_pair_once(self, default_experiment, n_pairs):
-        # Batch sizes sum to the pairs asked for, each holding its own
-        # coincidences, and each batch takes the next child stream.
-        source, alice, bob = default_experiment
-        rng = np.random.default_rng(9)
-        sizes = []
-        for n, position, label in protocol._coincidences(source, alice, bob, None, rng, n_pairs, 1000):
-            assert label.size == 0 or 0 <= position(label.size - 1) < n
-            sizes.append(n)
-        assert sum(sizes) == n_pairs and max(sizes) == min(n_pairs, 1000)
-        assert rng.bit_generator.seed_seq.n_children_spawned == len(sizes)
-
-    @pytest.mark.parametrize("n_pairs", [999, 1000, 1001, 2007])
-    def test_every_pair_emitted_once_across_batches(self, default_experiment, monkeypatch, n_pairs):
-        """Windows that accept every pair tally n_pairs coincidences exactly."""
-        monkeypatch.setattr(protocol, "DRAW_SIZE", 1000)
-        wide = _wide_station()
-        table = tally_coincidences(
-            default_experiment[0], wide, wide, n_pairs, np.random.default_rng(9)
-        )
-        assert table.total() == n_pairs
-
-    def test_session_counts_emissions_to_the_last_coincidence(self, default_experiment):
-        # Every pair is a coincidence, so the session stops at pair N exactly,
-        # and its table is the first N labels of its one batch.
-        wide = _wide_station()
-        cfg = SessionConfig(n_coincidences=5001, m_estimation=500, rng_seed=4)
-        result = run_session(default_experiment[0], wide, wide, cfg)
-        assert result.emitted_pairs == cfg.n_coincidences
-        assert result.table.total() == cfg.n_coincidences
-        batch = max(4096, min(protocol.DRAW_SIZE, 8 * cfg.n_coincidences))
-        _, _, label = next(protocol._coincidences(
-            default_experiment[0], wide, wide, None, np.random.default_rng(cfg.rng_seed), 10**9, batch
-        ))
-        tallied = protocol._cell_counts(label[: cfg.n_coincidences])
-        assert result.table.counts.tolist() == tallied.tolist()
-
-    @_ATTACKS
-    def test_emitted_pairs_end_at_the_last_coincidence(self, default_experiment, attack):
-        # The session's batches, replayed: emitted_pairs is the N-th
-        # coincidence's position + 1, inside a batch that holds more, and
-        # the table is the first N coincidences.
-        source, alice, bob = default_experiment
-        cfg = SessionConfig(n_coincidences=5001, m_estimation=500, rng_seed=4)
-        result = run_session(source, alice, bob, cfg, attack=attack)
-        offset, labels = 0, []
-        batch = max(4096, min(protocol.DRAW_SIZE, 8 * cfg.n_coincidences))
-        for n, position, label in protocol._coincidences(
-            source, alice, bob, attack, np.random.default_rng(cfg.rng_seed), 10**9, batch
-        ):
-            labels.append(label)
-            if sum(c.size for c in labels) >= cfg.n_coincidences:
-                break
-            offset += n
-        last = cfg.n_coincidences - sum(c.size for c in labels[:-1]) - 1
-        assert last < labels[-1].size - 1  # the batch was cut
-        assert result.emitted_pairs == offset + position(last) + 1
-        tallied = protocol._cell_counts(np.concatenate(labels)[: cfg.n_coincidences])
-        assert result.table.counts.tolist() == tallied.tolist()
-
     def test_guard_counts_every_emitted_pair(self, default_experiment):
-        # The guard of 10^4 N = 100,000 pairs is 24 batches of 4,096 plus
-        # 1,696, not a multiple of the batch: the batches still sum to it
+        # The guard of 10^4 N = 300,000 pairs is one block of 2^18 plus
+        # 37,856, not a multiple of the block: the blocks still sum to it
         # exactly before the session gives up.
         source, alice, _ = default_experiment
         far = make_station(x_centers=(1000.0, 1002.0), p_centers=(1000.0, 1002.0))
-        cfg = SessionConfig(n_coincidences=10, m_estimation=1, rng_seed=1)
-        with pytest.raises(ProtocolError, match="emitted 100000 pairs but collected only 0 of 10"):
+        cfg = SessionConfig(n_coincidences=30, m_estimation=1, rng_seed=1)
+        with pytest.raises(ProtocolError, match="emitted 300000 pairs but collected only 0 of 30"):
             run_session(source, alice, far, cfg)
 
     def test_failed_sift_names_the_shortfall(self):

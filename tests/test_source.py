@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eprqkd import detection
+from eprqkd import detection, protocol
 from eprqkd import source as source_module
+from eprqkd.analysis import scan_simulation
 from eprqkd.defaults import assemble_setup
 from eprqkd.detection import CalibrationError, calibrate_source
+from eprqkd.protocol import AttackConfig, SessionConfig, run_session, tally_coincidences
 from eprqkd.source import (
     PairKernel,
     PumpProfile,
@@ -552,6 +554,85 @@ class TestPairKernel:
         assert cell.dtype == np.int8 and cell.size == index.size and set(cell) <= {0, 1}
         wide = PairKernel([((-1e6, 1e6), (-1e6, 1e6), rho, math.sqrt(1.0 - rho * rho), 1.0)])
         assert wide.kept(np.random.default_rng(seed), k)[0].size == k  # exactly k on [-1e6, 1e6]
+
+
+def _wide_station():
+    """A station whose detector-0 slits accept every latent coordinate."""
+    return make_station(x_centers=(0.0, 1e7), p_centers=(0.0, 1e7), x_width=1e6, p_width=1e6)
+
+
+class TestEmit:
+    """PairKernel.emit, the one emission loop of sessions, tallies and scans, in 1000-pair blocks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(source_module, "DRAW_SIZE", 1000)
+
+    @pytest.mark.parametrize("n", [0, 999, 1000, 1001, 2007])
+    @pytest.mark.parametrize("name", ["same-basis", "full"])
+    def test_blocks_draw_on_their_children_in_order(self, name, n):
+        # Block sizes sum to n and the largest is min(n, DRAW_SIZE); block i
+        # draws on child i, binomial(pairs, total) proposals first and then
+        # the kernel's kept ones, in one kept call of at most DRAW_SIZE
+        # ("full" proposes every pair, so its calls reach DRAW_SIZE).
+        calls = []
+
+        class Recording(PairKernel):
+            def kept(self, stream, k):
+                calls.append(k)
+                return super().kept(stream, k)
+
+        kernel = Recording(_CELL_SETS[name])
+        rng = np.random.default_rng(9)
+        blocks = list(kernel.emit(rng, n))
+        sizes = [pairs for pairs, *_ in blocks]
+        assert sum(sizes) == n and max(sizes, default=0) == min(n, 1000)
+        assert rng.bit_generator.seed_seq.n_children_spawned == len(blocks)
+        assert calls == [k for _, k, *_ in blocks] and max(calls, default=0) <= 1000
+        children = np.random.default_rng(9).spawn(len(blocks))
+        for (pairs, k, stream, index, cell), child in zip(blocks, children):
+            assert stream.bit_generator.seed_seq.spawn_key == child.bit_generator.seed_seq.spawn_key
+            assert k == int(child.binomial(pairs, kernel.total))
+            again = PairKernel.kept(kernel, child, k)
+            assert index.tolist() == again[0].tolist() and cell.tolist() == again[1].tolist()
+        if name == "full":
+            assert max(calls, default=0) == min(n, 1000)
+
+    @pytest.mark.parametrize("n", [999, 1000, 1001, 2007])
+    def test_windows_holding_every_pair_count_every_pair(self, default_experiment, n):
+        source, wide = default_experiment[0], _wide_station()
+        assert tally_coincidences(source, wide, wide, n, np.random.default_rng(9)).total() == n
+        for fixed, pair in (("Ax1", ("x", "x")), ("Ap1", ("p", "x"))):
+            scan = scan_simulation(
+                source, wide, wide, fixed, pair, np.arange(0.0, 1.01, 0.2), n, np.random.default_rng(9)
+            )
+            assert scan.counts == (n,) * 6
+
+    @pytest.mark.parametrize("attack", [None, AttackConfig("uniform_random")], ids=["clean", "attacked"])
+    @pytest.mark.parametrize("wide", [False, True], ids=["default", "wide"])
+    def test_sessions_replay_to_the_last_coincidence(self, default_experiment, attack, wide):
+        # The session's blocks, replayed: emitted_pairs is the N-th
+        # coincidence's place + 1, inside a block that holds more, and the
+        # table is the first N coincidences.  On wide stations every pair
+        # is a coincidence, so the session stops at pair N exactly.
+        source, alice, bob = default_experiment
+        if wide:
+            alice = bob = _wide_station()
+        cfg = SessionConfig(n_coincidences=5001, m_estimation=500, rng_seed=4)
+        result = run_session(source, alice, bob, cfg, attack=attack)
+        offset, labels = 0, []
+        blocks = protocol._coincidences(source, alice, bob, attack, np.random.default_rng(4), 10**9)
+        for n, k, stream, index, label in blocks:
+            labels.append(label)
+            if sum(c.size for c in labels) >= cfg.n_coincidences:
+                break
+            offset += n
+        last = cfg.n_coincidences - sum(c.size for c in labels[:-1]) - 1
+        assert last < labels[-1].size - 1  # the block was cut
+        assert result.emitted_pairs == offset + protocol._position(n, k, int(index[last]), stream) + 1
+        assert result.emitted_pairs == cfg.n_coincidences or not wide
+        tallied = protocol._cell_counts(np.concatenate(labels)[: cfg.n_coincidences])
+        assert result.table.counts.tolist() == tallied.tolist()
 
 
 def _zw_box_area(cell):
