@@ -268,7 +268,8 @@ def duan_check(
     uncertainty and the distance to the bound in standard deviations; they
     are given for both axes or neither.
     Variances must be positive and finite, uncertainties non-negative and
-    finite; the error names the offending field and entry.
+    finite; the error names the offending field and entry.  Inputs whose
+    product, uncertainty or distance leaves the float range raise naming it.
     """
     if not var_x_list or not var_p_list:
         raise ValueError("need at least one variance per axis")
@@ -300,6 +301,10 @@ def duan_check(
         product_unc = product * math.hypot(unc_mean_x / mean_x, unc_mean_p / mean_p)
         if product_unc > 0:
             sigma_distance = (DUAN_BOUND - product) / product_unc
+    for name, value in (("product", product), ("product_uncertainty", product_unc),
+                        ("sigma_distance", sigma_distance)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} is {value}: the inputs leave the float range")
 
     return EprCheckResult(
         var_x_list=tuple(float(v) for v in var_x_list),

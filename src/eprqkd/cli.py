@@ -9,6 +9,9 @@ Subcommands:
     epr-check   variance-product entanglement witness
 
 Every command prints a JSON report and is bit-reproducible for a fixed seed.
+The report echoes every flag as parsed but the output paths (args), the
+resolved run file as its 20 strings (config, null on the table routes), the
+seed and the results, so a report reruns its own run.
 Runs are configured by a flat key-value file with dotted section names
 (``source.sigma_plus_mm = 1.8``); any key omitted falls back to the bundled
 default experiment, the one config table in ``eprqkd.defaults``, and any
@@ -50,18 +53,13 @@ EXIT_ABORTED = 4
 DEFAULT_SEED = 42
 DEFAULT_PAIRS = 200_000
 FROM_SCANS_GRID = "0:3:0.1"
+# Where a run writes, in the order it writes: a report's args echo every flag but these.
+OUTPUT_FLAGS = ("out_dir", "out_csv", "out")
 
 
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
-
-
-def config_hash(cfg: dict[str, str]) -> str:
-    import hashlib
-
-    canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def build_attack(cfg: dict[str, str]) -> protocol.AttackConfig | None:
@@ -151,9 +149,9 @@ def _check_outputs(args, named: dict[str, Path] | None = None) -> None:
             raise ConfigError(f"--out-dir: {str(nearest)!r} is not a directory")
         created = target.resolve()
     outputs = dict(named or {})
-    for flag, attr in (("--out-csv", "out_csv"), ("--out", "out")):
+    for attr in OUTPUT_FLAGS[1:]:
         if getattr(args, attr, None):
-            outputs[flag] = Path(getattr(args, attr))
+            outputs["--" + attr.replace("_", "-")] = Path(getattr(args, attr))
     written = {}
     for name, path in outputs.items():
         resolved = path.resolve()
@@ -167,7 +165,7 @@ def _check_outputs(args, named: dict[str, Path] | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns (exit code, report args, seed, config, results)
+# Commands: each returns (exit code, seed, config, results)
 # ---------------------------------------------------------------------------
 
 
@@ -192,7 +190,7 @@ def cmd_qber(args):
     path, table = _load_table(args)
     results = _qber_results(tables.qber_from_counts(table))
     results["table_path"] = str(path)
-    return EXIT_OK, {"table": args.table}, None, None, results
+    return EXIT_OK, None, None, results
 
 
 def cmd_eve_predict(args):
@@ -205,7 +203,7 @@ def cmd_eve_predict(args):
     results = _qber_results(tables.qber_with_eve_prediction(table, p_resend=p_resend))
     results["p_resend"] = list(p_resend)
     results["table_path"] = str(path)
-    return EXIT_OK, {"table": args.table, "p": args.p, "p2": args.p2}, None, None, results
+    return EXIT_OK, None, None, results
 
 
 def cmd_simulate(args):
@@ -257,7 +255,7 @@ def cmd_simulate(args):
         "table_path": str(table_path),
     }
     code = EXIT_ABORTED if result.aborted else EXIT_OK
-    return code, {"config": args.config}, seed, cfg, results
+    return code, seed, cfg, results
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -356,9 +354,7 @@ def cmd_scan(args):
         "fit": fit_fields,
         "scan_csv": args.out_csv,
     }
-    report_args = {"config": args.config, "fixed": args.fixed, "bases": args.bases,
-                   "grid": args.grid}
-    return EXIT_OK, report_args, seed, cfg, results
+    return EXIT_OK, seed, cfg, results
 
 
 def _epr_results(check: analysis.EprCheckResult, note: str | None) -> dict:
@@ -430,9 +426,15 @@ def _witness_variances(fits, station) -> tuple:
         if fit.flat:
             raise ConfigError(f"{label}; no width to convert")
         scale = detection.conversion_for(station, basis)
-        var[basis].append(analysis.conditional_variance(fit, scale))
-        if with_unc:  # d(scale sigma)^2 = 2 scale^2 sigma d(sigma)
-            unc[basis].append(2 * scale**2 * fit.sigma * math.sqrt(fit.covariance[2][2]))
+        try:
+            var[basis].append(analysis.conditional_variance(fit, scale))
+            if with_unc:  # d(scale sigma)^2 = 2 scale^2 sigma d(sigma)
+                unc[basis].append(2 * scale**2 * fit.sigma * math.sqrt(fit.covariance[2][2]))
+        except OverflowError:
+            keys = {"x": "object_distance_mm and station.image_distance_mm",
+                    "p": "wavenumber_per_mm and station.focal_length_mm"}[basis]
+            raise ConfigError(f"config keys station.{keys}: the {basis} scale {scale:.6g} "
+                              f"squares a {fit.sigma} mm width out of the float range") from None
     if len(var["x"]) != 2 or len(var["p"]) != 2:
         raise ConfigError(
             f"need two xx and two pp fit reports, got {len(var['x'])} xx / {len(var['p'])} pp"
@@ -489,7 +491,7 @@ def cmd_epr_check(args):
         note = defaults.UNCERTAINTY_NOTE
 
     check = analysis.duan_check(var_x, var_p, unc_x, unc_p)
-    return EXIT_OK, {"from_scans": args.from_scans}, seed, cfg, _epr_results(check, note)
+    return EXIT_OK, seed, cfg, _epr_results(check, note)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +565,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        code, report_args, seed, cfg, results = args.func(args)
+        code, seed, cfg, results = args.func(args)
         report = {
             "command": args.subcommand,
-            "args": report_args,
-            "config_hash": config_hash(cfg) if cfg is not None else None,
+            "args": {k: v for k, v in vars(args).items()
+                     if k not in ("subcommand", "func", *OUTPUT_FLAGS)},
+            "config": cfg,
             "seed": seed,
             "results": results,
             "duration_s": round(time.perf_counter() - started, 6),

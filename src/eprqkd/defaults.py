@@ -45,7 +45,7 @@ class RunError(RuntimeError):
 
 
 # The default experiment, as the config keys that a run file may override.
-# Values are the strings a run file would hold; the config hash reads them.
+# Values are the strings a run file would hold, as a report's config echoes them.
 _CONFIG_DEFAULTS = {
     "source.target_var_x_mm2": "0.116",  # detected-variance calibration targets
     "source.target_var_p_hbar2_mm2": "0.894",
@@ -163,18 +163,24 @@ def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, Statio
     pump = PumpProfile(_as_float(cfg, "source.pump_waist_mm", positive=True))
     sigma_plus = _as_float(cfg, "source.sigma_plus_mm", positive=True)
     kappa_plus = _as_float(cfg, "source.kappa_plus_per_mm", positive=True)
-    src = calibrate_source(
-        _as_float(cfg, "source.target_var_x_mm2", positive=True),
-        _as_float(cfg, "source.target_var_p_hbar2_mm2", positive=True),
-        bob, bob, sigma_plus=sigma_plus, kappa_plus=kappa_plus, pump=pump,
-    )
+    target_x = _as_float(cfg, "source.target_var_x_mm2", positive=True)
+    target_p = _as_float(cfg, "source.target_var_p_hbar2_mm2", positive=True)
     try:
+        src = calibrate_source(
+            target_x, target_p, bob, bob, sigma_plus=sigma_plus, kappa_plus=kappa_plus, pump=pump
+        )
         return assemble_setup(src, bob)
-    except ValueError as exc:  # far off axis, A's derived slits can overlap
-        if "slit intervals overlap" not in str(exc):
-            raise
-        keys = "station.origin_mm, station.detector1_mm and station.detector2_mm"
-        raise ConfigError(f"config keys {keys}: party A's derived slits: {exc}") from exc
+    except (OverflowError, ValueError) as exc:
+        if "slit intervals overlap" in str(exc):  # far off axis, A's derived slits can overlap
+            keys = "station.origin_mm, station.detector1_mm and station.detector2_mm"
+            raise ConfigError(f"config keys {keys}: party A's derived slits: {exc}") from exc
+        # Finite values so extreme that a square leaves the float range or a slit sees no mass.
+        if isinstance(exc, OverflowError) or "cannot equalize" in str(exc):
+            keys = [key for key in _CONFIG_DEFAULTS if key.startswith(("source.", "station."))
+                    and float(cfg[key]) != float(_CONFIG_DEFAULTS[key])]
+            reason = "the setup leaves the float range" if isinstance(exc, OverflowError) else exc
+            raise ConfigError(f"config keys {', '.join(keys)} (off their defaults): {reason}") from exc
+        raise
 
 
 def assemble_setup(

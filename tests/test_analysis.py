@@ -94,6 +94,13 @@ class TestFitGaussian:
         with pytest.raises(ValueError):
             ScanData((0.0, 1.0), (1, 2), "Ax1", ("x", "x"))
 
+    @pytest.mark.parametrize("counts, message", [
+        ((1, 2, 3, 4), "equal length"), ((1, 2, -3, 4, 5), "non-negative"),
+    ])
+    def test_malformed_scan_rejected(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            ScanData((0.0, 0.5, 1.0, 1.5, 2.0), counts, "Ax1", ("x", "x"))
+
     def test_covariance_reported(self):
         scan = synthetic_scan(1000.0, 1.0, 0.3, 10.0, rng=np.random.default_rng(4))
         fit = fit_gaussian(scan)
@@ -256,6 +263,11 @@ class TestDuanCheck:
         # One uncertainty list alone names the missing one.
         (((0.152, 0.080), (0.912, 0.875), (0.003, 0.002), None), "unc_p is missing"),
         (((0.152, 0.080), (0.912, 0.875), None, (0.017, 0.090)), "unc_x is missing"),
+        (((0.1, 0.2), (0.5,), (0.01,), (0.1,)), "uncertainty lists must match variance lists"),
+        # Finite inputs whose product, uncertainty or distance leaves the float range.
+        (((1e300,), (1e300,)), "product is inf"),
+        (((0.1,), (0.9,), (1e200,), (1.0,)), "product_uncertainty is inf"),
+        (((1e-160,), (1e-160,), (0.0,), (1e-160,)), "sigma_distance is inf"),
     ])
     def test_non_finite_or_negative_input_names_field(self, args, field):
         with pytest.raises(ValueError, match=re.escape(field)):
@@ -398,6 +410,15 @@ class TestScanSimulation:
                 _NoDraws(),
             )
 
+    @pytest.mark.parametrize("pairs", [0, -5])
+    def test_pairs_per_point_must_be_positive(self, default_experiment, pairs):
+        source, alice, bob = default_experiment
+        with pytest.raises(ValueError, match="pairs_per_point must be positive"):
+            scan_simulation(
+                source, alice, bob, "Ax1", ("x", "x"), np.arange(0.0, 1.01, 0.2), pairs,
+                _NoDraws(),
+            )
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_grid_named_before_any_draw(self, default_experiment, bad):
         source, alice, bob = default_experiment
@@ -492,18 +513,53 @@ def _reference_scan(source, alice, bob, fixed, pair, grid, n, rng):
     return np.array(counts)
 
 
+def _exact_scan_chi2(source, alice, bob, fixed, pair, grid, n, rng):
+    """(statistic, dof): scan_simulation's counts against their exact binomial means.
+
+    A point's probability is the bivariate-normal mass (scipy's integrator)
+    of this file's own latent windows, A's fixed slit and a slit of B's
+    width centered on the point, under the latent covariance read off the
+    source's four widths.  Each count is binomial(n, p), so the sum of
+    (count - n p)^2 / (n p (1 - p)) is chi-square with one degree of
+    freedom per point.  Costing only the kernel's hits, n can be large
+    enough to see a 0.01-std shift of the windows in every basis pair.
+    """
+    from scipy.stats import multivariate_normal
+
+    def latent(station, basis, center, width):
+        scale = station.alpha if basis == "x" else station.wavenumber / station.focal_length
+        return [(center + side * width / 2.0 - station.origin) * scale for side in (-1, 1)]
+
+    # (sum, difference) variances: x_A, x_B = (v +- u) / 2 and p_A, p_B = (w +- z) / 2.
+    widths = {"x": (source.sigma_plus, source.sigma_minus), "p": (source.kappa_minus, source.kappa_plus)}
+    (sum_A, diff_A), (sum_B, diff_B) = ((s**2, d**2) for s, d in (widths[b] for b in pair))
+    cov = (sum_A - diff_A) / 4.0 if pair[0] == pair[1] else 0.0
+    law = multivariate_normal(cov=[[(sum_A + diff_A) / 4.0, cov], [cov, (sum_B + diff_B) / 4.0]])
+    slit_A = alice.detectors(pair[0])[int(fixed[-1]) - 1]
+    a0, a1 = latent(alice, pair[0], slit_A.center, slit_A.width)
+    width_B = bob.detectors(pair[1])[0].width
+    windows_B = (latent(bob, pair[1], center, width_B) for center in grid)
+    p = np.array([law.cdf([a1, b1], lower_limit=[a0, b0]) for b0, b1 in windows_B])
+    counts = np.array(scan_simulation(source, alice, bob, fixed, pair, grid, n, rng).counts)
+    return float(np.sum((counts - n * p) ** 2 / (n * p * (1.0 - p)))), len(p)
+
+
 @pytest.mark.parametrize(
-    "fixed, pair",
-    [("Ax1", ("x", "x")), ("Ap2", ("p", "p")), ("Ax2", ("x", "p")), ("Ap1", ("p", "x"))],
+    "fixed, pair, exact_pairs",
+    [("Ax1", ("x", "x"), 2**25), ("Ap2", ("p", "p"), 2**20), ("Ax2", ("x", "p"), 2**23),
+     ("Ap1", ("p", "x"), 2**23)],
     ids=["xx", "pp", "xp", "px"],
 )
-def test_scan_law_matches_full_pair_sampler(default_experiment, fixed, pair):
-    """Two-sample chi-square between scan_simulation and the reference.
+def test_scan_law_matches_full_pair_sampler(default_experiment, fixed, pair, exact_pairs):
+    """Two-sample chi-square between scan_simulation and the reference, then
+    one-sample against the exact law at exact_pairs per point.
 
     Both scans emit the same number of pairs per point, so under equal laws
     each count difference a - b has variance a + b and the sum of
     (a - b)^2 / (a + b) over the occupied points of three seeds is
-    chi-square with one degree of freedom per point.
+    chi-square with one degree of freedom per point.  The reference sampler
+    costs every pair, so it cannot see a bias under about 1%; the exact law
+    (_exact_scan_chi2) at exact_pairs can, down to a 0.01-std window shift.
     """
     from scipy.stats import chi2
 
@@ -524,17 +580,23 @@ def test_scan_law_matches_full_pair_sampler(default_experiment, fixed, pair):
         stat += float(np.sum((fast - ref)[occupied] ** 2 / (fast + ref)[occupied]))
         dof += int(occupied.sum())
     assert stat < chi2.ppf(0.999, dof), (stat, dof)
+    stat, dof = _exact_scan_chi2(
+        source, alice, bob, fixed, pair, grid, exact_pairs, np.random.default_rng(74)
+    )
+    assert stat < chi2.ppf(0.999, dof), (stat, dof)
 
 
 def test_scan_law_holds_across_blocks(default_experiment, monkeypatch):
     """The xx law test with 1000-pair emission blocks: 100 blocks per grid point."""
     monkeypatch.setattr(source_module, "DRAW_SIZE", 1000)
-    test_scan_law_matches_full_pair_sampler(default_experiment, "Ax1", ("x", "x"))
+    test_scan_law_matches_full_pair_sampler(default_experiment, "Ax1", ("x", "x"), 100_000)
 
 
-@pytest.mark.parametrize("fixed, pair", [("Ax1", ("x", "x")), ("Ap2", ("p", "p"))], ids=["xx", "pp"])
-def test_full_density_scan_law(default_experiment, fixed, pair):
-    """The scan law test (_two_sample_chi2) on slits whose box would reach 1."""
+@pytest.mark.parametrize(
+    "fixed, pair, exact_pairs", [("Ax1", ("x", "x"), 2**19), ("Ap2", ("p", "p"), 2**18)], ids=["xx", "pp"]
+)
+def test_full_density_scan_law(default_experiment, fixed, pair, exact_pairs):
+    """The scan law tests (_two_sample_chi2, _exact_scan_chi2) on slits whose box would reach 1."""
     from scipy.stats import chi2
 
     # WIDE_STATION's slits 1.5 times wider: a box in (z, y) tops 1 at some points.
@@ -565,6 +627,10 @@ def test_full_density_scan_law(default_experiment, fixed, pair):
         )
         for seed in (91, 92, 93)
     ])
+    assert stat < chi2.ppf(0.999, dof), (stat, dof)
+    stat, dof = _exact_scan_chi2(
+        source, wide, wide, fixed, pair, grid, exact_pairs, np.random.default_rng(94)
+    )
     assert stat < chi2.ppf(0.999, dof), (stat, dof)
 
 

@@ -357,13 +357,15 @@ class TestSimulateCommand:
                      ["unknown config key 'station.equalize'"], id="equalize"),
         pytest.param("source.calibrate = false\n",
                      ["unknown config key 'source.calibrate'"], id="calibrate"),
+        pytest.param("source.sigma_plus_mm 1.8\n", ["run.cfg:1: expected 'key = value'"],
+                     id="no-equals"),
     ])
     def test_source_rejections_name_product_or_key(
         self, capsys, monkeypatch, tmp_path, lines, named
     ):
-        """Targets that calibrate to an unphysical source, or a removed key
-        (the squeezed widths, the equalize and calibrate switches): exit 2
-        before the session, naming the product or the key."""
+        """Targets that calibrate to an unphysical source, a removed key (the
+        squeezed widths, the equalize and calibrate switches) or a line with
+        no '=': exit 2 before the session, naming the product, key or line."""
         def no_session(*args, **kwargs):
             raise AssertionError("the source must be checked before the session")
 
@@ -849,6 +851,44 @@ def test_overlapping_derived_slits_name_keys(capsys, tmp_path, origin, basis):
     assert "Traceback" not in err
 
 
+SIMULATE = ["simulate"]
+SCAN = ["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", "0:3:0.1", "--pairs", "1000"]
+FROM_SCANS = ["epr-check", "--from-scans", "--pairs", "1000"]
+FITS = ["epr-check", "--fits"]
+
+
+@pytest.mark.parametrize("line, command", [
+    ("source.sigma_plus_mm = 1e160", SIMULATE),
+    ("source.sigma_plus_mm = 1e160", SCAN),
+    ("source.sigma_plus_mm = 1e160", FROM_SCANS),
+    ("source.kappa_plus_per_mm = 1e200", SIMULATE),
+    ("station.image_distance_mm = 1e-300", SIMULATE),
+    ("station.origin_mm = 1e300", SIMULATE),
+    ("station.detector2_mm = 1e300", SIMULATE),
+    ("station.x_slit_width_mm = 1e-300", SIMULATE),
+    ("station.wavenumber_per_mm = 1e-300", SIMULATE),
+    ("station.image_distance_mm = 1e-300", FITS),
+], ids=["sigma_plus-simulate", "sigma_plus-scan", "sigma_plus-from-scans", "kappa_plus",
+        "image_distance", "origin", "detector2", "x_slit_width", "wavenumber",
+        "image_distance-fits"])
+def test_extreme_finite_values_name_their_key(capsys, monkeypatch, tmp_path, line, command):
+    """A finite run-file value that squares out of the float range, or leaves a
+    slit no mass, exits 2 naming its key, not with a traceback."""
+    def no_session(*args, **kwargs):
+        raise AssertionError("the setup must be refused before the session")
+
+    monkeypatch.setattr(protocol, "run_session", no_session)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    if command is FITS:
+        command = FITS + _fit_reports(tmp_path, FOUR_FITS)
+    outputs = ["--out-dir", str(tmp_path / "out")] if command is SIMULATE else []
+    code, report, err = run_cli([*command, "--config", str(cfg), *outputs], capsys)
+    assert code == cli.EXIT_VALIDATION, err
+    assert report is None
+    assert err.startswith("error: config keys ") and line.split(" = ")[0] in err, err
+
+
 class TestEprCheckCommand:
     def test_reference_defaults(self, capsys):
         code, report, _ = run_cli(["epr-check"], capsys)
@@ -958,6 +998,10 @@ class TestEprCheckCommand:
         (["--var-x", "0.1", "--var-p", "0.5", "inf"], "var_p[1]"),
         (["--var-x", "0.1", "--var-p", "0.5", "--unc-x", "-0.01", "--unc-p", "0.1"], "unc_x[0]"),
         (["--var-x", "0.1", "--var-p", "0.5", "--unc-x", "0.01", "--unc-p", "nan"], "unc_p[0]"),
+        (["--var-x", "1e300", "1e300", "--var-p", "1e300", "1e300", "--unc-x", "1", "1",
+          "--unc-p", "1", "1"], "product is inf"),
+        (["--var-x", "0.1", "0.1", "--var-p", "0.9", "0.9", "--unc-x", "1e200", "1e200",
+          "--unc-p", "1", "1"], "product_uncertainty is inf"),
     ])
     def test_non_finite_or_negative_input_rejected(self, capsys, argv, field):
         code, report, err = run_cli(["epr-check", *argv], capsys)
@@ -1104,6 +1148,15 @@ class TestEprCheckCommand:
         assert report is None
         assert "scan is flat; no width to convert" in err
 
+    @pytest.mark.parametrize("pairs, counts", [(("xx",) * 3 + ("pp",), "3 xx / 1 pp"),
+                                               (("xx",) + ("pp",) * 3, "1 xx / 3 pp")])
+    def test_fit_reports_need_two_of_each_basis(self, capsys, tmp_path, pairs, counts):
+        paths = _fit_reports(tmp_path, [(pair, 0.3 + i / 100) for i, pair in enumerate(pairs)])
+        code, report, err = run_cli(["epr-check", "--fits", *paths], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert report is None
+        assert err == f"error: need two xx and two pp fit reports, got {counts}\n", err
+
     @pytest.mark.parametrize("spelling", ["same", "relative"])
     def test_repeated_fit_report_rejected(self, capsys, monkeypatch, tmp_path, spelling):
         """One scan is not two measurements: a path given twice exits 2 and names it."""
@@ -1216,6 +1269,10 @@ class TestEprCheckCommand:
         assert named in err, err
 
 
+# Two xx and two pp widths: the fit reports a --fits witness needs.
+FOUR_FITS = (("xx", 0.31), ("xx", 0.29), ("pp", 0.27), ("pp", 0.26))
+
+
 def _fit_reports(tmp_path, fits):
     """Minimal saved scan reports, one per (basis pair, width), with no covariance."""
     paths = []
@@ -1228,8 +1285,79 @@ def _fit_reports(tmp_path, fits):
 
 def test_report_shape(capsys):
     code, report, _ = run_cli(["qber", "table1.csv"], capsys)
-    assert set(report) == {"command", "args", "config_hash", "seed", "results", "duration_s"}
+    assert set(report) == {"command", "args", "config", "seed", "results", "duration_s"}
     assert report["command"] == "qber"
+
+
+def _strict_report(capsys) -> dict:
+    """The printed report, parsed as strict JSON: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise AssertionError(f"the report prints {constant}")
+
+    return json.loads(capsys.readouterr().out, parse_constant=refuse)
+
+
+def _rerun_argv(report, run_file) -> list[str]:
+    """A report's run as argv: its command, every flag in args and its seed, with
+    its config written to run_file as the run file."""
+    args = dict(report["args"], seed=report["seed"])
+    argv = [report["command"], *([args.pop("table")] if "table" in args else [])]
+    if report["config"] is not None:
+        run_file.write_text("".join(f"{key} = {value}\n" for key, value in report["config"].items()))
+        args["config"] = str(run_file)
+    for name, value in args.items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, list):
+            argv += [flag, *map(str, value)]
+        elif value is True:
+            argv.append(flag)
+        elif value not in (None, False):
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+RUN_FILE = (
+    "session.coincidences = 2000\nsession.estimation_pairs = 200\nstation.p_slit_width_mm = 0.45\n"
+)
+PATH_KEYS = ("alice_key_path", "bob_key_path", "table_path", "scan_csv")
+
+
+@pytest.mark.parametrize("argv, run_file, outputs", [
+    (["qber", "table1.csv"], None, []),
+    (["eve-predict", "table1.csv", "--p", "0.4", "--p2", "0.25"], None, []),
+    (["simulate", "--seed", "7"], RUN_FILE, ["--out-dir", "{out}"]),
+    (["simulate"], RUN_FILE + "attack.policy = always_p\n", ["--out-dir", "{out}"]),
+    (["scan", "--fixed", "Ap1", "--bases", "pp", "--grid=-1:4:0.25", "--pairs", "20000",
+      "--seed", "3"], None, ["--out-csv", "{out}/scan.csv"]),
+    (["epr-check", "--from-scans", "--pairs", "20000", "--seed", "5"], None, []),
+    (["epr-check", "--fits", "{fits}"], "station.image_distance_mm = 120\n", []),
+    (["epr-check", "--var-x", "0.15", "0.08", "--var-p", "0.9", "0.88", "--unc-x", "0.003",
+      "0.002", "--unc-p", "0.02", "0.09"], None, []),
+    (["epr-check"], None, []),
+], ids=["qber", "eve-predict", "simulate", "simulate-always_p", "scan", "epr-check-from-scans",
+        "epr-check-fits", "epr-check-variances", "epr-check-reference"])
+def test_report_reruns_its_run(capsys, tmp_path, argv, run_file, outputs):
+    """A report's command, args and seed, with its config written back as the run
+    file, rerun the same results and files, and every report is strict JSON."""
+    fits = _fit_reports(tmp_path, FOUR_FITS)
+    argv = [part for arg in argv for part in (fits if arg == "{fits}" else [arg])]
+    if run_file is not None:
+        (tmp_path / "given.cfg").write_text(run_file)
+        argv += ["--config", str(tmp_path / "given.cfg")]
+    reports, written = [], []
+    for run in ("first", "rerun"):
+        out = tmp_path / run
+        out.mkdir()
+        if run == "rerun":
+            argv = _rerun_argv(reports[0], tmp_path / "rerun.cfg")
+        code = cli.main(argv + [o.format(out=out) for o in outputs])
+        assert code == (cli.EXIT_ABORTED if "always_p" in str(run_file) else cli.EXIT_OK)
+        reports.append(_strict_report(capsys))
+        written.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))})
+    first, rerun = ({k: v for k, v in r["results"].items() if k not in PATH_KEYS} for r in reports)
+    assert json.dumps(rerun) == json.dumps(first)
+    assert reports[1]["config"] == reports[0]["config"]
+    assert written[1] == written[0] and bool(written[0]) == bool(outputs)
 
 
 def test_table_commands_do_not_load_scipy(tmp_path):
@@ -1365,22 +1493,26 @@ def _main(*args: str) -> str:
      TABLE_ROUTE | {"eprqkd.detection", "eprqkd.analysis"}, None),
     (_main(*map(repr, ["epr-check", "--from-scans", "--pairs", "20000"])),
      TABLE_ROUTE | {"eprqkd.detection", "eprqkd.analysis"}, None),
+    (_main("'epr-check'", "'--fits'", "*sys.argv[4:]", "'--config'", "sys.argv[2]"),
+     TABLE_ROUTE | {"eprqkd.detection", "eprqkd.analysis"}, False),
 ], ids=["import", "default_setup", "qber", "qber-no-sidecar", "eve-predict",
-        "epr-check-reference", "epr-check-variances", "simulate", "scan", "epr-check-from-scans"])
+        "epr-check-reference", "epr-check-variances", "simulate", "scan", "epr-check-from-scans",
+        "epr-check-fits"])
 def test_each_route_loads_only_its_modules(tmp_path, statement, expected, hashlib):
     """A cold command compiles every module it imports, so each loads only its layers.
 
     A fresh process per case: this one has loaded every module already.
     sys.argv[1] is a copy of the bundled table without its .sha256 sidecar,
-    sys.argv[2] a 2,000-coincidence run file and sys.argv[3] simulate's
-    output directory; hashlib is False where neither a sidecar nor a config
-    hash needs it.  Only simulate loads protocol, which imports numpy on load,
-    and no route loads concurrent.futures.
+    sys.argv[2] a 2,000-coincidence run file, sys.argv[3] simulate's
+    output directory and sys.argv[4:] four saved fit reports; hashlib is
+    False where no sidecar needs it.  Only simulate loads protocol, which
+    imports numpy on load, and no route loads concurrent.futures.
     """
     table = tmp_path / "table1.csv"
     shutil.copy(BUNDLED, table)
     run_file = tmp_path / "run.cfg"
     run_file.write_text("session.coincidences = 2000\nsession.estimation_pairs = 200\n")
+    fits = _fit_reports(tmp_path, FOUR_FITS)
     code = (
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1389,7 +1521,7 @@ def test_each_route_loads_only_its_modules(tmp_path, statement, expected, hashli
         "print(json.dumps([loaded, 'hashlib' in sys.modules, 'concurrent.futures' in sys.modules]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(table), str(run_file), str(tmp_path / "out")],
+        [sys.executable, "-c", code, str(table), str(run_file), str(tmp_path / "out"), *fits],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -80,6 +81,11 @@ class TestQberEdgeCases:
             qber_from_counts(CoincidenceTable(np.zeros((4, 4), dtype=int)))
         with pytest.raises(ValueError):
             qber_with_eve_prediction(CoincidenceTable(np.zeros((4, 4), dtype=int)))
+
+    @pytest.mark.parametrize("p_resend", [(1.5, 0.5), (0.5, -0.1)])
+    def test_resend_probability_outside_unit_interval_rejected(self, reference_table, p_resend):
+        with pytest.raises(ValueError, match=re.escape("must lie in [0, 1]")):
+            qber_with_eve_prediction(reference_table, p_resend=p_resend)
 
     def test_eve_chi_vanishes_without_cross_counts(self):
         counts = np.zeros((4, 4), dtype=int)
@@ -807,6 +813,16 @@ class TestTableCsv:
             ",Bx1,Bx2,Bp1,Bp2\nAx1,1,2,3,x\nAx2,1,2,3,4\nAp1,1,2,3,4\nAp2,1,2,3,4\n"
         )
         with pytest.raises(ValueError, match="not an integer"):
+            CoincidenceTable.load_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("Ap9,1,2,3,4", "row 3 label must be 'Ap1', got 'Ap9'"),
+        ("Ap1,1,-2,3,4", "row 3 column 2: negative count -2"),
+    ], ids=["label", "negative"])
+    def test_bad_row_diagnosed(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f",Bx1,Bx2,Bp1,Bp2\nAx1,1,2,3,4\nAx2,1,2,3,4\n{row}\nAp2,1,2,3,4\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
             CoincidenceTable.load_csv(path)
 
     def test_bad_header_diagnosed(self, tmp_path):
