@@ -10,7 +10,7 @@ Subcommands:
 
 Every command prints a JSON report and is bit-reproducible for a fixed seed.
 The report echoes every flag as parsed but the output paths (args), the
-resolved run file as its 20 strings (config, null on the table routes), the
+resolved run file as its 19 strings (config, null on the table routes), the
 seed and the results, so a report reruns its own run.
 Runs are configured by a flat key-value file with dotted section names
 (``source.sigma_plus_mm = 1.8``); any key omitted falls back to the bundled
@@ -430,6 +430,8 @@ def _witness_variances(fits, station) -> tuple:
             var[basis].append(analysis.conditional_variance(fit, scale))
             if with_unc:  # d(scale sigma)^2 = 2 scale^2 sigma d(sigma)
                 unc[basis].append(2 * scale**2 * fit.sigma * math.sqrt(fit.covariance[2][2]))
+            if not all(map(math.isfinite, var[basis] + unc[basis])):  # a product overflowed
+                raise OverflowError
         except OverflowError:
             keys = {"x": "object_distance_mm and station.image_distance_mm",
                     "p": "wavenumber_per_mm and station.focal_length_mm"}[basis]

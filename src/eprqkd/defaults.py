@@ -25,7 +25,6 @@ detection where they run.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -49,9 +48,8 @@ class RunError(RuntimeError):
 _CONFIG_DEFAULTS = {
     "source.target_var_x_mm2": "0.116",  # detected-variance calibration targets
     "source.target_var_p_hbar2_mm2": "0.894",
-    "source.sigma_plus_mm": "1.8",  # free (anti-squeezed) widths and pump
+    "source.sigma_plus_mm": "1.8",  # free (anti-squeezed) widths
     "source.kappa_plus_per_mm": "3.7",
-    "source.pump_waist_mm": "2.0",
     "station.object_distance_mm": "200.0",
     "station.image_distance_mm": "100.0",
     "station.focal_length_mm": "150.0",
@@ -160,14 +158,14 @@ def build_setup(cfg: dict[str, str]) -> tuple[SourceModel, StationConfig, Statio
     from .detection import calibrate_source
 
     bob = build_station(cfg)
-    pump = PumpProfile(_as_float(cfg, "source.pump_waist_mm", positive=True))
     sigma_plus = _as_float(cfg, "source.sigma_plus_mm", positive=True)
     kappa_plus = _as_float(cfg, "source.kappa_plus_per_mm", positive=True)
     target_x = _as_float(cfg, "source.target_var_x_mm2", positive=True)
     target_p = _as_float(cfg, "source.target_var_p_hbar2_mm2", positive=True)
     try:
         src = calibrate_source(
-            target_x, target_p, bob, bob, sigma_plus=sigma_plus, kappa_plus=kappa_plus, pump=pump
+            target_x, target_p, bob, bob,
+            sigma_plus=sigma_plus, kappa_plus=kappa_plus, pump=PumpProfile(2.0),
         )
         return assemble_setup(src, bob)
     except (OverflowError, ValueError) as exc:
@@ -193,15 +191,10 @@ def assemble_setup(
     factors are attached.  Slit centers do not enter the detected variances,
     so a source calibrated on B's station stays calibrated.
     """
-    from .detection import derive_partner_centers, equalize_levels
+    from .detection import _with_slits, derive_partner_centers, equalize_levels
 
-    centers = {basis: derive_partner_centers(source, bob, bob, basis) for basis in ("x", "p")}
-    alice = replace(
-        bob,
-        x_detectors=tuple(replace(d, center=c) for d, c in zip(bob.x_detectors, centers["x"])),
-        p_detectors=tuple(replace(d, center=c) for d, c in zip(bob.p_detectors, centers["p"])),
-    )
-    alice, bob = equalize_levels(source, alice, bob)
+    centers = [derive_partner_centers(source, bob, bob, basis) for basis in "xp"]
+    alice, bob = equalize_levels(source, _with_slits(bob, "center", centers), bob)
     return source, alice, bob
 
 

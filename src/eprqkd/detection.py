@@ -541,70 +541,49 @@ def equalize_levels(
     replace any filters already present, so re-equalizing is a no-op.
     Returns new station configs; levels already equal map to factors 1.
     """
-    law = channel_law(source)
-    factors_A = {("x", 0): 1.0, ("x", 1): 1.0, ("p", 0): 1.0, ("p", 1): 1.0}
-    factors_B = dict(factors_A)
+    law, stations = channel_law(source), (station_A, station_B)
 
     # Stage 1a: balance the two slits of each station/basis on single mass.
-    mass_A, mass_B = {}, {}
-    for station, factors, mass in ((station_A, factors_A, mass_A), (station_B, factors_B, mass_B)):
-        for b, basis in enumerate("xp"):
-            mass[basis] = masses = [
-                _normal_mass(*standard_window(station, basis, det, law[0][b]))
-                for det in station.detectors(basis)
-            ]
+    # mass and factors are [station][basis][slit] tables, station A first.
+    mass = [[[_normal_mass(*standard_window(station, basis, det, law[0][b]))
+              for det in station.detectors(basis)] for b, basis in enumerate("xp")]
+            for station in stations]
+    for side in mass:
+        for basis, masses in zip("xp", side):
             if min(masses) <= 0:
                 raise ValueError(f"zero single-photon mass in basis {basis}; cannot equalize")
-            small = min(masses)
-            factors[(basis, 0)] *= small / masses[0]
-            factors[(basis, 1)] *= small / masses[1]
+    factors = [[[min(masses) / m for m in masses] for masses in side] for side in mass]
+    (mass_A, mass_B), (factors_A, factors_B) = mass, factors
 
     # Stage 1b: balance the xp block against the px block via party A.  A
     # mixed-basis cell is the product of the two single-slit masses.
-    xp, px = (
-        mass_A[a][0] * mass_B[b][0] * factors_A[(a, 0)] * factors_B[(b, 0)]
-        for a, b in ("xp", "px")
-    )
+    xp, px = (mass_A[a][0] * mass_B[1 - a][0] * factors_A[a][0] * factors_B[1 - a][0]
+              for a in (0, 1))
     if xp > px > 0:
-        for i in (0, 1):
-            factors_A[("x", i)] *= px / xp
+        factors_A[0] = [f * (px / xp) for f in factors_A[0]]
     elif px > xp > 0:
-        for i in (0, 1):
-            factors_A[("p", i)] *= xp / px
+        factors_A[1] = [f * (xp / px) for f in factors_A[1]]
 
     # Stage 2: bring the four "right" levels to their minimum, splitting each
     # basis correction evenly between the two parties so the cross block
     # stays uniform.
-    diag = {}
-    for basis in ("x", "p"):
-        diag[basis] = cells = []
-        for i, pair in enumerate(zip(station_A.detectors(basis), station_B.detectors(basis))):
-            raw = cell_probability(slit_cell(law, station_A, station_B, basis, basis, *pair, 1.0))
-            cells.append(raw * factors_A[(basis, i)] * factors_B[(basis, i)])
-    lowest = min(min(cells) for cells in diag.values())
+    diag = [[cell_probability(slit_cell(law, *stations, basis, basis, *pair, 1.0))
+             * factors_A[b][i] * factors_B[b][i]
+             for i, pair in enumerate(zip(station_A.detectors(basis), station_B.detectors(basis)))]
+            for b, basis in enumerate("xp")]
+    lowest = min(min(cells) for cells in diag)
     if lowest <= 0:
         raise ValueError("zero diagonal coincidence probability; cannot equalize")
-    for basis in ("x", "p"):
-        pair_level = math.sqrt(diag[basis][0] * diag[basis][1])
+    for b, cells in enumerate(diag):
+        pair_level = math.sqrt(cells[0] * cells[1])
         scale = min(lowest / pair_level, 1.0)
-        for side in (factors_A, factors_B):
-            side[(basis, 0)] *= math.sqrt(scale)
-            side[(basis, 1)] *= math.sqrt(scale)
-
-    return (
-        _with_attenuation(station_A, factors_A),
-        _with_attenuation(station_B, factors_B),
-    )
+        for side in factors:
+            side[b] = [f * math.sqrt(scale) for f in side[b]]
+    return tuple(_with_slits(st, "attenuation", side) for st, side in zip(stations, factors))
 
 
-def _with_attenuation(station: StationConfig, factors) -> StationConfig:
-    def scaled(basis: str, pair):
-        return tuple(
-            replace(det, attenuation=factors[(basis, i)]) for i, det in enumerate(pair)
-        )
-
-    return replace(
-        station,
-        x_detectors=scaled("x", station.x_detectors),
-        p_detectors=scaled("p", station.p_detectors),
-    )
+def _with_slits(station: StationConfig, field: str, table) -> StationConfig:
+    """station whose slits each take field (center or attenuation) from table[basis][slit]."""
+    x, p = (tuple(replace(det, **{field: value}) for det, value in zip(pair, values))
+            for pair, values in zip((station.x_detectors, station.p_detectors), table))
+    return replace(station, x_detectors=x, p_detectors=p)

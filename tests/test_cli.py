@@ -27,9 +27,9 @@ BUNDLED = str(resources.files("eprqkd").joinpath("data", "table1.csv"))
 # The run file's numeric keys: every float key, and those that must be positive.
 POSITIVE_KEYS = (
     "source.target_var_x_mm2", "source.target_var_p_hbar2_mm2", "source.sigma_plus_mm",
-    "source.kappa_plus_per_mm", "source.pump_waist_mm", "station.object_distance_mm",
-    "station.image_distance_mm", "station.focal_length_mm", "station.wavenumber_per_mm",
-    "station.x_slit_width_mm", "station.p_slit_width_mm",
+    "source.kappa_plus_per_mm", "station.object_distance_mm", "station.image_distance_mm",
+    "station.focal_length_mm", "station.wavenumber_per_mm", "station.x_slit_width_mm",
+    "station.p_slit_width_mm",
 )
 FLOAT_KEYS = POSITIVE_KEYS + (
     "station.origin_mm", "station.detector1_mm", "station.detector2_mm",
@@ -357,6 +357,8 @@ class TestSimulateCommand:
                      ["unknown config key 'station.equalize'"], id="equalize"),
         pytest.param("source.calibrate = false\n",
                      ["unknown config key 'source.calibrate'"], id="calibrate"),
+        pytest.param("source.pump_waist_mm = 2.0\n",
+                     ["unknown config key 'source.pump_waist_mm'"], id="pump_waist"),
         pytest.param("source.sigma_plus_mm 1.8\n", ["run.cfg:1: expected 'key = value'"],
                      id="no-equals"),
     ])
@@ -364,8 +366,9 @@ class TestSimulateCommand:
         self, capsys, monkeypatch, tmp_path, lines, named
     ):
         """Targets that calibrate to an unphysical source, a removed key (the
-        squeezed widths, the equalize and calibrate switches) or a line with
-        no '=': exit 2 before the session, naming the product, key or line."""
+        squeezed widths, the equalize and calibrate switches, the pump waist
+        that no computation read) or a line with no '=': exit 2 before the
+        session, naming the product, key or line."""
         def no_session(*args, **kwargs):
             raise AssertionError("the source must be checked before the session")
 
@@ -855,6 +858,7 @@ SIMULATE = ["simulate"]
 SCAN = ["scan", "--fixed", "Ax1", "--bases", "xx", "--grid", "0:3:0.1", "--pairs", "1000"]
 FROM_SCANS = ["epr-check", "--from-scans", "--pairs", "1000"]
 FITS = ["epr-check", "--fits"]
+FITS_COVARIANCE = ["epr-check", "--fits"]  # with reports that carry a fit.covariance
 
 
 @pytest.mark.parametrize("line, command", [
@@ -868,9 +872,11 @@ FITS = ["epr-check", "--fits"]
     ("station.x_slit_width_mm = 1e-300", SIMULATE),
     ("station.wavenumber_per_mm = 1e-300", SIMULATE),
     ("station.image_distance_mm = 1e-300", FITS),
+    # alpha^2 = 1e308 is finite, but 2 alpha^2 sigma sd(sigma) is not.
+    ("station.image_distance_mm = 1e-152", FITS_COVARIANCE),
 ], ids=["sigma_plus-simulate", "sigma_plus-scan", "sigma_plus-from-scans", "kappa_plus",
         "image_distance", "origin", "detector2", "x_slit_width", "wavenumber",
-        "image_distance-fits"])
+        "image_distance-fits", "image_distance-fits-uncertainty"])
 def test_extreme_finite_values_name_their_key(capsys, monkeypatch, tmp_path, line, command):
     """A finite run-file value that squares out of the float range, or leaves a
     slit no mass, exits 2 naming its key, not with a traceback."""
@@ -880,8 +886,9 @@ def test_extreme_finite_values_name_their_key(capsys, monkeypatch, tmp_path, lin
     monkeypatch.setattr(protocol, "run_session", no_session)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
-    if command is FITS:
-        command = FITS + _fit_reports(tmp_path, FOUR_FITS)
+    if command is FITS or command is FITS_COVARIANCE:
+        sd_sigma = 0.01 if command is FITS_COVARIANCE else None
+        command = FITS + _fit_reports(tmp_path, FOUR_FITS, sd_sigma)
     outputs = ["--out-dir", str(tmp_path / "out")] if command is SIMULATE else []
     code, report, err = run_cli([*command, "--config", str(cfg), *outputs], capsys)
     assert code == cli.EXIT_VALIDATION, err
@@ -1273,12 +1280,16 @@ class TestEprCheckCommand:
 FOUR_FITS = (("xx", 0.31), ("xx", 0.29), ("pp", 0.27), ("pp", 0.26))
 
 
-def _fit_reports(tmp_path, fits):
-    """Minimal saved scan reports, one per (basis pair, width), with no covariance."""
+def _fit_reports(tmp_path, fits, sd_sigma=None):
+    """Minimal saved scan reports, one per (basis pair, width), with no covariance
+    unless sd_sigma is given: then the covariance holds sd_sigma^2 at [2][2] alone."""
     paths = []
     for i, (pair, sigma) in enumerate(fits):
+        fit = {"sigma_mm": sigma}
+        if sd_sigma is not None:
+            fit["covariance"] = [[sd_sigma**2 if r == c == 2 else 0.0 for c in range(4)] for r in range(4)]
         path = tmp_path / f"{pair}_{i}.json"
-        path.write_text(json.dumps({"results": {"basis_pair": pair, "fit": {"sigma_mm": sigma}}}))
+        path.write_text(json.dumps({"results": {"basis_pair": pair, "fit": fit}}))
         paths.append(str(path))
     return paths
 

@@ -434,15 +434,21 @@ def reference_centers(source, fixed, free, basis):
 
 
 @st.composite
-def partner_geometries(draw, first=(0.9, 1.1), origin=(1.5, 1.5)):
-    """B's station over the benchmark's ranges, and the default source calibrated on it."""
+def sweep_stations(draw, first=(0.9, 1.1), origin=(1.5, 1.5)):
+    """B's station over the benchmark's ranges."""
     d1, sep = draw(st.floats(*first)), draw(st.floats(0.8, 1.2))
-    station = make_station(
+    return make_station(
         O=200.0, I=draw(st.floats(70.0, 100.0)), f=150.0, k=330.0,
         x_centers=(d1, d1 + sep), p_centers=(d1, d1 + sep),
         x_width=draw(st.floats(0.1, 0.4)), p_width=draw(st.floats(0.2, 0.6)),
         origin=draw(st.floats(*origin)),
     )
+
+
+@st.composite
+def partner_geometries(draw, first=(0.9, 1.1), origin=(1.5, 1.5)):
+    """B's station over the benchmark's ranges, and the default source calibrated on it."""
+    station = draw(sweep_stations(first, origin))
     source = calibrate_source(0.116, 0.894, station, station, 1.8, 3.7, PUMP)
     return source, station
 
@@ -684,6 +690,24 @@ class TestDetectedVariance:
             std_err = math.sqrt((np.mean(centered**4) - var**2) / n)
             expected = detected_variance(source, left, right, basis)
             assert abs(var - expected) < 5.0 * std_err, (basis, var, expected, std_err)
+
+    @settings(max_examples=300, deadline=None)
+    @given(widths=st.tuples(*(st.floats(0.05, 3.0) for _ in range(4))), station=sweep_stations())
+    @example(widths=(0.33, 1.8, 0.83, 3.7), station=make_station(I=100.0, origin=1.5))
+    def test_mancini_product_bounds_the_squeezed_product(self, widths, station):
+        """alpha^2 var_x var_p >= (sigma_- kappa_-)^2 in crystal units, hbar = 1.
+
+        Every command builds A from B's optics, so both stations are B's.
+        The slits only add variance, so a Mancini product below 1 implies
+        sigma_- kappa_- < 1, Simon's entanglement test: the bound 1 holds in
+        crystal-plane units, so var_x is converted by alpha.
+        """
+        sigma_minus, sigma_plus, kappa_minus, kappa_plus = widths
+        assume(sigma_minus * kappa_plus >= 1.0 and sigma_plus * kappa_minus >= 1.0)
+        source = build_source(*widths, PUMP)
+        var_x, var_p = (detected_variance(source, station, station, basis) for basis in "xp")
+        product = conversion_for(station, "x") ** 2 * var_x * var_p
+        assert product >= (sigma_minus * kappa_minus) ** 2 * (1.0 - 1e-12)
 
 
 def test_monte_carlo_matches_oracle_small(default_experiment, rng):
