@@ -1371,6 +1371,23 @@ def test_report_reruns_its_run(capsys, tmp_path, argv, run_file, outputs):
     assert written[1] == written[0] and bool(written[0]) == bool(outputs)
 
 
+
+def test_report_config_is_the_resolved_run_file(capsys, tmp_path):
+    """config holds every key of the config table, the run file's strings
+    where it sets them and the defaults elsewhere, and no retired key."""
+    from eprqkd.defaults import parse_config_file
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("station.image_distance_mm = 120\n")
+    code, report, err = run_cli(
+        [*FITS, *_fit_reports(tmp_path, FOUR_FITS), "--config", str(cfg)], capsys
+    )
+    assert code == cli.EXIT_OK, err
+    assert report["config"] == parse_config_file(str(cfg))
+    assert report["config"]["station.image_distance_mm"] == "120"
+    assert list(report["config"]) == list(parse_config_file(None))
+    assert "source.pump_waist_mm" not in report["config"]
+
 def test_table_commands_do_not_load_scipy(tmp_path):
     """No command, and no default setup, imports scipy.
 

@@ -23,11 +23,14 @@ from eprqkd.detection import (
     cell_probability,
     coincidence_probability,
     conversion_for,
+    _normal_mass,
+    _with_slits,
     derive_partner_centers,
     detected_variance,
     equalize_levels,
     slit_cell,
     slit_smearing_variance,
+    standard_window,
 )
 from eprqkd.protocol import tally_coincidences
 from eprqkd.source import (
@@ -831,6 +834,41 @@ class TestEqualization:
             for basis in ("x", "p"):
                 d1, d2 = st_out.detectors(basis)
                 assert abs(d1.attenuation - d2.attenuation) < 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(geometry=partner_geometries())
+    def test_sweep_geometries_equalized(self, geometry):
+        """With A's derived centers and B's sweep slits, no station or basis is
+        symmetric, yet the two slits of each pass equal filtered single mass and
+        the eight cross-basis levels are equal, whichever slit, basis or station
+        each factor was computed for."""
+        source, bob = geometry
+        _, alice, bob = assemble_setup(source, bob)
+        std = channel_law(source)[0]
+        for station in (alice, bob):
+            for b, basis in enumerate("xp"):
+                first, second = (det.attenuation * _normal_mass(*standard_window(station, basis, det, std[b]))
+                                 for det in station.detectors(basis))
+                assert math.isclose(first, second, rel_tol=1e-9), (basis, first, second)
+        cross = [
+            coincidence_probability(source, alice, bob, ba, bb, i, j)
+            for ba, bb in (("x", "p"), ("p", "x"))
+            for i in (1, 2) for j in (1, 2)
+        ]
+        assert max(cross) / min(cross) - 1.0 < 1e-9
+
+    @pytest.mark.parametrize("field", ["center", "attenuation"])
+    def test_with_slits_sets_only_its_field(self, field):
+        """Slit i of basis b takes table[b][i] in field; every other slit field
+        and the station's optics are kept."""
+        station = make_station(I=100.0, x_centers=(0.9, 2.1), p_centers=(1.2, 1.8), origin=1.5)
+        table = [(0.3, 0.6), (0.2, 0.9)]  # valid both as slit centers and as attenuations
+        out = _with_slits(station, field, table)
+        assert dataclasses.replace(out, x_detectors=station.x_detectors,
+                                   p_detectors=station.p_detectors) == station
+        for b, basis in enumerate("xp"):
+            for det_in, det_out, value in zip(station.detectors(basis), out.detectors(basis), table[b]):
+                assert det_out == dataclasses.replace(det_in, **{field: value})
 
     def test_zero_levels_cannot_be_equalized(self):
         # Slits parked far outside the marginal: no mass to balance against.
